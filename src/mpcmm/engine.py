@@ -30,6 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+WORD = np.dtype(np.int64)  # the only payload element type
+
+
 class MpcError(Exception):
     pass
 
@@ -182,11 +185,10 @@ class Program:
 
 
 def _words(state: dict) -> int:
-    return int(sum(v.size for v in state.values()))
-
-
-def _inbox_words(inbox) -> int:
-    return int(sum(m.words for m in inbox))
+    words = 0
+    for value in state.values():
+        words += value.size
+    return words
 
 
 @dataclass
@@ -217,31 +219,37 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     # ahead of a too-large starting layout.
     states = {p: program.init_state(p) for p in range(procs)}
     inboxes = {p: [] for p in range(procs)}
+    inbox_words = [0] * procs
     transcript = Transcript(processors=procs, rounds=program.total_rounds)
 
     for round_no in range(1, program.total_rounds + 1):
         sent = [0] * procs
+        received = [0] * procs
         peak = [0] * procs
-        all_msgs = []
         new_states = {}
+        new_inboxes = {p: [] for p in range(procs)}
+        # One pass: each send is delivered as it is emitted, so every
+        # inbox is ordered by (source, emission order).
         for p in range(procs):
-            in_words = _words(states[p]) + _inbox_words(inboxes[p])
+            in_words = _words(states[p]) + inbox_words[p]
             state, sends = program.handler(round_no, p, states[p], inboxes[p])
-            msgs = []
+            out_words = 0
             for dst, tag, payload in sends:
                 if not (0 <= dst < procs):
                     raise ValueError(f"processor {p} sent to invalid destination {dst}")
-                msgs.append(Message(p, dst, tag, np.ascontiguousarray(payload).ravel()))
-            sent[p] = sum(m.words for m in msgs)
-            peak[p] = max(in_words, _words(state) + sent[p])
+                payload = np.ascontiguousarray(payload).ravel()
+                if payload.dtype != WORD:
+                    raise TypeError(
+                        f"processor {p} sent a {payload.dtype} payload in round {round_no}; "
+                        "payloads must be int64 words"
+                    )
+                words = payload.size
+                new_inboxes[dst].append(Message(p, dst, tag, payload))
+                received[dst] += words
+                out_words += words
+            sent[p] = out_words
+            peak[p] = max(in_words, _words(state) + out_words)
             new_states[p] = state
-            all_msgs.extend(msgs)
-
-        received = [0] * procs
-        new_inboxes = {p: [] for p in range(procs)}
-        for m in all_msgs:  # already ordered by (src, emission order)
-            new_inboxes[m.dst].append(m)
-            received[m.dst] += m.words
 
         for p in range(procs):
             if sent[p] > budget:
@@ -255,12 +263,12 @@ def run(program: Program, config: MpcConfig) -> RunResult:
 
         for p in range(procs):
             transcript.rows.append(RoundRow(round_no, p, sent[p], received[p], peak[p]))
-        states, inboxes = new_states, new_inboxes
+        states, inboxes, inbox_words = new_states, new_inboxes, received
 
     outputs = {}
     output_words = [0] * procs
     for p in range(procs):
-        fin_words = _words(states[p]) + _inbox_words(inboxes[p])
+        fin_words = _words(states[p]) + inbox_words[p]
         if fin_words > budget:
             raise MemoryExceeded(p, max(program.total_rounds, 1), fin_words, budget)
         if program.total_rounds:

@@ -136,6 +136,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
                     "processor": getattr(err, "processor", None),
                     "round": getattr(err, "round", None),
                     "direction": getattr(err, "direction", None),
+                    "words": getattr(err, "words", None),
+                    "used": getattr(err, "used", None),
+                    "budget": getattr(err, "budget", None),
                 },
             }
         )

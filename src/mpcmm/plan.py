@@ -24,6 +24,7 @@ plans never pre-allocate outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,56 +152,26 @@ class PlanProgram(Program):
     def _merge(self, state, inbox):
         store = dict(state)
         for msg in inbox:
+            payload, tag = msg.payload, msg.tag
+            if len(tag) == 1:
+                ((key, shape),) = tag
+                store[key] = payload.reshape(shape)
+                continue
             offset = 0
-            for key, shape in msg.tag:
-                size = int(np.prod(shape))
-                store[key] = msg.payload[offset : offset + size].reshape(shape)
+            for key, shape in tag:
+                size = math.prod(shape)
+                store[key] = payload[offset : offset + size].reshape(shape)
                 offset += size
         return store
-
-    def _acc(self, store, key, value):
-        if key in store:
-            store[key] = self.spec.vadd(store[key], value)
-        else:
-            store[key] = value
 
     def _exec(self, store, ops, sends=None):
         spec = self.spec
         for op in ops:
-            if isinstance(op, Mac):
-                self._acc(store, op.c, spec.matmul(store[op.a], store[op.b]))
-            elif isinstance(op, MulAcc):
-                self._acc(store, op.c, spec.vmul(store[op.a], store[op.b]))
-            elif isinstance(op, Acc):
-                self._acc(store, op.c, store[op.src])
-            elif isinstance(op, AccCell):
-                cell = store[op.src].reshape(-1)[op.index : op.index + 1]
-                self._acc(store, op.c, cell)
-            elif isinstance(op, Cell):
-                store[op.dst] = store[op.src].reshape(-1)[op.index : op.index + 1].copy()
-            elif isinstance(op, Assemble):
-                store[op.dst] = np.concatenate([store[k] for k in op.srcs], axis=op.axis)
-            elif isinstance(op, Slice):
-                r0, r1 = op.rows
-                c0, c1 = op.cols
-                store[op.dst] = store[op.src][r0:r1, c0:c1].copy()
-            elif isinstance(op, Pack):
-                flat = np.full(int(np.prod(op.shape)), spec.zero, dtype=np.int64)
-                for i, key in enumerate(op.keys):
-                    if key is not None:
-                        flat[i] = store[key].reshape(-1)[0]
-                store[op.dst] = flat.reshape(op.shape)
-            elif isinstance(op, Send):
-                if sends is None:
-                    raise ValueError("Send op is not allowed in finalize")
-                tag = tuple((k, store[k].shape) for k in op.keys)
-                payload = np.concatenate([store[k].ravel() for k in op.keys])
-                sends.append((op.dst, tag, payload))
-            elif isinstance(op, Drop):
-                for k in op.keys:
-                    store.pop(k, None)
-            else:
-                raise TypeError(f"unknown op {op!r}")
+            try:
+                run_op = _DISPATCH[type(op)]
+            except KeyError:
+                raise TypeError(f"unknown op {op!r}") from None
+            run_op(spec, store, op, sends)
 
     def handler(self, round_no, p, state, inbox):
         store = self._merge(state, inbox)
@@ -218,6 +189,86 @@ class PlanProgram(Program):
                 block = np.full(e.shape, self.spec.zero, dtype=np.int64)
             out.append((e.row, e.col, block.reshape(e.shape)))
         return out
+
+
+def _acc(spec, store, key, value):
+    if key in store:
+        store[key] = spec.vadd(store[key], value)
+    else:
+        store[key] = value
+
+
+def _mac(spec, store, op, sends):
+    _acc(spec, store, op.c, spec.matmul(store[op.a], store[op.b]))
+
+
+def _mul_acc(spec, store, op, sends):
+    _acc(spec, store, op.c, spec.vmul(store[op.a], store[op.b]))
+
+
+def _acc_op(spec, store, op, sends):
+    _acc(spec, store, op.c, store[op.src])
+
+
+def _acc_cell(spec, store, op, sends):
+    _acc(spec, store, op.c, store[op.src].reshape(-1)[op.index : op.index + 1])
+
+
+def _cell(spec, store, op, sends):
+    store[op.dst] = store[op.src].reshape(-1)[op.index : op.index + 1].copy()
+
+
+def _assemble(spec, store, op, sends):
+    store[op.dst] = np.concatenate([store[k] for k in op.srcs], axis=op.axis)
+
+
+def _slice(spec, store, op, sends):
+    r0, r1 = op.rows
+    c0, c1 = op.cols
+    store[op.dst] = store[op.src][r0:r1, c0:c1].copy()
+
+
+def _pack(spec, store, op, sends):
+    flat = np.full(math.prod(op.shape), spec.zero, dtype=np.int64)
+    for i, key in enumerate(op.keys):
+        if key is not None:
+            flat[i] = store[key].reshape(-1)[0]
+    store[op.dst] = flat.reshape(op.shape)
+
+
+def _send(spec, store, op, sends):
+    if sends is None:
+        raise ValueError("Send op is not allowed in finalize")
+    keys = op.keys
+    if len(keys) == 1:
+        # No op writes a stored tile in place, so the payload may share
+        # the tile's memory; ravel copies only a non-contiguous tile.
+        (key,) = keys
+        tile = store[key]
+        sends.append((op.dst, ((key, tile.shape),), tile.ravel()))
+    else:
+        tag = tuple((k, store[k].shape) for k in keys)
+        sends.append((op.dst, tag, np.concatenate([store[k].ravel() for k in keys])))
+
+
+def _drop(spec, store, op, sends):
+    for k in op.keys:
+        store.pop(k, None)
+
+
+# Every op except Emit, which only ``finalize`` reads from ``plan.emits``.
+_DISPATCH = {
+    Mac: _mac,
+    MulAcc: _mul_acc,
+    Acc: _acc_op,
+    AccCell: _acc_cell,
+    Cell: _cell,
+    Assemble: _assemble,
+    Slice: _slice,
+    Pack: _pack,
+    Send: _send,
+    Drop: _drop,
+}
 
 
 def assemble_output(result_outputs, rows, cols, spec: SemiringSpec) -> np.ndarray:

@@ -42,6 +42,10 @@ ROUND_CONSTANT = 8  # C in the layer / residual budget assertions
 TRIVIAL_ROUND_CONSTANT = 4  # C_triv: the trivial schedule stays below 4d rounds
 
 
+class RoundBoundExceeded(RuntimeError):
+    """A built schedule needs more rounds than its proven bound allows."""
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Exponent pair steering the two-phase split; eps2 is the chosen one."""
@@ -402,9 +406,12 @@ def schedule_sparse_trivial(
     _sparse_init(plan, a, b)
     rounds = _fetch_rounds(plan, pending, list(ledger.terms()), d, 0)
     plan.num_rounds = max(rounds, 1)
-    assert plan.num_rounds <= TRIVIAL_ROUND_CONSTANT * max(d, 1), (
-        f"fetch plan needs {plan.num_rounds} rounds, over the {4 * d} bound"
-    )
+    bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
+    if plan.num_rounds > bound:
+        raise RoundBoundExceeded(
+            f"fetch plan needs {plan.num_rounds} rounds, over the "
+            f"{TRIVIAL_ROUND_CONSTANT}d = {bound} bound"
+        )
     pending.flush_all(plan.num_rounds)
     _emit_masked(plan, mask)
 

@@ -189,3 +189,33 @@ def test_min_memory_checked():
     prog.min_memory = 48
     with pytest.raises(ValueError):
         run(prog, MpcConfig(1, 16))
+
+
+def test_non_int64_payload_rejected():
+    class FloatSender(Program):
+        num_procs = 2
+        total_rounds = 1
+
+        def handler(self, round_no, p, state, inbox):
+            if p == 0:
+                return state, [(1, ("f",), np.array([0.5, 1.5]))]
+            return state, []
+
+    with pytest.raises(TypeError, match="float64"):
+        run(FloatSender(), MpcConfig(2, 8))
+
+
+def test_inbox_words_charged_to_receiver_memory():
+    class Deliver(Program):
+        num_procs = 2
+        total_rounds = 2
+
+        def handler(self, round_no, p, state, inbox):
+            if round_no == 1 and p == 0:
+                return state, [(1, ("x",), np.zeros(5, dtype=np.int64))]
+            return state, []
+
+    t = run(Deliver(), MpcConfig(2, 8)).transcript
+    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
+            for r in t.rows] == [(1, 0, 5, 0, 5), (1, 1, 0, 5, 0), (2, 0, 0, 0, 0),
+                                 (2, 1, 0, 0, 5)]

@@ -1,0 +1,158 @@
+"""Golden artifacts: SHA-256 of the summary JSON and transcript CSV per config.
+
+A refactor or optimisation of the builders, the plan interpreter or the
+engine must leave these bytes unchanged.  A hash may change only in a
+change that says why in CHANGES.md.  Print the current hashes with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import sys
+import tempfile
+
+import pytest
+
+from mpcmm.experiment import ExperimentConfig, run_experiment
+
+SEMIRINGS = ("int", "bool", "tropical")
+
+CONFIGS = {
+    **{f"square-{s}": dict(case="square", n=16, alpha=1.0, semiring=s) for s in SEMIRINGS},
+    **{f"ndn-{s}": dict(case="ndn", n=16, d=4, semiring=s) for s in SEMIRINGS},
+    **{f"dnd-n-{s}": dict(case="dnd-n", n=16, d=4, semiring=s) for s in SEMIRINGS},
+    **{f"dnd-d-{s}": dict(case="dnd-d", n=16, d=4, semiring=s) for s in SEMIRINGS},
+    **{f"sparse-trivial-{s}": dict(case="sparse-trivial", n=16, d=2, semiring=s)
+       for s in SEMIRINGS},
+    **{f"sparse-twophase-{s}": dict(case="sparse-twophase", n=32, d=4, semiring=s)
+       for s in SEMIRINGS},
+    "square-redistribute": dict(case="square", n=16, alpha=1.0, redistribute=True),
+    "square-padded": dict(case="square", n=18, alpha=1.0),
+    "square-alpha2": dict(case="square", n=8, alpha=2.0, semiring="bool"),
+    "sparse-trivial-blockdiag": dict(case="sparse-trivial", n=16, d=4, instance="blockdiag"),
+    "sparse-twophase-blockdiag": dict(case="sparse-twophase", n=32, d=4, instance="blockdiag"),
+}
+
+# name -> (summary JSON SHA-256, transcript CSV SHA-256)
+GOLDEN = {
+    "square-int": (
+        "cc74d254b16df259d0ba0436f5a4e4c5e7917241b59d5afbfc3e28909ba0ee22",
+        "debd6c254009a15081db02f6edb80f20d7b7d02755cf0e613c27f2366d8d66b4",
+    ),
+    "square-bool": (
+        "a1838be5a4adfa7e5b35f9e71dfc93a9082cbd3fc82173fcd67ecc0bfb946911",
+        "debd6c254009a15081db02f6edb80f20d7b7d02755cf0e613c27f2366d8d66b4",
+    ),
+    "square-tropical": (
+        "0a7bb42bf2c6137dc720f39829e481ea42d5b297944435297d601d1eb2250ecb",
+        "debd6c254009a15081db02f6edb80f20d7b7d02755cf0e613c27f2366d8d66b4",
+    ),
+    "ndn-int": (
+        "f4d52a758612a49e3f7d94f567012d01f68feffbd46eaee5d71d0e9cd0d36647",
+        "c6d189f25dc3b52e57bb9da6e307155d94e2780ecc4a3a82ef93cba71219297d",
+    ),
+    "ndn-bool": (
+        "850de8fdce26de47d319deb1bb619f73fe94716337727526f1717b248b8a79ba",
+        "c6d189f25dc3b52e57bb9da6e307155d94e2780ecc4a3a82ef93cba71219297d",
+    ),
+    "ndn-tropical": (
+        "128adc363a1a3453f7aa0a5774f9aac97a3ba260a56f79eb503b2ac688efd57e",
+        "c6d189f25dc3b52e57bb9da6e307155d94e2780ecc4a3a82ef93cba71219297d",
+    ),
+    "dnd-n-int": (
+        "db568ff79bbd8ba5efcc7db15c2a3a3f17052ea224c1b8efa5d895c3f7573fb4",
+        "0886373f3550bd3e35a621a05581f6ca1994c89c578ef2bf400a21aa4e7bc852",
+    ),
+    "dnd-n-bool": (
+        "00f6dfba86a89774d7bce083f7c543fcd50dab24dfc48f302caafc94a2cea399",
+        "0886373f3550bd3e35a621a05581f6ca1994c89c578ef2bf400a21aa4e7bc852",
+    ),
+    "dnd-n-tropical": (
+        "be62217df992983108a05b76432496a95047337c55982e91d8f5e00c1530395c",
+        "0886373f3550bd3e35a621a05581f6ca1994c89c578ef2bf400a21aa4e7bc852",
+    ),
+    "dnd-d-int": (
+        "7da9d639ad8c065c382b638625a4e3d97d0cf52777c661a938dc27a8907c3b7c",
+        "48f6779abed68d80c220380c5ade9b3ea1b480e93de6b07d8bc395ed3fecadd8",
+    ),
+    "dnd-d-bool": (
+        "9184d64ba355497b764993ee839c0a8b8eb9b2cdea85c12634e1f3a32e8effb3",
+        "48f6779abed68d80c220380c5ade9b3ea1b480e93de6b07d8bc395ed3fecadd8",
+    ),
+    "dnd-d-tropical": (
+        "a043d53b3174cfc98481d42b24b130e7095e2f48be89ad6636ea34cd2f9299dd",
+        "48f6779abed68d80c220380c5ade9b3ea1b480e93de6b07d8bc395ed3fecadd8",
+    ),
+    "sparse-trivial-int": (
+        "7b092f026613ad83c68db4308406cbd459961f3c1da646af8611b33b6901a85a",
+        "cd577c8e3bc411caa71dad7a45fde2b7f8c6bf9dfe898334ec3dfc005a812e57",
+    ),
+    "sparse-trivial-bool": (
+        "842ef1f4d2b18591055e2089bc8ece5e0f6074e3cf18ceb7930565deabe47ab4",
+        "3ba758162dfe25ffa1cb61bf2fe9e8ce937d2a4cbbd3cbc0b2bd4e20922f14d0",
+    ),
+    "sparse-trivial-tropical": (
+        "2570dec345b49d4230e32ffa885be469c3bf8f2aa1ce7f5c1b4310b2f024cec6",
+        "cd577c8e3bc411caa71dad7a45fde2b7f8c6bf9dfe898334ec3dfc005a812e57",
+    ),
+    "sparse-twophase-int": (
+        "f83159120afedbaa8fb338fb2fae5aad6c263d8f232ffc8fca4ab96fead18a69",
+        "137c7063970060bbcb721f7eeae2d9429aa6d31dbd57f445b16486c5df6d15fe",
+    ),
+    "sparse-twophase-bool": (
+        "5d09414517e09e936707c8c74bd0ac1e3785b3fc2290be962b6da71ef3093ad9",
+        "33f51b42286cbdbc76c76e66ec991db2d0a0e0889ec85dbfcc6b8b159eb53d6e",
+    ),
+    "sparse-twophase-tropical": (
+        "97189c6d44981c5d58f16ce0274a72662fdb5343b7d17e4c9821826da08ec81e",
+        "137c7063970060bbcb721f7eeae2d9429aa6d31dbd57f445b16486c5df6d15fe",
+    ),
+    "square-redistribute": (
+        "56798c5a9ff32d40bbf744fba1ed519fab078b406360e8e46e0e0c77601798fc",
+        "0b4f63ff9173fe470adc1aa0693e7b009bee09dff894f5a482b59a4d547134ee",
+    ),
+    "square-padded": (
+        "37ee94a82c83e47c460e660549e0ad5cae1f22b4c6b08173413b9460f2d1acf0",
+        "7a8ecf68c4dfc2d5de116bc71e703e3772e0df3ba44b4529b79f692d35e30a3d",
+    ),
+    "square-alpha2": (
+        "287df2fbf07c59bc118855190d62f0e6e36b7b99652573b440f033d5af1e8e2c",
+        "3efca1be4efca4391ac8daccb983d7d56d5091b6be2c032f2cef0e65a8d533ce",
+    ),
+    "sparse-trivial-blockdiag": (
+        "5d2a1904b515d90481849c7cf7dd63edffbe469ca5a251a0b8e5775e1d4f9b7b",
+        "cd68f9e5eb9112ddca31a32109d5266378c0d0ddd16d78d64b5e4b9dcfce3106",
+    ),
+    "sparse-twophase-blockdiag": (
+        "b6719e8b3362ad5b9d1b5cd554e19e194d5ed45d4975006e54348fe232246967",
+        "3f18a64dbe2b6cd6c22ef01feabe5ab867ba7ec489cceb733cf3a86d84231e34",
+    ),
+}
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def artifact_hashes(name, out_dir):
+    summary = run_experiment(ExperimentConfig(seed=1, **CONFIGS[name]), out_dir=out_dir)
+    assert summary["ok"], f"{name} is not ok"
+    return _digest(summary["summary_path"]), _digest(summary["transcript_path"])
+
+
+def test_golden_covers_every_config():
+    assert set(GOLDEN) == set(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_artifacts(name, tmp_path):
+    assert artifact_hashes(name, str(tmp_path)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        for key in CONFIGS:
+            summary_sha, transcript_sha = artifact_hashes(key, out)
+            sys.stdout.write(f'    "{key}": (\n        "{summary_sha}",\n'
+                             f'        "{transcript_sha}",\n    ),\n')

@@ -54,6 +54,11 @@ def test_cap_factor_one_surfaces_bandwidth_violation(tmp_path):
     assert summary["ok"] is False
     assert summary["violation"]["type"] == "BandwidthExceeded"
     assert summary["violation"]["round"] == 1
+    # square n=16 on a 4x4 grid: 4x4 tiles, M = 16 and budget 1 * M; each
+    # processor ships its A and B tiles (32 words) in round 1
+    assert summary["violation"]["words"] == 32
+    assert summary["violation"]["budget"] == 16
+    assert summary["violation"]["used"] is None
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -16,6 +16,7 @@ from mpcmm import (
     schedule_sparse_twophase,
 )
 from mpcmm.instances import block_diagonal, random_d_sparse
+from mpcmm.schedules import sparse as sparse_module
 from mpcmm.schedules.sparse import build_ledger
 
 INT = get_semiring("int")
@@ -120,6 +121,13 @@ class TestTrivial:
         fat = SparseMatrix.from_entries(8, 8, [(0, c, 1) for c in range(5)])
         with pytest.raises(ValueError):
             schedule_sparse_trivial(8, 2, fat, b, mask, INT)
+
+    def test_round_bound_raises_not_asserts(self, monkeypatch):
+        # A raise, unlike an assert, survives ``python -O``.
+        a, b, mask = sparse_pair(8, 2, INT, 2)
+        monkeypatch.setattr(sparse_module, "TRIVIAL_ROUND_CONSTANT", 0)
+        with pytest.raises(sparse_module.RoundBoundExceeded, match=r"over the 0d = 0 bound"):
+            schedule_sparse_trivial(8, 2, a, b, mask, INT)
 
 
 class TestDecompose:
