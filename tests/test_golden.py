@@ -31,6 +31,14 @@ CONFIGS = {
     "square-alpha2": dict(case="square", n=8, alpha=2.0, semiring="bool"),
     "sparse-trivial-blockdiag": dict(case="sparse-trivial", n=16, d=4, instance="blockdiag"),
     "sparse-twophase-blockdiag": dict(case="sparse-twophase", n=32, d=4, instance="blockdiag"),
+    # Rotations on grids of side 3, where the left and right (and the up and
+    # down) neighbours differ, so a slip in the skew direction shows.
+    "dnd-n-grid3": dict(case="dnd-n", n=36, d=9),
+    "dnd-n-tree2": dict(case="dnd-n", n=64, d=4, semiring="tropical"),
+    "dnd-d-blocks3": dict(case="dnd-d", n=36, d=18),
+    "ndn-bool-d18": dict(case="ndn", n=36, d=18, semiring="bool"),
+    "sparse-twophase-grid3": dict(case="sparse-twophase", n=36, d=9, instance="blockdiag"),
+    "square-alpha0": dict(case="square", n=16, alpha=0.0),
 }
 
 # name -> (summary JSON SHA-256, transcript CSV SHA-256)
@@ -126,6 +134,30 @@ GOLDEN = {
     "sparse-twophase-blockdiag": (
         "b6719e8b3362ad5b9d1b5cd554e19e194d5ed45d4975006e54348fe232246967",
         "3f18a64dbe2b6cd6c22ef01feabe5ab867ba7ec489cceb733cf3a86d84231e34",
+    ),
+    "dnd-n-grid3": (
+        "610cd11a980b2e0c43921c5684debab4f18e761b1edf26a69cdbca0698f59f33",
+        "37d58253726c05386d11b5fa354e7b80fbd8ed433eb5475ea4f4561fb168923c",
+    ),
+    "dnd-n-tree2": (
+        "221dd5961c9d9c3449dad916313b803f7ab671b7523cfe421a94aa1ff0f5375f",
+        "19c760b3a0a9d9f5ccdd1a675648ba7f3a535ec43edd2aa8e56821dea3192b48",
+    ),
+    "dnd-d-blocks3": (
+        "183c5316af4bc50bdb7049a78297bd78f06ed39c966e3a394b534c0fb4832647",
+        "db306c675ecf54389efa090c24f7232d13db25c3300237e1985ce57a0604e130",
+    ),
+    "ndn-bool-d18": (
+        "e39e02c021b5415386d3e4baf15e3e9bc510cdc29663002a3706830c044d38e7",
+        "4d757e61fd76436b42700e8b1a0b921b13f4a93669d36d116b86614dadfd2621",
+    ),
+    "sparse-twophase-grid3": (
+        "abdb57ae7aac163565676f31f2fa29b69b3e78f6950da040f16d70a9b462b15d",
+        "c4d7bf2bfa7d0c584685721656bf8a88efc9452c953433772269bca421c48830",
+    ),
+    "square-alpha0": (
+        "63f3d0d591ddfee23576d737d4716a560195907ce830b1ca53c083faee66fbcb",
+        "4c9ad671e879593404f3204659340ea22f2051e038ea7d12fb40863598da7260",
     ),
 }
 
