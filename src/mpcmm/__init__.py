@@ -30,15 +30,11 @@ from .engine import (
 from .matrix import (
     DenseMatrix,
     SparseMatrix,
-    TileIndex,
-    assemble_tiles,
     check_d_sparse,
-    crop,
     load_matrix,
     naive_multiply,
     pad_to_multiple,
     save_matrix,
-    tile,
 )
 from .schedules.rect import SumTask, schedule_dnd_dproc, schedule_dnd_nproc, schedule_ndn, tree_sum
 from .schedules.sparse import (

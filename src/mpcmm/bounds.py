@@ -21,13 +21,12 @@ def term_capacity(r: int) -> int:
     return math.isqrt(r**3)
 
 
-def _int_pow(base: float, exp: float) -> int:
-    """base**exp as an integer count, tolerant of float representation."""
-    value = base**exp
+def snapped(value: float, rounding=math.ceil) -> int:
+    """``rounding(value)`` after snapping float noise onto exact integers."""
     nearest = round(value)
     if abs(value - nearest) < 1e-9:
         return int(nearest)
-    return math.floor(value)
+    return rounding(value)
 
 
 def ceil_log(base: int, value: int) -> int:
@@ -43,20 +42,25 @@ def ceil_log(base: int, value: int) -> int:
     return j
 
 
+def lower_bound_terms(terms: int, procs: int, memory: int) -> int:
+    """Rounds to form ``terms`` products on ``procs`` processors of ``memory`` words."""
+    return -(-terms // (procs * term_capacity(memory)))
+
+
 def lower_bound_square(n: int, alpha: float) -> int:
     """Rounds needed for an n x n product on n**alpha processors."""
     if not 0 <= alpha <= 2:
         raise ValueError("alpha must lie in [0, 2]")
-    procs = _int_pow(n, alpha)
-    memory = _int_pow(n, 2 - alpha)
-    return -(-(n**3) // (procs * term_capacity(memory)))
+    procs = snapped(n**alpha, math.floor)
+    memory = snapped(n ** (2 - alpha), math.floor)
+    return lower_bound_terms(n**3, procs, memory)
 
 
 def lower_bound_ndn(n: int, d: int) -> int:
     """Rounds for (n x d) * (d x n) on n processors with O(n) memory."""
     if d > n:
         raise ValueError("requires d <= n")
-    return -(-(n * n * d) // (n * term_capacity(n)))
+    return lower_bound_terms(n * n * d, n, n)
 
 
 def ceil_sqrt(v: int) -> int:
@@ -105,14 +109,3 @@ class BoundReport:
         d["ok"] = self.ok
         return d
 
-
-def lower_bound_for(case: str, n: int, d: int = 0, alpha: float = 1.0) -> int:
-    if case == "square":
-        return lower_bound_square(n, alpha)
-    if case == "ndn":
-        return lower_bound_ndn(n, d)
-    if case == "dnd-n":
-        return lower_bound_dnd(n, d, "n")
-    if case == "dnd-d":
-        return lower_bound_dnd(n, d, "d")
-    raise ValueError(f"no lower bound for case {case!r}")

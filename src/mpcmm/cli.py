@@ -14,15 +14,13 @@ import json
 import sys
 import time
 
-from .bounds import BoundReport, lower_bound_for
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import CASES, ExperimentConfig, run_experiment
 from .semiring import builtin_semirings
 
 
-def _add_common(p, semiring=True):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=1)
-    if semiring:
-        p.add_argument("--semiring", default="int", choices=["int", "bool", "tropical"])
+    p.add_argument("--semiring", default="int", choices=["int", "bool", "tropical"])
     p.add_argument("--cap-factor", type=int, default=4)
     p.add_argument("--outdir", default=None)
 
@@ -88,19 +86,16 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     _run_parsers(sub)
 
+    bounded = [name for name, case in CASES.items() if case.lower is not None]
     bounds = sub.add_parser("bounds", help="lower bound vs measured rounds")
-    bounds.add_argument("--case", choices=["square", "ndn", "dnd-n", "dnd-d"], required=True)
+    bounds.add_argument("--case", choices=bounded, required=True)
     bounds.add_argument("--n", type=int, required=True)
     bounds.add_argument("--d", type=int, default=0)
     bounds.add_argument("--alpha", type=float, default=1.0)
     _add_common(bounds)
 
     verify = sub.add_parser("verify", help="oracle battery across semirings and seeds")
-    verify.add_argument(
-        "--case",
-        choices=["square", "ndn", "dnd-n", "dnd-d", "sparse-trivial", "sparse-twophase"],
-        required=True,
-    )
+    verify.add_argument("--case", choices=list(CASES), required=True)
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--d", type=int, default=0)
     verify.add_argument("--alpha", type=float, default=1.0)
@@ -110,7 +105,7 @@ def main(argv=None) -> int:
     verify.add_argument("--cap-factor", type=int, default=4)
 
     bench = sub.add_parser("bench", help="round counts across a size sweep")
-    bench.add_argument("--case", choices=["square", "ndn", "dnd-n", "dnd-d"], required=True)
+    bench.add_argument("--case", choices=bounded, required=True)
     bench.add_argument("--sizes", type=int, nargs="+", required=True, help="values of n")
     bench.add_argument("--d", type=int, default=0)
     bench.add_argument("--alpha", type=float, default=1.0)

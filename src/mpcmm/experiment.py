@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundReport, lower_bound_for
+from .bounds import BoundReport, lower_bound_dnd, lower_bound_ndn, lower_bound_square
 from .engine import MpcConfig, MpcError, assert_transcript
 from .instances import block_diagonal, random_d_sparse, random_dense
 from .matrix import DenseMatrix, SparseMatrix, load_matrix, naive_multiply
@@ -26,11 +27,63 @@ from .schedules.sparse import (
     schedule_sparse_twophase,
 )
 from .schedules.square import ProblemShape, schedule_square
-from .semiring import get_semiring
+from .semiring import builtin_semirings, get_semiring
 
-DENSE_CASES = ("square", "ndn", "dnd-n", "dnd-d")
-SPARSE_CASES = ("sparse-trivial", "sparse-twophase")
 OUTDIR_ENV = "MPCMM_OUTDIR"
+INSTANCE_KINDS = ("random", "blockdiag", "file")
+
+
+@dataclass(frozen=True)
+class Case:
+    """One multiplication case: how to build it, its inputs and its lower bound.
+
+    ``build(config, a, b, mask, spec)`` returns the Schedule.  ``dims(n, d)``
+    gives the dense input shapes ((A rows, A cols), (B rows, B cols)); None
+    marks a d-sparse case.  ``lower(config, machine)`` gives the round lower
+    bound for the simulated ``MpcConfig``; None reports no bound.
+    """
+
+    build: Callable
+    dims: Callable | None
+    lower: Callable | None
+
+
+CASES = {
+    "square": Case(
+        lambda c, a, b, mask, spec: schedule_square(
+            ProblemShape(c.n, c.alpha), a, b, spec, redistribute=c.redistribute
+        ),
+        lambda n, d: ((n, n), (n, n)),
+        lambda c, machine: lower_bound_square(c.n, c.alpha),
+    ),
+    "ndn": Case(
+        lambda c, a, b, mask, spec: schedule_ndn(c.n, c.d, a, b, spec),
+        lambda n, d: ((n, d), (d, n)),
+        lambda c, machine: lower_bound_ndn(c.n, c.d),
+    ),
+    "dnd-n": Case(
+        lambda c, a, b, mask, spec: schedule_dnd_nproc(c.n, c.d, a, b, spec),
+        lambda n, d: ((d, n), (n, d)),
+        lambda c, machine: lower_bound_dnd(c.n, c.d, "n"),
+    ),
+    "dnd-d": Case(
+        lambda c, a, b, mask, spec: schedule_dnd_dproc(c.n, c.d, a, b, spec),
+        lambda n, d: ((d, n), (n, d)),
+        lambda c, machine: lower_bound_dnd(c.n, c.d, "d"),
+    ),
+    "sparse-trivial": Case(
+        lambda c, a, b, mask, spec: schedule_sparse_trivial(c.n, c.d, a, b, mask, spec),
+        None,
+        None,
+    ),
+    "sparse-twophase": Case(
+        lambda c, a, b, mask, spec: schedule_sparse_twophase(
+            c.n, c.d, a, b, mask, EpsilonSchedule(0.0, c.eps), spec
+        ),
+        None,
+        None,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -48,13 +101,23 @@ class ExperimentConfig:
     file_a: str = ""
     file_b: str = ""
 
+    def __post_init__(self):
+        if self.case not in CASES:
+            raise ValueError(f"unknown case {self.case!r} (expected one of {', '.join(CASES)})")
+        if self.instance not in INSTANCE_KINDS:
+            raise ValueError(f"unknown instance kind {self.instance!r}")
+        if self.semiring not in [spec.name for spec in builtin_semirings()]:
+            raise ValueError(f"unknown semiring {self.semiring!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
     def prefix(self) -> str:
         bits = [self.case, f"n{self.n}"]
         if self.case != "square":
             bits.append(f"d{self.d}")
         else:
             bits.append(f"a{self.alpha:g}")
-        if self.case in SPARSE_CASES:
+        if CASES[self.case].dims is None:
             bits.append(f"e{self.eps:g}")
             bits.append(self.instance)
         bits.append(self.semiring)
@@ -66,46 +129,25 @@ def generate_instance(config: ExperimentConfig, spec):
     """Seeded inputs for the configured case: (A, B, mask-or-None)."""
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
-    if config.case == "square":
-        return random_dense(n, n, spec, rng), random_dense(n, n, spec, rng), None
-    if config.case == "ndn":
-        return random_dense(n, d, spec, rng), random_dense(d, n, spec, rng), None
-    if config.case in ("dnd-n", "dnd-d"):
-        return random_dense(d, n, spec, rng), random_dense(n, d, spec, rng), None
-    if config.case in SPARSE_CASES:
-        if config.instance == "random":
-            a = random_d_sparse(n, d, spec, rng)
-            b = random_d_sparse(n, d, spec, rng)
-        elif config.instance == "blockdiag":
-            a = block_diagonal(n, d, spec, rng)
-            b = block_diagonal(n, d, spec, rng)
-        elif config.instance == "file":
-            a, b = load_matrix(config.file_a), load_matrix(config.file_b)
-            if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
-                raise ValueError("sparse experiments need SPARSE matrix files")
-        else:
-            raise ValueError(f"unknown instance kind {config.instance!r}")
-        return a, b, default_mask(a, b, d)
-    raise ValueError(f"unknown case {config.case!r}")
+    dims = CASES[config.case].dims
+    if dims is not None:
+        a_shape, b_shape = dims(n, d)
+        return random_dense(*a_shape, spec, rng), random_dense(*b_shape, spec, rng), None
+    if config.instance == "random":
+        a = random_d_sparse(n, d, spec, rng)
+        b = random_d_sparse(n, d, spec, rng)
+    elif config.instance == "blockdiag":
+        a = block_diagonal(n, d, spec, rng)
+        b = block_diagonal(n, d, spec, rng)
+    else:
+        a, b = load_matrix(config.file_a), load_matrix(config.file_b)
+        if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
+            raise ValueError("sparse experiments need SPARSE matrix files")
+    return a, b, default_mask(a, b, d)
 
 
 def build_schedule(config: ExperimentConfig, a, b, mask, spec):
-    n, d = config.n, config.d
-    if config.case == "square":
-        shape = ProblemShape(n, config.alpha)
-        return schedule_square(shape, a, b, spec, redistribute=config.redistribute)
-    if config.case == "ndn":
-        return schedule_ndn(n, d, a, b, spec)
-    if config.case == "dnd-n":
-        return schedule_dnd_nproc(n, d, a, b, spec)
-    if config.case == "dnd-d":
-        return schedule_dnd_dproc(n, d, a, b, spec)
-    if config.case == "sparse-trivial":
-        return schedule_sparse_trivial(n, d, a, b, mask, spec)
-    if config.case == "sparse-twophase":
-        eps = EpsilonSchedule(0.0, config.eps)
-        return schedule_sparse_twophase(n, d, a, b, mask, eps, spec)
-    raise ValueError(f"unknown case {config.case!r}")
+    return CASES[config.case].build(config, a, b, mask, spec)
 
 
 def masked_equal(out: DenseMatrix, oracle: DenseMatrix, mask) -> bool:
@@ -154,13 +196,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
         budget_ok = assert_transcript(result.transcript, cfg)
         summary.update(result.transcript.summary(cfg, violation=None))
         summary["oracle_match"] = bool(match)
-        if config.case in DENSE_CASES:
-            lower = lower_bound_for(config.case, config.n, config.d, config.alpha)
+        lower = CASES[config.case].lower
+        if lower is not None:
             report = BoundReport(
                 config.case,
                 {"n": config.n, "d": config.d, "alpha": config.alpha,
                  "P": cfg.processors, "M": cfg.memory},
-                lower,
+                lower(config, cfg),
                 result.transcript.rounds,
             )
             summary["bound"] = report.to_dict()
@@ -168,9 +210,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
         else:
             summary["bound"] = None
             bound_ok = True
-        if config.case == "sparse-twophase":
-            summary["decomposition"] = schedule.meta.get("decomposition")
-            summary["fallback"] = schedule.meta.get("fallback")
+        if "decomposition" in schedule.meta:
+            summary["decomposition"] = schedule.meta["decomposition"]
+            summary["fallback"] = schedule.meta["fallback"]
         summary["ok"] = bool(match) and budget_ok and bound_ok
         transcript_csv = result.transcript.to_csv()
 

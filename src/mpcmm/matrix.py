@@ -1,4 +1,4 @@
-"""Dense and sparse matrix storage, tiling and the reference multiply.
+"""Dense and sparse matrix storage, padding and the reference multiply.
 
 Dense matrices wrap a row-major int64 array.  Sparse matrices keep
 explicit (row, col, value) triplets and can be checked for d-sparsity
@@ -85,22 +85,6 @@ class SparseMatrix:
             supp[r].append(c)
         return supp
 
-    def col_support(self) -> list[list[int]]:
-        supp = [[] for _ in range(self.cols)]
-        for r, c, _ in self.entries:
-            supp[c].append(r)
-        return supp
-
-
-@dataclass(frozen=True)
-class TileIndex:
-    """1-based block coordinates: tile (1, 1) is the top-left block."""
-
-    i: int
-    j: int
-    tile_rows: int
-    tile_cols: int
-
 
 def check_d_sparse(m: SparseMatrix, d: int) -> bool:
     """True iff every row and every column holds at most d entries."""
@@ -138,32 +122,6 @@ def pad_to_multiple(m: DenseMatrix, block: int, spec: SemiringSpec) -> DenseMatr
     data = spec.zeros(rows, cols)
     data[: m.rows, : m.cols] = m.data
     return DenseMatrix(rows, cols, data)
-
-
-def crop(m: DenseMatrix, rows: int, cols: int) -> DenseMatrix:
-    if rows > m.rows or cols > m.cols:
-        raise ValueError("crop larger than matrix")
-    return DenseMatrix(rows, cols, m.data[:rows, :cols].copy())
-
-
-def tile(m: DenseMatrix, t: TileIndex) -> DenseMatrix:
-    """Extract block (t.i, t.j); the matrix must already be padded."""
-    if m.rows % t.tile_rows or m.cols % t.tile_cols:
-        raise ValueError("matrix dimensions do not divide by the tile size")
-    if not (1 <= t.i <= m.rows // t.tile_rows and 1 <= t.j <= m.cols // t.tile_cols):
-        raise ValueError(f"tile ({t.i}, {t.j}) out of range")
-    r0 = (t.i - 1) * t.tile_rows
-    c0 = (t.j - 1) * t.tile_cols
-    return DenseMatrix(
-        t.tile_rows, t.tile_cols, m.data[r0 : r0 + t.tile_rows, c0 : c0 + t.tile_cols].copy()
-    )
-
-
-def assemble_tiles(blocks, grid_rows: int, grid_cols: int) -> DenseMatrix:
-    """Inverse of :func:`tile`: stitch a grid of equal blocks back together."""
-    rows = [np.hstack([blocks[i][j].data for j in range(grid_cols)]) for i in range(grid_rows)]
-    data = np.vstack(rows)
-    return DenseMatrix(data.shape[0], data.shape[1], data)
 
 
 def save_matrix(m, path):

@@ -116,7 +116,7 @@ class Plan:
     num_rounds: int
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
-    ops: dict = field(default_factory=dict)  # (round, proc) -> [op]
+    ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
     final_ops: dict = field(default_factory=dict)  # proc -> [op]
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
@@ -132,11 +132,6 @@ class Plan:
     def set_init(self, proc, key, array):
         self.init.setdefault(proc, {})[key] = np.asarray(array, dtype=np.int64)
 
-    def send_or_keep(self, round_no, proc, dst, *keys):
-        """Send keys to dst, or keep them in place when dst is the sender."""
-        if dst != proc:
-            self.add(round_no, proc, Send(dst, tuple(keys)))
-
 
 class PlanProgram(Program):
     def __init__(self, plan: Plan, spec: SemiringSpec):
@@ -145,6 +140,11 @@ class PlanProgram(Program):
         self.num_procs = plan.num_procs
         self.total_rounds = plan.num_rounds
         self.min_memory = plan.min_memory
+        # Ops added to rounds past the last one run at finalize, in round
+        # order, after the processor's ``at_final`` ops.
+        self.late_ops = {}
+        for round_no, p in sorted(k for k in plan.ops if k[0] > plan.num_rounds):
+            self.late_ops.setdefault(p, []).extend(plan.ops[round_no, p])
 
     def init_state(self, p):
         return dict(self.plan.init.get(p, {}))
@@ -182,6 +182,7 @@ class PlanProgram(Program):
     def finalize(self, p, state, inbox):
         store = self._merge(state, inbox)
         self._exec(store, self.plan.final_ops.get(p, ()))
+        self._exec(store, self.late_ops.get(p, ()))
         out = []
         for e in self.plan.emits.get(p, ()):
             block = store.get(e.key)

@@ -2,21 +2,56 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..engine import MpcConfig, RunResult, run
 from ..matrix import DenseMatrix
-from ..plan import PlanProgram, assemble_output
+from ..plan import Assemble, Drop, Mac, PlanProgram, Send, assemble_output
 
 
-def ceil_pow(n: int, exponent: float) -> int:
-    """ceil(n**exponent), snapping float noise onto exact integers."""
-    value = n**exponent
-    nearest = round(value)
-    if abs(value - nearest) < 1e-9:
-        return int(nearest)
-    return math.ceil(value)
+def chunks(items, size):
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def place(plan, round_no, src, dst, op):
+    """Run ``op`` at ``src``, then move the tile it makes to ``dst``."""
+    plan.add(round_no, src, op)
+    if dst != src:
+        plan.add(round_no, src, Send(dst, (op.dst,)), Drop((op.dst,)))
+
+
+def rotation_fragment(plan, grid, proc, a_key, b_key, c_key, first_round, parts=None):
+    """Skewed block rotation (Cannon, 1969) on a grid x grid processor block.
+
+    In slot s, run in round ``first_round + s``, processor ``proc(i, j)``
+    accumulates ``a_key(i, x) @ b_key(x, j)`` into ``c_key(i, j)`` for
+    x = (i + j + s) mod grid, then (except in the last slot) passes the A
+    tile one grid column left and the B tile one grid row up, and drops
+    both.  The skew gives every tile exactly one consumer per slot.  The
+    slot-0 tiles must already sit at their consumers; with ``parts``, slot
+    0 first assembles them there from pieces: ``parts(i, j, x)`` returns
+    ``((a_pieces, a_axis), (b_pieces, b_axis))``.
+    """
+    for i in range(grid):
+        for j in range(grid):
+            p, c = proc(i, j), c_key(i, j)
+            left, up = proc(i, (j - 1) % grid), proc((i - 1) % grid, j)
+            for s in range(grid):
+                x = (i + j + s) % grid
+                akey, bkey = a_key(i, x), b_key(x, j)
+                ops = []
+                if s == 0 and parts is not None:
+                    (a_pieces, a_axis), (b_pieces, b_axis) = parts(i, j, x)
+                    ops += [
+                        Assemble(akey, a_pieces, a_axis),
+                        Assemble(bkey, b_pieces, b_axis),
+                        Drop(a_pieces + b_pieces),
+                    ]
+                ops.append(Mac(c, akey, bkey))
+                if s < grid - 1:
+                    ops += [Send(left, (akey,)), Send(up, (bkey,))]
+                ops.append(Drop((akey, bkey)))
+                plan.add(first_round + s, p, *ops)
 
 
 @dataclass

@@ -33,47 +33,11 @@ from ..engine import MpcConfig
 from ..matrix import DenseMatrix
 from ..plan import Acc, Assemble, Cell, Drop, Mac, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
-from .common import Schedule
-
-
-class _Pending:
-    """Ops deferred to a later round (or to finalize if past the end)."""
-
-    def __init__(self, plan: Plan):
-        self.plan = plan
-        self.by_round = {}
-
-    def defer(self, round_no, proc, *ops):
-        self.by_round.setdefault(round_no, {}).setdefault(proc, []).extend(ops)
-
-    def flush_round(self, round_no):
-        for proc, ops in sorted(self.by_round.pop(round_no, {}).items()):
-            self.plan.add(round_no, proc, *ops)
-
-    def flush_to_final(self):
-        for round_no in sorted(self.by_round):
-            for proc, ops in sorted(self.by_round[round_no].items()):
-                self.plan.at_final(proc, *ops)
-        self.by_round.clear()
-
-    def flush_all(self, num_rounds):
-        """Apply every deferral: in its round if it exists, else at finalize."""
-        for round_no in sorted(self.by_round):
-            for proc, ops in sorted(self.by_round[round_no].items()):
-                if round_no <= num_rounds:
-                    self.plan.add(round_no, proc, *ops)
-                else:
-                    self.plan.at_final(proc, *ops)
-        self.by_round.clear()
-
-
-def _chunks(items, size):
-    return [items[i : i + size] for i in range(0, len(items), size)]
+from .common import Schedule, chunks, place, rotation_fragment
 
 
 def tree_sum_fragment(
     plan: Plan,
-    pending: _Pending,
     members: list,
     addend_key_of,
     entries: int,
@@ -86,8 +50,8 @@ def tree_sum_fragment(
     ``addend_key_of(l)`` names member l's addend (flat length =
     ``entries``); ``ns`` disambiguates key names when several fragments
     share a plan.  The fragment occupies rounds ``start_round ..
-    start_round + rounds - 1``; the final per-entry accumulations are
-    deferred one round past that (the caller's next round or finalize).
+    start_round + rounds - 1``; the final per-entry accumulations run one
+    round past that (the caller's next round, or finalize).
     Entry holders map entry -> (proc, key) of the finished value.
     """
     t = len(members)
@@ -116,21 +80,18 @@ def tree_sum_fragment(
             dst = members[dst_l]
             skey = ("tv", ns, e, dst)
             for l in range(c * width, min((c + 1) * width, t)):
-                pending.defer(
-                    start_round + 1,
-                    dst,
-                    Acc(skey, ("ts", ns, e, l)),
-                    Drop((("ts", ns, e, l),)),
-                )
+                tkey = ("ts", ns, e, l)
+                plan.add(start_round + 1, dst, Acc(skey, tkey), Drop((tkey,)))
             holders[e].append((dst, skey))
 
+    # A level's Accs were added before its Sends, so each collector folds
+    # what it received before it forwards its sum.
     rounds = 1
     level_round = start_round + 1
     while m > 1:
-        pending.flush_round(level_round)
         for e in range(entries):
             new_holders = []
-            for chunk in _chunks(holders[e], width):
+            for chunk in chunks(holders[e], width):
                 col_proc, col_key = chunk[0]
                 for sender_proc, sender_key in chunk[1:]:
                     plan.add(
@@ -139,7 +100,7 @@ def tree_sum_fragment(
                         Send(col_proc, (sender_key,)),
                         Drop((sender_key,)),
                     )
-                    pending.defer(
+                    plan.add(
                         level_round + 1, col_proc, Acc(col_key, sender_key), Drop((sender_key,))
                     )
                 new_holders.append((col_proc, col_key))
@@ -194,12 +155,10 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
         plan.emit(0, ("M", 0), 0, 0, (side, side))
         return Schedule(PlanProgram(plan, spec), MpcConfig(1, k), side, side, side, side)
 
-    pending = _Pending(plan)
     rounds, final = tree_sum_fragment(
-        plan, pending, list(range(t)), lambda l: ("M", l), entries, k, 1, ns=("sum",)
+        plan, list(range(t)), lambda l: ("M", l), entries, k, 1, ns=("sum",)
     )
     plan.num_rounds = rounds
-    pending.flush_to_final()
     for e, (proc, key) in final.items():
         plan.emit(proc, key, e // side, e % side, (1,))
     return Schedule(
@@ -238,32 +197,22 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
         plan.set_init(kk, ("ar", kk), a_pad[kk : kk + 1, :])
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
 
+    # Round q + 1: each processor slices block column q of its A row and
+    # block row q of its B column and sends them to the processors whose
+    # C block needs them.
     for rnd in range(1, q_count + 1):
         q = rnd - 1
+        strip = (q * s, (q + 1) * s)
         for kk in range(n):
             blk = kk // s
-            akey = ("as", kk, q)
-            plan.add(rnd, kk, Slice(akey, ("ar", kk), (0, 1), (q * s, (q + 1) * s)))
-            kept = False
-            for j in range(s):
-                dst = proc(blk, j)
-                if dst == kk:
-                    kept = True
-                else:
-                    plan.add(rnd, kk, Send(dst, (akey,)))
-            if not kept:
-                plan.add(rnd, kk, Drop((akey,)))
-            bkey = ("bs", kk, q)
-            plan.add(rnd, kk, Slice(bkey, ("bc", kk), (q * s, (q + 1) * s), (0, 1)))
-            kept = False
-            for i in range(s):
-                dst = proc(i, blk)
-                if dst == kk:
-                    kept = True
-                else:
-                    plan.add(rnd, kk, Send(dst, (bkey,)))
-            if not kept:
-                plan.add(rnd, kk, Drop((bkey,)))
+            for key, src, rows, cols, dsts in (
+                (("as", kk, q), ("ar", kk), (0, 1), strip, [proc(blk, j) for j in range(s)]),
+                (("bs", kk, q), ("bc", kk), strip, (0, 1), [proc(i, blk) for i in range(s)]),
+            ):
+                plan.add(rnd, kk, Slice(key, src, rows, cols))
+                plan.add(rnd, kk, *(Send(dst, (key,)) for dst in dsts if dst != kk))
+                if kk not in dsts:
+                    plan.add(rnd, kk, Drop((key,)))
 
     for i in range(s):
         for j in range(s):
@@ -271,16 +220,15 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
             for q in range(q_count):
                 a_srcs = tuple(("as", i * s + u, q) for u in range(s))
                 b_srcs = tuple(("bs", j * s + v, q) for v in range(s))
-                ops = [
+                # The last block column lands past the end and runs at finalize.
+                plan.add(
+                    q + 2,
+                    p,
                     Assemble(("Ab", i, q), a_srcs, 0),
                     Assemble(("Bb", q, j), b_srcs, 1),
                     Mac(("C", i, j), ("Ab", i, q), ("Bb", q, j)),
                     Drop(a_srcs + b_srcs + (("Ab", i, q), ("Bb", q, j))),
-                ]
-                if q < q_count - 1:
-                    plan.add(q + 2, p, *ops)
-                else:
-                    plan.at_final(p, *ops)
+                )
             plan.emit(p, ("C", i, j), i * s, j * s, (s, s))
 
     return Schedule(
@@ -292,6 +240,48 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
         n,
         meta={"predicted_rounds": q_count, "padded_d": dp},
     )
+
+
+def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
+    """Rounds 2 onward of both (d, n, d) schedules.
+
+    Processor ``proc(i, j, l)``, member l of the group for output block
+    (i, j), rotates inner tiles l * blocks .. (l + 1) * blocks - 1 into its
+    partial ("P", i, j, l); ``parts(i, j, q)`` names the round-1 pieces of
+    A tile (i, q) and B tile (q, j) with their axes.  A tree sum then folds
+    each group's partials, whose blocks have ``side**2`` entries.
+    """
+    for l in range(group_size):
+        rotation_fragment(
+            plan,
+            blocks,
+            lambda i, j: proc(i, j, l),
+            lambda i, x: ("At", i, l * blocks + x),
+            lambda x, j: ("Bt", l * blocks + x, j),
+            lambda i, j: ("P", i, j, l),
+            2,
+            parts=lambda i, j, x: parts(i, j, l * blocks + x),
+        )
+    phase1 = 1 + blocks
+    plan.num_rounds = phase1
+    for i in range(blocks):
+        for j in range(blocks):
+            if group_size == 1:
+                plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side, (side, side))
+                continue
+            members = [proc(i, j, l) for l in range(group_size)]
+            rounds, final = tree_sum_fragment(
+                plan,
+                members,
+                lambda l, i=i, j=j: ("P", i, j, l),
+                side * side,
+                side * side,
+                phase1 + 1,
+                ns=("g", i, j),
+            )
+            plan.num_rounds = max(plan.num_rounds, phase1 + rounds)
+            for e, (holder, key) in final.items():
+                plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
@@ -309,7 +299,6 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     nq = n // g
 
     plan = Plan(num_procs=n, num_rounds=0, min_memory=d)
-    pending = _Pending(plan)
     proc = lambda i, j, l: (i * g + j) * t + l
 
     for c in range(n):
@@ -324,72 +313,19 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         for i in range(g):
             dst = proc(i, (o - i) % g, l)
             for c in range(q * g, (q + 1) * g):
-                key = ("acs", c, i)
-                plan.add(1, c, Slice(key, ("ac", c), (i * g, (i + 1) * g), (0, 1)))
-                if dst != c:
-                    plan.add(1, c, Send(dst, (key,)), Drop((key,)))
+                place(plan, 1, c, dst, Slice(("acs", c, i), ("ac", c), (i * g, (i + 1) * g), (0, 1)))
         for j in range(g):
             dst = proc((o - j) % g, j, l)
             for c in range(q * g, (q + 1) * g):
-                key = ("brs", c, j)
-                plan.add(1, c, Slice(key, ("br", c), (0, 1), (j * g, (j + 1) * g)))
-                if dst != c:
-                    plan.add(1, c, Send(dst, (key,)), Drop((key,)))
+                place(plan, 1, c, dst, Slice(("brs", c, j), ("br", c), (0, 1), (j * g, (j + 1) * g)))
     for c in range(n):
         plan.add(1, c, Drop((("ac", c), ("br", c))))
 
-    for i in range(g):
-        for j in range(g):
-            for l in range(t):
-                p = proc(i, j, l)
-                for slot in range(g):
-                    q = l * g + ((i + j + slot) % g)
-                    akey, bkey = ("At", i, q), ("Bt", q, j)
-                    rnd = slot + 2
-                    if slot == 0:
-                        plan.add(
-                            rnd,
-                            p,
-                            Assemble(akey, tuple(("acs", c, i) for c in range(q * g, (q + 1) * g)), 1),
-                            Assemble(bkey, tuple(("brs", c, j) for c in range(q * g, (q + 1) * g)), 0),
-                            Drop(
-                                tuple(("acs", c, i) for c in range(q * g, (q + 1) * g))
-                                + tuple(("brs", c, j) for c in range(q * g, (q + 1) * g))
-                            ),
-                        )
-                    plan.add(rnd, p, Mac(("P", i, j, l), akey, bkey))
-                    if slot < g - 1:
-                        plan.add(rnd, p, Send(proc(i, (j - 1) % g, l), (akey,)))
-                        plan.add(rnd, p, Send(proc((i - 1) % g, j, l), (bkey,)))
-                    plan.add(rnd, p, Drop((akey, bkey)))
+    def parts(i, j, q):
+        cols = range(q * g, (q + 1) * g)
+        return (tuple(("acs", c, i) for c in cols), 1), (tuple(("brs", c, j) for c in cols), 0)
 
-    phase1 = 1 + g
-    if t == 1:
-        plan.num_rounds = phase1
-        for i in range(g):
-            for j in range(g):
-                plan.emit(proc(i, j, 0), ("P", i, j, 0), i * g, j * g, (g, g))
-    else:
-        tree_rounds = 0
-        for i in range(g):
-            for j in range(g):
-                members = [proc(i, j, l) for l in range(t)]
-                rounds, final = tree_sum_fragment(
-                    plan,
-                    pending,
-                    members,
-                    lambda l, i=i, j=j: ("P", i, j, l),
-                    d,
-                    d,
-                    phase1 + 1,
-                    ns=("g", i, j),
-                )
-                tree_rounds = max(tree_rounds, rounds)
-                for e, (holder, key) in final.items():
-                    plan.emit(holder, key, i * g + e // g, j * g + e % g, (1,))
-        plan.num_rounds = phase1 + tree_rounds
-    pending.flush_to_final()
-
+    _rotate_and_sum(plan, g, t, g, proc, parts)
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(n, d),
@@ -425,7 +361,6 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     b_pad[:, :d] = b.data
 
     plan = Plan(num_procs=dp, num_rounds=0, min_memory=n)
-    pending = _Pending(plan)
     proc = lambda i, j, l: (i * blocks + j) * m + l
 
     for c in range(dp):
@@ -437,72 +372,19 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         for i in range(blocks):
             dst = proc(i, (o - i) % blocks, l)
             for c in range(i * s, (i + 1) * s):
-                key = ("ars", c, q)
-                plan.add(1, c, Slice(key, ("ar", c), (0, 1), (q * s, (q + 1) * s)))
-                if dst != c:
-                    plan.add(1, c, Send(dst, (key,)), Drop((key,)))
+                place(plan, 1, c, dst, Slice(("ars", c, q), ("ar", c), (0, 1), (q * s, (q + 1) * s)))
         for j in range(blocks):
             dst = proc((o - j) % blocks, j, l)
             for c in range(j * s, (j + 1) * s):
-                key = ("bcs", c, q)
-                plan.add(1, c, Slice(key, ("bc", c), (q * s, (q + 1) * s), (0, 1)))
-                if dst != c:
-                    plan.add(1, c, Send(dst, (key,)), Drop((key,)))
+                place(plan, 1, c, dst, Slice(("bcs", c, q), ("bc", c), (q * s, (q + 1) * s), (0, 1)))
     for c in range(dp):
         plan.add(1, c, Drop((("ar", c), ("bc", c))))
 
-    for i in range(blocks):
-        for j in range(blocks):
-            for l in range(m):
-                p = proc(i, j, l)
-                for slot in range(blocks):
-                    q = l * blocks + ((i + j + slot) % blocks)
-                    akey, bkey = ("At", i, q), ("Bt", q, j)
-                    rnd = slot + 2
-                    if slot == 0:
-                        plan.add(
-                            rnd,
-                            p,
-                            Assemble(akey, tuple(("ars", c, q) for c in range(i * s, (i + 1) * s)), 0),
-                            Assemble(bkey, tuple(("bcs", c, q) for c in range(j * s, (j + 1) * s)), 1),
-                            Drop(
-                                tuple(("ars", c, q) for c in range(i * s, (i + 1) * s))
-                                + tuple(("bcs", c, q) for c in range(j * s, (j + 1) * s))
-                            ),
-                        )
-                    plan.add(rnd, p, Mac(("P", i, j, l), akey, bkey))
-                    if slot < blocks - 1:
-                        plan.add(rnd, p, Send(proc(i, (j - 1) % blocks, l), (akey,)))
-                        plan.add(rnd, p, Send(proc((i - 1) % blocks, j, l), (bkey,)))
-                    plan.add(rnd, p, Drop((akey, bkey)))
+    def parts(i, j, q):
+        a_rows, b_cols = range(i * s, (i + 1) * s), range(j * s, (j + 1) * s)
+        return (tuple(("ars", c, q) for c in a_rows), 0), (tuple(("bcs", c, q) for c in b_cols), 1)
 
-    phase1 = 1 + blocks
-    if m == 1:
-        plan.num_rounds = phase1
-        for i in range(blocks):
-            for j in range(blocks):
-                plan.emit(proc(i, j, 0), ("P", i, j, 0), i * s, j * s, (s, s))
-    else:
-        tree_rounds = 0
-        for i in range(blocks):
-            for j in range(blocks):
-                members = [proc(i, j, l) for l in range(m)]
-                rounds, final = tree_sum_fragment(
-                    plan,
-                    pending,
-                    members,
-                    lambda l, i=i, j=j: ("P", i, j, l),
-                    n,
-                    n,
-                    phase1 + 1,
-                    ns=("g", i, j),
-                )
-                tree_rounds = max(tree_rounds, rounds)
-                for e, (holder, key) in final.items():
-                    plan.emit(holder, key, i * s + e // s, j * s + e % s, (1,))
-        plan.num_rounds = phase1 + tree_rounds
-    pending.flush_to_final()
-
+    _rotate_and_sum(plan, blocks, m, s, proc, parts)
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(dp, n),

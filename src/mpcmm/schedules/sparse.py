@@ -33,10 +33,10 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import SparseMatrix, check_d_sparse
-from ..plan import AccCell, Assemble, Drop, Mac, MulAcc, Pack, Plan, PlanProgram, Send, Slice
+from ..bounds import snapped
+from ..plan import AccCell, Drop, MulAcc, Pack, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
-from .common import Schedule
-from .rect import _Pending
+from .common import Schedule, chunks, place, rotation_fragment
 
 ROUND_CONSTANT = 8  # C in the layer / residual budget assertions
 TRIVIAL_ROUND_CONSTANT = 4  # C_triv: the trivial schedule stays below 4d rounds
@@ -64,14 +64,6 @@ class EpsilonSchedule:
         return self.eps2
 
 
-def _guarded_ceil(value: float) -> int:
-    """Ceiling that snaps float noise onto exact integers first."""
-    nearest = round(value)
-    if abs(value - nearest) < 1e-9:
-        return int(nearest)
-    return math.ceil(value)
-
-
 def iteration_budget(eps1: float, eps2: float, d: int, improved: bool = True) -> int:
     """Iterations allowed for the clustered phase at the given exponents.
 
@@ -82,7 +74,7 @@ def iteration_budget(eps1: float, eps2: float, d: int, improved: bool = True) ->
     if eps2 == 0:
         return 1
     exponent = 4 * eps2 if improved else 5 * eps2 - eps1
-    return _guarded_ceil(ROUND_CONSTANT * d**exponent)
+    return snapped(ROUND_CONSTANT * d**exponent)
 
 
 @dataclass(frozen=True)
@@ -224,10 +216,6 @@ class Decomposition:
         }
 
 
-def _chunks(seq, size):
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
 def decompose(
     a: SparseMatrix, b: SparseMatrix, mask: OutputMask, eps: EpsilonSchedule
 ) -> Decomposition:
@@ -271,9 +259,9 @@ def decompose(
                 break
             rows_avail = sorted(r for r in groups[sig] if r not in used_rows)
             k_full = sorted(k for k in sig if k not in used_ks)
-            for k_chunk in _chunks(k_full, side):
+            for k_chunk in chunks(k_full, side):
                 kset = set(k_chunk)
-                for r_chunk in _chunks(rows_avail, side):
+                for r_chunk in chunks(rows_avail, side):
                     if len(blocks) >= max_blocks:
                         break
                     counts = {}
@@ -341,13 +329,14 @@ def _sparse_init(plan: Plan, a: SparseMatrix, b: SparseMatrix):
         plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
 
 
-def _fetch_rounds(plan: Plan, pending: _Pending, terms, d: int, start_round: int) -> int:
+def _fetch_rounds(plan: Plan, terms, d: int, start_round: int) -> int:
     """Greedy value-fetch schedule: owner r pulls b[k, j] from processor j.
 
     Per round each owner accepts at most d values and each sender ships
     at most 2d, so an owner's d**2 terms and a sender's d**2 duties both
     drain within O(d) rounds.  Returns the number of rounds used; sends
-    happen at start_round + 1 .. start_round + rounds.
+    happen at start_round + 1 .. start_round + rounds, and each value is
+    folded in one round after it is sent (or at finalize).
     """
     remote, local = [], []
     for r, k, j in terms:
@@ -364,7 +353,7 @@ def _fetch_rounds(plan: Plan, pending: _Pending, terms, d: int, start_round: int
         recv_load[(rd, r)] = recv_load.get((rd, r), 0) + 1
         send_load[(rd, j)] = send_load.get((rd, j), 0) + 1
         sends.setdefault((rd, j, r), []).append(("b", k, j))
-        pending.defer(
+        plan.add(
             start_round + rd + 1,
             r,
             MulAcc(("c", r, j), ("a", r, k), ("b", k, j)),
@@ -402,9 +391,8 @@ def schedule_sparse_trivial(
     ledger = build_ledger(a, b, mask)
 
     plan = Plan(num_procs=n, num_rounds=0, min_memory=max(d, 1))
-    pending = _Pending(plan)
     _sparse_init(plan, a, b)
-    rounds = _fetch_rounds(plan, pending, list(ledger.terms()), d, 0)
+    rounds = _fetch_rounds(plan, list(ledger.terms()), d, 0)
     plan.num_rounds = max(rounds, 1)
     bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
     if plan.num_rounds > bound:
@@ -412,7 +400,6 @@ def schedule_sparse_trivial(
             f"fetch plan needs {plan.num_rounds} rounds, over the "
             f"{TRIVIAL_ROUND_CONSTANT}d = {bound} bound"
         )
-    pending.flush_all(plan.num_rounds)
     _emit_masked(plan, mask)
 
     return Schedule(
@@ -446,9 +433,8 @@ def schedule_sparse_twophase(
     phase1 = len(decomp.layers) * stride
 
     plan = Plan(num_procs=n, num_rounds=0, min_memory=max(d, 1))
-    pending = _Pending(plan)
     _sparse_init(plan, a, b)
-    residual_rounds = _fetch_rounds(plan, pending, list(decomp.residual.terms()), d, phase1)
+    residual_rounds = _fetch_rounds(plan, list(decomp.residual.terms()), d, phase1)
     total = phase1 + residual_rounds
 
     if not decomp.layers or total > trivial.program.total_rounds:
@@ -456,9 +442,8 @@ def schedule_sparse_twophase(
         return trivial
 
     for li, layer in enumerate(decomp.layers):
-        _build_layer(plan, pending, layer, li, li * stride + 1, grid, mask, a, b)
+        _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
     plan.num_rounds = total
-    pending.flush_all(plan.num_rounds)
     _emit_masked(plan, mask)
 
     return Schedule(
@@ -478,7 +463,7 @@ def schedule_sparse_twophase(
     )
 
 
-def _build_layer(plan, pending, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):
+def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):
     """One layer: disjoint dense blocks on grid**2 processors each.
 
     Rounds r0 .. r0 + grid: value distribution, then the skewed square
@@ -506,76 +491,56 @@ def _build_layer(plan, pending, layer, li, r0, grid, mask, a: SparseMatrix, b: S
                 dst = bproc(ti, (tx - ti) % grid)
                 for u in range(ti * grid, (ti + 1) * grid):
                     r = rows[u]
-                    key = ("xa", li, bi, u, tx)
                     keys = tuple(
                         ("a", r, ks[v])
                         if r is not None and ks[v] is not None and (r, ks[v]) in a_support
                         else None
                         for v in range(tx * grid, (tx + 1) * grid)
                     )
-                    if r is None:
-                        plan.add(r0, dst, Pack(key, keys, (1, grid)))
-                    else:
-                        plan.add(r0, r, Pack(key, keys, (1, grid)))
-                        if r != dst:
-                            plan.add(r0, r, Send(dst, (key,)), Drop((key,)))
+                    owner = dst if r is None else r
+                    place(plan, r0, owner, dst, Pack(("xa", li, bi, u, tx), keys, (1, grid)))
         for tx in range(grid):
             for tj in range(grid):
                 dst = bproc((tx - tj) % grid, tj)
                 for v in range(tj * grid, (tj + 1) * grid):
                     j = cols[v]
-                    key = ("xb", li, bi, tx, v)
                     keys = tuple(
                         ("b", ks[u], j)
                         if j is not None and ks[u] is not None and (ks[u], j) in b_support
                         else None
                         for u in range(tx * grid, (tx + 1) * grid)
                     )
-                    if j is None:
-                        plan.add(r0, dst, Pack(key, keys, (grid, 1)))
-                    else:
-                        plan.add(r0, j, Pack(key, keys, (grid, 1)))
-                        if j != dst:
-                            plan.add(r0, j, Send(dst, (key,)), Drop((key,)))
+                    owner = dst if j is None else j
+                    place(plan, r0, owner, dst, Pack(("xb", li, bi, tx, v), keys, (grid, 1)))
 
+        rotation_fragment(
+            plan,
+            grid,
+            bproc,
+            lambda ti, x: ("XA", li, bi, ti, x),
+            lambda x, tj: ("XB", li, bi, x, tj),
+            lambda ti, tj: ("XC", li, bi, ti, tj),
+            r0 + 1,
+            parts=lambda ti, tj, x: (
+                (tuple(("xa", li, bi, u, x) for u in range(ti * grid, (ti + 1) * grid)), 0),
+                (tuple(("xb", li, bi, x, v) for v in range(tj * grid, (tj + 1) * grid)), 1),
+            ),
+        )
+
+        # Gather, after the last slot's Mac in the same round: finished
+        # C-tile rows go home to their owners, who fold them in one round
+        # later (or at finalize).
+        last = r0 + grid
         for ti in range(grid):
             for tj in range(grid):
                 p = bproc(ti, tj)
-                for s in range(grid):
-                    x = (ti + tj + s) % grid
-                    akey, bkey = ("XA", li, bi, ti, x), ("XB", li, bi, x, tj)
-                    rnd = r0 + 1 + s
-                    if s == 0:
-                        asrc = tuple(
-                            ("xa", li, bi, u, x) for u in range(ti * grid, (ti + 1) * grid)
-                        )
-                        bsrc = tuple(
-                            ("xb", li, bi, x, v) for v in range(tj * grid, (tj + 1) * grid)
-                        )
-                        plan.add(
-                            rnd,
-                            p,
-                            Assemble(akey, asrc, 0),
-                            Assemble(bkey, bsrc, 1),
-                            Drop(asrc + bsrc),
-                        )
-                    plan.add(rnd, p, Mac(("XC", li, bi, ti, tj), akey, bkey))
-                    if s < grid - 1:
-                        plan.add(rnd, p, Send(bproc(ti, (tj - 1) % grid), (akey,)))
-                        plan.add(rnd, p, Send(bproc((ti - 1) % grid, tj), (bkey,)))
-                    plan.add(rnd, p, Drop((akey, bkey)))
-
-                # Gather: finished C-tile rows go home to their owners.
-                last = r0 + grid
                 ckey = ("XC", li, bi, ti, tj)
                 for u_local in range(grid):
                     r = rows[ti * grid + u_local]
                     if r is None:
                         continue
                     gkey = ("xg", li, bi, r, tj)
-                    plan.add(last, p, Slice(gkey, ckey, (u_local, u_local + 1), (0, grid)))
-                    if r != p:
-                        plan.add(last, p, Send(r, (gkey,)), Drop((gkey,)))
+                    place(plan, last, p, r, Slice(gkey, ckey, (u_local, u_local + 1), (0, grid)))
                     masked = set(mask.cols(r))
                     accs = []
                     for v_local in range(grid):
@@ -583,5 +548,5 @@ def _build_layer(plan, pending, layer, li, r0, grid, mask, a: SparseMatrix, b: S
                         if j is not None and j in masked:
                             accs.append(AccCell(("c", r, j), gkey, v_local))
                     accs.append(Drop((gkey,)))
-                    pending.defer(last + 1, r, *accs)
+                    plan.add(last + 1, r, *accs)
                 plan.add(last, p, Drop((ckey,)))

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix, pad_to_multiple
-from ..plan import Drop, Mac, Plan, PlanProgram, Send
+from ..bounds import snapped
+from ..plan import Drop, Plan, PlanProgram, Send
 from ..semiring import SemiringSpec
-from .common import Schedule, ceil_pow
+from .common import Schedule, rotation_fragment
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class ProblemShape:
 
     @property
     def grid(self) -> int:
-        return max(ceil_pow(self.n, self.alpha / 2), 1)
+        return max(snapped(self.n ** (self.alpha / 2)), 1)
 
     @property
     def padded_n(self) -> int:
@@ -92,66 +93,42 @@ def schedule_square(
     a = pad_to_multiple(a, shape.padded_n, spec)
     b = pad_to_multiple(b, shape.padded_n, spec)
 
-    plan = Plan(num_procs=g * g, num_rounds=0, min_memory=t * t)
+    shift = 1 if redistribute and g > 1 else 0
+    plan = Plan(num_procs=g * g, num_rounds=g + shift, min_memory=t * t)
     proc = lambda i, j: i * g + j
 
     def block(m, i, j):
         return m.data[i * t : (i + 1) * t, j * t : (j + 1) * t]
 
-    if g == 1:
-        plan.num_rounds = 1
-        plan.set_init(0, ("A", 0, 0), block(a, 0, 0))
-        plan.set_init(0, ("B", 0, 0), block(b, 0, 0))
-        plan.add(1, 0, Mac(("C",), ("A", 0, 0), ("B", 0, 0)), Drop((("A", 0, 0), ("B", 0, 0))))
-        plan.emit(0, ("C",), 0, 0, (t, t))
-        config = MpcConfig(1, shape.memory)
-        program = PlanProgram(plan, spec)
-        return Schedule(program, config, shape.padded_n, shape.padded_n, n, n)
-
-    shift = 1 if redistribute and g > 1 else 0
-    plan.num_rounds = g + shift
-
     for i in range(g):
         for j in range(g):
             p = proc(i, j)
-            if redistribute:
+            if shift:
                 # Transposed start: send each block home in one round.
+                home, keys = proc(j, i), (("A", j, i), ("B", j, i))
                 plan.set_init(p, ("A", j, i), block(a, j, i))
                 plan.set_init(p, ("B", j, i), block(b, j, i))
-                home = proc(j, i)
-                plan.send_or_keep(1, p, home, ("A", j, i), ("B", j, i))
                 if home != p:
-                    plan.add(1, p, Drop((("A", j, i), ("B", j, i))))
+                    plan.add(1, p, Send(home, keys), Drop(keys))
             else:
                 plan.set_init(p, ("A", i, j), block(a, i, j))
                 plan.set_init(p, ("B", i, j), block(b, i, j))
-
-    for i in range(g):
-        for j in range(g):
-            p = proc(i, j)
             # Ship the owned pair to its slot-0 consumers.
-            r0 = 1 + shift
-            a_dst = proc(i, (j - i) % g)
-            b_dst = proc((i - j) % g, j)
-            plan.send_or_keep(r0, p, a_dst, ("A", i, j))
-            plan.send_or_keep(r0, p, b_dst, ("B", i, j))
-            drops = [k for k, dst in ((("A", i, j), a_dst), (("B", i, j), b_dst)) if dst != p]
-            if drops:
-                plan.add(r0, p, Drop(tuple(drops)))
-
-            for s in range(g):
-                x = (i + j + s) % g
-                akey, bkey = ("A", i, x), ("B", x, j)
-                ops = [Mac(("C", i, j), akey, bkey)]
-                if s < g - 1:
-                    rnd = s + 2 + shift
-                    plan.add(rnd, p, *ops)
-                    plan.send_or_keep(rnd, p, proc(i, (j - 1) % g), akey)
-                    plan.send_or_keep(rnd, p, proc((i - 1) % g, j), bkey)
-                    plan.add(rnd, p, Drop((akey, bkey)))
-                else:
-                    plan.at_final(p, *ops, Drop((akey, bkey)))
+            a_dst, b_dst = proc(i, (j - i) % g), proc((i - j) % g, j)
+            moved = []
+            for key, dst in ((("A", i, j), a_dst), (("B", i, j), b_dst)):
+                if dst != p:
+                    plan.add(1 + shift, p, Send(dst, (key,)))
+                    moved.append(key)
+            if moved:
+                plan.add(1 + shift, p, Drop(tuple(moved)))
             plan.emit(p, ("C", i, j), i * t, j * t, (t, t))
+
+    # The last slot lands one round past the end, so it runs at finalize.
+    a_key = lambda i, x: ("A", i, x)
+    b_key = lambda x, j: ("B", x, j)
+    c_key = lambda i, j: ("C", i, j)
+    rotation_fragment(plan, g, proc, a_key, b_key, c_key, 2 + shift)
 
     config = MpcConfig(g * g, shape.memory)
     program = PlanProgram(plan, spec)

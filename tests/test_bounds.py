@@ -12,7 +12,8 @@ from mpcmm import (
     lower_bound_tree_sum,
     term_capacity,
 )
-from mpcmm.bounds import ceil_log, lower_bound_for
+from mpcmm.bounds import ceil_log
+from mpcmm.experiment import CASES, ExperimentConfig, build_schedule, generate_instance
 
 INT = get_semiring("int")
 
@@ -110,10 +111,15 @@ def test_tree_sum_measured_at_least_log(capfd):
         assert result.transcript.rounds >= lower_bound_tree_sum(t, k)
 
 
-def test_lower_bound_for_dispatch():
-    assert lower_bound_for("square", 16, alpha=1.0) == 4
-    assert lower_bound_for("ndn", 16, 8) == 2
-    assert lower_bound_for("dnd-n", 64, 4) == 5
-    assert lower_bound_for("dnd-d", 64, 32) == 4
-    with pytest.raises(ValueError):
-        lower_bound_for("sparse-trivial", 16, 4)
+def test_case_lower_bounds():
+    def lower(case, n, d=0, alpha=1.0):
+        config = ExperimentConfig(case=case, n=n, d=d, alpha=alpha)
+        a, b, mask = generate_instance(config, INT)
+        machine = build_schedule(config, a, b, mask, INT).config
+        return CASES[case].lower(config, machine)
+
+    assert lower("square", 16, alpha=1.0) == 4
+    assert lower("ndn", 16, 8) == 2
+    assert lower("dnd-n", 64, 4) == 5
+    assert lower("dnd-d", 64, 32) == 4
+    assert CASES["sparse-trivial"].lower is None

@@ -8,7 +8,7 @@ import pytest
 
 from mpcmm import check_d_sparse, get_semiring, save_matrix
 from mpcmm.cli import main
-from mpcmm.experiment import ExperimentConfig, generate_instance, run_experiment
+from mpcmm.experiment import CASES, ExperimentConfig, generate_instance, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
 
 INT = get_semiring("int")
@@ -100,6 +100,15 @@ def test_file_instance_round_trip(tmp_path):
     assert summary["ok"]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(case="cube"), dict(instance="csv"), dict(semiring="real"), dict(n=0)],
+)
+def test_config_rejects_bad_fields_at_construction(fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**{"case": "square", "n": 4, **fields})
+
+
 def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("MPCMM_OUTDIR", str(tmp_path / "envdir"))
     summary = run_experiment(ExperimentConfig(case="square", n=16, seed=2))
@@ -135,6 +144,15 @@ class TestCli:
         assert rc == 0 and len(lines) == 2
         rows = [json.loads(l) for l in lines]
         assert rows[0]["rounds"] == 4 and rows[1]["rounds"] == 5
+
+    def test_new_case_needs_only_a_registry_entry(self, monkeypatch, capsys):
+        monkeypatch.setitem(CASES, "square-alias", CASES["square"])
+        assert main(["verify", "--case", "square-alias", "--n", "16", "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3 and all(l.startswith("PASS square-alias") for l in lines)
+        assert main(["bounds", "--case", "square-alias", "--n", "16"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["case"] == "square-alias" and out["ok"]
 
     def test_run_sparse_fail_exit_code(self, tmp_path, capsys):
         rc = main(["run", "square", "--n", "16", "--cap-factor", "1",

@@ -1,4 +1,4 @@
-"""Storage, tiling, padding, sparsity checks and the reference multiply."""
+"""Storage, padding, sparsity checks and the reference multiply."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from mpcmm import (
     DenseMatrix,
     SparseMatrix,
-    TileIndex,
-    assemble_tiles,
     check_d_sparse,
-    crop,
     get_semiring,
     load_matrix,
     naive_multiply,
     pad_to_multiple,
     save_matrix,
-    tile,
 )
 from mpcmm.instances import random_d_sparse, random_dense
 
@@ -77,31 +73,12 @@ def test_boolean_matches_independent_loop_nest():
     assert via_kernel == DenseMatrix(12, 12, out)
 
 
-def test_tile_top_left_block():
-    m = DenseMatrix.from_rows([[r * 4 + c for c in range(4)] for r in range(4)])
-    block = tile(m, TileIndex(1, 1, 2, 2))
-    assert block == DenseMatrix.from_rows([[0, 1], [4, 5]])
-
-
-def test_tile_out_of_range():
-    m = DenseMatrix.zeros(4, 4, INT)
-    with pytest.raises(ValueError):
-        tile(m, TileIndex(3, 1, 2, 2))
-
-
-def test_tile_untile_round_trip():
-    m = random_dense(6, 6, INT, np.random.default_rng(5))
-    blocks = [[tile(m, TileIndex(i + 1, j + 1, 2, 3)) for j in range(2)] for i in range(3)]
-    assert assemble_tiles(blocks, 3, 2) == m
-
-
 def test_padding_five_by_five():
     m = random_dense(5, 5, INT, np.random.default_rng(6))
     padded = pad_to_multiple(m, 2, INT)
     assert (padded.rows, padded.cols) == (6, 6)
-    corner = tile(padded, TileIndex(3, 3, 2, 2))
-    assert corner.data[0, 0] == m.data[4, 4]
-    assert corner.data[0, 1] == 0 and corner.data[1, 0] == 0 and corner.data[1, 1] == 0
+    assert np.array_equal(padded.data[:5, :5], m.data)
+    assert not padded.data[5, :].any() and not padded.data[:, 5].any()
 
 
 def test_padding_examples():
@@ -116,7 +93,7 @@ def test_padding_preserves_product():
     b = random_dense(3, 5, INT, rng)
     direct = naive_multiply(a, b, INT)
     padded = naive_multiply(pad_to_multiple(a, 4, INT), pad_to_multiple(b, 4, INT), INT)
-    assert crop(padded, 5, 5) == direct
+    assert np.array_equal(padded.data[:5, :5], direct.data)
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5))
@@ -125,10 +102,9 @@ def test_pad_tile_round_trip_property(rows, cols, block):
     m = random_dense(rows, cols, INT, np.random.default_rng(rows * 100 + cols))
     padded = pad_to_multiple(m, block, INT)
     assert padded.rows % block == 0 and padded.cols % block == 0
-    gr, gc = padded.rows // block, padded.cols // block
-    blocks = [[tile(padded, TileIndex(i + 1, j + 1, block, block)) for j in range(gc)] for i in range(gr)]
-    assert assemble_tiles(blocks, gr, gc) == padded
-    assert crop(padded, rows, cols) == m
+    assert padded.rows - rows < block and padded.cols - cols < block
+    assert np.array_equal(padded.data[:rows, :cols], m.data)
+    assert not padded.data[rows:, :].any() and not padded.data[:, cols:].any()
 
 
 def test_check_d_sparse_identity():

@@ -43,6 +43,28 @@ def test_send_in_finalize_raises_value_error():
         program.finalize(0, program.init_state(0), [])
 
 
+def test_ops_past_the_last_round_run_at_finalize_after_at_final_ops():
+    plan = Plan(num_procs=1, num_rounds=1)
+    plan.set_init(0, ("x",), np.array([[2]]))
+    plan.set_init(0, ("y",), np.array([[3]]))
+    plan.add(3, 0, Mac(("x",), ("x",), ("y",)))  # x += x * y
+    plan.add(2, 0, Acc(("x",), ("y",)))  # x += y
+    plan.at_final(0, Acc(("x",), ("y",)))
+    plan.emit(0, ("x",), 0, 0, (1, 1))
+    result = run(PlanProgram(plan, INT), MpcConfig(1, 4))
+    assert result.transcript.rounds == 1
+    # at_final, then round 2, then round 3: ((2 + 3) + 3) * (1 + 3) = 32
+    assert result.outputs[0][0][2].tolist() == [[32]]
+
+
+def test_send_past_the_last_round_raises_value_error():
+    plan = Plan(num_procs=2, num_rounds=1)
+    plan.set_init(0, ("x",), np.arange(4))
+    plan.add(2, 0, Send(1, (("x",),)))
+    with pytest.raises(ValueError, match="finalize"):
+        run(PlanProgram(plan, INT), MpcConfig(2, 8))
+
+
 def test_single_key_send_matches_bundled_send():
     program = _program()
     x = np.arange(6, dtype=np.int64).reshape(2, 3)
