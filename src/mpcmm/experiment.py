@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundReport, lower_bound_dnd, lower_bound_ndn, lower_bound_square
+from .bounds import BoundReport, lower_bound_dnd, lower_bound_ndn, lower_bound_terms
 from .engine import MpcConfig, MpcError, assert_transcript
 from .instances import block_diagonal, random_d_sparse, random_dense
 from .matrix import DenseMatrix, SparseMatrix, load_matrix, naive_multiply
@@ -54,7 +54,8 @@ CASES = {
             ProblemShape(c.n, c.alpha), a, b, spec, redistribute=c.redistribute
         ),
         lambda n, d: ((n, n), (n, n)),
-        lambda c, machine: lower_bound_square(c.n, c.alpha),
+        # The schedule runs on ceil(n**(alpha/2))**2 processors, not n**alpha.
+        lambda c, machine: lower_bound_terms(c.n**3, machine.processors, machine.memory),
     ),
     "ndn": Case(
         lambda c, a, b, mask, spec: schedule_ndn(c.n, c.d, a, b, spec),

@@ -5,15 +5,24 @@ import pytest
 
 from mpcmm import (
     BoundReport,
+    MpcConfig,
+    ProblemShape,
     get_semiring,
     lower_bound_dnd,
     lower_bound_ndn,
     lower_bound_square,
     lower_bound_tree_sum,
+    square_rounds_upper,
     term_capacity,
 )
 from mpcmm.bounds import ceil_log
-from mpcmm.experiment import CASES, ExperimentConfig, build_schedule, generate_instance
+from mpcmm.experiment import (
+    CASES,
+    ExperimentConfig,
+    build_schedule,
+    generate_instance,
+    run_experiment,
+)
 
 INT = get_semiring("int")
 
@@ -123,3 +132,20 @@ def test_case_lower_bounds():
     assert lower("dnd-n", 64, 4) == 5
     assert lower("dnd-d", 64, 32) == 4
     assert CASES["sparse-trivial"].lower is None
+
+
+def test_padded_square_run_meets_its_bound():
+    # The schedule runs on a 10 x 10 grid of 2 x 2 tiles.  A bound for
+    # floor(20**1.5) = 89 processors of 8 words read 12 rounds, over the 10
+    # the run takes.
+    summary = run_experiment(ExperimentConfig(case="square", n=20, alpha=1.5), write=False)
+    assert summary["ok"] and summary["bound"]["lower_rounds"] <= summary["rounds"] == 10
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
+def test_square_case_bound_never_exceeds_the_schedule(alpha):
+    for n in range(1, 41):
+        shape = ProblemShape(n, alpha)
+        config = ExperimentConfig(case="square", n=n, alpha=alpha)
+        machine = MpcConfig(shape.processors, shape.memory)
+        assert CASES["square"].lower(config, machine) <= square_rounds_upper(shape)

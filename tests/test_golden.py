@@ -120,7 +120,7 @@ GOLDEN = {
         "0b4f63ff9173fe470adc1aa0693e7b009bee09dff894f5a482b59a4d547134ee",
     ),
     "square-padded": (
-        "37ee94a82c83e47c460e660549e0ad5cae1f22b4c6b08173413b9460f2d1acf0",
+        "6b33d9c47f5511fe6f2ed18b3d64128ccc813ae92915aeb1af58c9fa9d76ebbb",
         "7a8ecf68c4dfc2d5de116bc71e703e3772e0df3ba44b4529b79f692d35e30a3d",
     ),
     "square-alpha2": (
