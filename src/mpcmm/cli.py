@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .experiment import CASES, ExperimentConfig, run_experiment
+from .experiment import CASES, INSTANCE_KINDS, ExperimentConfig, run_experiment
 from .semiring import builtin_semirings
 
 
@@ -51,9 +51,7 @@ def _run_parsers(sub):
     sparse.add_argument("--d", type=int, required=True)
     sparse.add_argument("--eps", type=float, default=0.1)
     sparse.add_argument("--mode", choices=["trivial", "twophase"], default="twophase")
-    sparse.add_argument(
-        "--instance", choices=["random", "blockdiag", "file"], default="random"
-    )
+    sparse.add_argument("--instance", choices=INSTANCE_KINDS, default="random")
     sparse.add_argument("--file-a", default="")
     sparse.add_argument("--file-b", default="")
     _add_common(sparse)

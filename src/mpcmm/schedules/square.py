@@ -93,8 +93,9 @@ def schedule_square(
     a = pad_to_multiple(a, shape.padded_n, spec)
     b = pad_to_multiple(b, shape.padded_n, spec)
 
-    shift = 1 if redistribute and g > 1 else 0
-    plan = Plan(num_procs=g * g, num_rounds=g + shift, min_memory=t * t)
+    rounds = square_rounds_upper(shape, redistribute)
+    shift = rounds - g  # 1 if a redistribution round comes first
+    plan = Plan(num_procs=g * g, num_rounds=rounds, min_memory=t * t)
     proc = lambda i, j: i * g + j
 
     def block(m, i, j):
@@ -139,5 +140,5 @@ def schedule_square(
         shape.padded_n,
         n,
         n,
-        meta={"grid": g, "tile": t, "predicted_rounds": square_rounds_upper(shape, redistribute)},
+        meta={"grid": g, "tile": t, "predicted_rounds": rounds},
     )
