@@ -108,4 +108,3 @@ class BoundReport:
         d["ratio"] = self.ratio
         d["ok"] = self.ok
         return d
-
