@@ -39,6 +39,11 @@ CONFIGS = {
     "ndn-bool-d18": dict(case="ndn", n=36, d=18, semiring="bool"),
     "sparse-twophase-grid3": dict(case="sparse-twophase", n=36, d=9, instance="blockdiag"),
     "square-alpha0": dict(case="square", n=16, alpha=0.0),
+    # Two-phase fallbacks with layers found: four layers and no residual,
+    # then one layer plus a residual of 101 terms.
+    "sparse-twophase-layers-fallback": dict(case="sparse-twophase", n=16, d=2,
+                                            instance="blockdiag"),
+    "sparse-twophase-residual-fallback": dict(case="sparse-twophase", n=16, d=4),
 }
 
 # name -> (summary JSON SHA-256, transcript CSV SHA-256)
@@ -158,6 +163,14 @@ GOLDEN = {
     "square-alpha0": (
         "63f3d0d591ddfee23576d737d4716a560195907ce830b1ca53c083faee66fbcb",
         "4c9ad671e879593404f3204659340ea22f2051e038ea7d12fb40863598da7260",
+    ),
+    "sparse-twophase-layers-fallback": (
+        "6c7b46cb6483eba90ab1f38c9b041fa0c73903a5d0022765491fc1af01f4c593",
+        "e755a68b70c6938413d5a1f5125fc1977b6ffc86075554e141fae4f33a457699",
+    ),
+    "sparse-twophase-residual-fallback": (
+        "b50d41ace589de346d857f7c0926517037ed2dda45349bfec530274e2e618a09",
+        "b397aa384a37b2e8e815662dd7c0123fa3d0df1c98ce4c43d1ffe90175f87952",
     ),
 }
 
