@@ -288,6 +288,8 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     """(d x n) * (n x d) on n processors with O(d) memory."""
     if d > n:
         raise ValueError("requires d <= n")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     g = math.isqrt(d)
     if g * g != d:
         raise ValueError("d must be a perfect square")

@@ -4,18 +4,19 @@ Processor r owns row r of A, column r of B, and the masked output row
 r.  All factor positions are structural knowledge, so schedules are
 wired at build time; only values travel at run time.
 
-Two schedules share the machinery:
+Both schedules are one builder, which makes one plan per call:
 
-* trivial: every processor fetches the B values its pending terms need,
-  at most d incoming values and 2d outgoing values per processor per
-  round, finishing in O(d) rounds.
+* trivial, the builder with zero layers: every processor fetches the B
+  values its pending terms need, at most d incoming values and 2d
+  outgoing values per processor per round, finishing in O(d) rounds.
 
 * two-phase: a decomposition first carves the term set into layers of
   disjoint dense blocks.  Each layer runs its blocks as parallel dense
   square multiplications (grid side sqrt(d), sqrt(d) + 1 rounds); the
-  leftover terms run through the trivial fetch loop.  When the blocks
-  would not beat the plain fetch loop the schedule falls back to it, so
-  two-phase never costs more rounds than trivial.
+  leftover terms run through the trivial fetch loop.  The trivial round
+  count comes from the fetch assignment alone, without building that
+  schedule; when the blocks would not beat it the builder makes the
+  trivial plan instead, so two-phase never costs more rounds.
 
 The decomposition heuristic groups rows by identical remaining column
 support, pairs each group with its strongest output columns, and keeps
@@ -58,10 +59,6 @@ class EpsilonSchedule:
             raise ValueError("eps1 must be >= 0")
         if self.eps1 > self.eps2 or (self.eps1 == self.eps2 != 0):
             raise ValueError("epsilon ordering violated: need 0 <= eps1 < eps2")
-
-    @property
-    def epsilon(self) -> float:
-        return self.eps2
 
 
 def iteration_budget(eps1: float, eps2: float, d: int, improved: bool = True) -> int:
@@ -185,11 +182,15 @@ class BlockTriple:
 @dataclass
 class Decomposition:
     layers: list  # list of [BlockTriple]
+    ledger: TermLedger  # every masked term, before the layers took theirs
     residual: TermLedger
-    total_terms: int
     layer_budget: int
     residual_budget: int
     block_side: int
+
+    @property
+    def total_terms(self) -> int:
+        return self.ledger.total_terms
 
     @property
     def covered_terms(self) -> int:
@@ -319,88 +320,90 @@ def decompose(
 
     for rj in [rj for rj, ks in remaining.pending.items() if not ks]:
         del remaining.pending[rj]
-    return Decomposition(layers, remaining, ledger.total_terms, layer_budget, residual_budget, side)
+    return Decomposition(layers, ledger, remaining, layer_budget, residual_budget, side)
 
 
-def _sparse_init(plan: Plan, a: SparseMatrix, b: SparseMatrix):
-    for r, k, v in a.entries:
-        plan.set_init(r, ("a", r, k), np.array([v], dtype=np.int64))
-    for k, j, v in b.entries:
-        plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
-
-
-def _fetch_rounds(plan: Plan, terms, d: int, start_round: int) -> int:
+def _fetch_assignment(terms, d: int):
     """Greedy value-fetch schedule: owner r pulls b[k, j] from processor j.
 
     Per round each owner accepts at most d values and each sender ships
     at most 2d, so an owner's d**2 terms and a sender's d**2 duties both
-    drain within O(d) rounds.  Returns the number of rounds used; sends
-    happen at start_round + 1 .. start_round + rounds, and each value is
-    folded in one round after it is sent (or at finalize).
+    drain within O(d) rounds.  Returns the number of rounds used and, in
+    (r, j, k) order, each remote term (r, k, j) with its fetch round.
     """
-    remote, local = [], []
-    for r, k, j in terms:
-        (local if j == r else remote).append((r, k, j))
-
     quota = max(d, 1)
     recv_load, send_load = {}, {}
-    sends = {}  # (round, sender, owner) -> [keys]
+    fetches = []
     last = 0
-    for r, k, j in sorted(remote, key=lambda t: (t[0], t[2], t[1])):
+    for r, k, j in sorted((t for t in terms if t[2] != t[0]), key=lambda t: (t[0], t[2], t[1])):
         rd = 1
         while recv_load.get((rd, r), 0) >= quota or send_load.get((rd, j), 0) >= 2 * quota:
             rd += 1
         recv_load[(rd, r)] = recv_load.get((rd, r), 0) + 1
         send_load[(rd, j)] = send_load.get((rd, j), 0) + 1
-        sends.setdefault((rd, j, r), []).append(("b", k, j))
-        plan.add(
-            start_round + rd + 1,
-            r,
-            MulAcc(("c", r, j), ("a", r, k), ("b", k, j)),
-            Drop((("b", k, j),)),
-        )
+        fetches.append((r, k, j, rd))
         last = max(last, rd)
-
-    for (rd, j, r), keys in sorted(sends.items()):
-        plan.add(start_round + rd, j, Send(r, tuple(keys)))
-    for r, k, j in local:
-        plan.at_final(r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
-    return last
+    return last, fetches
 
 
-def _validate_sparse(n, d, a, b, mask):
+def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
+    """The one sparse plan: the fetch of every masked term or, given `eps`,
+    the decomposition's layers and then the residual's fetch when that
+    takes fewer rounds.  Each fetched value is sent in its fetch round and
+    folded one round later (or at finalize); resident terms fold at finalize.
+    """
     if a.rows != n or a.cols != n or b.rows != n or b.cols != n:
         raise ValueError(f"inputs must be {n}x{n}")
     if not check_d_sparse(a, d) or not check_d_sparse(b, d):
         raise ValueError(f"inputs are not {d}-sparse")
     if mask.n != n or mask.d != d:
         raise ValueError("mask does not match the problem shape")
+    decomp = None if eps is None else decompose(a, b, mask, eps)
+    ledger = build_ledger(a, b, mask) if decomp is None else decomp.ledger
+    terms = list(ledger.terms())
+    rounds, fetches = _fetch_assignment(terms, d)
+    rounds = max(rounds, 1)
+    bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
+    if rounds > bound:
+        raise RoundBoundExceeded(
+            f"fetch plan needs {rounds} rounds, over the {TRIVIAL_ROUND_CONSTANT}d = {bound} bound"
+        )
+    layers, grid, meta = (), 0, {}
+    if decomp is not None:
+        meta = {"fallback": True, "decomposition": decomp.report()}
+    if decomp is not None and decomp.layers:
+        grid = math.isqrt(decomp.block_side)
+        residual = list(decomp.residual.terms())
+        residual_rounds, residual_fetches = _fetch_assignment(residual, d)
+        total = len(decomp.layers) * (grid + 1) + residual_rounds
+        if total <= rounds:
+            layers, terms, rounds, fetches = decomp.layers, residual, total, residual_fetches
+            meta["fallback"] = False
 
+    plan = Plan(num_procs=n, num_rounds=rounds, min_memory=max(d, 1))
+    for r, k, v in a.entries:
+        plan.set_init(r, ("a", r, k), np.array([v], dtype=np.int64))
+    for k, j, v in b.entries:
+        plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
 
-def _emit_masked(plan: Plan, mask: OutputMask):
-    for r in range(mask.n):
+    stride = grid + 1
+    start = len(layers) * stride
+    sends = {}  # (round, sender, owner) -> [keys]
+    for r, k, j, rd in fetches:
+        bkey = ("b", k, j)
+        sends.setdefault((rd, j, r), []).append(bkey)
+        plan.add(start + rd + 1, r, MulAcc(("c", r, j), ("a", r, k), bkey), Drop((bkey,)))
+    for (rd, j, r), keys in sorted(sends.items()):
+        plan.add(start + rd, j, Send(r, tuple(keys)))
+    for r, k, j in terms:
+        if j == r:
+            plan.at_final(r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
+
+    for li, layer in enumerate(layers):
+        _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
+    for r in range(n):
         for j in mask.cols(r):
             plan.emit(r, ("c", r, j), r, j, (1,))
-
-
-def schedule_sparse_trivial(
-    n, d, a: SparseMatrix, b: SparseMatrix, mask: OutputMask, spec: SemiringSpec
-) -> Schedule:
-    """One output row per processor; fetch up to d values per round."""
-    _validate_sparse(n, d, a, b, mask)
-    ledger = build_ledger(a, b, mask)
-
-    plan = Plan(num_procs=n, num_rounds=0, min_memory=max(d, 1))
-    _sparse_init(plan, a, b)
-    rounds = _fetch_rounds(plan, list(ledger.terms()), d, 0)
-    plan.num_rounds = max(rounds, 1)
-    bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
-    if plan.num_rounds > bound:
-        raise RoundBoundExceeded(
-            f"fetch plan needs {plan.num_rounds} rounds, over the "
-            f"{TRIVIAL_ROUND_CONSTANT}d = {bound} bound"
-        )
-    _emit_masked(plan, mask)
 
     return Schedule(
         PlanProgram(plan, spec),
@@ -409,9 +412,16 @@ def schedule_sparse_trivial(
         n,
         n,
         n,
-        meta={"predicted_rounds": plan.num_rounds, "terms": ledger.total_terms},
+        meta={"predicted_rounds": rounds, **meta},
         mask=mask,
     )
+
+
+def schedule_sparse_trivial(
+    n, d, a: SparseMatrix, b: SparseMatrix, mask: OutputMask, spec: SemiringSpec
+) -> Schedule:
+    """One output row per processor; fetch up to d values per round."""
+    return _sparse_schedule(n, d, a, b, mask, spec)
 
 
 def schedule_sparse_twophase(
@@ -424,43 +434,7 @@ def schedule_sparse_twophase(
     spec: SemiringSpec,
 ) -> Schedule:
     """Dense block layers first, trivial fetch for the residual."""
-    _validate_sparse(n, d, a, b, mask)
-    decomp = decompose(a, b, mask, eps)
-    grid = math.isqrt(decomp.block_side)
-    stride = grid + 1
-
-    trivial = schedule_sparse_trivial(n, d, a, b, mask, spec)
-    phase1 = len(decomp.layers) * stride
-
-    plan = Plan(num_procs=n, num_rounds=0, min_memory=max(d, 1))
-    _sparse_init(plan, a, b)
-    residual_rounds = _fetch_rounds(plan, list(decomp.residual.terms()), d, phase1)
-    total = phase1 + residual_rounds
-
-    if not decomp.layers or total > trivial.program.total_rounds:
-        trivial.meta.update({"fallback": True, "decomposition": decomp.report()})
-        return trivial
-
-    for li, layer in enumerate(decomp.layers):
-        _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
-    plan.num_rounds = total
-    _emit_masked(plan, mask)
-
-    return Schedule(
-        PlanProgram(plan, spec),
-        MpcConfig(n, 2 * max(d, 1)),
-        n,
-        n,
-        n,
-        n,
-        meta={
-            "predicted_rounds": plan.num_rounds,
-            "fallback": False,
-            "trivial_rounds": trivial.program.total_rounds,
-            "decomposition": decomp.report(),
-        },
-        mask=mask,
-    )
+    return _sparse_schedule(n, d, a, b, mask, spec, eps)
 
 
 def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):

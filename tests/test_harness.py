@@ -109,6 +109,12 @@ def test_config_rejects_bad_fields_at_construction(fields):
         ExperimentConfig(**{"case": "square", "n": 4, **fields})
 
 
+@pytest.mark.parametrize("case", ["ndn", "dnd-n", "dnd-d"])
+def test_rect_cases_reject_d_zero(case):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        run_experiment(ExperimentConfig(case=case, n=16, d=0), write=False)
+
+
 def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("MPCMM_OUTDIR", str(tmp_path / "envdir"))
     summary = run_experiment(ExperimentConfig(case="square", n=16, seed=2))

@@ -1,5 +1,7 @@
 """Sparse schedules, the block decomposition and the iteration budgets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,12 @@ def mixed_instance(n, d, light, spec, rng):
             c = half + (int(perm[r - half]) + i) % half
             entries[(r, c)] = random_value(spec, rng)
     return SparseMatrix.from_entries(n, n, [(r, c, v) for (r, c), v in entries.items()])
+
+
+def build(builder, n, d, a, b, mask, spec):
+    if builder == "trivial":
+        return schedule_sparse_trivial(n, d, a, b, mask, spec)
+    return schedule_sparse_twophase(n, d, a, b, mask, EpsilonSchedule(), spec)
 
 
 class TestMask:
@@ -122,12 +130,38 @@ class TestTrivial:
         with pytest.raises(ValueError):
             schedule_sparse_trivial(8, 2, fat, b, mask, INT)
 
-    def test_round_bound_raises_not_asserts(self, monkeypatch):
+    @pytest.mark.parametrize("builder", ["trivial", "twophase"])
+    def test_round_bound_raises_not_asserts(self, monkeypatch, builder):
         # A raise, unlike an assert, survives ``python -O``.
         a, b, mask = sparse_pair(8, 2, INT, 2)
         monkeypatch.setattr(sparse_module, "TRIVIAL_ROUND_CONSTANT", 0)
         with pytest.raises(sparse_module.RoundBoundExceeded, match=r"over the 0d = 0 bound"):
-            schedule_sparse_trivial(8, 2, a, b, mask, INT)
+            build(builder, 8, 2, a, b, mask, INT)
+
+    @pytest.mark.parametrize(
+        "builder, kind, fallback",
+        [("trivial", "random", None), ("twophase", "random", True), ("twophase", "blockdiag", False)],
+    )
+    def test_one_plan_and_one_ledger_per_build(self, monkeypatch, builder, kind, fallback):
+        calls = {"Plan": 0, "build_ledger": 0}
+
+        def counting(name):
+            real = getattr(sparse_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sparse_module, name, counting(name))
+        a, b, mask = sparse_pair(64, 4, INT, 14, kind=kind)
+        sched = build(builder, 64, 4, a, b, mask, INT)
+        assert calls == {"Plan": 1, "build_ledger": 1}
+        assert sched.meta.get("fallback") is fallback
+        _, out = sched.execute()
+        assert masked_match(out, naive_multiply(a, b, INT), mask)
 
 
 class TestDecompose:
@@ -243,6 +277,10 @@ class TestTwoPhase:
         assert assert_transcript(result.transcript, two.config)
         trivial = schedule_sparse_trivial(n, d, a, b, mask, spec)
         assert two.program.total_rounds < trivial.program.total_rounds
+        # No golden config reaches a layered plan with a residual; pin its bytes.
+        assert hashlib.sha256(result.transcript.to_csv().encode()).hexdigest() == (
+            "b57dc83538fb6254fb25a9cfd66cbe2877339fcc5613a8f1a7d0f7dd59b28a8b"
+        )
 
 
 class TestIterationBudget:
