@@ -132,7 +132,6 @@ def default_mask(a: SparseMatrix, b: SparseMatrix, d: int) -> OutputMask:
 class TermLedger:
     """Pending products per masked output entry."""
 
-    total_terms: int
     pending: dict  # (r, j) -> set of inner indices k
 
     @property
@@ -140,7 +139,7 @@ class TermLedger:
         return sum(len(ks) for ks in self.pending.values())
 
     def copy(self) -> "TermLedger":
-        return TermLedger(self.total_terms, {rj: set(ks) for rj, ks in self.pending.items()})
+        return TermLedger({rj: set(ks) for rj, ks in self.pending.items()})
 
     def terms(self):
         for (r, j), ks in sorted(self.pending.items()):
@@ -165,8 +164,7 @@ def build_ledger(a: SparseMatrix, b: SparseMatrix, mask: OutputMask) -> TermLedg
         for k in a_row[r]:
             for j in b_row[k] & masked:
                 pending.setdefault((r, j), set()).add(k)
-    total = sum(len(ks) for ks in pending.values())
-    return TermLedger(total, pending)
+    return TermLedger(pending)
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ class Decomposition:
 
     @property
     def total_terms(self) -> int:
-        return self.ledger.total_terms
+        return self.ledger.remaining_terms
 
     @property
     def covered_terms(self) -> int:

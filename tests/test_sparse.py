@@ -259,6 +259,18 @@ class TestTwoPhase:
         trivial = schedule_sparse_trivial(24, 8, a, b, mask, INT)
         assert result.transcript.rounds <= trivial.program.total_rounds + 2
 
+    def test_tie_with_trivial_keeps_the_layers(self):
+        """Equal round counts keep the layered plan; only a loss falls back."""
+        a = mixed_instance(64, 4, 1, INT, np.random.default_rng(0))
+        b = mixed_instance(64, 4, 1, INT, np.random.default_rng(100))
+        mask = default_mask(a, b, 4)
+        two = schedule_sparse_twophase(64, 4, a, b, mask, EpsilonSchedule(), INT)
+        trivial = schedule_sparse_trivial(64, 4, a, b, mask, INT)
+        assert not two.meta["fallback"]
+        assert two.program.total_rounds == trivial.program.total_rounds == 4
+        _, out = two.execute()
+        assert masked_match(out, naive_multiply(a, b, INT), mask)
+
     @pytest.mark.parametrize("name", ["int", "tropical"])
     def test_layers_and_residual_coexist(self, name):
         """Dense blocks up front plus light random rows: both phases live."""
