@@ -4,8 +4,11 @@ Dense matrices wrap a row-major int64 array.  Sparse matrices keep
 explicit (row, col, value) triplets and can be checked for d-sparsity
 (at most d stored entries in every row and every column).
 
-:func:`naive_multiply` is the term-by-term oracle every round schedule
-is compared against; it never shares code with the schedulers.
+:func:`naive_multiply` is the reference product every round schedule is
+compared against.  It shares one piece of code with the schedulers: the
+carrier's ``matmul`` tile kernel, which the plan interpreter also calls
+for every block product.  ``tests/test_semiring.py`` checks those kernels
+against the scalar add/mul definitions.
 """
 
 from __future__ import annotations

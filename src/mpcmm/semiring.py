@@ -13,6 +13,12 @@ vectorised kernels (elementwise add/mul and a block ``matmul``) so the
 simulator and the oracle can run on whole tiles.  Custom semirings built
 with :func:`SemiringSpec.from_scalar_ops` fall back to (slow) loops over
 the scalar operations.
+
+The built-in ``matmul`` kernels return the same words for every int64 input
+as the int64 product (``int``, ``bool``) or the per-term loop (``tropical``)
+would.  Integer products go through float64 BLAS only where that is exact
+(the 2**53 rule in :func:`_float_exact`); the min-plus product needs no
+per-term clamp (see :func:`_trop_matmul`).
 """
 
 from __future__ import annotations
@@ -74,14 +80,47 @@ class SemiringSpec:
         return np.full(shape, self.zero, dtype=np.int64)
 
 
+# Products with fewer terms (rows * inner * cols) than this stay in int64:
+# below it the range check and the float casts cost more than they save.
+_FLOAT_MIN_TERMS = 1 << 14
+
+# float64 holds every integer of magnitude below 2**53 exactly.
+_FLOAT_EXACT = 1 << 53
+
+# The min-plus product keeps its temporaries to at most _TROP_BLOCK
+# elements.  Output tiles above _TROP_LOOP_CELLS would fit fewer than eight
+# k-slices in a block, and there a plain loop over k is faster.
+_TROP_BLOCK = 1 << 16
+_TROP_LOOP_CELLS = _TROP_BLOCK // 8
+
+
+def _float_exact(a, b):
+    """True when the float64 product ``a @ b`` equals the int64 one.
+
+    With ``inner * max|a| * max|b| < 2**53`` every term and every partial
+    sum, in whatever order BLAS adds them, is an integer of magnitude below
+    2**53, so float64 holds each of them exactly.
+    """
+    # Python ints: -x.min() overflows int64 at its most negative value.
+    amax = max(int(a.max()), -int(a.min()))
+    bmax = max(int(b.max()), -int(b.min()))
+    return a.shape[1] * amax * bmax < _FLOAT_EXACT
+
+
 def _int_matmul(a, b):
-    return a @ b
+    # Small products, and those that could leave float64's exact range, stay
+    # in int64, which wraps on overflow.  numpy has no BLAS for int64, and
+    # ``a.dot(b)`` costs less per call than ``a @ b`` on small tiles.  The
+    # size test is inline because it is all that a small tile pays for.
+    if a.size * b.shape[1] >= _FLOAT_MIN_TERMS and _float_exact(a, b):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.dot(b)
 
 
 def _bool_matmul(a, b):
-    # Counting matmul then threshold: sums stay far below int64 limits
-    # at the matrix sizes this package targets.
-    return ((a @ b) > 0).astype(np.int64)
+    if a.size * b.shape[1] >= _FLOAT_MIN_TERMS and _float_exact(a, b):
+        return (a.astype(np.float64) @ b.astype(np.float64) > 0).astype(np.int64)
+    return (a.dot(b) > 0).astype(np.int64)
 
 
 def _trop_add(x, y):
@@ -93,10 +132,35 @@ def _trop_mul(x, y):
 
 
 def _trop_matmul(a, b):
+    """Min-plus product: out[i, j] = min(INF, min over k of a[i, k] + b[k, j]).
+
+    The scalar definition clamps every term, min(a + b, INF), before the
+    minimum.  Starting the minimum at INF applies that clamp once for all
+    terms, since min(m, min(t, INF)) == min(m, t) whenever m <= INF, so the
+    result is the same word for every int64 input.
+    """
     rows, inner = a.shape
-    out = np.full((rows, b.shape[1]), TROPICAL_INF, dtype=np.int64)
-    for k in range(inner):
-        out = np.minimum(out, np.minimum(a[:, k : k + 1] + b[k : k + 1, :], TROPICAL_INF))
+    cols = b.shape[1]
+    if rows * cols > _TROP_LOOP_CELLS:
+        # In place over k, one strip of rows at a time, so that the strip
+        # and its terms stay in cache.
+        out = np.full((rows, cols), TROPICAL_INF, dtype=np.int64)
+        strip = max(_TROP_BLOCK // cols, 1)
+        term = np.empty((min(strip, rows), cols), dtype=np.int64)
+        for i0 in range(0, rows, strip):
+            out_strip = out[i0 : i0 + strip]
+            a_strip = a[i0 : i0 + strip]
+            term_strip = term[: len(out_strip)]
+            for k in range(inner):
+                np.add(a_strip[:, k : k + 1], b[k : k + 1, :], out=term_strip)
+                np.minimum(out_strip, term_strip, out=out_strip)
+        return out
+    step = _TROP_BLOCK // max(rows * cols, 1)
+    at = a.T
+    out = (at[:step, :, None] + b[:step, None, :]).min(axis=0, initial=TROPICAL_INF)
+    for k0 in range(step, inner, step):
+        block = at[k0 : k0 + step, :, None] + b[k0 : k0 + step, None, :]
+        np.minimum(out, block.min(axis=0), out=out)
     return out
 
 

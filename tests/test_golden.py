@@ -13,7 +13,8 @@ import tempfile
 
 import pytest
 
-from mpcmm.experiment import ExperimentConfig, run_experiment
+from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
+from mpcmm.semiring import get_semiring
 
 SEMIRINGS = ("int", "bool", "tropical")
 
@@ -39,6 +40,10 @@ CONFIGS = {
     "ndn-bool-d18": dict(case="ndn", n=36, d=18, semiring="bool"),
     "sparse-twophase-grid3": dict(case="sparse-twophase", n=36, d=9, instance="blockdiag"),
     "square-alpha0": dict(case="square", n=16, alpha=0.0),
+    # 32x32 tiles: 2**15 terms per block product, past the size where the
+    # int and bool kernels switch to float64 BLAS.
+    **{f"square-tile32-{s}": dict(case="square", n=128, alpha=0.5, semiring=s)
+       for s in SEMIRINGS},
     # Two-phase fallbacks with layers found: four layers and no residual,
     # then one layer plus a residual of 101 terms.
     "sparse-twophase-layers-fallback": dict(case="sparse-twophase", n=16, d=2,
@@ -164,6 +169,18 @@ GOLDEN = {
         "63f3d0d591ddfee23576d737d4716a560195907ce830b1ca53c083faee66fbcb",
         "4c9ad671e879593404f3204659340ea22f2051e038ea7d12fb40863598da7260",
     ),
+    "square-tile32-int": (
+        "255872bbd6ca7f317c2a2766df2cdc40aaf0e09eeacfe249670ef84a15bae0a7",
+        "5ebc7d5f8ad3c36b9ea2b37d058046c444d515103b55ca2f250088024871ece3",
+    ),
+    "square-tile32-bool": (
+        "34867389a26d6e0be7a841f58cdfc4761fecab9ac1a2651f6ee32f87c1690dc2",
+        "5ebc7d5f8ad3c36b9ea2b37d058046c444d515103b55ca2f250088024871ece3",
+    ),
+    "square-tile32-tropical": (
+        "9cf675463ecd640e7b315150d63eb6d2f5f6c52aedb369a055ccafcfdaa6c7bb",
+        "5ebc7d5f8ad3c36b9ea2b37d058046c444d515103b55ca2f250088024871ece3",
+    ),
     "sparse-twophase-layers-fallback": (
         "6c7b46cb6483eba90ab1f38c9b041fa0c73903a5d0022765491fc1af01f4c593",
         "e755a68b70c6938413d5a1f5125fc1977b6ffc86075554e141fae4f33a457699",
@@ -193,6 +210,15 @@ def test_golden_covers_every_config():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_artifacts(name, tmp_path):
     assert artifact_hashes(name, str(tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_predicted_rounds_match_transcript(name):
+    config = ExperimentConfig(seed=1, **CONFIGS[name])
+    spec = get_semiring(config.semiring)
+    schedule = build_schedule(config, *generate_instance(config, spec), spec)
+    result, _ = schedule.execute(cap_factor=config.cap_factor)
+    assert schedule.meta["predicted_rounds"] == result.transcript.rounds
 
 
 if __name__ == "__main__":

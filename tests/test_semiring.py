@@ -90,17 +90,56 @@ def test_vector_kernels_agree_with_scalar_ops(semiring):
         assert int(vmul[i]) == semiring.mul(int(xs[i]), int(ys[i]))
 
 
+def scalar_matmul(spec, a, b):
+    """The product by the scalar definition, one term at a time."""
+    return SemiringSpec.from_scalar_ops(spec.name, spec.add, spec.mul, spec.zero).matmul(a, b)
+
+
+def kernel_operand(spec, shape, rng):
+    if spec.name == "bool":
+        return rng.integers(0, 2, size=shape, dtype=np.int64)
+    x = rng.integers(-(1 << 20), 1 << 20, size=shape, dtype=np.int64)
+    if spec.name == "tropical":
+        x[rng.random(shape) < 0.125] = TROPICAL_INF
+    return x
+
+
+# (rows, inner, cols) on both sides of each kernel's size cut-offs: int and
+# bool go through float64 from 2**14 terms; tropical reduces k-blocks of at
+# most 2**16 elements (several, the last one partial, at 90x20x90) and above
+# 2**13 output cells loops over k on strips of rows (two, the last one
+# partial, at 260x2x256).  Inner 0 gives the semiring zero.
+KERNEL_SHAPES = [(4, 5, 3), (1, 1, 1), (1, 64, 1), (8, 8, 8), (32, 32, 32),
+                 (90, 20, 90), (260, 2, 256), (3, 0, 4)]
+
+
 def test_matmul_kernel_matches_scalar_loop(semiring):
     rng = np.random.default_rng(13)
-    a = np.array([[sample_element(semiring, rng) for _ in range(5)] for _ in range(4)], dtype=np.int64)
-    b = np.array([[sample_element(semiring, rng) for _ in range(3)] for _ in range(5)], dtype=np.int64)
-    got = semiring.matmul(a, b)
-    for i in range(4):
-        for j in range(3):
-            acc = semiring.zero
-            for k in range(5):
-                acc = semiring.add(acc, semiring.mul(int(a[i, k]), int(b[k, j])))
-            assert int(got[i, j]) == acc
+    for rows, inner, cols in KERNEL_SHAPES:
+        a = kernel_operand(semiring, (rows, inner), rng)
+        b = kernel_operand(semiring, (inner, cols), rng)
+        got = semiring.matmul(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scalar_matmul(semiring, a, b)), (rows, inner, cols)
+
+
+def test_int_matmul_exact_past_float_range():
+    # 64 * (2**26)**2 = 2**58 is past float64's exact integers but within
+    # int64, so the kernel must take the int64 product and stay exact.  The
+    # entries are negative, so only their minimum shows the magnitude.
+    spec = get_semiring("int")
+    rng = np.random.default_rng(29)
+    a = rng.integers(0, 8, size=(32, 64), dtype=np.int64) - (1 << 26)
+    b = rng.integers(0, 8, size=(64, 32), dtype=np.int64) - (1 << 26)
+    assert np.array_equal(spec.matmul(a, b), scalar_matmul(spec, a, b))
+
+
+def test_int_matmul_wraps_like_int64():
+    spec = get_semiring("int")
+    rng = np.random.default_rng(31)
+    a = rng.integers(-(1 << 40), 1 << 40, size=(32, 64), dtype=np.int64)
+    b = rng.integers(-(1 << 40), 1 << 40, size=(64, 32), dtype=np.int64)
+    assert np.array_equal(spec.matmul(a, b), a @ b)
 
 
 def test_custom_spec_from_scalar_ops():
