@@ -4,7 +4,8 @@ Subcommands: ``run`` (one experiment with artifacts), ``bounds`` (lower
 bound vs measured rounds as JSON), ``verify`` (oracle battery across
 semirings and seeds, nonzero exit on any failure), ``bench`` (round
 count sweep).  The default artifact directory comes from the
-``MPCMM_OUTDIR`` environment variable.
+``MPCMM_OUTDIR`` environment variable.  A bad input or an inconsistent
+config (a ``ValueError``) prints one error line and exits with code 2.
 """
 
 from __future__ import annotations
@@ -110,7 +111,15 @@ def main(argv=None) -> int:
     _add_common(bench)
 
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except ValueError as err:
+        # Bad inputs and inconsistent configs are typed errors, not crashes.
+        print(f"mpcmm: error: {err}", file=sys.stderr)
+        return 2
 
+
+def _command(args) -> int:
     if args.command == "run":
         summary = run_experiment(_config_from(args), out_dir=args.outdir)
         print(json.dumps(summary, sort_keys=True, indent=2))

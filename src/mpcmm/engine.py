@@ -18,7 +18,23 @@ Peak memory charges element words only (message routing metadata is
 free) as the larger of the two phase footprints: state + inbox at the
 start of the compute phase, and state + outbox at its end.  A violation
 raises at the first offending round, which is exactly when the modelled
-algorithm is considered failed.
+algorithm is considered failed; the checks run over all processors in
+the order sent, received, peak, so the first record is well defined.
+
+Two optional program hooks let whole rounds run without touching every
+processor:
+
+* ``active(round_no)`` names the processors with per-processor work in
+  the round.  A processor left out whose inbox is empty is not handed to
+  ``handler``: it keeps its state and the engine keeps its cached state
+  words.  The default, ``None``, hands every processor to ``handler``.
+* ``group_step(round_no, states, inboxes)`` runs work done for many
+  processors at once (tile stacks moved by index permutation, say)
+  before the round's handlers.  It returns that work's words as three
+  int arrays over processors, taken from static shapes rather than
+  measured: words held at the end of the round (and so at the start of
+  the next, or at finalize), words sent and words received.  The engine
+  adds them to the same sent, received and peak figures as messages.
 """
 
 from __future__ import annotations
@@ -26,6 +42,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +99,7 @@ class MpcConfig:
         return self.cap_factor * self.memory
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     src: int
     dst: int
     tag: tuple  # routing metadata, not charged against any budget
@@ -167,15 +184,37 @@ class Program:
     ``handler`` must be deterministic given (round, processor, state,
     inbox) and must not mutate its arguments; it returns the new state
     and a list of (dst, tag, payload) sends.  ``finalize`` runs after
-    the last barrier and returns (row, col, block) outputs.
+    the last barrier and returns (row, col, block) outputs.  The
+    optional hooks ``start``, ``active`` and ``group_step`` are
+    described in the module docstring; their defaults hand every
+    processor to ``handler`` in every round.
     """
 
     num_procs: int = 1
     total_rounds: int = 0
     min_memory: int = 1
 
+    def start(self) -> None:
+        """Called at the start of every run, before ``init_state``."""
+
     def init_state(self, p: int) -> dict:
         return {}
+
+    def active(self, round_no: int):
+        """Processors, ascending, whose state may change in the round other
+        than through their inbox; None means all of them."""
+        return None
+
+    def group_step(self, round_no: int, states: list, inboxes: dict):
+        """Run the round's group work before its handlers.
+
+        It may replace entries of ``states`` (a list over processors) and
+        pop entries of ``inboxes`` (processor -> non-empty message list),
+        but only for processors that ``active`` names in this round.
+        Returns (held, sent, received) int arrays, or None for no group
+        work.
+        """
+        return None
 
     def handler(self, round_no: int, p: int, state: dict, inbox: list):
         return state, []
@@ -197,6 +236,12 @@ class RunResult:
     outputs: dict  # processor -> [(row, col, np.ndarray block)]
 
 
+def _first_over(values, budget):
+    """The first processor whose figure exceeds the budget, or None."""
+    over = np.flatnonzero(values > budget)
+    return int(over[0]) if over.size else None
+
+
 def run(program: Program, config: MpcConfig) -> RunResult:
     """Execute the program round by round, enforcing all budgets."""
     procs = config.processors
@@ -213,26 +258,45 @@ def run(program: Program, config: MpcConfig) -> RunResult:
             f"program declares {program.total_rounds} rounds (hard cap {config.max_rounds})"
         )
     budget = config.budget
+    everyone = range(procs)
 
     # Initial states are charged as round 1's in-phase footprint (state
     # plus an empty inbox), so bandwidth violations in round 1 surface
     # ahead of a too-large starting layout.
-    states = {p: program.init_state(p) for p in range(procs)}
-    inboxes = {p: [] for p in range(procs)}
-    inbox_words = [0] * procs
+    program.start()
+    states = [program.init_state(p) for p in everyone]
+    state_words = np.array([_words(s) for s in states], dtype=np.int64)
+    held = np.zeros(procs, dtype=np.int64)  # group words held across the last barrier
+    inboxes = {}  # processor -> its non-empty inbox
+    inbox_words = np.zeros(procs, dtype=np.int64)
     transcript = Transcript(processors=procs, rounds=program.total_rounds)
 
     for round_no in range(1, program.total_rounds + 1):
-        sent = [0] * procs
-        received = [0] * procs
-        peak = [0] * procs
-        new_states = {}
-        new_inboxes = {p: [] for p in range(procs)}
+        in_words = state_words + inbox_words + held
+        sent = np.zeros(procs, dtype=np.int64)
+        received = np.zeros(procs, dtype=np.int64)
+        group = program.group_step(round_no, states, inboxes)
+        if group is None:
+            held = np.zeros(procs, dtype=np.int64)
+        else:
+            held, group_sent, group_received = group
+            sent += group_sent
+            received += group_received
+        active = program.active(round_no)
+        if active is None:
+            handled = everyone
+        elif inboxes:
+            handled = sorted(set(active).union(inboxes))
+        else:
+            handled = active
+
         # One pass: each send is delivered as it is emitted, so every
         # inbox is ordered by (source, emission order).
-        for p in range(procs):
-            in_words = _words(states[p]) + inbox_words[p]
-            state, sends = program.handler(round_no, p, states[p], inboxes[p])
+        new_inboxes = {}
+        delivered = {}  # destination -> words
+        handled_sent, handled_words = [], []
+        for p in handled:
+            state, sends = program.handler(round_no, p, states[p], inboxes.get(p) or [])
             out_words = 0
             for dst, tag, payload in sends:
                 if not (0 <= dst < procs):
@@ -244,37 +308,48 @@ def run(program: Program, config: MpcConfig) -> RunResult:
                         "payloads must be int64 words"
                     )
                 words = payload.size
-                new_inboxes[dst].append(Message(p, dst, tag, payload))
-                received[dst] += words
+                box = new_inboxes.get(dst)
+                if box is None:
+                    box = new_inboxes[dst] = []
+                box.append(Message(p, dst, tag, payload))
+                delivered[dst] = delivered.get(dst, 0) + words
                 out_words += words
-            sent[p] = out_words
-            peak[p] = max(in_words, _words(state) + out_words)
-            new_states[p] = state
+            states[p] = state
+            handled_sent.append(out_words)
+            handled_words.append(_words(state))
+        if handled_sent:
+            handled = list(handled)
+            sent[handled] += handled_sent
+            state_words[handled] = handled_words
+        if delivered:
+            received[list(delivered)] += list(delivered.values())
+        peak = np.maximum(in_words, state_words + sent + held)
 
-        for p in range(procs):
-            if sent[p] > budget:
-                raise BandwidthExceeded(p, round_no, "sent", sent[p], budget)
-        for p in range(procs):
-            if received[p] > budget:
-                raise BandwidthExceeded(p, round_no, "received", received[p], budget)
-        for p in range(procs):
-            if peak[p] > budget:
-                raise MemoryExceeded(p, round_no, peak[p], budget)
+        for direction, figures in (("sent", sent), ("received", received)):
+            p = _first_over(figures, budget)
+            if p is not None:
+                raise BandwidthExceeded(p, round_no, direction, int(figures[p]), budget)
+        p = _first_over(peak, budget)
+        if p is not None:
+            raise MemoryExceeded(p, round_no, int(peak[p]), budget)
 
-        for p in range(procs):
-            transcript.rows.append(RoundRow(round_no, p, sent[p], received[p], peak[p]))
-        states, inboxes, inbox_words = new_states, new_inboxes, received
+        transcript.rows.extend(
+            map(RoundRow, repeat(round_no), everyone, sent.tolist(), received.tolist(),
+                peak.tolist())
+        )
+        inboxes, inbox_words = new_inboxes, received
 
     outputs = {}
     output_words = [0] * procs
-    for p in range(procs):
-        fin_words = _words(states[p]) + inbox_words[p]
+    final_words = (state_words + inbox_words + held).tolist()
+    for p in everyone:
+        fin_words = final_words[p]
         if fin_words > budget:
             raise MemoryExceeded(p, max(program.total_rounds, 1), fin_words, budget)
         if program.total_rounds:
             row = transcript.rows[(program.total_rounds - 1) * procs + p]
             row.peak_memory = max(row.peak_memory, fin_words)
-        outputs[p] = program.finalize(p, states[p], inboxes[p])
+        outputs[p] = program.finalize(p, states[p], inboxes.get(p) or [])
         output_words[p] = int(sum(np.asarray(block).size for _, _, block in outputs[p]))
     transcript.output_words = output_words
     return RunResult(transcript, outputs)

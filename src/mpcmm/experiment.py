@@ -127,13 +127,20 @@ class ExperimentConfig:
 
 
 def generate_instance(config: ExperimentConfig, spec):
-    """Seeded inputs for the configured case: (A, B, mask-or-None)."""
+    """Seeded or loaded inputs for the configured case: (A, B, mask-or-None).
+
+    Raises ValueError when a word of A or B lies outside the carrier's
+    domain, before any schedule sees it.
+    """
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
     dims = CASES[config.case].dims
     if dims is not None:
         a_shape, b_shape = dims(n, d)
-        return random_dense(*a_shape, spec, rng), random_dense(*b_shape, spec, rng), None
+        a, b = random_dense(*a_shape, spec, rng), random_dense(*b_shape, spec, rng)
+        spec.check_words(a.data, "A")
+        spec.check_words(b.data, "B")
+        return a, b, None
     if config.instance == "random":
         a = random_d_sparse(n, d, spec, rng)
         b = random_d_sparse(n, d, spec, rng)
@@ -144,6 +151,8 @@ def generate_instance(config: ExperimentConfig, spec):
         a, b = load_matrix(config.file_a), load_matrix(config.file_b)
         if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
             raise ValueError("sparse experiments need SPARSE matrix files")
+    spec.check_words([v for _, _, v in a.entries], "A")
+    spec.check_words([v for _, _, v in b.entries], "B")
     return a, b, default_mask(a, b, d)
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..engine import MpcConfig, RunResult, run
 from ..matrix import DenseMatrix
-from ..plan import Assemble, Drop, Mac, PlanProgram, Send, assemble_output
+from ..plan import Drop, PlanProgram, Rotate, Send, assemble_output
 
 
 def chunks(items, size):
@@ -20,38 +22,47 @@ def place(plan, round_no, src, dst, op):
         plan.add(round_no, src, Send(dst, (op.dst,)), Drop((op.dst,)))
 
 
-def rotation_fragment(plan, grid, proc, a_key, b_key, c_key, first_round, parts=None):
+def rotation_fragment(plan, grid, proc, a_key, b_key, c_key, first_round, side, parts=None):
     """Skewed block rotation (Cannon, 1969) on a grid x grid processor block.
 
     In slot s, run in round ``first_round + s``, processor ``proc(i, j)``
     accumulates ``a_key(i, x) @ b_key(x, j)`` into ``c_key(i, j)`` for
     x = (i + j + s) mod grid, then (except in the last slot) passes the A
-    tile one grid column left and the B tile one grid row up, and drops
-    both.  The skew gives every tile exactly one consumer per slot.  The
-    slot-0 tiles must already sit at their consumers; with ``parts``, slot
-    0 first assembles them there from pieces: ``parts(i, j, x)`` returns
-    ``((a_pieces, a_axis), (b_pieces, b_axis))``.
+    tile one grid column left and the B tile one grid row up.  The skew
+    gives every tile exactly one consumer per slot.  The slot-0 tiles,
+    all ``side`` x ``side``, must already sit at their consumers; with
+    ``parts``, slot 0 assembles them there from pieces: ``parts(i, j, x)``
+    returns ``((a_pieces, a_axis), (b_pieces, b_axis))``.
+
+    Each slot is one :class:`~mpcmm.plan.Rotate` group op over the grid**2
+    processors, stack row i * grid + j; C tiles reach the stores after the
+    last slot.
     """
-    for i in range(grid):
-        for j in range(grid):
-            p, c = proc(i, j), c_key(i, j)
-            left, up = proc(i, (j - 1) % grid), proc((i - 1) % grid, j)
-            for s in range(grid):
-                x = (i + j + s) % grid
-                akey, bkey = a_key(i, x), b_key(x, j)
-                ops = []
-                if s == 0 and parts is not None:
-                    (a_pieces, a_axis), (b_pieces, b_axis) = parts(i, j, x)
-                    ops += [
-                        Assemble(akey, a_pieces, a_axis),
-                        Assemble(bkey, b_pieces, b_axis),
-                        Drop(a_pieces + b_pieces),
-                    ]
-                ops.append(Mac(c, akey, bkey))
-                if s < grid - 1:
-                    ops += [Send(left, (akey,)), Send(up, (bkey,))]
-                ops.append(Drop((akey, bkey)))
-                plan.add(first_round + s, p, *ops)
+    cells = [(i, j) for i in range(grid) for j in range(grid)]
+    if parts is None:
+        parts = lambda i, j, x: (((a_key(i, x),), 0), ((b_key(x, j),), 0))
+    procs = np.array([proc(i, j) for i, j in cells], dtype=np.int64)
+    gather = tuple(parts(i, j, (i + j) % grid) for i, j in cells)
+    c_keys = tuple(c_key(i, j) for i, j in cells)
+    row_i, row_j = np.divmod(np.arange(grid * grid), grid)
+    a_to = row_i * grid + (row_j - 1) % grid
+    b_to = (row_i - 1) % grid * grid + row_j
+    frag = plan.fragments
+    plan.fragments += 1
+    for s in range(grid):
+        last = s == grid - 1
+        plan.add_group(
+            first_round + s,
+            Rotate(
+                frag,
+                procs,
+                side,
+                gather if s == 0 else None,
+                None if last else a_to,
+                None if last else b_to,
+                c_keys if last else None,
+            ),
+        )
 
 
 @dataclass

@@ -260,6 +260,7 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
             lambda x, j: ("Bt", l * blocks + x, j),
             lambda i, j: ("P", i, j, l),
             2,
+            side,
             parts=lambda i, j, x: parts(i, j, l * blocks + x),
         )
     phase1 = 1 + blocks

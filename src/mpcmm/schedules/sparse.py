@@ -493,6 +493,7 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
             lambda x, tj: ("XB", li, bi, x, tj),
             lambda ti, tj: ("XC", li, bi, ti, tj),
             r0 + 1,
+            grid,
             parts=lambda ti, tj, x: (
                 (tuple(("xa", li, bi, u, x) for u in range(ti * grid, (ti + 1) * grid)), 0),
                 (tuple(("xb", li, bi, x, v) for v in range(tj * grid, (tj + 1) * grid)), 1),

@@ -129,7 +129,7 @@ def schedule_square(
     a_key = lambda i, x: ("A", i, x)
     b_key = lambda x, j: ("B", x, j)
     c_key = lambda i, j: ("C", i, j)
-    rotation_fragment(plan, g, proc, a_key, b_key, c_key, 2 + shift)
+    rotation_fragment(plan, g, proc, a_key, b_key, c_key, 2 + shift, t)
 
     config = MpcConfig(g * g, shape.memory)
     program = PlanProgram(plan, spec)

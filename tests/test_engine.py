@@ -219,3 +219,60 @@ def test_inbox_words_charged_to_receiver_memory():
     assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
             for r in t.rows] == [(1, 0, 5, 0, 5), (1, 1, 0, 5, 0), (2, 0, 0, 0, 0),
                                  (2, 1, 0, 0, 5)]
+
+
+def test_idle_processors_are_not_handed_to_handler():
+    calls = []
+
+    class OneSender(Program):
+        num_procs = 3
+        total_rounds = 2
+
+        def init_state(self, p):
+            return {"x": np.zeros(p + 1, dtype=np.int64)}
+
+        def active(self, round_no):
+            return [0] if round_no == 1 else []
+
+        def handler(self, round_no, p, state, inbox):
+            calls.append((round_no, p))
+            if round_no == 1:
+                return state, [(2, ("m",), np.zeros(4, dtype=np.int64))]
+            return state, []
+
+    t = run(OneSender(), MpcConfig(3, 8)).transcript
+    # processor 2 is handed its inbox in round 2; processor 1 never runs
+    assert calls == [(1, 0), (2, 2)]
+    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
+            for r in t.rows] == [(1, 0, 4, 0, 5), (1, 1, 0, 0, 2), (1, 2, 0, 4, 3),
+                                 (2, 0, 0, 0, 1), (2, 1, 0, 0, 2), (2, 2, 0, 0, 7)]
+
+
+class Grouped(Program):
+    """Group work: processor 0 holds 3 words and sends 5 to processor 1."""
+
+    num_procs = 2
+    total_rounds = 2
+
+    def active(self, round_no):
+        return []
+
+    def group_step(self, round_no, states, inboxes):
+        if round_no == 1:
+            return np.array([3, 0]), np.array([5, 0]), np.array([0, 5])
+        return None
+
+
+def test_group_words_join_the_budget_figures():
+    t = run(Grouped(), MpcConfig(2, 8)).transcript
+    # held words carry over the barrier; received words count as inbox
+    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
+            for r in t.rows] == [(1, 0, 5, 0, 8), (1, 1, 0, 5, 0), (2, 0, 0, 0, 3),
+                                 (2, 1, 0, 0, 5)]
+
+
+def test_group_words_break_budgets_like_messages():
+    with pytest.raises(BandwidthExceeded) as info:
+        run(Grouped(), MpcConfig(2, 1, cap_factor=4))
+    assert (info.value.processor, info.value.round, info.value.direction,
+            info.value.words) == (0, 1, "sent", 5)

@@ -164,3 +164,37 @@ class TestCli:
         rc = main(["run", "square", "--n", "16", "--cap-factor", "1",
                    "--outdir", str(tmp_path)])
         assert rc == 1
+
+
+def _file_instance_with_word(tmp_path, word):
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    pa.write_text(f"SPARSE 4 4 2\n1 1 {word}\n2 2 1\n")
+    pb.write_text("SPARSE 4 4 2\n1 1 1\n2 2 1\n")
+    return dict(case="sparse-trivial", n=4, d=1, instance="file", file_a=str(pa),
+                file_b=str(pb))
+
+
+@pytest.mark.parametrize("semiring", ["tropical", "bool"])
+def test_out_of_domain_words_fail_before_any_schedule(tmp_path, monkeypatch, semiring):
+    fields = _file_instance_with_word(tmp_path, 2**62)
+    monkeypatch.setattr("mpcmm.experiment.build_schedule", None)  # must not be reached
+    with pytest.raises(ValueError, match=f"outside the {semiring} domain"):
+        run_experiment(ExperimentConfig(semiring=semiring, **fields), write=False)
+
+
+def test_in_domain_file_words_still_run(tmp_path):
+    fields = _file_instance_with_word(tmp_path, 2**62)
+    assert run_experiment(ExperimentConfig(semiring="int", **fields), write=False)["ok"]
+    fields = _file_instance_with_word(tmp_path, 1)
+    for semiring in ("bool", "tropical"):
+        assert run_experiment(ExperimentConfig(semiring=semiring, **fields), write=False)["ok"]
+
+
+def test_cli_reports_out_of_domain_words_without_traceback(tmp_path, capsys):
+    fields = _file_instance_with_word(tmp_path, 2**62)
+    rc = main(["run", "sparse", "--n", "4", "--d", "1", "--mode", "trivial",
+               "--instance", "file", "--file-a", fields["file_a"], "--file-b",
+               fields["file_b"], "--semiring", "tropical", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mpcmm: error:") and "Traceback" not in err

@@ -151,3 +151,33 @@ def test_custom_spec_from_scalar_ops():
     assert out[0, 0] == max(1 + 5, 2 + 7)
     assert out[1, 1] == max(3 + 6, 4 + 8)
     assert spec.vadd(a, b)[0, 0] == 5
+
+
+def test_check_words_enforces_each_domain():
+    get_semiring("int").check_words(np.array([-(2**63), 2**63 - 1]))
+    get_semiring("bool").check_words(np.array([0, 1]))
+    get_semiring("tropical").check_words(np.array([-TROPICAL_INF, TROPICAL_INF]))
+    for name, word in (("bool", 2), ("bool", -1), ("tropical", TROPICAL_INF + 1),
+                       ("tropical", -TROPICAL_INF - 1)):
+        with pytest.raises(ValueError, match=f"{name} domain"):
+            get_semiring(name).check_words(np.array([0, word]))
+    with pytest.raises(ValueError, match="outside int64"):
+        get_semiring("int").check_words([2**63])
+
+
+@pytest.mark.parametrize("name", ["int", "bool", "tropical"])
+def test_stacked_matmul_matches_tile_by_tile(name):
+    spec = get_semiring(name)
+    rng = np.random.default_rng(3)
+    high = 2 if name == "bool" else 1 << 20
+    for batch, rows, inner, cols in ((7, 1, 1, 1), (5, 8, 8, 8), (3, 90, 20, 90),
+                                     (2, 100, 3, 100), (4, 3, 0, 2), (0, 2, 2, 2)):
+        a = rng.integers(0, high, (batch, rows, inner))
+        b = rng.integers(0, high, (batch, inner, cols))
+        out = spec.matmul(a, b)
+        assert out.dtype == np.int64 and out.shape == (batch, rows, cols)
+        for t in range(batch):
+            assert np.array_equal(out[t], spec.matmul(a[t], b[t]))
+    custom = SemiringSpec.from_scalar_ops(name, spec.add, spec.mul, spec.zero)
+    a, b = rng.integers(0, high, (2, 3, 4, 2)), rng.integers(0, high, (2, 3, 2, 5))
+    assert np.array_equal(custom.matmul(a, b), spec.matmul(a, b))
