@@ -264,8 +264,8 @@ class PlanProgram(Program):
             run_op(spec, store, op, sends)
 
     def group_step(self, round_no, states, inboxes):
-        group_ops = self.plan.groups.get(round_no) if round_no <= self.total_rounds else None
-        if not group_ops:
+        group_ops = self.plan.groups.get(round_no)
+        if group_ops is None:
             return None
         for op in group_ops:
             if op.gather is not None:
@@ -341,9 +341,12 @@ _SLOT_WORDS = 1 << 15
 class _Stacks:
     """A rotation fragment's tiles during one run.
 
-    ``a`` and ``b`` keep the tiles in the rows they were gathered into;
-    ``a_at[i]`` is the gathered row of the A tile now at row i, so a send
-    moves entries of ``a_at`` along ``a_to`` rather than copying tiles.
+    ``a`` and ``b`` keep the tiles in the rows they were gathered into,
+    and ``a_at[i]`` is the gathered row of the A tile now at row i.  A
+    send permutes ``a_at`` along ``a_to``, and a product reads row i's
+    tile through it, so each row multiplies exactly the tile the sends
+    routed to it without a copy of the whole stack per slot (on large
+    tiles those copies cost more in fresh pages than the routing saves).
     ``c`` is the C stack, accumulated in place: no store sees it before
     the last slot hands it back.
     """
