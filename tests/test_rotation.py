@@ -21,6 +21,7 @@ from mpcmm.semiring import get_semiring
 from mpcmm.schedules import rect, sparse, square
 
 import rotation_reference
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SEMIRINGS = st.sampled_from(["int", "bool", "tropical"])
 
@@ -64,6 +65,18 @@ def _assert_both_ways_agree(config):
         assert out == oracle
     else:
         assert experiment.masked_equal(out, oracle, mask)
+
+
+ROTATING_GOLDEN = sorted(
+    name for name, fields in GOLDEN_CONFIGS.items()
+    if fields["case"] in ("square", "dnd-n", "dnd-d")
+    or name in ("sparse-twophase-blockdiag", "sparse-twophase-grid3")
+)
+
+
+@pytest.mark.parametrize("name", ROTATING_GOLDEN)
+def test_golden_configs_group_matches_reference(name):
+    _assert_both_ways_agree(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]))
 
 
 @settings(max_examples=30, deadline=None)
