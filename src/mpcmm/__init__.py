@@ -36,6 +36,7 @@ from .matrix import (
     pad_to_multiple,
     save_matrix,
 )
+from .plan import MissingTile
 from .schedules.rect import SumTask, schedule_dnd_dproc, schedule_dnd_nproc, schedule_ndn, tree_sum
 from .schedules.sparse import (
     Decomposition,

@@ -130,7 +130,8 @@ def generate_instance(config: ExperimentConfig, spec):
     """Seeded or loaded inputs for the configured case: (A, B, mask-or-None).
 
     Raises ValueError when a word of A or B lies outside the carrier's
-    domain, before any schedule sees it.
+    domain, or when a sparse A or B stores the zero element, before any
+    schedule sees it.
     """
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
@@ -151,8 +152,9 @@ def generate_instance(config: ExperimentConfig, spec):
         a, b = load_matrix(config.file_a), load_matrix(config.file_b)
         if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
             raise ValueError("sparse experiments need SPARSE matrix files")
-    spec.check_words([v for _, _, v in a.entries], "A")
-    spec.check_words([v for _, _, v in b.entries], "B")
+    for matrix, name in ((a, "A"), (b, "B")):
+        spec.check_words([v for _, _, v in matrix.entries], name)
+        matrix.validate(spec, name)
     return a, b, default_mask(a, b, d)
 
 

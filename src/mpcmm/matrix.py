@@ -70,11 +70,11 @@ class SparseMatrix:
         ordered = tuple(sorted((int(r), int(c), int(v)) for r, c, v in entries))
         return SparseMatrix(rows, cols, ordered)
 
-    def validate(self, spec: SemiringSpec):
+    def validate(self, spec: SemiringSpec, what="matrix"):
         """Reject entries that store the semiring's zero element."""
         for r, c, v in self.entries:
             if v == spec.zero:
-                raise ValueError(f"entry ({r}, {c}) stores the zero element")
+                raise ValueError(f"{what} entry ({r}, {c}) stores the {spec.name} zero element")
 
     def to_dense(self, spec: SemiringSpec) -> DenseMatrix:
         data = spec.zeros(self.rows, self.cols)

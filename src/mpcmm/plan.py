@@ -11,6 +11,7 @@ Per-processor ops::
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
     Acc(c, src)             c  (+)=  src          (elementwise)
+    AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
     Slice(dst, src, rows, cols) copy a sub-block
     Pack(dst, keys, shape)      gather scalars (None -> zero) into a tile
@@ -19,13 +20,17 @@ Per-processor ops::
     Emit(key, row, col, shape)  finalize only: place a tile in the output
 
 Accumulator destinations that do not exist yet start as zero tiles, so
-plans never pre-allocate outputs.
+plans never pre-allocate outputs.  An op that reads a key its store does
+not hold raises :class:`MissingTile`.
 
-Group op.  :class:`Rotate` is one slot of a skewed block rotation (see
-``schedules.common.rotation_fragment``) for all of the fragment's
-processors at once.  The fragment keeps its A, B and C tiles, all
-side x side, as (processors, side, side) stacks in a per-run object, so
-executing a plan twice gives the same bytes.  A slot:
+Group ops run one round of a fragment for all of its processors at once,
+over stacks kept in a per-run object, so executing a plan twice gives the
+same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
+its static words, its step, and the part a processor runs at finalize.
+
+:class:`Rotate` is one slot of a skewed block rotation (see
+``schedules.common.rotation_fragment``).  The fragment keeps its A, B and
+C tiles, all side x side, as (processors, side, side) stacks.  A slot:
 
 1. in the fragment's first slot, gathers each row's A and B tile (or
    their pieces, concatenated) out of its processor's store as it stands
@@ -37,26 +42,64 @@ executing a plan twice gives the same bytes.  A slot:
 4. in the last slot, hands each C tile back to its processor's store
    (accumulating like ``Mac``).
 
+:class:`Fold` is one round of a fan-in tree sum (see
+``schedules.rect.tree_sum_fragment``) for every group of a fragment.  A
+group has t members, each holding one addend of ``entries`` words; with
+fan-in ``width`` its members fall into m = ceil(t / width) chunks of
+consecutive members.
+
+1. Step 0 pops each member's addend out of its store (after the inbox
+   merge) into a (groups, t, entries) stack and scatters it: entry e of
+   a member in chunk c goes to member (e * m + c) mod t, the entry's
+   collector for that chunk.  Entries a member collects itself stay.
+2. Step s >= 1 folds level s - 1.  The holders of entry e form a list
+   (the collectors of chunks 0 .. m - 1 at level 0); each run of
+   ``width`` consecutive holders folds with ``vadd`` into its first one,
+   the others in list order, so ``vadd`` sees the operands in the order
+   that per-entry ``Acc`` ops would give it.  The holders left are those
+   of the next level: holder i after step s is member
+   (e * m + i * width**(s - 1)) mod t.
+3. If more than one holder is left, each holder not first in its run
+   of the next level forwards its value to that run's first holder, in
+   the same round: fold before forward.
+4. The step whose fold leaves one holder (``Fold.last_step``) sends
+   nothing.  It hands each finished entry to its holder's store under
+   ``out_keys[g][e]``, as a (1,) tile accumulated like ``Acc``.
+
 Ordering contract: in a round, group ops run before any processor's
 per-processor ops, in the order they were added.  A group op past the
 plan's last round runs at finalize, after the processor's ``at_final``
 ops, in round order with the late per-processor ops (group op first
-within a round).  There it must be a last slot, and a first slot only on
-one processor.  The group's words (held, sent, received) come from the
-static side, not from the stacks, and the engine charges them like
-messages.
+within a round).  Only a send-free last step may run there: a rotation's
+last slot (its first slot too, but only on one processor) or a fold's
+hand-out step.  A group op's words (held, sent, received) come from its
+static shape, not from the stacks, and the engine charges them like
+messages.  Its held words are those it keeps out of the stores at the
+end of the round, not those in flight; a processor whose store it does
+not touch in a round is left out of ``active``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .engine import Program
+from .engine import MpcError, Program
 from .semiring import SemiringSpec
+
+
+class MissingTile(MpcError):
+    """An op read a key that its processor's store does not hold."""
+
+    def __init__(self, processor, round_no, key):
+        where = "at finalize" if round_no is None else f"in round {round_no}"
+        super().__init__(f"processor {processor} holds no tile {key!r} {where}")
+        self.processor = processor
+        self.round = round_no
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -84,13 +127,6 @@ class AccCell:
     c: tuple
     src: tuple
     index: int  # flat index into src
-
-
-@dataclass(frozen=True)
-class Cell:
-    dst: tuple
-    src: tuple
-    index: int  # flat index into src; dst becomes a (1,) array
 
 
 @dataclass(frozen=True)
@@ -146,6 +182,35 @@ class Rotate(NamedTuple):
     c_keys: tuple | None  # last slot: per row, the store key C is handed back under
 
 
+class Fold(NamedTuple):
+    """One tree-sum round for every group of a fragment (see module doc)."""
+
+    frag: int  # the steps of one fragment share its value stack
+    members: np.ndarray  # (groups, t): the processor of each member
+    width: int  # fan-in of every level, >= 2
+    entries: int  # words per addend
+    step: int  # 0 scatters; s >= 1 folds level s - 1, then forwards or hands out
+    addend_keys: tuple  # per group, per member: the store key of its addend
+    out_keys: tuple  # per group, per entry: the key its finished value is handed out under
+
+    @property
+    def chunks(self) -> int:
+        return -(-self.members.shape[1] // self.width)
+
+    @property
+    def last_step(self) -> int:
+        """The hand-out step: the first whose fold leaves one holder per entry."""
+        step, holders = 1, self.chunks
+        while holders > 1:
+            step, holders = step + 1, -(-holders // self.width)
+        return step
+
+    def final_holders(self) -> np.ndarray:
+        """(groups, entries): the processor each finished entry is handed to."""
+        t = self.members.shape[1]
+        return self.members[:, np.arange(self.entries) * self.chunks % t]
+
+
 @dataclass
 class Plan:
     """Per-round, per-processor op lists plus initial state and outputs."""
@@ -155,8 +220,8 @@ class Plan:
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
     ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
-    groups: dict = field(default_factory=dict)  # round -> [Rotate]
-    fragments: int = 0  # rotation fragments numbered so far
+    groups: dict = field(default_factory=dict)  # round -> [Rotate | Fold]
+    fragments: int = 0  # group-op fragments numbered so far
     final_ops: dict = field(default_factory=dict)  # proc -> [op]
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
@@ -196,42 +261,28 @@ class PlanProgram(Program):
         # Static group words per round: held at its end, sent, received.
         self.group_words = {}
         for round_no, group_ops in plan.groups.items():
+            kinds = [_group_kind(op) for op in group_ops]
             if round_no > last:
-                for op in group_ops:
-                    if op.a_to is not None or op.c_keys is None:
-                        raise ValueError("a rotation slot past the last round runs at finalize, "
-                                         "so it must be the last slot")
-                    if op.gather is not None and len(op.procs) > 1:
-                        raise ValueError("a rotation's first slot runs at finalize only on "
-                                         "one processor")
-                    for row, p in enumerate(op.procs.tolist()):
-                        late.append((round_no, 0, p, (op, row)))
+                for op, kind in zip(group_ops, kinds):
+                    late.extend((round_no, 0, p, (op, arg)) for p, arg in kind.late(op))
                 continue
-            held, sent, received = (np.zeros(procs, dtype=np.int64) for _ in range(3))
-            for op in group_ops:
-                tile = op.side * op.side
-                if op.gather is not None or op.c_keys is not None:
-                    active.setdefault(round_no, set()).update(op.procs.tolist())
-                if op.c_keys is None:
-                    np.add.at(held, op.procs, tile)
-                if op.a_to is not None:
-                    for to in (op.a_to, op.b_to):
-                        if not np.array_equal(np.sort(to), np.arange(len(op.procs))):
-                            raise ValueError("rotation sends must permute the stack rows")
-                        np.add.at(sent, op.procs, tile)
-                        np.add.at(received, op.procs[to], tile)
-            self.group_words[round_no] = (held, sent, received)
+            words = tuple(np.zeros(procs, dtype=np.int64) for _ in range(3))
+            touched = active.setdefault(round_no, set())
+            for op, kind in zip(group_ops, kinds):
+                touched.update(kind.words(op, *words))
+            self.group_words[round_no] = words
         self.active_procs = {round_no: sorted(ps) for round_no, ps in active.items()}
         # Ops added to rounds past the last one run at finalize, in round
         # order, after the processor's ``at_final`` ops; within a round a
-        # group op's slot comes first.  Items are (Rotate, row) or (None, ops).
+        # group op's part comes first.  Items are (group op, its per-processor
+        # argument) or (None, ops).
         self.late_ops = {}
         for _, _, p, item in sorted(late, key=lambda entry: entry[:2]):
             self.late_ops.setdefault(p, []).append(item)
         self.start()
 
     def start(self):
-        self.stacks = {}  # fragment -> its _Stacks in the current run
+        self.stacks = {}  # fragment -> its stacks in the current run
 
     def init_state(self, p):
         return dict(self.plan.init.get(p, {}))
@@ -254,77 +305,38 @@ class PlanProgram(Program):
                 offset += size
         return store
 
-    def _exec(self, store, ops, sends=None):
+    def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec
-        for op in ops:
-            try:
-                run_op = _DISPATCH[type(op)]
-            except KeyError:
+        try:
+            for op in ops:
+                _DISPATCH[type(op)](spec, store, op, sends)
+        except KeyError as missing:
+            if type(op) not in _DISPATCH:
                 raise TypeError(f"unknown op {op!r}") from None
-            run_op(spec, store, op, sends)
+            raise MissingTile(p, round_no, missing.args[0]) from None
 
     def group_step(self, round_no, states, inboxes):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
         for op in group_ops:
-            if op.gather is not None:
-                a, b = _gather_stacks(op, states, inboxes, self._merge)
-                stacks = self.stacks[op.frag] = _Stacks(a, b)
-            else:
-                stacks = self.stacks[op.frag]
-            self._slot(op, stacks)
-            if op.c_keys is not None:
-                del self.stacks[op.frag]
-                for p, key, tile in zip(op.procs.tolist(), op.c_keys, stacks.c):
-                    store = dict(states[p])
-                    _acc(self.spec, store, key, tile)
-                    states[p] = store
+            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states, inboxes)
         return self.group_words[round_no]
-
-    def _slot(self, op, stacks):
-        """Multiply each row's A and B tile into its C tile, then send or drop A and B."""
-        spec = self.spec
-        rows = len(op.procs)
-        first = stacks.c is None
-        if first:
-            stacks.c = np.empty((rows, op.side, op.side), dtype=np.int64)
-        # A few rows at a time, so that temporaries stay small.
-        step = max(_SLOT_WORDS // max(op.side * op.side, 1), 1)
-        for r0 in range(0, rows, step):
-            r1 = r0 + step
-            product = spec.matmul(stacks.a[stacks.a_at[r0:r1]], stacks.b[stacks.b_at[r0:r1]])
-            stacks.c[r0:r1] = product if first else spec.vadd(stacks.c[r0:r1], product)
-        if op.a_to is None:
-            stacks.a = stacks.b = None
-        else:
-            stacks.a_at = _route(stacks.a_at, op.a_to)
-            stacks.b_at = _route(stacks.b_at, op.b_to)
-
-    def _late_slot(self, op, row, store):
-        """A last slot at finalize: the fragment multiplies once, then row's C goes home."""
-        if op.gather is not None:  # a one-processor fragment
-            a, b = _gather_row(op, 0, store)
-            self.stacks[op.frag] = _Stacks(a[None], b[None])
-        stacks = self.stacks[op.frag]
-        if stacks.a is not None:
-            self._slot(op, stacks)
-        _acc(self.spec, store, op.c_keys[row], stacks.c[row])
 
     def handler(self, round_no, p, state, inbox):
         store = self._merge(state, inbox)
         sends = []
-        self._exec(store, self.plan.ops.get((round_no, p), ()), sends)
+        self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
         return store, sends
 
     def finalize(self, p, state, inbox):
         store = self._merge(state, inbox)
-        self._exec(store, self.plan.final_ops.get(p, ()))
+        self._exec(store, self.plan.final_ops.get(p, ()), None, None, p)
         for group_op, item in self.late_ops.get(p, ()):
             if group_op is None:
-                self._exec(store, item)
+                self._exec(store, item, None, None, p)
             else:
-                self._late_slot(group_op, item, store)
+                _GROUP_DISPATCH[type(group_op)].finish(self, group_op, item, store)
         out = []
         for e in self.plan.emits.get(p, ()):
             block = store.get(e.key)
@@ -333,6 +345,37 @@ class PlanProgram(Program):
             out.append((e.row, e.col, block.reshape(e.shape)))
         return out
 
+
+class _GroupKind(NamedTuple):
+    """How ``PlanProgram`` runs one kind of group op."""
+
+    # (op, held, sent, received): add the op's static words to the three
+    # arrays over processors; returns the processors whose stores it changes.
+    words: Callable
+    # (op): the [(processor, argument)] parts it runs at finalize; raises
+    # unless the op may run there.
+    late: Callable
+    # (program, op, round_no, states, inboxes): run the op in its round.
+    step: Callable
+    # (program, op, argument, store): run one processor's part at finalize.
+    finish: Callable
+
+
+def _group_kind(op):
+    try:
+        return _GROUP_DISPATCH[type(op)]
+    except KeyError:
+        raise TypeError(f"unknown group op {op!r}") from None
+
+
+def _pop(store, key, p, round_no):
+    try:
+        return store.pop(key)
+    except KeyError:
+        raise MissingTile(p, round_no, key) from None
+
+
+# -- Rotate ------------------------------------------------------------------
 
 # A slot multiplies at most this many words of A (and of B) per kernel call.
 _SLOT_WORDS = 1 << 15
@@ -357,29 +400,99 @@ class _Stacks:
         self.c = None
 
 
-def _take(store, pieces, axis, side):
+def _rotate_words(op, held, sent, received):
+    tile = op.side * op.side
+    if op.c_keys is None:
+        np.add.at(held, op.procs, tile)
+    if op.a_to is not None:
+        for to in (op.a_to, op.b_to):
+            if not np.array_equal(np.sort(to), np.arange(len(op.procs))):
+                raise ValueError("rotation sends must permute the stack rows")
+            np.add.at(sent, op.procs, tile)
+            np.add.at(received, op.procs[to], tile)
+    if op.gather is not None or op.c_keys is not None:
+        return op.procs.tolist()
+    return ()
+
+
+def _rotate_late(op):
+    if op.a_to is not None or op.c_keys is None:
+        raise ValueError("a rotation slot past the last round runs at finalize, "
+                         "so it must be the last slot")
+    if op.gather is not None and len(op.procs) > 1:
+        raise ValueError("a rotation's first slot runs at finalize only on one processor")
+    return [(p, row) for row, p in enumerate(op.procs.tolist())]
+
+
+def _rotate_step(program, op, round_no, states, inboxes):
+    if op.gather is not None:
+        a, b = _gather_stacks(op, round_no, states, inboxes, program._merge)
+        stacks = program.stacks[op.frag] = _Stacks(a, b)
+    else:
+        stacks = program.stacks[op.frag]
+    _slot(program.spec, op, stacks)
+    if op.c_keys is not None:
+        del program.stacks[op.frag]
+        for p, key, tile in zip(op.procs.tolist(), op.c_keys, stacks.c):
+            store = dict(states[p])
+            _acc(program.spec, store, key, tile)
+            states[p] = store
+
+
+def _rotate_finish(program, op, row, store):
+    """A last slot at finalize: the fragment multiplies once, then row's C goes home."""
+    if op.gather is not None:  # a one-processor fragment
+        a, b = _gather_row(op, 0, store, int(op.procs[0]), None)
+        program.stacks[op.frag] = _Stacks(a[None], b[None])
+    stacks = program.stacks[op.frag]
+    if stacks.a is not None:
+        _slot(program.spec, op, stacks)
+    _acc(program.spec, store, op.c_keys[row], stacks.c[row])
+
+
+def _slot(spec, op, stacks):
+    """Multiply each row's A and B tile into its C tile, then send or drop A and B."""
+    rows = len(op.procs)
+    first = stacks.c is None
+    if first:
+        stacks.c = np.empty((rows, op.side, op.side), dtype=np.int64)
+    # A few rows at a time, so that temporaries stay small.
+    step = max(_SLOT_WORDS // max(op.side * op.side, 1), 1)
+    for r0 in range(0, rows, step):
+        r1 = r0 + step
+        product = spec.matmul(stacks.a[stacks.a_at[r0:r1]], stacks.b[stacks.b_at[r0:r1]])
+        stacks.c[r0:r1] = product if first else spec.vadd(stacks.c[r0:r1], product)
+    if op.a_to is None:
+        stacks.a = stacks.b = None
+    else:
+        stacks.a_at = _route(stacks.a_at, op.a_to)
+        stacks.b_at = _route(stacks.b_at, op.b_to)
+
+
+def _take(store, pieces, axis, side, p, round_no):
     """Pop a tile, or its pieces concatenated along ``axis``, out of a store."""
     if len(pieces) == 1:
-        tile = store.pop(pieces[0])
+        tile = _pop(store, pieces[0], p, round_no)
     else:
-        tile = np.concatenate([store.pop(k) for k in pieces], axis=axis)
+        tile = np.concatenate([_pop(store, k, p, round_no) for k in pieces], axis=axis)
     if tile.shape != (side, side):
         raise ValueError(f"rotation tile {pieces[0]!r} has shape {tile.shape}, not {side}x{side}")
     return tile
 
 
-def _gather_row(op, row, store):
+def _gather_row(op, row, store, p, round_no):
     (a_pieces, a_axis), (b_pieces, b_axis) = op.gather[row]
-    return _take(store, a_pieces, a_axis, op.side), _take(store, b_pieces, b_axis, op.side)
+    return (_take(store, a_pieces, a_axis, op.side, p, round_no),
+            _take(store, b_pieces, b_axis, op.side, p, round_no))
 
 
-def _gather_stacks(op, states, inboxes, merge):
+def _gather_stacks(op, round_no, states, inboxes, merge):
     """First slot: each row's tiles out of its processor's merged store."""
     shape = (len(op.procs), op.side, op.side)
     a, b = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
     for row, p in enumerate(op.procs.tolist()):
         store = merge(states[p], inboxes.pop(p, ()))
-        a[row], b[row] = _gather_row(op, row, store)
+        a[row], b[row] = _gather_row(op, row, store, p, round_no)
         states[p] = store
     return a, b
 
@@ -389,6 +502,131 @@ def _route(at, to):
     out = np.empty_like(at)
     out[to] = at
     return out
+
+
+# -- Fold --------------------------------------------------------------------
+
+
+def _fold_holders(op, step):
+    """(entries, holders): the member index of each holder left by ``step``'s fold."""
+    t = op.members.shape[1]
+    stride = op.width ** (step - 1)
+    count = -(-t // (stride * op.width))
+    return (np.arange(op.entries)[:, None] * op.chunks + np.arange(count) * stride) % t
+
+
+def _fold_words(op, held, sent, received):
+    t, width = op.members.shape[1], op.width
+    if width < 2:
+        raise ValueError("a fold needs a fan-in width of at least 2")
+    if not 0 <= op.step <= op.last_step:
+        raise ValueError(f"fold step {op.step} is not one of 0 .. {op.last_step}")
+
+    def add(figures, per_member):
+        np.add.at(figures, op.members, np.broadcast_to(per_member, op.members.shape))
+
+    if op.step == 0:
+        member = np.arange(t)
+        collector = (np.arange(op.entries)[:, None] * op.chunks + member // width) % t
+        own = collector == member
+        kept = own.sum(axis=0)
+        add(held, kept)
+        add(sent, op.entries - kept)
+        add(received, np.bincount(collector[~own], minlength=t))
+        return op.members.ravel().tolist()
+    if op.step == op.last_step:
+        return op.final_holders().ravel().tolist()
+    holders = _fold_holders(op, op.step)
+    position = np.arange(holders.shape[1])
+    forward = position % width != 0
+    target = holders[:, position // width * width]
+    add(held, np.bincount(holders[:, ~forward].ravel(), minlength=t))
+    add(sent, np.bincount(holders[:, forward].ravel(), minlength=t))
+    add(received, np.bincount(target[:, forward].ravel(), minlength=t))
+    return ()
+
+
+def _fold_late(op):
+    if op.step != op.last_step:
+        raise ValueError("a fold step past the last round runs at finalize, "
+                         "so it must be the hand-out step")
+    return list(_handouts(op).items())
+
+
+def _fold_step(program, op, round_no, states, inboxes):
+    if op.step == 0:
+        program.stacks[op.frag] = (0, _scatter(op, round_no, states, inboxes, program._merge))
+        return
+    values = _folded(program, op)
+    if op.step == op.last_step:
+        del program.stacks[op.frag]
+        for p, cells in _handouts(op).items():
+            store = dict(states[p])
+            _hand_out(program.spec, op, values, cells, store)
+            states[p] = store
+
+
+def _fold_finish(program, op, cells, store):
+    _hand_out(program.spec, op, _folded(program, op), cells, store)
+
+
+def _scatter(op, round_no, states, inboxes, merge):
+    """Step 0: each member's addend out of its processor's merged store."""
+    groups, t = op.members.shape
+    values = np.empty((groups, t, op.entries), dtype=np.int64)
+    for g, (procs, keys) in enumerate(zip(op.members.tolist(), op.addend_keys)):
+        for l, (p, key) in enumerate(zip(procs, keys)):
+            store = merge(states[p], inboxes.pop(p, ()))
+            addend = _pop(store, key, p, round_no)
+            if addend.size != op.entries:
+                raise ValueError(f"fold addend {key!r} has {addend.size} words, "
+                                 f"not {op.entries}")
+            values[g, l] = addend.reshape(-1)
+            states[p] = store
+    return values
+
+
+def _folded(program, op):
+    """The fragment's (groups, holders, entries) values after ``op``'s fold, folded once a run."""
+    done, values = program.stacks[op.frag]
+    if done != op.step:
+        values = _chunk_fold(program.spec, values, op.width)
+        program.stacks[op.frag] = (op.step, values)
+    return values
+
+
+def _chunk_fold(spec, values, width):
+    """Fold each run of ``width`` consecutive holders (axis 1) into its first, in order."""
+    out = values[:, ::width].copy()
+    for j in range(1, min(width, values.shape[1])):
+        part = values[:, j::width]
+        runs = part.shape[1]
+        out[:, :runs] = spec.vadd(out[:, :runs], part)
+    return out
+
+
+def _handouts(op):
+    """Processor -> flat indices g * entries + e of the finished entries handed to it."""
+    procs = op.final_holders().ravel()
+    order = np.argsort(procs, kind="stable")
+    cuts = np.flatnonzero(np.diff(procs[order])) + 1
+    return {int(procs[part[0]]): part.tolist() for part in np.split(order, cuts)}
+
+
+def _hand_out(spec, op, values, cells, store):
+    flat = values.reshape(-1)  # (groups, 1, entries), contiguous
+    for i in cells:
+        g, e = divmod(i, op.entries)
+        _acc(spec, store, op.out_keys[g][e], flat[i : i + 1])
+
+
+_GROUP_DISPATCH = {
+    Rotate: _GroupKind(_rotate_words, _rotate_late, _rotate_step, _rotate_finish),
+    Fold: _GroupKind(_fold_words, _fold_late, _fold_step, _fold_finish),
+}
+
+
+# -- per-processor ops -------------------------------------------------------
 
 
 def _acc(spec, store, key, value):
@@ -412,10 +650,6 @@ def _acc_op(spec, store, op, sends):
 
 def _acc_cell(spec, store, op, sends):
     _acc(spec, store, op.c, store[op.src].reshape(-1)[op.index : op.index + 1])
-
-
-def _cell(spec, store, op, sends):
-    store[op.dst] = store[op.src].reshape(-1)[op.index : op.index + 1].copy()
 
 
 def _assemble(spec, store, op, sends):
@@ -462,7 +696,6 @@ _DISPATCH = {
     MulAcc: _mul_acc,
     Acc: _acc_op,
     AccCell: _acc_cell,
-    Cell: _cell,
     Assemble: _assemble,
     Slice: _slice,
     Pack: _pack,

@@ -20,6 +20,9 @@ Three machine shapes:
 The tree sum fans t distributed addends into per-entry totals with
 fan-in width k: one scatter round spreads each addend's entries over
 collectors, then k-ary rounds reduce the per-entry value count to one.
+``tree_sum_fragment`` sums every group of a schedule at once, as one
+:class:`~mpcmm.plan.Fold` group op per round over a (groups, members,
+entries) stack, so its build cost grows with rounds, not with entries.
 """
 
 from __future__ import annotations
@@ -31,85 +34,36 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix
-from ..plan import Acc, Assemble, Cell, Drop, Mac, Plan, PlanProgram, Send, Slice
+from ..plan import Assemble, Drop, Fold, Mac, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
-from .common import Schedule, chunks, place, rotation_fragment
+from .common import Schedule, place, rotation_fragment
 
 
-def tree_sum_fragment(
-    plan: Plan,
-    members: list,
-    addend_key_of,
-    entries: int,
-    width: int,
-    start_round: int,
-    ns: tuple = (),
-):
-    """Sum t addends held one-per-member; returns (rounds, entry holders).
+def tree_sum_fragment(plan: Plan, members, addend_keys, entries: int, width: int,
+                      start_round: int, ns):
+    """Sum each group's t addends, held one per member; returns (rounds, holders).
 
-    ``addend_key_of(l)`` names member l's addend (flat length =
-    ``entries``); ``ns`` disambiguates key names when several fragments
-    share a plan.  The fragment occupies rounds ``start_round ..
-    start_round + rounds - 1``; the final per-entry accumulations run one
-    round past that (the caller's next round, or finalize).
-    Entry holders map entry -> (proc, key) of the finished value.
+    ``members`` is a (groups, t) processor array, ``addend_keys[g][l]``
+    names member l's addend in group g (flat length ``entries``) and
+    ``ns[g]`` keeps group g's key names apart from other groups and
+    fragments.  One :class:`~mpcmm.plan.Fold` group op per round covers
+    every group: the scatter in ``start_round``, then one k-ary level per
+    round up to ``start_round + rounds - 1``.  The finished entries reach
+    their holders' stores one round past that (the caller's next round, or
+    finalize).  ``holders[g][e]`` is the (proc, key) of group g's entry e.
     """
-    t = len(members)
-    width = max(2, width)
-    m = -(-t // width)
-
-    # Scatter: member l parcels entry e out to the collector of its chunk.
-    for l, src in enumerate(members):
-        chunk = l // width
-        by_dst = {}
-        for e in range(entries):
-            key = ("ts", ns, e, l)
-            plan.add(start_round, src, Cell(key, addend_key_of(l), e))
-            by_dst.setdefault((e * m + chunk) % t, []).append(key)
-        for dst_l, keys in sorted(by_dst.items()):
-            dst = members[dst_l]
-            if dst != src:
-                plan.add(start_round, src, Send(dst, tuple(keys)), Drop(tuple(keys)))
-        plan.add(start_round, src, Drop((addend_key_of(l),)))
-
-    holders = {}
-    for e in range(entries):
-        holders[e] = []
-        for c in range(m):
-            dst_l = (e * m + c) % t
-            dst = members[dst_l]
-            skey = ("tv", ns, e, dst)
-            for l in range(c * width, min((c + 1) * width, t)):
-                tkey = ("ts", ns, e, l)
-                plan.add(start_round + 1, dst, Acc(skey, tkey), Drop((tkey,)))
-            holders[e].append((dst, skey))
-
-    # A level's Accs were added before its Sends, so each collector folds
-    # what it received before it forwards its sum.
-    rounds = 1
-    level_round = start_round + 1
-    while m > 1:
-        for e in range(entries):
-            new_holders = []
-            for chunk in chunks(holders[e], width):
-                col_proc, col_key = chunk[0]
-                for sender_proc, sender_key in chunk[1:]:
-                    plan.add(
-                        level_round,
-                        sender_proc,
-                        Send(col_proc, (sender_key,)),
-                        Drop((sender_key,)),
-                    )
-                    plan.add(
-                        level_round + 1, col_proc, Acc(col_key, sender_key), Drop((sender_key,))
-                    )
-                new_holders.append((col_proc, col_key))
-            holders[e] = new_holders
-        m = -(-m // width)
-        rounds += 1
-        level_round += 1
-
-    return rounds, {e: holders[e][0] for e in range(entries)}
+    members = np.asarray(members, dtype=np.int64)
+    fold = Fold(plan.fragments, members, max(2, width), entries, 0, tuple(addend_keys), ())
+    plan.fragments += 1
+    holders = tuple(
+        tuple((p, ("tv", ns[g], e, p)) for e, p in enumerate(procs))
+        for g, procs in enumerate(fold.final_holders().tolist())
+    )
+    fold = fold._replace(out_keys=tuple(tuple(key for _, key in row) for row in holders))
+    rounds = fold.last_step
+    for step in range(rounds + 1):
+        plan.add_group(start_round + step, fold._replace(step=step))
+    return rounds, holders
 
 
 @dataclass(frozen=True)
@@ -155,11 +109,11 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
         plan.emit(0, ("M", 0), 0, 0, (side, side))
         return Schedule(PlanProgram(plan, spec), MpcConfig(1, k), side, side, side, side)
 
-    rounds, final = tree_sum_fragment(
-        plan, list(range(t)), lambda l: ("M", l), entries, k, 1, ns=("sum",)
+    rounds, (holders,) = tree_sum_fragment(
+        plan, [range(t)], [[("M", l) for l in range(t)]], entries, k, 1, [("sum",)]
     )
     plan.num_rounds = rounds
-    for e, (proc, key) in final.items():
+    for e, (proc, key) in enumerate(holders):
         plan.emit(proc, key, e // side, e % side, (1,))
     return Schedule(
         PlanProgram(plan, spec),
@@ -265,24 +219,24 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
         )
     phase1 = 1 + blocks
     plan.num_rounds = phase1
-    for i in range(blocks):
-        for j in range(blocks):
-            if group_size == 1:
-                plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side, (side, side))
-                continue
-            members = [proc(i, j, l) for l in range(group_size)]
-            rounds, final = tree_sum_fragment(
-                plan,
-                members,
-                lambda l, i=i, j=j: ("P", i, j, l),
-                side * side,
-                side * side,
-                phase1 + 1,
-                ns=("g", i, j),
-            )
-            plan.num_rounds = max(plan.num_rounds, phase1 + rounds)
-            for e, (holder, key) in final.items():
-                plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
+    cells = [(i, j) for i in range(blocks) for j in range(blocks)]
+    if group_size == 1:
+        for i, j in cells:
+            plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side, (side, side))
+        return
+    rounds, holders = tree_sum_fragment(
+        plan,
+        [[proc(i, j, l) for l in range(group_size)] for i, j in cells],
+        [[("P", i, j, l) for l in range(group_size)] for i, j in cells],
+        side * side,
+        side * side,
+        phase1 + 1,
+        [("g", i, j) for i, j in cells],
+    )
+    plan.num_rounds = phase1 + rounds
+    for (i, j), group in zip(cells, holders):
+        for e, (holder, key) in enumerate(group):
+            plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:

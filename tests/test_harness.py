@@ -198,3 +198,24 @@ def test_cli_reports_out_of_domain_words_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("mpcmm: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("semiring", ["int", "bool", "tropical"])
+def test_file_storing_the_zero_element_fails_before_any_schedule(tmp_path, monkeypatch,
+                                                                 semiring):
+    fields = _file_instance_with_word(tmp_path, get_semiring(semiring).zero)
+    monkeypatch.setattr("mpcmm.experiment.build_schedule", None)  # must not be reached
+    with pytest.raises(ValueError, match=f"A entry \\(0, 0\\) stores the {semiring} zero"):
+        run_experiment(ExperimentConfig(semiring=semiring, **fields), write=False)
+
+
+def test_cli_reports_a_stored_zero_without_traceback(tmp_path, capsys):
+    fields = _file_instance_with_word(tmp_path, 0)
+    rc = main(["run", "sparse", "--n", "4", "--d", "1", "--mode", "trivial",
+               "--instance", "file", "--file-a", fields["file_a"], "--file-b",
+               fields["file_b"], "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mpcmm: error:") and "zero element" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written

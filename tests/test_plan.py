@@ -24,8 +24,9 @@ def test_every_op_has_a_dispatch_entry():
         and dataclasses.is_dataclass(obj)
         and obj.__module__ == plan_module.__name__
     } - {Plan, Emit}
-    assert len(ops) == 10
+    assert len(ops) == 9
     assert set(plan_module._DISPATCH) == ops
+    assert set(plan_module._GROUP_DISPATCH) == {plan_module.Rotate, plan_module.Fold}
 
 
 def test_unknown_op_raises_type_error():

@@ -49,12 +49,17 @@ def _execute(schedule):
     return result.transcript.to_csv(), outputs, out
 
 
+def _rotations(schedule):
+    return [op for ops in schedule.program.plan.groups.values() for op in ops
+            if isinstance(op, Rotate)]
+
+
 def _assert_both_ways_agree(config):
     grouped, a, b, mask, spec = _build(config)
-    assert grouped.program.plan.groups, "the schedule should rotate tiles"
+    assert _rotations(grouped), "the schedule should rotate tiles"
     with per_processor_rotation():
         reference = _build(config)[0]
-    assert not reference.program.plan.groups
+    assert not _rotations(reference)
     csv, outputs, out = _execute(grouped)
     ref_csv, ref_outputs, ref_out = _execute(reference)
     assert csv == ref_csv
