@@ -8,6 +8,7 @@ bytes, the same outputs and the same violation records.
 """
 
 import contextlib
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import mpcmm.experiment as experiment
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
-from mpcmm.matrix import naive_multiply
+from mpcmm.matrix import SparseMatrix, naive_multiply
 from mpcmm.plan import Rotate
 from mpcmm.semiring import get_semiring
 from mpcmm.schedules import rect, sparse, square
+from mpcmm.schedules.sparse import EpsilonSchedule, default_mask
 
 import rotation_reference
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -54,11 +56,12 @@ def _rotations(schedule):
             if isinstance(op, Rotate)]
 
 
-def _assert_both_ways_agree(config):
-    grouped, a, b, mask, spec = _build(config)
+def _assert_built_both_ways_agree(build):
+    """``build()`` returns (schedule, a, b, mask, spec); returns the transcript."""
+    grouped, a, b, mask, spec = build()
     assert _rotations(grouped), "the schedule should rotate tiles"
     with per_processor_rotation():
-        reference = _build(config)[0]
+        reference = build()[0]
     assert not _rotations(reference)
     csv, outputs, out = _execute(grouped)
     ref_csv, ref_outputs, ref_out = _execute(reference)
@@ -70,6 +73,11 @@ def _assert_both_ways_agree(config):
         assert out == oracle
     else:
         assert experiment.masked_equal(out, oracle, mask)
+    return csv
+
+
+def _assert_both_ways_agree(config):
+    _assert_built_both_ways_agree(lambda: _build(config))
 
 
 ROTATING_GOLDEN = sorted(
@@ -125,6 +133,37 @@ def test_sparse_layers_group_matches_reference(d, k, semiring, seed):
                               semiring=semiring, seed=seed)
     assert _build(config)[0].meta["fallback"] is False  # the layers are kept
     _assert_both_ways_agree(config)
+
+
+# Layers whose block has fewer than d rows, inner indices or columns: the
+# missing ones are padding, packed as zero tiles at their consumers.  Every
+# word is 1, so each semiring accepts the inputs.  Transcript SHA-256 per
+# (rows, inner, cols) block shape; the words do not depend on the semiring.
+PADDED_BLOCKS = {
+    (3, 4, 4): "bb065dfcbcc1a11509902b637dc8d66326ce241b7fded68dba58a4bc3aef8204",
+    (4, 3, 4): "19001fcd38ec147eaf66c81b8c10698cd5b1db33043640f8fdf8835fa4b9dd6f",
+    (4, 4, 3): "c11dd4c8c4ded65ec1dfb2244b5109b6f92c91198e97c44a134cf302c604c1cf",
+}
+
+
+@pytest.mark.parametrize("semiring", ["int", "bool", "tropical"])
+@pytest.mark.parametrize("shape", sorted(PADDED_BLOCKS))
+def test_padded_layer_blocks_match_reference(shape, semiring):
+    n, d = 16, 4
+    rows, inner, cols = shape
+    spec = get_semiring(semiring)
+    a = SparseMatrix.from_entries(n, n, [(r, k, 1) for r in range(rows) for k in range(inner)])
+    b = SparseMatrix.from_entries(n, n, [(k, j, 1) for k in range(inner) for j in range(cols)])
+    mask = default_mask(a, b, d)
+
+    def build():
+        schedule = sparse.schedule_sparse_twophase(n, d, a, b, mask, EpsilonSchedule(), spec)
+        assert schedule.meta["fallback"] is False  # the padded layer is kept
+        return schedule, a, b, mask, spec
+
+    csv = _assert_built_both_ways_agree(build)
+    assert max(int(line.split(",")[0]) for line in csv.splitlines()[1:]) == 3
+    assert hashlib.sha256(csv.encode()).hexdigest() == PADDED_BLOCKS[shape]
 
 
 @pytest.mark.parametrize(
