@@ -10,7 +10,6 @@ Per-processor ops::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
-    Acc(c, src)             c  (+)=  src          (elementwise)
     AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
     Slice(dst, src, rows, cols) copy a sub-block
@@ -56,7 +55,7 @@ consecutive members.
    (the collectors of chunks 0 .. m - 1 at level 0); each run of
    ``width`` consecutive holders folds with ``vadd`` into its first one,
    the others in list order, so ``vadd`` sees the operands in the order
-   that per-entry ``Acc`` ops would give it.  The holders left are those
+   that per-entry ``AccCell`` ops would give it.  The holders left are those
    of the next level: holder i after step s is member
    (e * m + i * width**(s - 1)) mod t.
 3. If more than one holder is left, each holder not first in its run
@@ -64,7 +63,7 @@ consecutive members.
    the same round: fold before forward.
 4. The step whose fold leaves one holder (``Fold.last_step``) sends
    nothing.  It hands each finished entry to its holder's store under
-   ``out_keys[g][e]``, as a (1,) tile accumulated like ``Acc``.
+   ``out_keys[g][e]``, as a (1,) tile accumulated like ``AccCell``.
 
 Ordering contract: in a round, group ops run before any processor's
 per-processor ops, in the order they were added.  A group op past the
@@ -114,12 +113,6 @@ class MulAcc:
     c: tuple
     a: tuple
     b: tuple
-
-
-@dataclass(frozen=True)
-class Acc:
-    c: tuple
-    src: tuple
 
 
 @dataclass(frozen=True)
@@ -644,10 +637,6 @@ def _mul_acc(spec, store, op, sends):
     _acc(spec, store, op.c, spec.vmul(store[op.a], store[op.b]))
 
 
-def _acc_op(spec, store, op, sends):
-    _acc(spec, store, op.c, store[op.src])
-
-
 def _acc_cell(spec, store, op, sends):
     _acc(spec, store, op.c, store[op.src].reshape(-1)[op.index : op.index + 1])
 
@@ -694,7 +683,6 @@ def _drop(spec, store, op, sends):
 _DISPATCH = {
     Mac: _mac,
     MulAcc: _mul_acc,
-    Acc: _acc_op,
     AccCell: _acc_cell,
     Assemble: _assemble,
     Slice: _slice,

@@ -9,13 +9,16 @@ Three machine shapes:
 
 * (d, n, d) on n processors with O(d) words: the d x d output splits
   into d blocks of side sqrt(d), each assigned to a group of n / d
-  processors.  One distribution round pairs tiles with their first
-  consumers, sqrt(d) skewed product rounds accumulate group partials,
-  and a tree sum folds the n / d partials per block.
+  processors.  In one distribution round the input holders cut their
+  column of A and row of B into tile pieces, which the rotation ships
+  to each tile's first consumer; sqrt(d) skewed product rounds
+  accumulate group partials, and a tree sum folds the n / d partials
+  per block.
 
 * (d, n, d) on d processors with O(n) words: same shape with
-  sqrt(n)-side tiles, d / sqrt(n) product rounds and a single-round
-  fold (n / d partials always fit one processor's memory).
+  sqrt(n)-side tiles cut from rows of A and columns of B, d / sqrt(n)
+  product rounds and a single-round fold (n / d partials always fit one
+  processor's memory).
 
 The tree sum fans t distributed addends into per-entry totals with
 fan-in width k: one scatter round spreads each addend's entries over
@@ -36,7 +39,7 @@ from ..engine import MpcConfig
 from ..matrix import DenseMatrix
 from ..plan import Assemble, Drop, Fold, Mac, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
-from .common import Schedule, place, rotation_fragment
+from .common import Schedule, rotation_fragment
 
 
 def tree_sum_fragment(plan: Plan, members, addend_keys, entries: int, width: int,
@@ -126,17 +129,22 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
     )
 
 
-def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
-    """(n x d) * (d x n) on n processors; d / sqrt(n) rounds."""
+def _check_inputs(n, d, a, b, rows, cols):
+    """The checks all three builders share: 1 <= d <= n, A rows x cols, B cols x rows."""
     if d > n:
         raise ValueError("requires d <= n")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if (a.rows, a.cols, b.rows, b.cols) != (rows, cols, cols, rows):
+        raise ValueError(f"expected ({rows}x{cols}) * ({cols}x{rows})")
+
+
+def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
+    """(n x d) * (d x n) on n processors; d / sqrt(n) rounds."""
+    _check_inputs(n, d, a, b, n, d)
     s = math.isqrt(n)
     if s * s != n:
         raise ValueError("n must be a perfect square")
-    if a.rows != n or a.cols != d or b.rows != d or b.cols != n:
-        raise ValueError(f"expected ({n}x{d}) * ({d}x{n})")
     dp = -(-d // s) * s
     q_count = dp // s
 
@@ -197,25 +205,24 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
 
 
 def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
-    """Rounds 2 onward of both (d, n, d) schedules.
+    """Everything but the input layout of both (d, n, d) schedules.
 
     Processor ``proc(i, j, l)``, member l of the group for output block
     (i, j), rotates inner tiles l * blocks .. (l + 1) * blocks - 1 into its
-    partial ("P", i, j, l); ``parts(i, j, q)`` names the round-1 pieces of
-    A tile (i, q) and B tile (q, j) with their axes.  A tree sum then folds
-    each group's partials, whose blocks have ``side**2`` entries.
+    partial ("P", i, j, l); ``parts(i, j, q)`` gives the pieces of A tile
+    (i, q) and B tile (q, j) where the inputs hold them, which the rotation
+    carves and ships in round 1.  A tree sum then folds each group's
+    partials, whose blocks have ``side**2`` entries.
     """
     for l in range(group_size):
         rotation_fragment(
             plan,
             blocks,
             lambda i, j: proc(i, j, l),
-            lambda i, x: ("At", i, l * blocks + x),
-            lambda x, j: ("Bt", l * blocks + x, j),
+            lambda i, j, x: parts(i, j, l * blocks + x),
             lambda i, j: ("P", i, j, l),
             2,
             side,
-            parts=lambda i, j, x: parts(i, j, l * blocks + x),
         )
     phase1 = 1 + blocks
     plan.num_rounds = phase1
@@ -239,21 +246,20 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
             plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
 
 
+def _cut(holder, key, src, rows, cols):
+    """A rotation piece that ``holder`` slices out of its input ``src``."""
+    return holder, key, Slice(key, src, rows, cols)
+
+
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
     """(d x n) * (n x d) on n processors with O(d) memory."""
-    if d > n:
-        raise ValueError("requires d <= n")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_inputs(n, d, a, b, d, n)
     g = math.isqrt(d)
     if g * g != d:
         raise ValueError("d must be a perfect square")
     if n % d:
         raise ValueError("n must be a multiple of d")
-    if a.rows != d or a.cols != n or b.rows != n or b.cols != d:
-        raise ValueError(f"expected ({d}x{n}) * ({n}x{d})")
     t = n // d
-    nq = n // g
 
     plan = Plan(num_procs=n, num_rounds=0, min_memory=d)
     proc = lambda i, j, l: (i * g + j) * t + l
@@ -262,27 +268,19 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         plan.set_init(c, ("ac", c), a.data[:, c : c + 1])
         plan.set_init(c, ("br", c), b.data[c : c + 1, :])
 
-    # Round 1: carve the column/row inputs into tiles at their slot-0
-    # consumers.  Tile (i, q) of A is consumed by member q // g of group
-    # (i, j) in the slot where (i + j + slot) mod g == q mod g.
-    for q in range(nq):
-        l, o = q // g, q % g
-        for i in range(g):
-            dst = proc(i, (o - i) % g, l)
-            for c in range(q * g, (q + 1) * g):
-                place(plan, 1, c, dst, Slice(("acs", c, i), ("ac", c), (i * g, (i + 1) * g), (0, 1)))
-        for j in range(g):
-            dst = proc((o - j) % g, j, l)
-            for c in range(q * g, (q + 1) * g):
-                place(plan, 1, c, dst, Slice(("brs", c, j), ("br", c), (0, 1), (j * g, (j + 1) * g)))
-    for c in range(n):
-        plan.add(1, c, Drop((("ac", c), ("br", c))))
-
+    # A tile (i, q) is g column pieces, cut from A columns q * g .. q * g +
+    # g - 1 by their holders; B tile (q, j) likewise from B rows.
     def parts(i, j, q):
         cols = range(q * g, (q + 1) * g)
-        return (tuple(("acs", c, i) for c in cols), 1), (tuple(("brs", c, j) for c in cols), 0)
+        a_rows, b_cols = (i * g, (i + 1) * g), (j * g, (j + 1) * g)
+        return (
+            (tuple(_cut(c, ("acs", c, i), ("ac", c), a_rows, (0, 1)) for c in cols), 1),
+            (tuple(_cut(c, ("brs", c, j), ("br", c), (0, 1), b_cols) for c in cols), 0),
+        )
 
     _rotate_and_sum(plan, g, t, g, proc, parts)
+    for c in range(n):
+        plan.add(1, c, Drop((("ac", c), ("br", c))))
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(n, d),
@@ -296,15 +294,10 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
 
 def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
     """(d x n) * (n x d) on d processors with O(n) memory."""
-    if d > n:
-        raise ValueError("requires d <= n")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_inputs(n, d, a, b, d, n)
     s = math.isqrt(n)
     if s * s != n:
         raise ValueError("n must be a perfect square")
-    if a.rows != d or a.cols != n or b.rows != n or b.cols != d:
-        raise ValueError(f"expected ({d}x{n}) * ({n}x{d})")
     # Pad d to a multiple of sqrt(n) whose group size n / dp is integral.
     blocks = -(-d // s)
     while s % blocks:
@@ -324,24 +317,19 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         plan.set_init(c, ("ar", c), a_pad[c : c + 1, :])
         plan.set_init(c, ("bc", c), b_pad[:, c : c + 1])
 
-    for q in range(s):
-        l, o = q // blocks, q % blocks
-        for i in range(blocks):
-            dst = proc(i, (o - i) % blocks, l)
-            for c in range(i * s, (i + 1) * s):
-                place(plan, 1, c, dst, Slice(("ars", c, q), ("ar", c), (0, 1), (q * s, (q + 1) * s)))
-        for j in range(blocks):
-            dst = proc((o - j) % blocks, j, l)
-            for c in range(j * s, (j + 1) * s):
-                place(plan, 1, c, dst, Slice(("bcs", c, q), ("bc", c), (q * s, (q + 1) * s), (0, 1)))
-    for c in range(dp):
-        plan.add(1, c, Drop((("ar", c), ("bc", c))))
-
+    # A tile (i, q) is s row pieces, cut from A rows i * s .. i * s + s - 1
+    # by their holders; B tile (q, j) likewise from B columns.
     def parts(i, j, q):
         a_rows, b_cols = range(i * s, (i + 1) * s), range(j * s, (j + 1) * s)
-        return (tuple(("ars", c, q) for c in a_rows), 0), (tuple(("bcs", c, q) for c in b_cols), 1)
+        strip = (q * s, (q + 1) * s)
+        return (
+            (tuple(_cut(c, ("ars", c, q), ("ar", c), (0, 1), strip) for c in a_rows), 0),
+            (tuple(_cut(c, ("bcs", c, q), ("bc", c), strip, (0, 1)) for c in b_cols), 1),
+        )
 
     _rotate_and_sum(plan, blocks, m, s, proc, parts)
+    for c in range(dp):
+        plan.add(1, c, Drop((("ar", c), ("bc", c))))
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(dp, n),

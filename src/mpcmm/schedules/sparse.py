@@ -438,9 +438,12 @@ def schedule_sparse_twophase(
 def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):
     """One layer: disjoint dense blocks on grid**2 processors each.
 
-    Rounds r0 .. r0 + grid: value distribution, then the skewed square
-    pipeline.  The last slot also scatters finished C rows back to their
-    owners, who fold them in one round later (or at finalize).
+    Rounds r0 .. r0 + grid: the skewed square rotation, whose first
+    round distributes the values: each tile row (column) is packed by the
+    owner of its A row (B column), or as zeros at the consumer for a
+    padding row (column).  The last slot also scatters finished C rows
+    back to their owners, who fold them in one round later (or at
+    finalize).
     """
     side = grid * grid
     a_support = {(r, k) for r, k, _ in a.entries}
@@ -456,49 +459,35 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
         ks = list(blk.ks) + [None] * (side - len(blk.ks))
         cols = list(blk.cols) + [None] * (side - len(blk.cols))
 
-        # Distribution: row/column owners pack their value slices and
-        # ship them to each tile's slot-0 consumer.
-        for ti in range(grid):
-            for tx in range(grid):
-                dst = bproc(ti, (tx - ti) % grid)
-                for u in range(ti * grid, (ti + 1) * grid):
-                    r = rows[u]
-                    keys = tuple(
-                        ("a", r, ks[v])
-                        if r is not None and ks[v] is not None and (r, ks[v]) in a_support
-                        else None
-                        for v in range(tx * grid, (tx + 1) * grid)
-                    )
-                    owner = dst if r is None else r
-                    place(plan, r0, owner, dst, Pack(("xa", li, bi, u, tx), keys, (1, grid)))
-        for tx in range(grid):
-            for tj in range(grid):
-                dst = bproc((tx - tj) % grid, tj)
-                for v in range(tj * grid, (tj + 1) * grid):
-                    j = cols[v]
-                    keys = tuple(
-                        ("b", ks[u], j)
-                        if j is not None and ks[u] is not None and (ks[u], j) in b_support
-                        else None
-                        for u in range(tx * grid, (tx + 1) * grid)
-                    )
-                    owner = dst if j is None else j
-                    place(plan, r0, owner, dst, Pack(("xb", li, bi, tx, v), keys, (grid, 1)))
+        def parts(ti, tj, x):
+            # Row and column owners pack their value slices of A tile
+            # (ti, x) and B tile (x, tj); a padding row or column is packed
+            # as zeros at the consumer itself.
+            inner = range(x * grid, (x + 1) * grid)
+            a_pieces = []
+            for u in range(ti * grid, (ti + 1) * grid):
+                r = rows[u]
+                keys = tuple(
+                    ("a", r, ks[v]) if ks[v] is not None and (r, ks[v]) in a_support else None
+                    for v in inner
+                )
+                key = ("xa", li, bi, u, x)
+                holder = bproc(ti, tj) if r is None else r
+                a_pieces.append((holder, key, Pack(key, keys, (1, grid))))
+            b_pieces = []
+            for v in range(tj * grid, (tj + 1) * grid):
+                j = cols[v]
+                keys = tuple(
+                    ("b", ks[u], j) if ks[u] is not None and (ks[u], j) in b_support else None
+                    for u in inner
+                )
+                key = ("xb", li, bi, x, v)
+                holder = bproc(ti, tj) if j is None else j
+                b_pieces.append((holder, key, Pack(key, keys, (grid, 1))))
+            return (tuple(a_pieces), 0), (tuple(b_pieces), 1)
 
-        rotation_fragment(
-            plan,
-            grid,
-            bproc,
-            lambda ti, x: ("XA", li, bi, ti, x),
-            lambda x, tj: ("XB", li, bi, x, tj),
-            lambda ti, tj: ("XC", li, bi, ti, tj),
-            r0 + 1,
-            grid,
-            parts=lambda ti, tj, x: (
-                (tuple(("xa", li, bi, u, x) for u in range(ti * grid, (ti + 1) * grid)), 0),
-                (tuple(("xb", li, bi, x, v) for v in range(tj * grid, (tj + 1) * grid)), 1),
-            ),
-        )
+        rotation_fragment(plan, grid, bproc, parts, lambda ti, tj: ("XC", li, bi, ti, tj),
+                          r0 + 1, grid)
 
         # Gather, after the last slot's Mac in the same round: finished
         # C-tile rows go home to their owners, who fold them in one round
@@ -513,7 +502,8 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
                     if r is None:
                         continue
                     gkey = ("xg", li, bi, r, tj)
-                    place(plan, last, p, r, Slice(gkey, ckey, (u_local, u_local + 1), (0, grid)))
+                    cut = Slice(gkey, ckey, (u_local, u_local + 1), (0, grid))
+                    place(plan, last, p, r, gkey, cut)
                     masked = set(mask.cols(r))
                     accs = []
                     for v_local in range(grid):

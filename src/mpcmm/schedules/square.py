@@ -9,11 +9,13 @@ the B block one grid row up.  The skew means every block has exactly
 one consumer per slot, so each processor sends and receives at most two
 blocks per round instead of broadcasting.
 
-Round count: the first round ships each block to its slot-0 consumer,
-slots 0..g-2 occupy rounds 2..g, and the last slot's accumulate happens
-after the final barrier, giving exactly g rounds.  A processor's
-footprint never exceeds three blocks (its accumulator plus the pair in
-flight), which fits the default budget of 4 * tile**2 words.
+Round count: the rotation's distribution round ships each block from
+its owner to its slot-0 consumer (``rotation_fragment`` picks that
+consumer), slots 0..g-2 occupy rounds 2..g, and the last slot's
+accumulate happens after the final barrier, giving exactly g rounds.
+A processor's footprint never exceeds three blocks (its accumulator
+plus the pair in flight), which fits the default budget of 4 * tile**2
+words.
 """
 
 from __future__ import annotations
@@ -114,22 +116,15 @@ def schedule_square(
             else:
                 plan.set_init(p, ("A", i, j), block(a, i, j))
                 plan.set_init(p, ("B", i, j), block(b, i, j))
-            # Ship the owned pair to its slot-0 consumers.
-            a_dst, b_dst = proc(i, (j - i) % g), proc((i - j) % g, j)
-            moved = []
-            for key, dst in ((("A", i, j), a_dst), (("B", i, j), b_dst)):
-                if dst != p:
-                    plan.add(1 + shift, p, Send(dst, (key,)))
-                    moved.append(key)
-            if moved:
-                plan.add(1 + shift, p, Drop(tuple(moved)))
             plan.emit(p, ("C", i, j), i * t, j * t, (t, t))
 
-    # The last slot lands one round past the end, so it runs at finalize.
-    a_key = lambda i, x: ("A", i, x)
-    b_key = lambda x, j: ("B", x, j)
-    c_key = lambda i, j: ("C", i, j)
-    rotation_fragment(plan, g, proc, a_key, b_key, c_key, 2 + shift, t)
+    # Each block is one piece, held by its owner.  The rotation ships it to
+    # its slot-0 consumer in round 1 + shift; the last slot lands one round
+    # past the end, so it runs at finalize.
+    def parts(i, j, x):
+        return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
+
+    rotation_fragment(plan, g, proc, parts, lambda i, j: ("C", i, j), 2 + shift, t)
 
     config = MpcConfig(g * g, shape.memory)
     program = PlanProgram(plan, spec)

@@ -1,26 +1,32 @@
 """The skewed block rotation spelled out per processor: the reference for
 ``schedules.common.rotation_fragment``.
 
-Same signature and same result as the group-op fragment, but every slot
-is a ``Mac``/``Send``/``Drop`` list on each of the grid**2 processors, run
-by the plan interpreter op by op.  Tests monkeypatch it into the square,
-rect and sparse modules to run every schedule both ways.
+Same signature and same result as the group-op fragment.  Its
+distribution round is the same ``common.distribute`` call, so only the
+slots differ: every slot is an ``Assemble`` (slot 0), ``Mac``, ``Send``
+and ``Drop`` list on each of the grid**2 processors, run by the plan
+interpreter op by op.  Tests monkeypatch it into the square, rect and
+sparse modules to run every schedule both ways.
 """
 
 from mpcmm.plan import Assemble, Drop, Mac, Send
+from mpcmm.schedules.common import distribute
 
 
-def rotation_fragment(plan, grid, proc, a_key, b_key, c_key, first_round, side, parts=None):
+def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
+    gather = distribute(plan, grid, proc, parts, first_round - 1)
+    frag = plan.fragments  # keeps this fragment's tile keys apart from others'
+    plan.fragments += 1
     for i in range(grid):
         for j in range(grid):
             p, c = proc(i, j), c_key(i, j)
             left, up = proc(i, (j - 1) % grid), proc((i - 1) % grid, j)
             for s in range(grid):
                 x = (i + j + s) % grid
-                akey, bkey = a_key(i, x), b_key(x, j)
+                akey, bkey = ("rA", frag, i, x), ("rB", frag, x, j)
                 ops = []
-                if s == 0 and parts is not None:
-                    (a_pieces, a_axis), (b_pieces, b_axis) = parts(i, j, x)
+                if s == 0:
+                    (a_pieces, a_axis), (b_pieces, b_axis) = gather[i * grid + j]
                     ops += [
                         Assemble(akey, a_pieces, a_axis),
                         Assemble(bkey, b_pieces, b_axis),

@@ -7,7 +7,7 @@ import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.plan import Acc, Drop, Emit, Mac, Plan, PlanProgram, Send
+from mpcmm.plan import Drop, Emit, Mac, MulAcc, Plan, PlanProgram, Send
 
 INT = get_semiring("int")
 
@@ -24,7 +24,7 @@ def test_every_op_has_a_dispatch_entry():
         and dataclasses.is_dataclass(obj)
         and obj.__module__ == plan_module.__name__
     } - {Plan, Emit}
-    assert len(ops) == 9
+    assert len(ops) == 8
     assert set(plan_module._DISPATCH) == ops
     assert set(plan_module._GROUP_DISPATCH) == {plan_module.Rotate, plan_module.Fold}
 
@@ -48,9 +48,10 @@ def test_ops_past_the_last_round_run_at_finalize_after_at_final_ops():
     plan = Plan(num_procs=1, num_rounds=1)
     plan.set_init(0, ("x",), np.array([[2]]))
     plan.set_init(0, ("y",), np.array([[3]]))
+    plan.set_init(0, ("one",), np.array([[1]]))
     plan.add(3, 0, Mac(("x",), ("x",), ("y",)))  # x += x * y
-    plan.add(2, 0, Acc(("x",), ("y",)))  # x += y
-    plan.at_final(0, Acc(("x",), ("y",)))
+    plan.add(2, 0, Mac(("x",), ("y",), ("one",)))  # x += y
+    plan.at_final(0, Mac(("x",), ("y",), ("one",)))
     plan.emit(0, ("x",), 0, 0, (1, 1))
     result = run(PlanProgram(plan, INT), MpcConfig(1, 4))
     assert result.transcript.rounds == 1
@@ -92,7 +93,8 @@ def test_delivered_payload_survives_later_accumulation():
     plan.set_init(0, ("x",), x)
     plan.set_init(0, ("y",), np.ones((2, 2), dtype=np.int64))
     # the send shares ("x",)'s memory; the sender then rebinds that key twice
-    plan.add(1, 0, Send(1, (("x",),)), Acc(("x",), ("y",)), Mac(("x",), ("y",), ("y",)))
+    # x += y * y (elementwise, so x += 1), then x += y @ y
+    plan.add(1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
     plan.at_final(0, Drop((("y",),)))
     plan.emit(0, ("x",), 0, 0, (2, 2))
     plan.emit(1, ("x",), 0, 2, (2, 2))

@@ -3,13 +3,14 @@
 
 Same signature and same result as the group-op fragment, but every
 group's scatter and every level is a list of ``AccCell``/``Send``/
-``Drop``/``Acc`` ops per entry and member, run by the plan interpreter op
-by op.  A cell copy is an ``AccCell`` into a fresh key, which gives the
-same words and values as a copy.  Tests monkeypatch it into the rect
-module to run every tree sum both ways.
+``Drop`` ops per entry and member, run by the plan interpreter op by op.
+A cell copy is an ``AccCell`` into a fresh key, which gives the same
+words and values as a copy, and a sum adds one-word tiles with
+``AccCell`` at index 0.  Tests monkeypatch it into the rect module to run
+every tree sum both ways.
 """
 
-from mpcmm.plan import Acc, AccCell, Drop, Send
+from mpcmm.plan import AccCell, Drop, Send
 
 
 def tree_sum_fragment(plan, members, addend_keys, entries, width, start_round, ns):
@@ -48,10 +49,10 @@ def _one_group(plan, members, addend_keys, entries, width, start_round, ns):
             skey = ("tv", ns, e, dst)
             for l in range(c * width, min((c + 1) * width, t)):
                 tkey = ("ts", ns, e, l)
-                plan.add(start_round + 1, dst, Acc(skey, tkey), Drop((tkey,)))
+                plan.add(start_round + 1, dst, AccCell(skey, tkey, 0), Drop((tkey,)))
             holders[e].append((dst, skey))
 
-    # A level's Accs were added before its Sends, so each collector folds
+    # A level's AccCells were added before its Sends, so each collector folds
     # what it received before it forwards its sum.
     rounds = 1
     level_round = start_round + 1
@@ -63,7 +64,7 @@ def _one_group(plan, members, addend_keys, entries, width, start_round, ns):
                 for sender_proc, sender_key in holders[e][c0 + 1 : c0 + width]:
                     plan.add(level_round, sender_proc, Send(col_proc, (sender_key,)),
                              Drop((sender_key,)))
-                    plan.add(level_round + 1, col_proc, Acc(col_key, sender_key),
+                    plan.add(level_round + 1, col_proc, AccCell(col_key, sender_key, 0),
                              Drop((sender_key,)))
                 new_holders.append((col_proc, col_key))
             holders[e] = new_holders
