@@ -21,7 +21,8 @@ from .semiring import builtin_semirings
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--semiring", default="int", choices=["int", "bool", "tropical"])
+    p.add_argument("--semiring", default="int",
+                   choices=[spec.name for spec in builtin_semirings()])
     p.add_argument("--cap-factor", type=int, default=4)
     p.add_argument("--outdir", default=None)
 

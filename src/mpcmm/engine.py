@@ -4,9 +4,11 @@ Execution model: a program runs on P processors, each with M words of
 memory.  A round is one local compute phase followed by one message
 barrier; the messages a processor emits in round r are delivered, sorted
 by (source, emission order), as the inbox of round r + 1.  After the
-last barrier the program's ``finalize`` consumes the final inbox and
-emits the per-processor outputs; that trailing local step needs no
-communication and is not counted as a round.
+last barrier of a program with R rounds comes the trailing local step,
+numbered R + 1: the engine checks each processor's final footprint,
+runs the program's ``group_step`` for round R + 1 once, and then its
+``finalize`` consumes each final inbox and emits that processor's
+outputs.  The step communicates nothing and is not counted as a round.
 
 Budgets, checked at every barrier with budget = cap_factor * M:
 
@@ -35,6 +37,7 @@ processor:
   measured: words held at the end of the round (and so at the start of
   the next, or at finalize), words sent and words received.  The engine
   adds them to the same sent, received and peak figures as messages.
+  In the trailing local step all three must be zero.
 """
 
 from __future__ import annotations
@@ -104,10 +107,6 @@ class Message(NamedTuple):
     dst: int
     tag: tuple  # routing metadata, not charged against any budget
     payload: np.ndarray  # flat int64 words
-
-    @property
-    def words(self) -> int:
-        return int(self.payload.size)
 
 
 @dataclass
@@ -212,7 +211,9 @@ class Program:
         pop entries of ``inboxes`` (processor -> non-empty message list),
         but only for processors that ``active`` names in this round.
         Returns (held, sent, received) int arrays, or None for no group
-        work.
+        work.  It is also called once for round ``total_rounds + 1``, the
+        trailing local step, before any ``finalize``; the work it does
+        there must hold, send and receive nothing.
         """
         return None
 
@@ -349,6 +350,10 @@ def run(program: Program, config: MpcConfig) -> RunResult:
         if program.total_rounds:
             row = transcript.rows[(program.total_rounds - 1) * procs + p]
             row.peak_memory = max(row.peak_memory, fin_words)
+    group = program.group_step(program.total_rounds + 1, states, inboxes)
+    if group is not None and any(words.any() for words in group):
+        raise ValueError("group work after the last barrier must hold, send and receive nothing")
+    for p in everyone:
         outputs[p] = program.finalize(p, states[p], inboxes.get(p) or [])
         output_words[p] = int(sum(np.asarray(block).size for _, _, block in outputs[p]))
     transcript.output_words = output_words

@@ -25,7 +25,7 @@ not hold raises :class:`MissingTile`.
 Group ops run one round of a fragment for all of its processors at once,
 over stacks kept in a per-run object, so executing a plan twice gives the
 same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
-its static words, its step, and the part a processor runs at finalize.
+its static words and its step.
 
 :class:`Rotate` is one slot of a skewed block rotation (see
 ``schedules.common.rotation_fragment``).  The fragment keeps its A, B and
@@ -65,17 +65,16 @@ consecutive members.
    nothing.  It hands each finished entry to its holder's store under
    ``out_keys[g][e]``, as a (1,) tile accumulated like ``AccCell``.
 
-Ordering contract: in a round, group ops run before any processor's
-per-processor ops, in the order they were added.  A group op past the
-plan's last round runs at finalize, after the processor's ``at_final``
-ops, in round order with the late per-processor ops (group op first
-within a round).  Only a send-free last step may run there: a rotation's
-last slot (its first slot too, but only on one processor) or a fold's
-hand-out step.  A group op's words (held, sent, received) come from its
-static shape, not from the stacks, and the engine charges them like
-messages.  Its held words are those it keeps out of the stores at the
-end of the round, not those in flight; a processor whose store it does
-not touch in a round is left out of ``active``.
+In a round, group ops run before any processor's per-processor ops, in
+the order they were added.  Round ``num_rounds + 1`` is the trailing
+local step: the engine runs its group ops after the last barrier, then
+each processor's ``finalize`` runs its ``at_final`` ops, its ops of
+that round and its emits.  It is local, so nothing in it may send, and
+no op may be placed later.  A group op's words (held, sent, received)
+come from its static shape, not from the stacks, and the engine charges
+them like messages.  Its held words are those it keeps out of the
+stores at the end of the round, not those in flight; a processor whose
+store it does not touch in a round is left out of ``active``.
 """
 
 from __future__ import annotations
@@ -241,37 +240,28 @@ class PlanProgram(Program):
         self.num_procs = plan.num_procs
         self.total_rounds = plan.num_rounds
         self.min_memory = plan.min_memory
-        last = plan.num_rounds
         procs = plan.num_procs
+        trailing = plan.num_rounds + 1  # the local step after the last barrier
+        past = max([round_no for round_no, _ in plan.ops] + list(plan.groups), default=0)
+        if past > trailing:
+            raise ValueError(f"an op is placed in round {past}, past the trailing "
+                             f"local step (round {trailing})")
 
         active = {}
-        late = []  # (round, group ops first, proc, item)
-        for (round_no, p), ops in plan.ops.items():
-            if round_no > last:
-                late.append((round_no, 1, p, (None, ops)))
-            else:
-                active.setdefault(round_no, set()).add(p)
+        for round_no, p in plan.ops:
+            active.setdefault(round_no, set()).add(p)
         # Static group words per round: held at its end, sent, received.
         self.group_words = {}
         for round_no, group_ops in plan.groups.items():
-            kinds = [_group_kind(op) for op in group_ops]
-            if round_no > last:
-                for op, kind in zip(group_ops, kinds):
-                    late.extend((round_no, 0, p, (op, arg)) for p, arg in kind.late(op))
-                continue
             words = tuple(np.zeros(procs, dtype=np.int64) for _ in range(3))
             touched = active.setdefault(round_no, set())
-            for op, kind in zip(group_ops, kinds):
-                touched.update(kind.words(op, *words))
+            for op in group_ops:
+                touched.update(_group_kind(op).words(op, *words))
+            if round_no == trailing and any(figures.any() for figures in words):
+                raise ValueError(f"a group op in the trailing local step (round {trailing}) "
+                                 "must hold, send and receive nothing")
             self.group_words[round_no] = words
         self.active_procs = {round_no: sorted(ps) for round_no, ps in active.items()}
-        # Ops added to rounds past the last one run at finalize, in round
-        # order, after the processor's ``at_final`` ops; within a round a
-        # group op's part comes first.  Items are (group op, its per-processor
-        # argument) or (None, ops).
-        self.late_ops = {}
-        for _, _, p, item in sorted(late, key=lambda entry: entry[:2]):
-            self.late_ops.setdefault(p, []).append(item)
         self.start()
 
     def start(self):
@@ -312,8 +302,9 @@ class PlanProgram(Program):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
+        where = round_no if round_no <= self.total_rounds else None  # None: at finalize
         for op in group_ops:
-            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states, inboxes)
+            _GROUP_DISPATCH[type(op)].step(self, op, where, states, inboxes)
         return self.group_words[round_no]
 
     def handler(self, round_no, p, state, inbox):
@@ -325,11 +316,7 @@ class PlanProgram(Program):
     def finalize(self, p, state, inbox):
         store = self._merge(state, inbox)
         self._exec(store, self.plan.final_ops.get(p, ()), None, None, p)
-        for group_op, item in self.late_ops.get(p, ()):
-            if group_op is None:
-                self._exec(store, item, None, None, p)
-            else:
-                _GROUP_DISPATCH[type(group_op)].finish(self, group_op, item, store)
+        self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
         out = []
         for e in self.plan.emits.get(p, ()):
             block = store.get(e.key)
@@ -345,13 +332,9 @@ class _GroupKind(NamedTuple):
     # (op, held, sent, received): add the op's static words to the three
     # arrays over processors; returns the processors whose stores it changes.
     words: Callable
-    # (op): the [(processor, argument)] parts it runs at finalize; raises
-    # unless the op may run there.
-    late: Callable
-    # (program, op, round_no, states, inboxes): run the op in its round.
+    # (program, op, round_no, states, inboxes): run the op in its round;
+    # round_no is None in the trailing local step.
     step: Callable
-    # (program, op, argument, store): run one processor's part at finalize.
-    finish: Callable
 
 
 def _group_kind(op):
@@ -408,21 +391,11 @@ def _rotate_words(op, held, sent, received):
     return ()
 
 
-def _rotate_late(op):
-    if op.a_to is not None or op.c_keys is None:
-        raise ValueError("a rotation slot past the last round runs at finalize, "
-                         "so it must be the last slot")
-    if op.gather is not None and len(op.procs) > 1:
-        raise ValueError("a rotation's first slot runs at finalize only on one processor")
-    return [(p, row) for row, p in enumerate(op.procs.tolist())]
-
-
 def _rotate_step(program, op, round_no, states, inboxes):
     if op.gather is not None:
-        a, b = _gather_stacks(op, round_no, states, inboxes, program._merge)
-        stacks = program.stacks[op.frag] = _Stacks(a, b)
-    else:
-        stacks = program.stacks[op.frag]
+        program.stacks[op.frag] = _Stacks(*_gather_stacks(op, round_no, states, inboxes,
+                                                          program._merge))
+    stacks = program.stacks[op.frag]
     _slot(program.spec, op, stacks)
     if op.c_keys is not None:
         del program.stacks[op.frag]
@@ -432,19 +405,8 @@ def _rotate_step(program, op, round_no, states, inboxes):
             states[p] = store
 
 
-def _rotate_finish(program, op, row, store):
-    """A last slot at finalize: the fragment multiplies once, then row's C goes home."""
-    if op.gather is not None:  # a one-processor fragment
-        a, b = _gather_row(op, 0, store, int(op.procs[0]), None)
-        program.stacks[op.frag] = _Stacks(a[None], b[None])
-    stacks = program.stacks[op.frag]
-    if stacks.a is not None:
-        _slot(program.spec, op, stacks)
-    _acc(program.spec, store, op.c_keys[row], stacks.c[row])
-
-
 def _slot(spec, op, stacks):
-    """Multiply each row's A and B tile into its C tile, then send or drop A and B."""
+    """Multiply each row's A and B tile into its C tile, then route A and B along the sends."""
     rows = len(op.procs)
     first = stacks.c is None
     if first:
@@ -455,9 +417,7 @@ def _slot(spec, op, stacks):
         r1 = r0 + step
         product = spec.matmul(stacks.a[stacks.a_at[r0:r1]], stacks.b[stacks.b_at[r0:r1]])
         stacks.c[r0:r1] = product if first else spec.vadd(stacks.c[r0:r1], product)
-    if op.a_to is None:
-        stacks.a = stacks.b = None
-    else:
+    if op.a_to is not None:
         stacks.a_at = _route(stacks.a_at, op.a_to)
         stacks.b_at = _route(stacks.b_at, op.b_to)
 
@@ -473,19 +433,15 @@ def _take(store, pieces, axis, side, p, round_no):
     return tile
 
 
-def _gather_row(op, row, store, p, round_no):
-    (a_pieces, a_axis), (b_pieces, b_axis) = op.gather[row]
-    return (_take(store, a_pieces, a_axis, op.side, p, round_no),
-            _take(store, b_pieces, b_axis, op.side, p, round_no))
-
-
 def _gather_stacks(op, round_no, states, inboxes, merge):
     """First slot: each row's tiles out of its processor's merged store."""
     shape = (len(op.procs), op.side, op.side)
     a, b = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
     for row, p in enumerate(op.procs.tolist()):
         store = merge(states[p], inboxes.pop(p, ()))
-        a[row], b[row] = _gather_row(op, row, store, p, round_no)
+        (a_pieces, a_axis), (b_pieces, b_axis) = op.gather[row]
+        a[row] = _take(store, a_pieces, a_axis, op.side, p, round_no)
+        b[row] = _take(store, b_pieces, b_axis, op.side, p, round_no)
         states[p] = store
     return a, b
 
@@ -539,28 +495,21 @@ def _fold_words(op, held, sent, received):
     return ()
 
 
-def _fold_late(op):
-    if op.step != op.last_step:
-        raise ValueError("a fold step past the last round runs at finalize, "
-                         "so it must be the hand-out step")
-    return list(_handouts(op).items())
-
-
 def _fold_step(program, op, round_no, states, inboxes):
     if op.step == 0:
-        program.stacks[op.frag] = (0, _scatter(op, round_no, states, inboxes, program._merge))
+        program.stacks[op.frag] = _scatter(op, round_no, states, inboxes, program._merge)
         return
-    values = _folded(program, op)
+    values = program.stacks[op.frag] = _chunk_fold(program.spec, program.stacks[op.frag],
+                                                   op.width)
     if op.step == op.last_step:
         del program.stacks[op.frag]
+        flat = values.reshape(-1)  # (groups, 1, entries), contiguous
         for p, cells in _handouts(op).items():
             store = dict(states[p])
-            _hand_out(program.spec, op, values, cells, store)
+            for i in cells:
+                g, e = divmod(i, op.entries)
+                _acc(program.spec, store, op.out_keys[g][e], flat[i : i + 1])
             states[p] = store
-
-
-def _fold_finish(program, op, cells, store):
-    _hand_out(program.spec, op, _folded(program, op), cells, store)
 
 
 def _scatter(op, round_no, states, inboxes, merge):
@@ -576,15 +525,6 @@ def _scatter(op, round_no, states, inboxes, merge):
                                  f"not {op.entries}")
             values[g, l] = addend.reshape(-1)
             states[p] = store
-    return values
-
-
-def _folded(program, op):
-    """The fragment's (groups, holders, entries) values after ``op``'s fold, folded once a run."""
-    done, values = program.stacks[op.frag]
-    if done != op.step:
-        values = _chunk_fold(program.spec, values, op.width)
-        program.stacks[op.frag] = (op.step, values)
     return values
 
 
@@ -606,16 +546,9 @@ def _handouts(op):
     return {int(procs[part[0]]): part.tolist() for part in np.split(order, cuts)}
 
 
-def _hand_out(spec, op, values, cells, store):
-    flat = values.reshape(-1)  # (groups, 1, entries), contiguous
-    for i in cells:
-        g, e = divmod(i, op.entries)
-        _acc(spec, store, op.out_keys[g][e], flat[i : i + 1])
-
-
 _GROUP_DISPATCH = {
-    Rotate: _GroupKind(_rotate_words, _rotate_late, _rotate_step, _rotate_finish),
-    Fold: _GroupKind(_fold_words, _fold_late, _fold_step, _fold_finish),
+    Rotate: _GroupKind(_rotate_words, _rotate_step),
+    Fold: _GroupKind(_fold_words, _fold_step),
 }
 
 

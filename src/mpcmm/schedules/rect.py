@@ -52,8 +52,10 @@ def tree_sum_fragment(plan: Plan, members, addend_keys, entries: int, width: int
     fragments.  One :class:`~mpcmm.plan.Fold` group op per round covers
     every group: the scatter in ``start_round``, then one k-ary level per
     round up to ``start_round + rounds - 1``.  The finished entries reach
-    their holders' stores one round past that (the caller's next round, or
-    finalize).  ``holders[g][e]`` is the (proc, key) of group g's entry e.
+    their holders' stores in the hand-out step one round past that: the
+    caller's next round, or the plan's trailing local step (round
+    ``num_rounds + 1``, which sends nothing) if the sum ends the plan.
+    ``holders[g][e]`` is the (proc, key) of group g's entry e.
     """
     members = np.asarray(members, dtype=np.int64)
     fold = Fold(plan.fragments, members, max(2, width), entries, 0, tuple(addend_keys), ())
@@ -182,7 +184,7 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
             for q in range(q_count):
                 a_srcs = tuple(("as", i * s + u, q) for u in range(s))
                 b_srcs = tuple(("bs", j * s + v, q) for v in range(s))
-                # The last block column lands past the end and runs at finalize.
+                # The last block column lands in the trailing local step.
                 plan.add(
                     q + 2,
                     p,

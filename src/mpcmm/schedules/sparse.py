@@ -348,7 +348,8 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     """The one sparse plan: the fetch of every masked term or, given `eps`,
     the decomposition's layers and then the residual's fetch when that
     takes fewer rounds.  Each fetched value is sent in its fetch round and
-    folded one round later (or at finalize); resident terms fold at finalize.
+    folded one round later (the last ones in the trailing local step);
+    resident terms fold at finalize.
     """
     if a.rows != n or a.cols != n or b.rows != n or b.cols != n:
         raise ValueError(f"inputs must be {n}x{n}")
@@ -442,8 +443,8 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
     round distributes the values: each tile row (column) is packed by the
     owner of its A row (B column), or as zeros at the consumer for a
     padding row (column).  The last slot also scatters finished C rows
-    back to their owners, who fold them in one round later (or at
-    finalize).
+    back to their owners, who fold them in one round later, which may be
+    the trailing local step.
     """
     side = grid * grid
     a_support = {(r, k) for r, k, _ in a.entries}
@@ -491,7 +492,7 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
 
         # Gather, after the last slot's Mac in the same round: finished
         # C-tile rows go home to their owners, who fold them in one round
-        # later (or at finalize).
+        # later, which may be the trailing local step.
         last = r0 + grid
         for ti in range(grid):
             for tj in range(grid):

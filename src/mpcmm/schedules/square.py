@@ -11,8 +11,8 @@ blocks per round instead of broadcasting.
 
 Round count: the rotation's distribution round ships each block from
 its owner to its slot-0 consumer (``rotation_fragment`` picks that
-consumer), slots 0..g-2 occupy rounds 2..g, and the last slot's
-accumulate happens after the final barrier, giving exactly g rounds.
+consumer), slots 0..g-2 occupy rounds 2..g, and the last slot runs in
+the trailing local step after the final barrier, giving exactly g rounds.
 A processor's footprint never exceeds three blocks (its accumulator
 plus the pair in flight), which fits the default budget of 4 * tile**2
 words.
@@ -32,11 +32,10 @@ from .common import Schedule, rotation_fragment
 
 @dataclass(frozen=True)
 class ProblemShape:
-    """Dimensions of one run: n (and d for rectangular cases), alpha."""
+    """Dimensions of one run: n and alpha."""
 
     n: int
     alpha: float = 1.0
-    d: int = 0
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 2:
@@ -119,8 +118,8 @@ def schedule_square(
             plan.emit(p, ("C", i, j), i * t, j * t, (t, t))
 
     # Each block is one piece, held by its owner.  The rotation ships it to
-    # its slot-0 consumer in round 1 + shift; the last slot lands one round
-    # past the end, so it runs at finalize.
+    # its slot-0 consumer in round 1 + shift; the last slot lands in the
+    # trailing local step, one round past the end.
     def parts(i, j, x):
         return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
 

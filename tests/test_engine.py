@@ -276,3 +276,28 @@ def test_group_words_break_budgets_like_messages():
         run(Grouped(), MpcConfig(2, 1, cap_factor=4))
     assert (info.value.processor, info.value.round, info.value.direction,
             info.value.words) == (0, 1, "sent", 5)
+
+
+def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
+    calls = []
+
+    class Trailing(Grouped):
+        words = 0  # words the trailing group step sends
+
+        def group_step(self, round_no, states, inboxes):
+            calls.append(("group", round_no))
+            if round_no == 3:
+                none = np.zeros(2, dtype=np.int64)
+                return none, np.array([self.words, 0]), none
+            return super().group_step(round_no, states, inboxes)
+
+        def finalize(self, p, state, inbox):
+            calls.append(("finalize", p))
+            return []
+
+    run(Trailing(), MpcConfig(2, 8))
+    assert calls == [("group", 1), ("group", 2), ("group", 3), ("finalize", 0), ("finalize", 1)]
+    sender = Trailing()
+    sender.words = 1
+    with pytest.raises(ValueError, match="after the last barrier"):
+        run(sender, MpcConfig(2, 8))

@@ -7,7 +7,9 @@ import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.plan import Drop, Emit, Mac, MulAcc, Plan, PlanProgram, Send
+from mpcmm.plan import (Drop, Emit, Fold, Mac, MissingTile, MulAcc, Plan, PlanProgram, Rotate,
+                        Send, assemble_output)
+from mpcmm.schedules.common import rotation_fragment
 
 INT = get_semiring("int")
 
@@ -44,19 +46,75 @@ def test_send_in_finalize_raises_value_error():
         program.finalize(0, program.init_state(0), [])
 
 
-def test_ops_past_the_last_round_run_at_finalize_after_at_final_ops():
+def _rotation_plan(grid, num_rounds, first_round, with_a=True):
+    """A grid x grid rotation of 1x1 tiles whose slots start in ``first_round``;
+    processor i * grid + j holds A[i, j] = i + 2j + 1 and B[i, j] = 3i + j + 1."""
+    plan = Plan(num_procs=grid * grid, num_rounds=num_rounds)
+    proc = lambda i, j: i * grid + j
+    for i in range(grid):
+        for j in range(grid):
+            if with_a:
+                plan.set_init(proc(i, j), ("A", i, j), np.array([[i + 2 * j + 1]]))
+            plan.set_init(proc(i, j), ("B", i, j), np.array([[3 * i + j + 1]]))
+
+    def parts(i, j, x):
+        return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
+
+    rotation_fragment(plan, grid, proc, parts, lambda i, j: ("C", i, j), first_round, 1)
+    return plan, proc
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
+    # The rotation's last slot is placed in round R + 1, the trailing local step.
+    rounds = 2
+    plan, proc = _rotation_plan(grid, rounds, rounds + 2 - grid)
+    a = np.array([[i + 2 * j + 1 for j in range(grid)] for i in range(grid)])
+    b = np.array([[3 * i + j + 1 for j in range(grid)] for i in range(grid)])
+    for i in range(grid):
+        for j in range(grid):
+            p = proc(i, j)
+            plan.set_init(p, ("one",), np.array([[1]]))
+            plan.at_final(p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
+            plan.add(rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
+            plan.emit(p, ("D",), i, j, (1, 1))
+    result = run(PlanProgram(plan, INT), MpcConfig(grid * grid, 4))
+    assert result.transcript.rounds == rounds
+    c = a @ b
+    out = assemble_output(result.outputs, grid, grid, INT)
+    assert out.tolist() == (c + c * c).tolist()
+
+
+def test_ops_past_the_trailing_step_raise_value_error():
     plan = Plan(num_procs=1, num_rounds=1)
-    plan.set_init(0, ("x",), np.array([[2]]))
-    plan.set_init(0, ("y",), np.array([[3]]))
-    plan.set_init(0, ("one",), np.array([[1]]))
-    plan.add(3, 0, Mac(("x",), ("x",), ("y",)))  # x += x * y
-    plan.add(2, 0, Mac(("x",), ("y",), ("one",)))  # x += y
-    plan.at_final(0, Mac(("x",), ("y",), ("one",)))
-    plan.emit(0, ("x",), 0, 0, (1, 1))
-    result = run(PlanProgram(plan, INT), MpcConfig(1, 4))
-    assert result.transcript.rounds == 1
-    # at_final, then round 2, then round 3: ((2 + 3) + 3) * (1 + 3) = 32
-    assert result.outputs[0][0][2].tolist() == [[32]]
+    plan.add(3, 0, Drop((("x",),)))
+    with pytest.raises(ValueError, match="trailing"):
+        PlanProgram(plan, INT)
+    plan, _ = _rotation_plan(1, 1, 3)  # its only slot in round R + 2
+    with pytest.raises(ValueError, match="trailing"):
+        PlanProgram(plan, INT)
+
+
+@pytest.mark.parametrize("kind", ["rotate", "fold"])
+def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
+    plan = Plan(num_procs=4, num_rounds=1)
+    if kind == "rotate":
+        to = np.array([1, 0, 3, 2])
+        op = Rotate(0, np.arange(4), 1, None, to, to, None)
+    else:  # a scatter: step 0 of a four-member fold
+        keys = tuple(("M", l) for l in range(4)), tuple(("s", e) for e in range(4))
+        op = Fold(0, np.arange(4).reshape(1, 4), 2, 4, 0, (keys[0],), (keys[1],))
+    plan.add_group(2, op)
+    with pytest.raises(ValueError, match="trailing"):
+        PlanProgram(plan, INT)
+
+
+def test_missing_tile_in_the_trailing_group_step_records_round_none():
+    plan, _ = _rotation_plan(1, 1, 2, with_a=False)  # slot 0 gathers A in round R + 1
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(1, 4))
+    assert caught.value.processor == 0 and caught.value.round is None
+    assert caught.value.key == ("A", 0, 0)
 
 
 def test_send_past_the_last_round_raises_value_error():
