@@ -1,115 +1,79 @@
 """Command line entry point.
 
-Subcommands: ``run`` (one experiment with artifacts), ``bounds`` (lower
-bound vs measured rounds as JSON), ``verify`` (oracle battery across
-semirings and seeds, nonzero exit on any failure), ``bench`` (round
-count sweep).  The default artifact directory comes from the
-``MPCMM_OUTDIR`` environment variable.  A bad input or an inconsistent
-config (a ``ValueError``) prints one error line and exits with code 2.
+Subcommands: ``run`` (one experiment with artifacts in ``--outdir``, else
+the ``MPCMM_OUTDIR`` environment variable), ``bounds`` (lower bound vs
+measured rounds as JSON), ``verify`` (oracle battery across semirings and
+seeds, nonzero exit on any failure) and ``bench`` (round counts over
+``--sizes``).  Each takes ``--case`` and a flag per other
+``ExperimentConfig`` field it does not sweep, and rejects a flag outside
+``COMMON_FIELDS`` and the case's ``CASES`` field list.  A bad input or an
+inconsistent config (a ``ValueError``) prints one error line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+import typing
 
-from .experiment import CASES, INSTANCE_KINDS, ExperimentConfig, run_experiment
+from .experiment import CASES, COMMON_FIELDS, INSTANCE_KINDS, ExperimentConfig, run_experiment
 from .semiring import builtin_semirings
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--semiring", default="int",
-                   choices=[spec.name for spec in builtin_semirings()])
-    p.add_argument("--cap-factor", type=int, default=4)
-    p.add_argument("--outdir", default=None)
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
 
-def _run_parsers(sub):
-    run = sub.add_parser("run", help="run one experiment and write artifacts")
-    cases = run.add_subparsers(dest="case", required=True)
-
-    square = cases.add_parser("square")
-    square.add_argument("--n", type=int, required=True)
-    square.add_argument("--alpha", type=float, default=1.0)
-    square.add_argument("--redistribute", action="store_true")
-    _add_common(square)
-
-    ndn = cases.add_parser("ndn")
-    ndn.add_argument("--n", type=int, required=True)
-    ndn.add_argument("--d", type=int, required=True)
-    _add_common(ndn)
-
-    dnd = cases.add_parser("dnd")
-    dnd.add_argument("--n", type=int, required=True)
-    dnd.add_argument("--d", type=int, required=True)
-    dnd.add_argument("--procs", choices=["n", "d"], required=True)
-    _add_common(dnd)
-
-    sparse = cases.add_parser("sparse")
-    sparse.add_argument("--n", type=int, required=True)
-    sparse.add_argument("--d", type=int, required=True)
-    sparse.add_argument("--eps", type=float, default=0.1)
-    sparse.add_argument("--mode", choices=["trivial", "twophase"], default="twophase")
-    sparse.add_argument("--instance", choices=INSTANCE_KINDS, default="random")
-    sparse.add_argument("--file-a", default="")
-    sparse.add_argument("--file-b", default="")
-    _add_common(sparse)
+def _add_config_flags(parser, cases, skip=()):
+    """Add ``--case`` (one of ``cases``) and a flag per other config field
+    not in ``skip``.  A flag left off the command line stays out of the
+    parsed namespace, so ``_config`` sees which fields were given."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    choices = {"case": list(cases), "instance": INSTANCE_KINDS,
+               "semiring": [spec.name for spec in builtin_semirings()]}
+    for field in [f for f in dataclasses.fields(ExperimentConfig) if f.name not in skip]:
+        kind = {"action": "store_true"} if hints[field.name] is bool else {
+            "type": hints[field.name], "choices": choices.get(field.name),
+            "required": field.default is dataclasses.MISSING}
+        parser.add_argument(_flag(field.name), default=argparse.SUPPRESS, **kind)
+    reads = "; ".join(f"{name}: {' '.join(map(_flag, CASES[name].fields))}" for name in cases)
+    parser.epilog = f"every case reads {' '.join(map(_flag, COMMON_FIELDS))}; also {reads}"
 
 
-def _config_from(args) -> ExperimentConfig:
-    case = args.case
-    if case == "dnd":
-        case = f"dnd-{args.procs}"
-    elif case == "sparse":
-        case = f"sparse-{args.mode}"
-    return ExperimentConfig(
-        case=case,
-        n=args.n,
-        d=getattr(args, "d", 0),
-        alpha=getattr(args, "alpha", 1.0),
-        semiring=args.semiring,
-        seed=args.seed,
-        eps=getattr(args, "eps", 0.1),
-        cap_factor=args.cap_factor,
-        instance=getattr(args, "instance", "random"),
-        redistribute=getattr(args, "redistribute", False),
-        file_a=getattr(args, "file_a", ""),
-        file_b=getattr(args, "file_b", ""),
-    )
+def _config(args, **values) -> ExperimentConfig:
+    """The config of the given flags over ``values``; raises ValueError
+    for a flag whose field the case does not read."""
+    given = {name: value for name, value in vars(args).items()
+             if name in ExperimentConfig.__dataclass_fields__}
+    reads = ("case", *COMMON_FIELDS, *CASES[args.case].fields)
+    stray = [_flag(name) for name in given if name not in reads]
+    if stray:
+        raise ValueError(f"case {args.case} does not read {', '.join(stray)}")
+    return ExperimentConfig(**{**values, **given})
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mpcmm")
     sub = parser.add_subparsers(dest="command", required=True)
-    _run_parsers(sub)
-
     bounded = [name for name, case in CASES.items() if case.lower is not None]
+
+    run = sub.add_parser("run", help="run one experiment and write artifacts")
+    _add_config_flags(run, CASES)
+    run.add_argument("--outdir", default=None)
+
     bounds = sub.add_parser("bounds", help="lower bound vs measured rounds")
-    bounds.add_argument("--case", choices=bounded, required=True)
-    bounds.add_argument("--n", type=int, required=True)
-    bounds.add_argument("--d", type=int, default=0)
-    bounds.add_argument("--alpha", type=float, default=1.0)
-    _add_common(bounds)
+    _add_config_flags(bounds, bounded)
 
     verify = sub.add_parser("verify", help="oracle battery across semirings and seeds")
-    verify.add_argument("--case", choices=list(CASES), required=True)
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--d", type=int, default=0)
-    verify.add_argument("--alpha", type=float, default=1.0)
-    verify.add_argument("--eps", type=float, default=0.1)
+    _add_config_flags(verify, CASES, skip=("semiring", "seed"))
     verify.add_argument("--seeds", type=int, default=3)
-    verify.add_argument("--instance", choices=["random", "blockdiag"], default="random")
-    verify.add_argument("--cap-factor", type=int, default=4)
 
     bench = sub.add_parser("bench", help="round counts across a size sweep")
-    bench.add_argument("--case", choices=bounded, required=True)
+    _add_config_flags(bench, bounded, skip=("n",))
     bench.add_argument("--sizes", type=int, nargs="+", required=True, help="values of n")
-    bench.add_argument("--d", type=int, default=0)
-    bench.add_argument("--alpha", type=float, default=1.0)
-    _add_common(bench)
 
     args = parser.parse_args(argv)
     try:
@@ -122,16 +86,12 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     if args.command == "run":
-        summary = run_experiment(_config_from(args), out_dir=args.outdir)
+        summary = run_experiment(_config(args), out_dir=args.outdir)
         print(json.dumps(summary, sort_keys=True, indent=2))
         return 0 if summary.get("ok") else 1
 
     if args.command == "bounds":
-        config = ExperimentConfig(
-            case=args.case, n=args.n, d=args.d, alpha=args.alpha,
-            semiring=args.semiring, seed=args.seed, cap_factor=args.cap_factor,
-        )
-        summary = run_experiment(config, out_dir=args.outdir, write=False)
+        summary = run_experiment(_config(args), write=False)
         if "bound" not in summary:
             print(json.dumps(summary, sort_keys=True, indent=2))
             return 1
@@ -142,11 +102,7 @@ def _command(args) -> int:
         failures = 0
         for spec in builtin_semirings():
             for seed in range(1, args.seeds + 1):
-                config = ExperimentConfig(
-                    case=args.case, n=args.n, d=args.d, alpha=args.alpha,
-                    semiring=spec.name, seed=seed, eps=args.eps,
-                    cap_factor=args.cap_factor, instance=args.instance,
-                )
+                config = _config(args, semiring=spec.name, seed=seed)
                 summary = run_experiment(config, write=False)
                 ok = summary.get("ok", False)
                 failures += 0 if ok else 1
@@ -156,10 +112,8 @@ def _command(args) -> int:
 
     if args.command == "bench":
         for n in args.sizes:
-            config = ExperimentConfig(
-                case=args.case, n=n, d=args.d or max(n // 4, 1), alpha=args.alpha,
-                semiring=args.semiring, seed=args.seed, cap_factor=args.cap_factor,
-            )
+            reads_d = "d" in CASES[args.case].fields
+            config = _config(args, n=n, **({"d": max(n // 4, 1)} if reads_d else {}))
             start = time.perf_counter()
             summary = run_experiment(config, write=False)
             elapsed = time.perf_counter() - start

@@ -8,6 +8,7 @@ agreement, budget compliance and the lower-bound sandwich.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundReport, lower_bound_dnd, lower_bound_ndn, lower_bound_terms
-from .engine import MpcConfig, MpcError, assert_transcript
+from .engine import MpcError, assert_transcript
 from .instances import block_diagonal, random_d_sparse, random_dense
 from .matrix import DenseMatrix, SparseMatrix, load_matrix, naive_multiply
 from .schedules.rect import schedule_dnd_dproc, schedule_dnd_nproc, schedule_ndn
@@ -41,11 +42,17 @@ class Case:
     gives the dense input shapes ((A rows, A cols), (B rows, B cols)); None
     marks a d-sparse case.  ``lower(config, machine)`` gives the round lower
     bound for the simulated ``MpcConfig``; None reports no bound.
+    ``fields`` names the config fields the case reads besides
+    ``COMMON_FIELDS``, in artifact-name order; the CLI takes no other flag.
     """
 
     build: Callable
     dims: Callable | None
     lower: Callable | None
+    fields: tuple[str, ...]
+
+
+COMMON_FIELDS = ("n", "semiring", "seed", "cap_factor")
 
 
 CASES = {
@@ -56,26 +63,31 @@ CASES = {
         lambda n, d: ((n, n), (n, n)),
         # The schedule runs on ceil(n**(alpha/2))**2 processors, not n**alpha.
         lambda c, machine: lower_bound_terms(c.n**3, machine.processors, machine.memory),
+        ("alpha", "redistribute"),
     ),
     "ndn": Case(
         lambda c, a, b, mask, spec: schedule_ndn(c.n, c.d, a, b, spec),
         lambda n, d: ((n, d), (d, n)),
         lambda c, machine: lower_bound_ndn(c.n, c.d),
+        ("d",),
     ),
     "dnd-n": Case(
         lambda c, a, b, mask, spec: schedule_dnd_nproc(c.n, c.d, a, b, spec),
         lambda n, d: ((d, n), (n, d)),
         lambda c, machine: lower_bound_dnd(c.n, c.d, "n"),
+        ("d",),
     ),
     "dnd-d": Case(
         lambda c, a, b, mask, spec: schedule_dnd_dproc(c.n, c.d, a, b, spec),
         lambda n, d: ((d, n), (n, d)),
         lambda c, machine: lower_bound_dnd(c.n, c.d, "d"),
+        ("d",),
     ),
     "sparse-trivial": Case(
         lambda c, a, b, mask, spec: schedule_sparse_trivial(c.n, c.d, a, b, mask, spec),
         None,
         None,
+        ("d", "instance", "file_a", "file_b"),
     ),
     "sparse-twophase": Case(
         lambda c, a, b, mask, spec: schedule_sparse_twophase(
@@ -83,6 +95,7 @@ CASES = {
         ),
         None,
         None,
+        ("d", "eps", "instance", "file_a", "file_b"),
     ),
 }
 
@@ -113,17 +126,29 @@ class ExperimentConfig:
             raise ValueError("n must be >= 1")
 
     def prefix(self) -> str:
-        bits = [self.case, f"n{self.n}"]
-        if self.case != "square":
-            bits.append(f"d{self.d}")
-        else:
-            bits.append(f"a{self.alpha:g}")
-        if CASES[self.case].dims is None:
-            bits.append(f"e{self.eps:g}")
-            bits.append(self.instance)
-        bits.append(self.semiring)
-        bits.append(f"s{self.seed}")
-        return "-".join(bits)
+        """The artifact name: the case, n, a bit per field the case reads and
+        for cap_factor (none for a default flag, path or cap_factor), the
+        semiring and the seed.  Configs differing in a field a run reads differ."""
+        bits = [_BITS[name](self) for name in (*CASES[self.case].fields, "cap_factor")]
+        return "-".join([self.case, f"n{self.n}", *filter(None, bits), self.semiring,
+                         f"s{self.seed}"])
+
+
+def _path_bit(tag: str, path: str) -> str:
+    return path and tag + hashlib.sha256(path.encode()).hexdigest()[:8]
+
+
+_BITS = {
+    "d": lambda c: f"d{c.d}",
+    "alpha": lambda c: f"a{c.alpha:g}",
+    "redistribute": lambda c: "r" if c.redistribute else "",
+    "eps": lambda c: f"e{c.eps:g}",
+    "instance": lambda c: c.instance,
+    "file_a": lambda c: _path_bit("A", c.file_a),
+    "file_b": lambda c: _path_bit("B", c.file_b),
+    "cap_factor": lambda c: (f"c{c.cap_factor}"
+                             if c.cap_factor != ExperimentConfig.cap_factor else ""),
+}
 
 
 def generate_instance(config: ExperimentConfig, spec):
@@ -166,10 +191,6 @@ def masked_equal(out: DenseMatrix, oracle: DenseMatrix, mask) -> bool:
     return all(out.data[r, j] == oracle.data[r, j] for r in range(mask.n) for j in mask.cols(r))
 
 
-def output_dir(explicit=None) -> str:
-    return explicit or os.environ.get(OUTDIR_ENV) or "mpcmm-runs"
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
     """Run one experiment; returns the summary dict (also written to disk)."""
     spec = get_semiring(config.semiring)
@@ -202,9 +223,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
             match = out == oracle
         else:
             match = masked_equal(out, oracle, mask)
-        cfg = schedule.config
-        if config.cap_factor != cfg.cap_factor:
-            cfg = MpcConfig(cfg.processors, cfg.memory, config.cap_factor, cfg.max_rounds)
+        cfg = schedule.machine(config.cap_factor)
         budget_ok = assert_transcript(result.transcript, cfg)
         summary.update(result.transcript.summary(cfg, violation=None))
         summary["oracle_match"] = bool(match)
@@ -229,7 +248,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:
         transcript_csv = result.transcript.to_csv()
 
     if write:
-        directory = output_dir(out_dir)
+        directory = out_dir or os.environ.get(OUTDIR_ENV) or "mpcmm-runs"
         os.makedirs(directory, exist_ok=True)
         prefix = config.prefix()
         summary_path = os.path.join(directory, f"{prefix}.summary.json")

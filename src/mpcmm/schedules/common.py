@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,13 +96,13 @@ class Schedule:
     crop_rows: int
     crop_cols: int
     meta: dict = field(default_factory=dict)
-    mask: object = None  # OutputMask for the sparse schedules
+
+    def machine(self, cap_factor=None) -> MpcConfig:
+        """The machine a run simulates: the built one, with ``cap_factor`` if given."""
+        return self.config if cap_factor is None else replace(self.config, cap_factor=cap_factor)
 
     def execute(self, cap_factor=None) -> tuple[RunResult, DenseMatrix]:
-        config = self.config
-        if cap_factor is not None:
-            config = MpcConfig(config.processors, config.memory, cap_factor, config.max_rounds)
-        result = run(self.program, config)
+        result = run(self.program, self.machine(cap_factor))
         data = assemble_output(result.outputs, self.out_rows, self.out_cols, self.program.spec)
         full = DenseMatrix(self.out_rows, self.out_cols, data)
         if (self.crop_rows, self.crop_cols) != (self.out_rows, self.out_cols):

@@ -232,7 +232,7 @@ def decompose(
     grid = math.isqrt(d) if d >= 1 else 1
     side = max(grid * grid, 1)
     layer_budget = iteration_budget(eps.eps1, eps.eps2, d) if d >= 1 else 1
-    residual_budget = math.ceil(ROUND_CONSTANT * n * d ** (2 - eps.eps2)) if d >= 1 else 0
+    residual_budget = snapped(ROUND_CONSTANT * n * d ** (2 - eps.eps2)) if d >= 1 else 0
     layer_threshold = n * d ** (2 - eps.eps2) / layer_budget if d >= 1 else 0
     block_threshold = max(side**3 // 4, 1)
     max_blocks = max(n // side, 1)
@@ -412,7 +412,6 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         n,
         n,
         meta={"predicted_rounds": rounds, **meta},
-        mask=mask,
     )
 
 

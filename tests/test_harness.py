@@ -1,15 +1,19 @@
 """Experiment harness: generators, summaries, artifacts, CLI."""
 
+import importlib.util
 import json
 import os
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpcmm import check_d_sparse, get_semiring, save_matrix
 from mpcmm.cli import main
-from mpcmm.experiment import CASES, ExperimentConfig, generate_instance, run_experiment
+from mpcmm.experiment import CASES, COMMON_FIELDS, ExperimentConfig, generate_instance, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
 
@@ -115,6 +119,49 @@ def test_rect_cases_reject_d_zero(case):
         run_experiment(ExperimentConfig(case=case, n=16, d=0), write=False)
 
 
+# One changed value per field each case reads, plus the common fields.
+_CHANGED = dict(n=32, d=8, alpha=0.5, semiring="bool", seed=2, eps=0.2, cap_factor=1,
+                instance="blockdiag", redistribute=True, file_a="a.txt", file_b="b.txt")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_configs_differing_in_one_field_get_distinct_prefixes(case):
+    base = ExperimentConfig(case=case, n=16, d=4)
+    fields = (*COMMON_FIELDS, *CASES[case].fields)
+    prefixes = {base.prefix()}
+    for field in fields:
+        prefixes.add(ExperimentConfig(**{**asdict(base), field: _CHANGED[field]}).prefix())
+    assert len(prefixes) == 1 + len(fields)
+    if "file_a" in CASES[case].fields:
+        swapped = replace(base, file_a="b.txt", file_b="a.txt").prefix()
+        assert swapped != replace(base, file_a="a.txt", file_b="b.txt").prefix()
+
+
+def _parent_prefix(config):
+    """The artifact name before prefix() read the CASES field lists."""
+    bits = [config.case, f"n{config.n}"]
+    bits.append(f"a{config.alpha:g}" if config.case == "square" else f"d{config.d}")
+    if config.case.startswith("sparse-"):
+        bits += [f"e{config.eps:g}", config.instance]
+    return "-".join(bits + [config.semiring, f"s{config.seed}"])
+
+
+def test_golden_and_workload_prefixes_keep_their_parent_spelling():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [ExperimentConfig(seed=1, **fields) for fields in GOLDEN_CONFIGS.values()]
+    configs += [c for name in workloads.NAMES for c in workloads.configs(name, 2718)]
+    for config in configs:
+        expected = _parent_prefix(config)
+        if config.case == "sparse-trivial":  # it never reads eps
+            expected = expected.replace(f"-e{config.eps:g}-", "-")
+        if config.redistribute:  # the parent name collided with the plain run's
+            expected = expected.replace(f"-a{config.alpha:g}-", f"-a{config.alpha:g}-r-")
+        assert config.prefix() == expected
+
+
 def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("MPCMM_OUTDIR", str(tmp_path / "envdir"))
     summary = run_experiment(ExperimentConfig(case="square", n=16, seed=2))
@@ -123,13 +170,13 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
 
 class TestCli:
     def test_run_square(self, tmp_path, capsys):
-        rc = main(["run", "square", "--n", "16", "--alpha", "1", "--seed", "2",
+        rc = main(["run", "--case", "square", "--n", "16", "--alpha", "1", "--seed", "2",
                    "--outdir", str(tmp_path)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["rounds"] == 4
 
     def test_run_dnd(self, tmp_path, capsys):
-        rc = main(["run", "dnd", "--n", "64", "--d", "4", "--procs", "n",
+        rc = main(["run", "--case", "dnd-n", "--n", "64", "--d", "4",
                    "--outdir", str(tmp_path)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["bound"]["ok"]
@@ -151,19 +198,51 @@ class TestCli:
         rows = [json.loads(l) for l in lines]
         assert rows[0]["rounds"] == 4 and rows[1]["rounds"] == 5
 
-    def test_new_case_needs_only_a_registry_entry(self, monkeypatch, capsys):
+    def test_new_case_needs_only_a_registry_entry(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(CASES, "square-alias", CASES["square"])
+        assert main(["run", "--case", "square-alias", "--n", "16", "--alpha", "0.5",
+                     "--outdir", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rounds"] == 2 and out["ok"]
+        assert out["summary_path"].endswith("square-alias-n16-a0.5-int-s1.summary.json")
         assert main(["verify", "--case", "square-alias", "--n", "16", "--seeds", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3 and all(l.startswith("PASS square-alias") for l in lines)
         assert main(["bounds", "--case", "square-alias", "--n", "16"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["case"] == "square-alias" and out["ok"]
+        assert main(["bench", "--case", "square-alias", "--sizes", "16"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["case"] == "square-alias" and row["rounds"] == 4 and row["ok"]
 
-    def test_run_sparse_fail_exit_code(self, tmp_path, capsys):
-        rc = main(["run", "square", "--n", "16", "--cap-factor", "1",
+    def test_run_over_budget_exit_code(self, tmp_path, capsys):
+        rc = main(["run", "--case", "square", "--n", "16", "--cap-factor", "1",
                    "--outdir", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--case", "ndn", "--n", "16", "--d", "8", "--alpha", "2"],
+        ["run", "--case", "square", "--n", "16", "--d", "4"],
+        ["run", "--case", "sparse-trivial", "--n", "16", "--d", "4", "--eps", "0.2"],
+        ["run", "--case", "dnd-n", "--n", "16", "--d", "4", "--redistribute"],
+        ["bounds", "--case", "square", "--n", "16", "--instance", "random"],
+        ["verify", "--case", "ndn", "--n", "16", "--d", "8", "--file-a", "a.txt"],
+        ["bench", "--case", "dnd-d", "--sizes", "16", "--alpha", "1"],
+    ])
+    def test_flag_the_case_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        rc = main(argv + (["--outdir", str(tmp_path)] if argv[0] == "run" else []))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("mpcmm: error: case ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["bounds", "bench"])
+    def test_only_run_takes_outdir(self, command, tmp_path, capsys):
+        sizes = ["--n", "16"] if command == "bounds" else ["--sizes", "16"]
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--case", "square", *sizes, "--outdir", str(tmp_path)])
+        assert raised.value.code == 2 and "--outdir" in capsys.readouterr().err
 
 
 def _file_instance_with_word(tmp_path, word):
@@ -192,7 +271,7 @@ def test_in_domain_file_words_still_run(tmp_path):
 
 def test_cli_reports_out_of_domain_words_without_traceback(tmp_path, capsys):
     fields = _file_instance_with_word(tmp_path, 2**62)
-    rc = main(["run", "sparse", "--n", "4", "--d", "1", "--mode", "trivial",
+    rc = main(["run", "--case", "sparse-trivial", "--n", "4", "--d", "1",
                "--instance", "file", "--file-a", fields["file_a"], "--file-b",
                fields["file_b"], "--semiring", "tropical", "--outdir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -211,7 +290,7 @@ def test_file_storing_the_zero_element_fails_before_any_schedule(tmp_path, monke
 
 def test_cli_reports_a_stored_zero_without_traceback(tmp_path, capsys):
     fields = _file_instance_with_word(tmp_path, 0)
-    rc = main(["run", "sparse", "--n", "4", "--d", "1", "--mode", "trivial",
+    rc = main(["run", "--case", "sparse-trivial", "--n", "4", "--d", "1",
                "--instance", "file", "--file-a", fields["file_a"], "--file-b",
                fields["file_b"], "--outdir", str(tmp_path)])
     err = capsys.readouterr().err

@@ -180,6 +180,12 @@ class TestDecompose:
         assert decomp.layers == [] and decomp.total_terms == 0
         assert decomp.residual.remaining_terms == 0
 
+    def test_residual_budget_is_snapped(self):
+        # 8 * 32 * 32**1.8 is exactly 2**17; the float product lands just above it.
+        a = SparseMatrix.from_entries(32, 32, [])
+        decomp = decompose(a, a, default_mask(a, a, 32), EpsilonSchedule(0.0, 0.2))
+        assert decomp.residual_budget == 2**17
+
     def test_random_instance_budgets_and_census(self):
         a, b, mask = sparse_pair(256, 16, INT, 6)
         eps = EpsilonSchedule(0.0, 0.1)
