@@ -49,6 +49,10 @@ CONFIGS = {
     "sparse-twophase-layers-fallback": dict(case="sparse-twophase", n=16, d=2,
                                             instance="blockdiag"),
     "sparse-twophase-residual-fallback": dict(case="sparse-twophase", n=16, d=4),
+    # Padded inputs: ndn pads its strips from d = 7 to 12 columns, and dnd-d
+    # pads d = 10 to 12 rows with groups of 3.
+    "ndn-padded": dict(case="ndn", n=36, d=7, semiring="tropical"),
+    "dnd-d-padded": dict(case="dnd-d", n=36, d=10),
 }
 
 # name -> (summary JSON SHA-256, transcript CSV SHA-256)
@@ -188,6 +192,14 @@ GOLDEN = {
     "sparse-twophase-residual-fallback": (
         "b50d41ace589de346d857f7c0926517037ed2dda45349bfec530274e2e618a09",
         "b397aa384a37b2e8e815662dd7c0123fa3d0df1c98ce4c43d1ffe90175f87952",
+    ),
+    "ndn-padded": (
+        "9227b705ef17be45eb595ecdd0e2a3f85d0f720660c09d7063de1638ce58877c",
+        "86c0d8b63f8e7fa0d3f72d2e20011da235ace0bdbd6b797d6ca5bd9ed1360e8f",
+    ),
+    "dnd-d-padded": (
+        "06082e456880414b5e26ccf4f2afa1e9bad6b65e8a9a616e0c732824c54b6b63",
+        "2a1c90222381b68f76b75cb5d2c9ac7e5d97474e736aaa3cb8441b033b17f0ff",
     ),
 }
 
