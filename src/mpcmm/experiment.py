@@ -138,11 +138,18 @@ def _path_bit(tag: str, path: str) -> str:
     return path and tag + hashlib.sha256(path.encode()).hexdigest()[:8]
 
 
+def _float_bit(tag: str, value: float) -> str:
+    """``value`` spelled with ``:g`` when that reads back as ``value``, else
+    exactly (``repr``), so distinct values never share a name."""
+    short = f"{value:g}"
+    return tag + (short if float(short) == value else repr(value))
+
+
 _BITS = {
     "d": lambda c: f"d{c.d}",
-    "alpha": lambda c: f"a{c.alpha:g}",
+    "alpha": lambda c: _float_bit("a", c.alpha),
     "redistribute": lambda c: "r" if c.redistribute else "",
-    "eps": lambda c: f"e{c.eps:g}",
+    "eps": lambda c: _float_bit("e", c.eps),
     "instance": lambda c: c.instance,
     "file_a": lambda c: _path_bit("A", c.file_a),
     "file_b": lambda c: _path_bit("B", c.file_b),
@@ -174,13 +181,23 @@ def generate_instance(config: ExperimentConfig, spec):
         a = block_diagonal(n, d, spec, rng)
         b = block_diagonal(n, d, spec, rng)
     else:
-        a, b = load_matrix(config.file_a), load_matrix(config.file_b)
+        a, b = _load(config.file_a, "--file-a"), _load(config.file_b, "--file-b")
         if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
             raise ValueError("sparse experiments need SPARSE matrix files")
     for matrix, name in ((a, "A"), (b, "B")):
         spec.check_words([v for _, _, v in matrix.entries], name)
         matrix.validate(spec, name)
     return a, b, default_mask(a, b, d)
+
+
+def _load(path: str, flag: str):
+    """The matrix in ``path``; a ValueError if it is empty or unreadable."""
+    if not path:
+        raise ValueError(f"--instance file needs {flag}")
+    try:
+        return load_matrix(path)
+    except OSError as err:
+        raise ValueError(f"cannot read {flag} {path!r}: {err.strerror}") from None
 
 
 def build_schedule(config: ExperimentConfig, a, b, mask, spec):

@@ -27,18 +27,24 @@ over stacks kept in a per-run object, so executing a plan twice gives the
 same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
 its static words and its step.
 
-:class:`Rotate` is one slot of a skewed block rotation (see
-``schedules.common.rotation_fragment``).  The fragment keeps its A, B and
-C tiles, all side x side, as (processors, side, side) stacks.  A slot:
+:class:`Gather` fills a fragment's A and B stacks, (processors, side,
+side) each.  Row i's tile is k equal ``(holder, key, recipe)`` pieces
+concatenated along an axis, read out of each holder's store after its
+inbox merge: ``None`` moves the stored tile ``key`` out, a ``Slice`` or
+``Pack`` recipe is run there.  A piece that several rows use is read
+once.  Its words count as sent by its holder and received by the row's
+processor, or as held when the two are one.
 
-1. in the fragment's first slot, gathers each row's A and B tile (or
-   their pieces, concatenated) out of its processor's store as it stands
-   after the inbox merge;
-2. multiplies the stacks row by row and accumulates into the C stack;
-3. sends: moves the A and B tile of row i to rows ``a_to[i]`` and
+:class:`Rotate` is one slot of a skewed block rotation (see
+``schedules.common.rotation_fragment``) over the stacks a gather filled
+and the fragment's C stack.  A slot:
+
+1. multiplies the stacks row by row and accumulates into the C stack;
+2. sends: moves the A and B tile of row i to rows ``a_to[i]`` and
    ``b_to[i]``, which must be permutations, or drops them if it has no
-   sends.  The next slot multiplies whatever tile landed in each row;
-4. in the last slot, hands each C tile back to its processor's store
+   sends (``schedules.rect.schedule_ndn`` then gathers the next ones).
+   The next slot multiplies whatever tile landed in each row;
+3. in the last slot, hands each C tile back to its processor's store
    (accumulating like ``Mac``).
 
 :class:`Fold` is one round of a fan-in tree sum (see
@@ -68,13 +74,13 @@ consecutive members.
 In a round, group ops run before any processor's per-processor ops, in
 the order they were added.  Round ``num_rounds + 1`` is the trailing
 local step: the engine runs its group ops after the last barrier, then
-each processor's ``finalize`` runs its ``at_final`` ops, its ops of
-that round and its emits.  It is local, so nothing in it may send, and
-no op may be placed later.  A group op's words (held, sent, received)
-come from its static shape, not from the stacks, and the engine charges
-them like messages.  Its held words are those it keeps out of the
-stores at the end of the round, not those in flight; a processor whose
-store it does not touch in a round is left out of ``active``.
+each processor's ``finalize`` runs its ops of that round and its emits.
+It is local, so nothing in it may send, and no op may be placed later.
+A group op's words (held, sent, received) come from its static shape,
+not from the stacks, and the engine charges them like messages.  Its
+held words are those it keeps out of the stores at the end of the
+round, not those in flight; a processor whose store it does not touch
+in a round is left out of ``active``.
 """
 
 from __future__ import annotations
@@ -162,13 +168,21 @@ class Emit:
     shape: tuple
 
 
+class Gather(NamedTuple):
+    """Fill a fragment's A and B stacks with input pieces (see module doc)."""
+
+    frag: int  # a fragment's gathers and slots share its tile stacks
+    procs: np.ndarray  # processor of each stack row: the consumer of its tiles
+    side: int  # every A and B tile is side x side
+    tiles: tuple  # per row ((a_pieces, a_axis), (b_pieces, b_axis)); see the module doc
+
+
 class Rotate(NamedTuple):
     """One rotation slot for every processor of a fragment (see module doc)."""
 
-    frag: int  # the slots of one fragment share its tile stacks
+    frag: int  # a fragment's gathers and slots share its tile stacks
     procs: np.ndarray  # processor of each stack row
     side: int  # every A, B and C tile is side x side
-    gather: tuple | None  # first slot: per row ((a_pieces, a_axis), (b_pieces, b_axis))
     a_to: np.ndarray | None  # stack row each A tile is sent to; None drops them
     b_to: np.ndarray | None
     c_keys: tuple | None  # last slot: per row, the store key C is handed back under
@@ -212,9 +226,8 @@ class Plan:
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
     ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
-    groups: dict = field(default_factory=dict)  # round -> [Rotate | Fold]
+    groups: dict = field(default_factory=dict)  # round -> [Gather | Rotate | Fold]
     fragments: int = 0  # group-op fragments numbered so far
-    final_ops: dict = field(default_factory=dict)  # proc -> [op]
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
     def add(self, round_no, proc, *ops):
@@ -223,8 +236,10 @@ class Plan:
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
 
-    def at_final(self, proc, *ops):
-        self.final_ops.setdefault(proc, []).extend(ops)
+    @property
+    def final_ops(self) -> dict:
+        """Empty, for ``perfbench/probes.py``: the trailing step's ops are round R + 1's."""
+        return {}
 
     def emit(self, proc, key, row, col, shape):
         self.emits.setdefault(proc, []).append(Emit(key, row, col, shape))
@@ -302,9 +317,8 @@ class PlanProgram(Program):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
-        where = round_no if round_no <= self.total_rounds else None  # None: at finalize
         for op in group_ops:
-            _GROUP_DISPATCH[type(op)].step(self, op, where, states, inboxes)
+            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states, inboxes)
         return self.group_words[round_no]
 
     def handler(self, round_no, p, state, inbox):
@@ -315,7 +329,6 @@ class PlanProgram(Program):
 
     def finalize(self, p, state, inbox):
         store = self._merge(state, inbox)
-        self._exec(store, self.plan.final_ops.get(p, ()), None, None, p)
         self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
         out = []
         for e in self.plan.emits.get(p, ()):
@@ -332,8 +345,7 @@ class _GroupKind(NamedTuple):
     # (op, held, sent, received): add the op's static words to the three
     # arrays over processors; returns the processors whose stores it changes.
     words: Callable
-    # (program, op, round_no, states, inboxes): run the op in its round;
-    # round_no is None in the trailing local step.
+    # (program, op, round_no, states, inboxes): run the op in its round.
     step: Callable
 
 
@@ -351,7 +363,7 @@ def _pop(store, key, p, round_no):
         raise MissingTile(p, round_no, key) from None
 
 
-# -- Rotate ------------------------------------------------------------------
+# -- Gather and Rotate -------------------------------------------------------
 
 # A slot multiplies at most this many words of A (and of B) per kernel call.
 _SLOT_WORDS = 1 << 15
@@ -360,7 +372,7 @@ _SLOT_WORDS = 1 << 15
 class _Stacks:
     """A rotation fragment's tiles during one run.
 
-    ``a`` and ``b`` keep the tiles in the rows they were gathered into,
+    ``a`` and ``b`` keep the tiles in the rows the last gather filled,
     and ``a_at[i]`` is the gathered row of the A tile now at row i.  A
     send permutes ``a_at`` along ``a_to``, and a product reads row i's
     tile through it, so each row multiplies exactly the tile the sends
@@ -370,10 +382,59 @@ class _Stacks:
     the last slot hands it back.
     """
 
-    def __init__(self, a, b):
+    c = None
+
+    def fill(self, a, b):
         self.a, self.b = a, b
         self.a_at = self.b_at = np.arange(len(a))
-        self.c = None
+
+
+def _gather_words(op, held, sent, received):
+    for p, row in zip(op.procs.tolist(), op.tiles):
+        for pieces, _ in row:
+            if not pieces or op.side % len(pieces):
+                raise ValueError(f"a gathered {op.side}x{op.side} tile cannot be "
+                                 f"{len(pieces)} equal pieces")
+            words = op.side * op.side // len(pieces)
+            for holder, _, _ in pieces:
+                if holder == p:
+                    held[p] += words
+                else:
+                    sent[holder] += words
+                    received[p] += words
+    return sorted({holder for row in op.tiles for pieces, _ in row for holder, _, _ in pieces})
+
+
+def _gather_step(program, op, round_no, states, inboxes):
+    holders = {holder for row in op.tiles for pieces, _ in row for holder, _, _ in pieces}
+    stores = {p: program._merge(states[p], inboxes.pop(p, ())) for p in holders}
+    values = {}  # (holder, key) -> piece
+
+    def read(holder, key, recipe):
+        if (holder, key) not in values:
+            store = stores[holder]
+            try:
+                if recipe is not None:
+                    _DISPATCH[type(recipe)](program.spec, store, recipe, None)
+                values[holder, key] = store.pop(key)
+            except KeyError as missing:
+                raise MissingTile(holder, round_no, missing.args[0]) from None
+        return values[holder, key]
+
+    shape = (len(op.procs), op.side, op.side)
+    a, b = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
+    for row, tiles in enumerate(op.tiles):
+        for stack, (pieces, axis) in zip((a, b), tiles):
+            share = op.side // len(pieces)
+            part = (share, op.side) if axis == 0 else (op.side, share)
+            parts = [read(*piece) for piece in pieces]
+            for (_, key, _), value in zip(pieces, parts):
+                if value.shape != part:
+                    raise ValueError(f"gathered piece {key!r} has shape {value.shape}, not {part}")
+            stack[row] = np.concatenate(parts, axis=axis)
+    program.stacks.setdefault(op.frag, _Stacks()).fill(a, b)
+    for p, store in stores.items():
+        states[p] = store
 
 
 def _rotate_words(op, held, sent, received):
@@ -386,15 +447,10 @@ def _rotate_words(op, held, sent, received):
                 raise ValueError("rotation sends must permute the stack rows")
             np.add.at(sent, op.procs, tile)
             np.add.at(received, op.procs[to], tile)
-    if op.gather is not None or op.c_keys is not None:
-        return op.procs.tolist()
-    return ()
+    return () if op.c_keys is None else op.procs.tolist()
 
 
 def _rotate_step(program, op, round_no, states, inboxes):
-    if op.gather is not None:
-        program.stacks[op.frag] = _Stacks(*_gather_stacks(op, round_no, states, inboxes,
-                                                          program._merge))
     stacks = program.stacks[op.frag]
     _slot(program.spec, op, stacks)
     if op.c_keys is not None:
@@ -420,30 +476,6 @@ def _slot(spec, op, stacks):
     if op.a_to is not None:
         stacks.a_at = _route(stacks.a_at, op.a_to)
         stacks.b_at = _route(stacks.b_at, op.b_to)
-
-
-def _take(store, pieces, axis, side, p, round_no):
-    """Pop a tile, or its pieces concatenated along ``axis``, out of a store."""
-    if len(pieces) == 1:
-        tile = _pop(store, pieces[0], p, round_no)
-    else:
-        tile = np.concatenate([_pop(store, k, p, round_no) for k in pieces], axis=axis)
-    if tile.shape != (side, side):
-        raise ValueError(f"rotation tile {pieces[0]!r} has shape {tile.shape}, not {side}x{side}")
-    return tile
-
-
-def _gather_stacks(op, round_no, states, inboxes, merge):
-    """First slot: each row's tiles out of its processor's merged store."""
-    shape = (len(op.procs), op.side, op.side)
-    a, b = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
-    for row, p in enumerate(op.procs.tolist()):
-        store = merge(states[p], inboxes.pop(p, ()))
-        (a_pieces, a_axis), (b_pieces, b_axis) = op.gather[row]
-        a[row] = _take(store, a_pieces, a_axis, op.side, p, round_no)
-        b[row] = _take(store, b_pieces, b_axis, op.side, p, round_no)
-        states[p] = store
-    return a, b
 
 
 def _route(at, to):
@@ -547,6 +579,7 @@ def _handouts(op):
 
 
 _GROUP_DISPATCH = {
+    Gather: _GroupKind(_gather_words, _gather_step),
     Rotate: _GroupKind(_rotate_words, _rotate_step),
     Fold: _GroupKind(_fold_words, _fold_step),
 }

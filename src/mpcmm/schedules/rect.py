@@ -2,10 +2,12 @@
 
 Three machine shapes:
 
-* (n, d, n): n processors with O(n) words produce the n x n output in
-  d / sqrt(n) rounds.  Each processor starts with one row of A and one
-  column of B, streams one sqrt(n)-wide block column of A (and block row
-  of B) per round, and accumulates its C block.
+* (n, d, n): n processors with O(n) words, one row of A and one column
+  of B each, produce the n x n output in d / sqrt(n) rounds, SUMMA
+  style.  Round q + 1 gathers block column q of A and block row q of B:
+  each holder's sqrt(n)-word piece goes to the sqrt(n) processors whose
+  C block needs it.  Round q + 2 multiplies them into the C stack, a
+  ``Rotate`` slot without sends (the last in the trailing local step).
 
 * (d, n, d) on n processors with O(d) words: the d x d output splits
   into d blocks of side sqrt(d), each assigned to a group of n / d
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix
-from ..plan import Assemble, Drop, Fold, Mac, Plan, PlanProgram, Send, Slice
+from ..plan import Drop, Fold, Gather, Plan, PlanProgram, Rotate, Slice
 from ..semiring import SemiringSpec
 from .common import Schedule, rotation_fragment
 
@@ -156,44 +158,28 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
     b_pad[:d, :] = b.data
 
     plan = Plan(num_procs=n, num_rounds=q_count, min_memory=n)
-    proc = lambda i, j: i * s + j
-    for kk in range(n):
+    c_keys = tuple(("C", *divmod(kk, s)) for kk in range(n))
+    for kk, (_, i, j) in enumerate(c_keys):
         plan.set_init(kk, ("ar", kk), a_pad[kk : kk + 1, :])
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
+        plan.emit(kk, c_keys[kk], i * s, j * s, (s, s))
 
-    # Round q + 1: each processor slices block column q of its A row and
-    # block row q of its B column and sends them to the processors whose
-    # C block needs them.
-    for rnd in range(1, q_count + 1):
-        q = rnd - 1
+    # Processor i * s + j gathers the pieces of A rows i * s .. i * s + s - 1
+    # and B columns j * s .. j * s + s - 1.  Round q + 2 multiplies strip q
+    # before it gathers strip q + 1.
+    procs = np.arange(n)
+    frag = plan.fragments
+    plan.fragments += 1
+    for q in range(q_count):
         strip = (q * s, (q + 1) * s)
-        for kk in range(n):
-            blk = kk // s
-            for key, src, rows, cols, dsts in (
-                (("as", kk, q), ("ar", kk), (0, 1), strip, [proc(blk, j) for j in range(s)]),
-                (("bs", kk, q), ("bc", kk), strip, (0, 1), [proc(i, blk) for i in range(s)]),
-            ):
-                plan.add(rnd, kk, Slice(key, src, rows, cols))
-                plan.add(rnd, kk, *(Send(dst, (key,)) for dst in dsts if dst != kk))
-                if kk not in dsts:
-                    plan.add(rnd, kk, Drop((key,)))
-
-    for i in range(s):
-        for j in range(s):
-            p = proc(i, j)
-            for q in range(q_count):
-                a_srcs = tuple(("as", i * s + u, q) for u in range(s))
-                b_srcs = tuple(("bs", j * s + v, q) for v in range(s))
-                # The last block column lands in the trailing local step.
-                plan.add(
-                    q + 2,
-                    p,
-                    Assemble(("Ab", i, q), a_srcs, 0),
-                    Assemble(("Bb", q, j), b_srcs, 1),
-                    Mac(("C", i, j), ("Ab", i, q), ("Bb", q, j)),
-                    Drop(a_srcs + b_srcs + (("Ab", i, q), ("Bb", q, j))),
-                )
-            plan.emit(p, ("C", i, j), i * s, j * s, (s, s))
+        a_rows = [tuple(_cut(kk, ("as", kk, q), ("ar", kk), (0, 1), strip)
+                        for kk in range(i * s, (i + 1) * s)) for i in range(s)]
+        b_cols = [tuple(_cut(kk, ("bs", kk, q), ("bc", kk), strip, (0, 1))
+                        for kk in range(j * s, (j + 1) * s)) for j in range(s)]
+        tiles = tuple(((a_rows[i], 0), (b_cols[j], 1)) for i in range(s) for j in range(s))
+        plan.add_group(q + 1, Gather(frag, procs, s, tiles))
+        plan.add_group(q + 2, Rotate(frag, procs, s, None, None,
+                                     c_keys if q == q_count - 1 else None))
 
     return Schedule(
         PlanProgram(plan, spec),

@@ -37,7 +37,7 @@ from ..matrix import SparseMatrix, check_d_sparse
 from ..bounds import snapped
 from ..plan import AccCell, Drop, MulAcc, Pack, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
-from .common import Schedule, chunks, place, rotation_fragment
+from .common import Schedule, chunks, rotation_fragment
 
 ROUND_CONSTANT = 8  # C in the layer / residual budget assertions
 TRIVIAL_ROUND_CONSTANT = 4  # C_triv: the trivial schedule stays below 4d rounds
@@ -348,8 +348,8 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     """The one sparse plan: the fetch of every masked term or, given `eps`,
     the decomposition's layers and then the residual's fetch when that
     takes fewer rounds.  Each fetched value is sent in its fetch round and
-    folded one round later (the last ones in the trailing local step);
-    resident terms fold at finalize.
+    folded one round later; resident terms, and the values fetched last,
+    fold in the trailing local step.
     """
     if a.rows != n or a.cols != n or b.rows != n or b.cols != n:
         raise ValueError(f"inputs must be {n}x{n}")
@@ -387,6 +387,9 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
 
     stride = grid + 1
     start = len(layers) * stride
+    for r, k, j in terms:
+        if j == r:
+            plan.add(rounds + 1, r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
     sends = {}  # (round, sender, owner) -> [keys]
     for r, k, j, rd in fetches:
         bkey = ("b", k, j)
@@ -394,9 +397,6 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         plan.add(start + rd + 1, r, MulAcc(("c", r, j), ("a", r, k), bkey), Drop((bkey,)))
     for (rd, j, r), keys in sorted(sends.items()):
         plan.add(start + rd, j, Send(r, tuple(keys)))
-    for r, k, j in terms:
-        if j == r:
-            plan.at_final(r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
 
     for li, layer in enumerate(layers):
         _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
@@ -502,8 +502,9 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
                     if r is None:
                         continue
                     gkey = ("xg", li, bi, r, tj)
-                    cut = Slice(gkey, ckey, (u_local, u_local + 1), (0, grid))
-                    place(plan, last, p, r, gkey, cut)
+                    plan.add(last, p, Slice(gkey, ckey, (u_local, u_local + 1), (0, grid)))
+                    if r != p:
+                        plan.add(last, p, Send(r, (gkey,)), Drop((gkey,)))
                     masked = set(mask.cols(r))
                     accs = []
                     for v_local in range(grid):

@@ -137,6 +137,16 @@ def test_configs_differing_in_one_field_get_distinct_prefixes(case):
         assert swapped != replace(base, file_a="a.txt", file_b="b.txt").prefix()
 
 
+@pytest.mark.parametrize("field, tag, value, near", [("alpha", "a", 0.5, 0.5000001),
+                                                      ("eps", "e", 0.1, 0.1000001)])
+def test_float_fields_get_exact_prefixes(field, tag, value, near):
+    case = "square" if field == "alpha" else "sparse-twophase"
+    base = ExperimentConfig(case=case, n=16, d=4, **{field: value})
+    close = replace(base, **{field: near})
+    assert f"-{tag}{value}-" in base.prefix() and f"-{tag}{near}-" in close.prefix()
+    assert base.prefix() != close.prefix()
+
+
 def _parent_prefix(config):
     """The artifact name before prefix() read the CASES field lists."""
     bits = [config.case, f"n{config.n}"]
@@ -297,4 +307,18 @@ def test_cli_reports_a_stored_zero_without_traceback(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("mpcmm: error:") and "zero element" in err
     assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written
+
+
+@pytest.mark.parametrize("file_a", ["", "missing.txt"])
+def test_cli_reports_a_missing_input_file_without_traceback(tmp_path, capsys, file_a):
+    fields = _file_instance_with_word(tmp_path, 1)
+    path = str(tmp_path / file_a) if file_a else ""
+    argv = ["run", "--case", "sparse-trivial", "--n", "4", "--d", "1", "--instance", "file",
+            "--file-b", fields["file_b"], "--outdir", str(tmp_path)]
+    rc = main(argv + (["--file-a", path] if path else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mpcmm: error:") and len(err.splitlines()) == 1
+    assert ("--file-a" in err) if not path else (repr(path) in err)
     assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written

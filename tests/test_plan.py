@@ -7,8 +7,8 @@ import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.plan import (Drop, Emit, Fold, Mac, MissingTile, MulAcc, Plan, PlanProgram, Rotate,
-                        Send, assemble_output)
+from mpcmm.plan import (Drop, Emit, Fold, Gather, Mac, MissingTile, MulAcc, Plan, PlanProgram,
+                        Rotate, Send, assemble_output)
 from mpcmm.schedules.common import rotation_fragment
 
 INT = get_semiring("int")
@@ -28,7 +28,7 @@ def test_every_op_has_a_dispatch_entry():
     } - {Plan, Emit}
     assert len(ops) == 8
     assert set(plan_module._DISPATCH) == ops
-    assert set(plan_module._GROUP_DISPATCH) == {plan_module.Rotate, plan_module.Fold}
+    assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Fold}
 
 
 def test_unknown_op_raises_type_error():
@@ -41,20 +41,19 @@ def test_unknown_op_raises_type_error():
 def test_send_in_finalize_raises_value_error():
     program = _program()
     program.plan.set_init(0, ("x",), np.arange(4))
-    program.plan.at_final(0, Send(1, (("x",),)))
+    program.plan.add(2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
     with pytest.raises(ValueError, match="finalize"):
         program.finalize(0, program.init_state(0), [])
 
 
-def _rotation_plan(grid, num_rounds, first_round, with_a=True):
+def _rotation_plan(grid, num_rounds, first_round):
     """A grid x grid rotation of 1x1 tiles whose slots start in ``first_round``;
     processor i * grid + j holds A[i, j] = i + 2j + 1 and B[i, j] = 3i + j + 1."""
     plan = Plan(num_procs=grid * grid, num_rounds=num_rounds)
     proc = lambda i, j: i * grid + j
     for i in range(grid):
         for j in range(grid):
-            if with_a:
-                plan.set_init(proc(i, j), ("A", i, j), np.array([[i + 2 * j + 1]]))
+            plan.set_init(proc(i, j), ("A", i, j), np.array([[i + 2 * j + 1]]))
             plan.set_init(proc(i, j), ("B", i, j), np.array([[3 * i + j + 1]]))
 
     def parts(i, j, x):
@@ -75,7 +74,7 @@ def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
         for j in range(grid):
             p = proc(i, j)
             plan.set_init(p, ("one",), np.array([[1]]))
-            plan.at_final(p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
+            plan.add(rounds + 1, p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
             plan.add(rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
             plan.emit(p, ("D",), i, j, (1, 1))
     result = run(PlanProgram(plan, INT), MpcConfig(grid * grid, 4))
@@ -95,12 +94,15 @@ def test_ops_past_the_trailing_step_raise_value_error():
         PlanProgram(plan, INT)
 
 
-@pytest.mark.parametrize("kind", ["rotate", "fold"])
+@pytest.mark.parametrize("kind", ["gather", "rotate", "fold"])
 def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
     plan = Plan(num_procs=4, num_rounds=1)
-    if kind == "rotate":
+    if kind == "gather":  # processor 1 holds the pieces processor 0 consumes
+        pieces = ((1, ("x",), None),), 0
+        op = Gather(0, np.arange(1), 1, ((pieces, pieces),))
+    elif kind == "rotate":
         to = np.array([1, 0, 3, 2])
-        op = Rotate(0, np.arange(4), 1, None, to, to, None)
+        op = Rotate(0, np.arange(4), 1, to, to, None)
     else:  # a scatter: step 0 of a four-member fold
         keys = tuple(("M", l) for l in range(4)), tuple(("s", e) for e in range(4))
         op = Fold(0, np.arange(4).reshape(1, 4), 2, 4, 0, (keys[0],), (keys[1],))
@@ -109,12 +111,25 @@ def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
         PlanProgram(plan, INT)
 
 
-def test_missing_tile_in_the_trailing_group_step_records_round_none():
-    plan, _ = _rotation_plan(1, 1, 2, with_a=False)  # slot 0 gathers A in round R + 1
+def test_missing_tile_in_a_gather_names_the_holder_and_round():
+    # A[1, 0] is held by processor 2 and first consumed by processor 3.
+    plan, proc = _rotation_plan(2, 3, 3)  # the gather runs in round 2
+    del plan.init[proc(1, 0)][("A", 1, 0)]
     with pytest.raises(MissingTile) as caught:
-        run(PlanProgram(plan, INT), MpcConfig(1, 4))
-    assert caught.value.processor == 0 and caught.value.round is None
-    assert caught.value.key == ("A", 0, 0)
+        run(PlanProgram(plan, INT), MpcConfig(4, 4))
+    assert caught.value.processor == 2 and caught.value.round == 2
+    assert caught.value.key == ("A", 1, 0)
+
+
+@pytest.mark.parametrize("pieces, message", [(0, "0 equal pieces"), (3, "3 equal pieces"),
+                                             (2, "has shape")])
+def test_gather_tiles_must_be_equal_pieces(pieces, message):
+    plan = Plan(num_procs=1, num_rounds=1)
+    plan.set_init(0, ("x",), np.ones((2, 2), dtype=np.int64))
+    tile = tuple((0, ("x",), None) for _ in range(pieces)), 0
+    plan.add_group(1, Gather(0, np.arange(1), 4, ((tile, tile),)))
+    with pytest.raises(ValueError, match=message):
+        run(PlanProgram(plan, INT), MpcConfig(1, 64))
 
 
 def test_send_past_the_last_round_raises_value_error():
@@ -153,7 +168,7 @@ def test_delivered_payload_survives_later_accumulation():
     # the send shares ("x",)'s memory; the sender then rebinds that key twice
     # x += y * y (elementwise, so x += 1), then x += y @ y
     plan.add(1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
-    plan.at_final(0, Drop((("y",),)))
+    plan.add(2, 0, Drop((("y",),)))  # round R + 1
     plan.emit(0, ("x",), 0, 0, (2, 2))
     plan.emit(1, ("x",), 0, 2, (2, 2))
     result = run(PlanProgram(plan, INT), MpcConfig(2, 8))

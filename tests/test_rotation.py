@@ -1,10 +1,11 @@
 """The rotation as group ops against the per-processor reference.
 
 Every schedule that rotates tiles (square, both (d,n,d) cases and the
-sparse layers) is built twice: once as it ships, with one ``Rotate``
-group op per slot, and once with ``rotation_reference.rotation_fragment``
-patched into the builder modules.  Both must give the same transcript
-bytes, the same outputs and the same violation records.
+sparse layers) is built twice: once as it ships, with one ``Gather``
+group op for the distribution round and one ``Rotate`` per slot, and
+once with ``rotation_reference.rotation_fragment`` patched into the
+builder modules.  Both must give the same transcript bytes, the same
+outputs and the same violation records.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import mpcmm.experiment as experiment
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
 from mpcmm.matrix import SparseMatrix, naive_multiply
-from mpcmm.plan import Rotate
+from mpcmm.plan import Drop, Gather, Rotate
 from mpcmm.semiring import get_semiring
 from mpcmm.schedules import rect, sparse, square
 from mpcmm.schedules.sparse import EpsilonSchedule, default_mask
@@ -53,7 +54,7 @@ def _execute(schedule):
 
 def _rotations(schedule):
     return [op for ops in schedule.program.plan.groups.values() for op in ops
-            if isinstance(op, Rotate)]
+            if isinstance(op, (Gather, Rotate))]
 
 
 def _assert_built_both_ways_agree(build):
@@ -201,12 +202,11 @@ def test_rotation_moves_data_through_its_send_arrays(monkeypatch):
 
     def misrouted(config, a, b, mask, spec):
         schedule = build(config, a, b, mask, spec)
-        groups = schedule.program.plan.groups
-        round_no = min(groups)
-        op = groups[round_no][0]
+        ops = schedule.program.plan.groups[2]  # the first slot, which sends
+        i, op = next((i, op) for i, op in enumerate(ops) if isinstance(op, Rotate))
         a_to = op.a_to.copy()
         a_to[[0, 1]] = a_to[[1, 0]]  # rows 0 and 1 swap their A destinations
-        groups[round_no][0] = op._replace(a_to=a_to)
+        ops[i] = op._replace(a_to=a_to)
         schedule.program = type(schedule.program)(schedule.program.plan, spec)
         return schedule
 
@@ -218,6 +218,26 @@ def test_rotation_moves_data_through_its_send_arrays(monkeypatch):
 def test_rotation_emits_one_group_op_per_slot():
     schedule = _build(ExperimentConfig(case="square", n=16))[0]
     plan = schedule.program.plan
-    slots = [op for ops in plan.groups.values() for op in ops]
-    assert len(slots) == 4 and all(isinstance(op, Rotate) for op in slots)
-    assert not any(type(op).__name__ == "Mac" for ops in plan.ops.values() for op in ops)
+    ops = [op for _, round_ops in sorted(plan.groups.items()) for op in round_ops]
+    assert [type(op) for op in ops] == [Gather] + [Rotate] * 4
+    assert not plan.ops
+
+
+# The dense cases move every input piece through group ops: per-processor
+# ops, where a case has any, only drop inputs the gathers read.
+DENSE_GOLDEN = sorted(
+    name for name, fields in GOLDEN_CONFIGS.items()
+    if fields["case"] in ("ndn", "dnd-n", "dnd-d")
+    or (fields["case"] == "square" and not fields.get("redistribute"))
+)
+
+
+@pytest.mark.parametrize("name", DENSE_GOLDEN)
+def test_dense_inputs_move_only_through_gathers(name):
+    plan = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]))[0].program.plan
+    assert any(isinstance(op, Gather) for ops in plan.groups.values() for op in ops)
+    if GOLDEN_CONFIGS[name]["case"] in ("square", "ndn"):
+        assert not plan.ops
+    for (_, p), ops in plan.ops.items():
+        for op in ops:
+            assert isinstance(op, Drop) and set(op.keys) <= set(plan.init[p])
