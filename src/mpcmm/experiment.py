@@ -205,7 +205,10 @@ def build_schedule(config: ExperimentConfig, a, b, mask, spec):
 
 
 def masked_equal(out: DenseMatrix, oracle: DenseMatrix, mask) -> bool:
-    return all(out.data[r, j] == oracle.data[r, j] for r in range(mask.n) for j in mask.cols(r))
+    """True iff ``out`` and ``oracle`` agree on every cell the mask lists."""
+    rows = np.repeat(np.arange(mask.n), [len(cols) for cols in mask.rows])
+    cols = np.fromiter((j for cols in mask.rows for j in cols), dtype=np.int64, count=len(rows))
+    return bool(np.array_equal(out.data[rows, cols], oracle.data[rows, cols]))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, write=True) -> dict:

@@ -18,11 +18,19 @@ VALUE_RANGE = 1 << 20
 
 def random_value(spec: SemiringSpec, rng) -> int:
     """A non-zero element of the carrier (never the additive identity)."""
+    return int(random_values(spec, rng, 1)[0])
+
+
+def random_values(spec: SemiringSpec, rng, size) -> np.ndarray:
+    """``size`` non-zero elements of the carrier, drawn in one call.
+
+    They are the words, and leave ``rng`` in the state, that ``size``
+    calls of one draw each would: bool draws nothing.
+    """
     if spec.name == "bool":
-        return 1
-    if spec.name == "tropical":
-        return int(rng.integers(0, VALUE_RANGE))
-    return int(rng.integers(1, VALUE_RANGE))
+        return np.ones(size, dtype=np.int64)
+    low = 0 if spec.name == "tropical" else 1
+    return rng.integers(low, VALUE_RANGE, size=size).astype(np.int64)
 
 
 def random_dense(rows, cols, spec: SemiringSpec, rng) -> DenseMatrix:
@@ -38,27 +46,24 @@ def random_d_sparse(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
 
     Superimposes d disjoint shifted permutations: row r gets columns
     (perm[r] + i) mod n for i < d, so row and column counts are both
-    exactly d.
+    exactly d.  Values are drawn row by row, i ascending.
     """
     if d > n:
         raise ValueError("requires d <= n")
     perm = rng.permutation(n)
-    entries = []
-    for r in range(n):
-        for i in range(d):
-            c = (int(perm[r]) + i) % n
-            entries.append((r, c, random_value(spec, rng)))
-    return SparseMatrix.from_entries(n, n, entries)
+    rows = np.repeat(np.arange(n), d)
+    cols = (perm[rows] + np.tile(np.arange(d), n)) % n
+    return _sparse(n, rows, cols, random_values(spec, rng, n * d))
 
 
 def block_diagonal(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
-    """n // d dense d x d blocks along the diagonal."""
+    """n // d dense d x d blocks along the diagonal, values drawn row-major."""
     if d > n or n % d:
         raise ValueError("requires d <= n with d dividing n")
-    entries = []
-    for blk in range(n // d):
-        base = blk * d
-        for r in range(d):
-            for c in range(d):
-                entries.append((base + r, base + c, random_value(spec, rng)))
-    return SparseMatrix.from_entries(n, n, entries)
+    rows = np.repeat(np.arange(n), d)
+    cols = rows // d * d + np.tile(np.arange(d), n)
+    return _sparse(n, rows, cols, random_values(spec, rng, n * d))
+
+
+def _sparse(n, rows, cols, values) -> SparseMatrix:
+    return SparseMatrix.from_entries(n, n, zip(rows.tolist(), cols.tolist(), values.tolist()))

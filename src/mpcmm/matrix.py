@@ -6,9 +6,17 @@ explicit (row, col, value) triplets and can be checked for d-sparsity
 
 :func:`naive_multiply` is the reference product every round schedule is
 compared against.  It shares one piece of code with the schedulers: the
-carrier's ``matmul`` tile kernel, which the plan interpreter also calls
-for every block product.  ``tests/test_semiring.py`` checks those kernels
-against the scalar add/mul definitions.
+carrier's tile kernels (``matmul`` for dense inputs, ``vmul`` for sparse
+ones), which the plan interpreter also calls.  ``tests/test_semiring.py``
+checks those kernels against the scalar add/mul definitions.
+
+Two sparse inputs over a built-in carrier are joined row by row instead
+of densified: A's entry (r, k) meets every entry (k, j) of B's row k,
+O(n d**2) terms for d-sparse inputs, and each output cell takes the
+carrier's sum of its terms with the matching numpy ufunc.  Like the
+sparse schedules, it forms terms of stored entries only, which gives the
+dense product's words wherever the zero annihilates: on every word of
+the int and bool carriers, and on non-negative tropical words.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semiring import SemiringSpec
+from .semiring import BOOLEAN, INTEGER, TROPICAL, SemiringSpec
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,38 @@ def _as_dense(m, spec: SemiringSpec) -> DenseMatrix:
     return m
 
 
+# The add of each built-in carrier as a ufunc, keyed by its scalar add (which
+# a spec with wrapped tile kernels keeps).
+_ADD_UFUNCS = {INTEGER.add: np.add, BOOLEAN.add: np.bitwise_or, TROPICAL.add: np.minimum}
+
+
 def naive_multiply(a, b, spec: SemiringSpec) -> DenseMatrix:
     """Reference product: C[i, j] = add_k mul(A[i, k], B[k, j])."""
-    a = _as_dense(a, spec)
-    b = _as_dense(b, spec)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) * ({b.rows}x{b.cols})")
+    add = _ADD_UFUNCS.get(spec.add)
+    if add is not None and isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix):
+        return _row_join(a, b, spec, add)
+    a = _as_dense(a, spec)
+    b = _as_dense(b, spec)
     return DenseMatrix(a.rows, b.cols, spec.matmul(a.data, b.data))
+
+
+def _row_join(a: SparseMatrix, b: SparseMatrix, spec: SemiringSpec, add) -> DenseMatrix:
+    """The sparse product: every term a(r, k) (*) b(k, j), summed per cell with ``add``."""
+    a_r, a_k, a_v = np.array(a.entries, dtype=np.int64).reshape(-1, 3).T
+    b_k, b_j, b_v = np.array(b.entries, dtype=np.int64).reshape(-1, 3).T
+    by_row = np.argsort(b_k, kind="stable")
+    b_k, b_j, b_v = b_k[by_row], b_j[by_row], b_v[by_row]
+    # Row k of B is b_*[first[k] : first[k] + count[k]].
+    count = np.bincount(b_k, minlength=b.rows)
+    first = np.cumsum(count) - count
+    per_a = count[a_k]
+    a_of = np.repeat(np.arange(len(a_r)), per_a)  # the A entry of each term
+    b_of = first[a_k][a_of] + np.arange(len(a_of)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
+    data = spec.zeros(a.rows, b.cols)
+    add.at(data.reshape(-1), a_r[a_of] * b.cols + b_j[b_of], spec.vmul(a_v[a_of], b_v[b_of]))
+    return DenseMatrix(a.rows, b.cols, data)
 
 
 def pad_to_multiple(m: DenseMatrix, block: int, spec: SemiringSpec) -> DenseMatrix:

@@ -9,7 +9,7 @@ receiver can restore tiles into its own store.
 Per-processor ops::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
-    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
+    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise; only test references emit it)
     AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
     Slice(dst, src, rows, cols) copy a sub-block
@@ -70,6 +70,25 @@ consecutive members.
 4. The step whose fold leaves one holder (``Fold.last_step``) sends
    nothing.  It hands each finished entry to its holder's store under
    ``out_keys[g][e]``, as a (1,) tile accumulated like ``AccCell``.
+
+:class:`Fetch` is one round of the sparse value fetch (see
+``schedules.sparse``) for every processor at once, over columnar
+(r, k, j) term arrays.  Like a fold step, it folds before it moves.
+
+1. It folds first.  For each column (r, k, j) of ``fold``, processor r
+   adds a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile
+   accumulated like ``MulAcc``: one elementwise product, then one sum per
+   cell with ``vadd``, left to right.  a(r, k) is read in r's store.
+   b(k, j) is read in r's store too when j == r; the terms with j != r
+   take the values the previous round moved, and must be its ``move``
+   columns in their order.
+2. Then it moves.  b(k, j) of each column (r, k, j) of ``move`` is read
+   in the store of ``senders[i]``, which keeps it, and is in flight to r
+   until the next round's fold.  It counts as sent by the sender and
+   received by r, so r's next round charges it like an inbox.
+
+The processors it folds into are its ``active`` ones; a sender's store
+does not change.
 
 In a round, group ops run before any processor's per-processor ops, in
 the order they were added.  Round ``num_rounds + 1`` is the trailing
@@ -217,6 +236,15 @@ class Fold(NamedTuple):
         return self.members[:, np.arange(self.entries) * self.chunks % t]
 
 
+class Fetch(NamedTuple):
+    """One round of the sparse value fetch for every processor (see module doc)."""
+
+    frag: int  # the rounds of one fetch share the values in flight
+    fold: np.ndarray  # (3, terms) rows r, k, j: c(r, j) (+)= a(r, k) (*) b(k, j) at r
+    move: np.ndarray  # (3, values) rows r, k, j: b(k, j) moves to r
+    senders: np.ndarray  # (values,): the processor each moved b(k, j) is read at
+
+
 @dataclass
 class Plan:
     """Per-round, per-processor op lists plus initial state and outputs."""
@@ -226,7 +254,7 @@ class Plan:
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
     ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
-    groups: dict = field(default_factory=dict)  # round -> [Gather | Rotate | Fold]
+    groups: dict = field(default_factory=dict)  # round -> [Gather | Rotate | Fold | Fetch]
     fragments: int = 0  # group-op fragments numbered so far
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
@@ -578,10 +606,83 @@ def _handouts(op):
     return {int(procs[part[0]]): part.tolist() for part in np.split(order, cuts)}
 
 
+# -- Fetch -------------------------------------------------------------------
+
+
+def _fetch_words(op, held, sent, received):
+    procs = len(sent)
+    sent += np.bincount(op.senders, minlength=procs)
+    received += np.bincount(op.move[0], minlength=procs)
+    return np.unique(op.fold[0]).tolist()
+
+
+def _fetch_step(program, op, round_no, states, inboxes):
+    where = round_no if round_no <= program.total_rounds else None  # None: the trailing step
+    moved, values = program.stacks.pop(op.frag, (op.fold[:, :0], op.fold[0, :0]))
+    local = op.fold[2] == op.fold[0]
+    if not np.array_equal(op.fold[:, ~local], moved):
+        raise ValueError("a fetch must fold the values the last round moved, in their order")
+    if op.fold.size:
+        _fetch_fold(program.spec, op.fold, local, values, states, where)
+    if op.move.size:
+        _, k, j = op.move.tolist()
+        keys = [("b", kk, jj) for kk, jj in zip(k, j)]
+        program.stacks[op.frag] = op.move, _words_at(states, op.senders.tolist(), keys, where)
+
+
+def _fetch_fold(spec, terms, local, values, states, where):
+    """c(r, j) (+)= a(r, k) (*) b(k, j) for every (r, k, j) column of ``terms``:
+    b(k, j) is in r's store where ``local``, else the next of ``values``."""
+    r, k, j = terms
+    owners = r.tolist()
+    a = _words_at(states, owners, [("a", p, q) for p, q in zip(owners, k.tolist())], where)
+    b = np.empty_like(a)
+    b[~local] = values
+    if local.any():
+        mine = r[local].tolist()
+        b[local] = _words_at(states, mine, [("b", q, p) for p, q in zip(mine, k[local].tolist())],
+                             where)
+    order = np.lexsort((j, r))
+    r, j = r[order], j[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])
+    sums = _segment_add(spec, spec.vmul(a, b)[order], starts)
+    cells = list(zip(r[starts].tolist(), j[starts].tolist()))
+    held = [states[p].get(("c", p, q)) for p, q in cells]
+    old = [i for i, tile in enumerate(held) if tile is not None]
+    if old:
+        sums[old] = spec.vadd(np.concatenate([held[i] for i in old]), sums[old])
+    store, owner = None, None
+    for i, (p, q) in enumerate(cells):
+        if p != owner:
+            store, owner = dict(states[p]), p
+            states[p] = store
+        store["c", p, q] = sums[i : i + 1]
+
+
+def _segment_add(spec, values, starts):
+    """The carrier's sum of each run ``values[starts[i] : starts[i + 1]]``, left to right."""
+    sums = values[starts]
+    lengths = np.diff(starts, append=len(values))
+    for offset in range(1, int(lengths.max(initial=1))):
+        longer = np.flatnonzero(lengths > offset)
+        sums[longer] = spec.vadd(sums[longer], values[starts[longer] + offset])
+    return sums
+
+
+def _words_at(states, procs, keys, round_no):
+    """The one-word tile ``keys[i]`` of processor ``procs[i]``'s store, for every i."""
+    try:
+        return np.concatenate([states[p][key] for p, key in zip(procs, keys)])
+    except KeyError:
+        p, key = next((p, key) for p, key in zip(procs, keys) if key not in states[p])
+        raise MissingTile(p, round_no, key) from None
+
+
 _GROUP_DISPATCH = {
     Gather: _GroupKind(_gather_words, _gather_step),
     Rotate: _GroupKind(_rotate_words, _rotate_step),
     Fold: _GroupKind(_fold_words, _fold_step),
+    Fetch: _GroupKind(_fetch_words, _fetch_step),
 }
 
 

@@ -9,11 +9,16 @@ Both schedules are one builder, which makes one plan per call:
 * trivial, the builder with zero layers: every processor fetches the B
   values its pending terms need, at most d incoming values and 2d
   outgoing values per processor per round, finishing in O(d) rounds.
+  The terms are sorted (r, k, j) int arrays, the row-wise layout of
+  Gustavson's sparse product, and each fetch round is one
+  :class:`~mpcmm.plan.Fetch` group op over them: it folds the values
+  the previous round fetched into the owners' output cells, then moves
+  this round's values from their senders to their owners.
 
 * two-phase: a decomposition first carves the term set into layers of
   disjoint dense blocks.  Each layer runs its blocks as parallel dense
   square multiplications (grid side sqrt(d), sqrt(d) + 1 rounds); the
-  leftover terms run through the trivial fetch loop.  The trivial round
+  leftover terms run through the same fetch.  The trivial round
   count comes from the fetch assignment alone, without building that
   schedule; when the blocks would not beat it the builder makes the
   trivial plan instead, so two-phase never costs more rounds.
@@ -35,7 +40,7 @@ import numpy as np
 from ..engine import MpcConfig
 from ..matrix import SparseMatrix, check_d_sparse
 from ..bounds import snapped
-from ..plan import AccCell, Drop, MulAcc, Pack, Plan, PlanProgram, Send, Slice
+from ..plan import AccCell, Drop, Fetch, Pack, Plan, PlanProgram, Send, Slice
 from ..semiring import SemiringSpec
 from .common import Schedule, chunks, rotation_fragment
 
@@ -321,35 +326,85 @@ def decompose(
     return Decomposition(layers, ledger, remaining, layer_budget, residual_budget, side)
 
 
-def _fetch_assignment(terms, d: int):
-    """Greedy value-fetch schedule: owner r pulls b[k, j] from processor j.
+def _term_array(ledger: TermLedger) -> np.ndarray:
+    """The ledger's terms as a (3, terms) int array, rows r, k, j, sorted by (r, j, k)."""
+    terms = np.array([(r, k, j) for (r, j), ks in ledger.pending.items() for k in ks],
+                     dtype=np.int64).reshape(-1, 3).T
+    return terms[:, np.lexsort((terms[1], terms[2], terms[0]))]
 
-    Per round each owner accepts at most d values and each sender ships
-    at most 2d, so an owner's d**2 terms and a sender's d**2 duties both
-    drain within O(d) rounds.  Returns the number of rounds used and, in
-    (r, j, k) order, each remote term (r, k, j) with its fetch round.
+
+def _fetch_assignment(terms, d: int) -> np.ndarray:
+    """Greedy value-fetch rounds: owner r pulls b[k, j] from processor j.
+
+    ``terms`` is a (3, terms) int array, rows r, k, j, sorted by (r, j, k).
+    In that order each remote term (j != r) takes the first round in
+    which its owner has accepted fewer than d values and its sender has
+    shipped fewer than 2d, so an owner's d**2 terms and a sender's d**2
+    duties both drain within O(d) rounds.  Per-owner and per-sender
+    pointers to the first round with room skip the rounds that are
+    already full.  Returns each remote term's fetch round, counted from 1.
     """
-    quota = max(d, 1)
-    recv_load, send_load = {}, {}
-    fetches = []
-    last = 0
-    for r, k, j in sorted((t for t in terms if t[2] != t[0]), key=lambda t: (t[0], t[2], t[1])):
-        rd = 1
-        while recv_load.get((rd, r), 0) >= quota or send_load.get((rd, j), 0) >= 2 * quota:
+    quota, cap = max(d, 1), 2 * max(d, 1)
+    remote = terms[:, terms[2] != terms[0]]
+    owners, senders = remote[0].tolist(), remote[2].tolist()
+    # A term waits only through rounds that its owner or its sender has
+    # filled before it, so every round index stays below ``span``.
+    span = 1 + (int(np.bincount(remote[0]).max(initial=0)) // quota
+                + int(np.bincount(remote[2]).max(initial=0)) // cap)
+    shipped = [[0] * span for _ in range(max(senders, default=-1) + 1)]
+    send_free = [0] * len(shipped)  # per sender, the first round with room
+    rounds = []
+    owner = None
+    for r, j in zip(owners, senders):
+        if r != owner:  # an owner's terms are consecutive
+            owner, got, recv_free = r, [0] * span, 0
+        ships = shipped[j]
+        rd = max(recv_free, send_free[j])
+        while got[rd] >= quota or ships[rd] >= cap:
             rd += 1
-        recv_load[(rd, r)] = recv_load.get((rd, r), 0) + 1
-        send_load[(rd, j)] = send_load.get((rd, j), 0) + 1
-        fetches.append((r, k, j, rd))
-        last = max(last, rd)
-    return last, fetches
+        got[rd] += 1
+        ships[rd] += 1
+        while got[recv_free] >= quota:
+            recv_free += 1
+        free = send_free[j]
+        while ships[free] >= cap:
+            free += 1
+        send_free[j] = free
+        rounds.append(rd + 1)
+    return np.array(rounds, dtype=np.int64)
+
+
+def fetch_fragment(plan, terms, fetch_rounds, start):
+    """The fetch of ``terms``, a (3, terms) int array r, k, j sorted by (r, j, k).
+
+    Term i with j != r moves b(k, j) from processor j to r in round
+    ``start + fetch_rounds[i]`` and folds into c(r, j) in the round after;
+    the resident terms (j == r) fold in the trailing local step, with the
+    values fetched last.  One :class:`~mpcmm.plan.Fetch` per round, which
+    folds the last round's values before it moves its own.
+    """
+    remote = terms[2] != terms[0]
+    order = np.argsort(fetch_rounds, kind="stable")
+    moves, rounds = terms[:, remote][:, order], fetch_rounds[order]
+    frag = plan.fragments
+    plan.fragments += 1
+    arrived = terms[:, :0]
+    for rd in range(1, int(rounds.max(initial=0)) + 1):
+        move = moves[:, np.searchsorted(rounds, rd) : np.searchsorted(rounds, rd, side="right")]
+        plan.add_group(start + rd, Fetch(frag, arrived, move, move[2]))
+        arrived = move
+    last = np.concatenate([arrived, terms[:, ~remote]], axis=1)
+    if last.size:
+        plan.add_group(plan.num_rounds + 1, Fetch(frag, last, last[:, :0], last[2, :0]))
 
 
 def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     """The one sparse plan: the fetch of every masked term or, given `eps`,
     the decomposition's layers and then the residual's fetch when that
-    takes fewer rounds.  Each fetched value is sent in its fetch round and
-    folded one round later; resident terms, and the values fetched last,
-    fold in the trailing local step.
+    takes fewer rounds.  The terms travel as sorted (r, k, j) int arrays,
+    and the fetch is one :class:`~mpcmm.plan.Fetch` group op per round
+    (see :func:`fetch_fragment`); the layers hand their C rows back with
+    per-processor ops.
     """
     if a.rows != n or a.cols != n or b.rows != n or b.cols != n:
         raise ValueError(f"inputs must be {n}x{n}")
@@ -359,9 +414,9 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         raise ValueError("mask does not match the problem shape")
     decomp = None if eps is None else decompose(a, b, mask, eps)
     ledger = build_ledger(a, b, mask) if decomp is None else decomp.ledger
-    terms = list(ledger.terms())
-    rounds, fetches = _fetch_assignment(terms, d)
-    rounds = max(rounds, 1)
+    terms = _term_array(ledger)
+    fetched = _fetch_assignment(terms, d)
+    rounds = max(int(fetched.max(initial=0)), 1)
     bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
     if rounds > bound:
         raise RoundBoundExceeded(
@@ -372,11 +427,11 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         meta = {"fallback": True, "decomposition": decomp.report()}
     if decomp is not None and decomp.layers:
         grid = math.isqrt(decomp.block_side)
-        residual = list(decomp.residual.terms())
-        residual_rounds, residual_fetches = _fetch_assignment(residual, d)
-        total = len(decomp.layers) * (grid + 1) + residual_rounds
+        residual = _term_array(decomp.residual)
+        residual_fetched = _fetch_assignment(residual, d)
+        total = len(decomp.layers) * (grid + 1) + int(residual_fetched.max(initial=0))
         if total <= rounds:
-            layers, terms, rounds, fetches = decomp.layers, residual, total, residual_fetches
+            layers, terms, rounds, fetched = decomp.layers, residual, total, residual_fetched
             meta["fallback"] = False
 
     plan = Plan(num_procs=n, num_rounds=rounds, min_memory=max(d, 1))
@@ -386,18 +441,7 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
 
     stride = grid + 1
-    start = len(layers) * stride
-    for r, k, j in terms:
-        if j == r:
-            plan.add(rounds + 1, r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
-    sends = {}  # (round, sender, owner) -> [keys]
-    for r, k, j, rd in fetches:
-        bkey = ("b", k, j)
-        sends.setdefault((rd, j, r), []).append(bkey)
-        plan.add(start + rd + 1, r, MulAcc(("c", r, j), ("a", r, k), bkey), Drop((bkey,)))
-    for (rd, j, r), keys in sorted(sends.items()):
-        plan.add(start + rd, j, Send(r, tuple(keys)))
-
+    fetch_fragment(plan, terms, fetched, len(layers) * stride)
     for li, layer in enumerate(layers):
         _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
     for r in range(n):

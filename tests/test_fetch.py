@@ -1,0 +1,190 @@
+"""The sparse fetch as ``Fetch`` group ops against the per-processor reference.
+
+Every sparse golden config is built twice: once as it ships, with one
+``Fetch`` group op per fetch round and one in the trailing local step, and
+once with ``fetch_reference.fetch_fragment`` patched into the sparse
+module.  Both must give the same transcript bytes, the same outputs and
+the same violation records, at every cap factor the tests use.  The
+greedy's round assignment is checked against the probing original.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mpcmm import MpcConfig, MpcError, get_semiring, run
+from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
+from mpcmm.plan import Drop, Fetch, MissingTile, MulAcc, Plan, PlanProgram, Send
+from mpcmm.schedules import sparse
+
+import fetch_reference
+from fetch_reference import per_processor_fetch
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+
+INT = get_semiring("int")
+SPARSE_GOLDEN = sorted(
+    name for name, fields in GOLDEN_CONFIGS.items() if fields["case"].startswith("sparse")
+)
+
+
+def _build(config):
+    spec = get_semiring(config.semiring)
+    return build_schedule(config, *generate_instance(config, spec), spec)
+
+
+def _fetches(plan):
+    return [op for ops in plan.groups.values() for op in ops if isinstance(op, Fetch)]
+
+
+def _outcome(schedule, cap_factor):
+    """Transcript bytes, per-processor output bytes and product, or the error."""
+    try:
+        result, out = schedule.execute(cap_factor)
+    except MpcError as err:
+        return type(err).__name__, str(err)
+    outputs = {
+        p: [(r, c, np.asarray(block).tobytes()) for r, c, block in blocks]
+        for p, blocks in result.outputs.items()
+    }
+    return result.transcript.to_csv(), outputs, out
+
+
+@pytest.mark.parametrize("cap_factor", [4, 2, 1])
+@pytest.mark.parametrize("name", SPARSE_GOLDEN)
+def test_golden_configs_fetch_matches_reference(name, cap_factor):
+    config = ExperimentConfig(seed=1, cap_factor=cap_factor, **GOLDEN_CONFIGS[name])
+    grouped = _build(config)
+    with per_processor_fetch():
+        reference = _build(config)
+        reference_summary = run_experiment(config, write=False)
+    assert not _fetches(reference.program.plan)
+    assert _outcome(grouped, cap_factor) == _outcome(reference, cap_factor)
+    assert run_experiment(config, write=False) == reference_summary
+
+
+def test_cap_factor_1_breaks_a_budget_in_some_golden_fetch():
+    """So the differential test above compares violation records too."""
+    violations = [
+        run_experiment(ExperimentConfig(seed=1, cap_factor=1, **GOLDEN_CONFIGS[name]),
+                       write=False)["violation"]
+        for name in SPARSE_GOLDEN
+    ]
+    assert any(v is not None for v in violations)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_no_builder_emits_mul_acc_and_the_fetch_no_send_or_drop(name):
+    plan = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])).program.plan
+    ops = [op for ops in plan.ops.values() for op in ops]
+    assert not any(isinstance(op, MulAcc) for op in ops)
+    if name in SPARSE_GOLDEN:  # the only per-processor traffic left is the layers' hand-back
+        for op in ops:
+            if isinstance(op, (Send, Drop)):
+                assert all(key[0] in ("xg", "XC") for key in op.keys), op
+
+
+def test_one_fetch_per_round_and_one_in_the_trailing_step():
+    plan = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS["sparse-trivial-blockdiag"])
+                  ).program.plan
+    rounds = sorted(rd for rd, ops in plan.groups.items() for op in ops if isinstance(op, Fetch))
+    assert rounds == list(range(1, plan.num_rounds + 2))
+    assert not plan.ops
+
+
+@st.composite
+def term_sets(draw):
+    """A random term set as a (3, m) array sorted by (r, j, k), and d."""
+    n = draw(st.integers(1, 10))
+    triples = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=120))
+    triples = sorted(triples, key=lambda t: (t[0], t[2], t[1]))
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=term_sets())
+def test_pointer_greedy_matches_the_probing_greedy(case):
+    terms, d = case
+    got = sparse._fetch_assignment(terms, d)
+    assert got.tolist() == fetch_reference.fetch_assignment(terms, d).tolist()
+
+
+@pytest.mark.parametrize("name", SPARSE_GOLDEN)
+def test_pointer_greedy_matches_on_golden_ledgers(name):
+    config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
+    spec = get_semiring(config.semiring)
+    a, b, mask = generate_instance(config, spec)
+    terms = sparse._term_array(sparse.build_ledger(a, b, mask))
+    assert (sparse._fetch_assignment(terms, config.d).tolist()
+            == fetch_reference.fetch_assignment(terms, config.d).tolist())
+
+
+def _terms(*triples):
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T
+
+
+def _fetch_plan(moved):
+    """Processor r holds a(r, k) = 10r + k + 1, processor j b(k, j) = k + 2j + 1;
+    round 1 moves ``moved``, which the trailing step folds with the resident
+    term (0, 0, 0)."""
+    plan = Plan(num_procs=3, num_rounds=1)
+    for p in range(3):
+        for q in range(3):
+            plan.set_init(p, ("a", p, q), np.array([10 * p + q + 1]))
+            plan.set_init(p, ("b", q, p), np.array([q + 2 * p + 1]))
+    plan.add_group(1, Fetch(0, _terms(), moved, moved[2]))
+    last = np.concatenate([moved, _terms((0, 0, 0))], axis=1)
+    plan.add_group(2, Fetch(0, last, _terms(), moved[2, :0]))
+    for r, j in {(0, 0), *zip(moved[0].tolist(), moved[2].tolist())}:
+        plan.emit(r, ("c", r, j), r, j, (1,))
+    return plan
+
+
+def test_fetch_folds_products_per_cell_and_charges_words():
+    moved = _terms((0, 1, 2), (0, 2, 2), (1, 0, 2), (2, 0, 1))
+    result = run(PlanProgram(_fetch_plan(moved), INT), MpcConfig(3, 16))
+    cells = {(r, j): int(block[0]) for blocks in result.outputs.values() for r, j, block in blocks}
+    a = lambda r, k: 10 * r + k + 1
+    b = lambda k, j: k + 2 * j + 1
+    assert cells == {
+        (0, 0): a(0, 0) * b(0, 0),
+        (0, 2): a(0, 1) * b(1, 2) + a(0, 2) * b(2, 2),
+        (1, 2): a(1, 0) * b(0, 2),
+        (2, 1): a(2, 0) * b(0, 1),
+    }
+    (row0, row1, row2) = result.transcript.rows
+    assert [row.words_sent for row in (row0, row1, row2)] == [0, 1, 3]
+    assert [row.words_received for row in (row0, row1, row2)] == [2, 1, 1]
+
+
+def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
+    moved = _terms((0, 1, 2), (1, 0, 2))
+    plan = _fetch_plan(moved)
+    plan.add_group(1, plan.groups[1].pop()._replace(senders=np.array([2, 0])))
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(3, 16))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (0, 1, ("b", 0, 2))
+
+
+def test_a_missing_resident_value_is_named_at_the_trailing_step():
+    plan = _fetch_plan(_terms((1, 0, 2)))
+    del plan.init[0][("b", 0, 0)]
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(3, 16))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (0, None, ("b", 0, 0))
+
+
+def test_a_fold_must_take_the_values_in_flight_in_order():
+    moved = _terms((0, 1, 2), (1, 0, 2))
+    plan = _fetch_plan(moved)
+    (last,) = plan.groups[2]
+    plan.groups[2] = [last._replace(fold=last.fold[:, [1, 0, 2]])]
+    with pytest.raises(ValueError, match="in flight|last round moved"):
+        run(PlanProgram(plan, INT), MpcConfig(3, 16))
+
+
+def test_a_fetch_that_moves_in_the_trailing_step_raises_value_error():
+    plan = Plan(num_procs=2, num_rounds=1)
+    moved = _terms((0, 1, 1))
+    plan.add_group(2, Fetch(0, _terms(), moved, moved[2]))
+    with pytest.raises(ValueError, match="trailing"):
+        PlanProgram(plan, INT)

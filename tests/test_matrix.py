@@ -15,7 +15,12 @@ from mpcmm import (
     pad_to_multiple,
     save_matrix,
 )
+from mpcmm.experiment import ExperimentConfig, generate_instance, masked_equal
 from mpcmm.instances import random_d_sparse, random_dense
+from mpcmm.schedules.sparse import OutputMask
+from mpcmm.semiring import SemiringSpec, builtin_semirings
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
 BOOL = get_semiring("bool")
@@ -148,3 +153,70 @@ def test_sparse_file_round_trip(tmp_path):
     assert text[0] == f"SPARSE 8 8 {len(m.entries)}"
     first = m.entries[0]
     assert text[1] == f"{first[0] + 1} {first[1] + 1} {first[2]}"  # 1-indexed on disk
+
+
+def _densified_product(a, b, spec):
+    return naive_multiply(a.to_dense(spec), b.to_dense(spec), spec)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, f in GOLDEN_CONFIGS.items() if f["case"].startswith("sparse"))
+)
+def test_sparse_row_join_matches_the_dense_product_on_golden_inputs(name):
+    config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
+    spec = get_semiring(config.semiring)
+    a, b, _ = generate_instance(config, spec)
+    assert naive_multiply(a, b, spec) == _densified_product(a, b, spec)
+
+
+@st.composite
+def sparse_operands(draw):
+    """Two sparse matrices of matching inner size over one built-in carrier,
+    with their entries in any order.
+
+    Tropical words are non-negative, as every generated instance's are: a
+    negative word x makes x (*) +inf = +inf + x < +inf, so a missing entry
+    would count in the dense product, and the sparse product, like the
+    sparse schedules, forms terms of stored entries only.
+    """
+    spec = draw(st.sampled_from(builtin_semirings()))
+    lo, hi = {"int": (-(1 << 20), 1 << 20), "bool": (0, 1), "tropical": (0, 1 << 20)}[spec.name]
+    rows, inner, cols = (draw(st.integers(1, 7)) for _ in range(3))
+
+    def matrix(r, c):
+        cells = draw(st.sets(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))))
+        entries = [(i, j, draw(st.integers(lo, hi))) for i, j in cells]
+        return SparseMatrix(r, c, tuple(draw(st.permutations(entries))))
+
+    return matrix(rows, inner), matrix(inner, cols), spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands=sparse_operands())
+def test_sparse_row_join_matches_the_dense_product(operands):
+    a, b, spec = operands
+    assert naive_multiply(a, b, spec) == _densified_product(a, b, spec)
+
+
+def test_a_custom_carrier_keeps_the_dense_product():
+    maxplus = SemiringSpec.from_scalar_ops("int", max, lambda x, y: x + y, -(1 << 40))
+    a = SparseMatrix.from_entries(3, 3, [(0, 1, 2), (1, 2, 5), (2, 0, 1)])
+    b = SparseMatrix.from_entries(3, 3, [(1, 2, 7), (2, 0, 3), (0, 0, 4)])
+    product = naive_multiply(a, b, maxplus)
+    assert product == loop_multiply(a.to_dense(maxplus), b.to_dense(maxplus), maxplus)
+    assert int(product.data[0, 2]) == 9
+
+
+def test_sparse_dimension_mismatch_raises():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        naive_multiply(SparseMatrix(2, 3, ()), SparseMatrix(2, 2, ()), INT)
+
+
+def test_masked_equal_reads_the_masked_cells_only():
+    mask = OutputMask(3, 2, ((0, 2), (), (1,)))
+    oracle = DenseMatrix(3, 3, np.arange(9, dtype=np.int64).reshape(3, 3))
+    out = DenseMatrix(3, 3, oracle.data.copy())
+    out.data[1, 1] = -1  # not masked
+    assert masked_equal(out, oracle, mask)
+    out.data[2, 1] = -1
+    assert not masked_equal(out, oracle, mask)

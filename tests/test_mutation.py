@@ -1,11 +1,18 @@
 """Mutation test: the checks catch a faulty plan.
 
-Per-processor mutants change one op of a built golden sparse plan, the
-only plans that still move data with per-processor ops: they drop a
-``Send``, run a ``Mac``/``MulAcc`` twice, or cut the last key off a
-bundled ``Send``.  Every such mutant must end in an oracle mismatch or
-a typed ``MpcError`` (a lost tile raises ``MissingTile``), never in a
-passing run or an untyped crash.
+Per-processor mutants change one op of a golden sparse plan built with
+the per-processor fetch of ``fetch_reference`` (the built plans keep only
+the layers' hand-back as per-processor ops): they drop a ``Send``, run a
+``Mac``/``MulAcc`` twice, or cut the last key off a bundled ``Send``.
+Every such mutant must end in an oracle mismatch or a typed ``MpcError``
+(a lost tile raises ``MissingTile``), never in a passing run or an
+untyped crash.
+
+Fetch mutants change one term of a built golden sparse plan's ``Fetch``
+ops: a term removed from the arrays of the rounds that move and fold it,
+or duplicated there, must end in an oracle mismatch; a b value moved
+from a sender that lacks it must raise ``MissingTile`` naming that sender
+and the round.
 
 Gather mutants change one piece of a built golden plan's ``Gather``:
 a piece moved to a holder that lacks its key must raise ``MissingTile``
@@ -15,17 +22,22 @@ removed is rejected with a ``ValueError`` before any word moves.
 A product run twice changes the result only where ``add`` is not
 idempotent, so that mutant runs on the int configs only: in the bool and
 tropical semirings x (+) x = x, and the doubled plan is still correct.
+A removed term changes a bool or tropical cell only when no other term
+of the cell gives the same sum, so that mutant runs on the int configs
+too, whose values are all positive.
 """
 
+import numpy as np
 import pytest
 
 import mpcmm.experiment as experiment
 from mpcmm.experiment import ExperimentConfig, run_experiment
-from mpcmm.plan import Gather, Mac, MulAcc, Pack, PlanProgram, Send
+from mpcmm.plan import Fetch, Gather, Mac, MulAcc, Pack, PlanProgram, Send
 
+from fetch_reference import per_processor_fetch
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-PER_PROCESSOR_GOLDEN = sorted(
+SPARSE_GOLDEN = sorted(
     name for name, fields in GOLDEN_CONFIGS.items() if fields["case"].startswith("sparse")
 )
 # Every golden case that rotates tiles; two-phase plans that fall back have no gather.
@@ -99,13 +111,20 @@ def _op_mutant(wanted, mutate, pick):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_every_mutant_is_caught(monkeypatch, mutant, position):
     wanted, mutate, semiring = MUTANTS[mutant]
+    with per_processor_fetch():
+        caught = _caught(monkeypatch, _op_mutant(wanted, mutate, PICK[position]), semiring)
+    assert caught >= 3  # every mutant kind applies to several golden plans
+
+
+def _caught(monkeypatch, mutant, semiring=None):
+    """How many golden sparse plans ``mutant`` changes; each must fail typed or
+    mismatch the oracle."""
     caught = 0
-    for name in PER_PROCESSOR_GOLDEN:
+    for name in SPARSE_GOLDEN:
         fields = GOLDEN_CONFIGS[name]
         if semiring is not None and fields.get("semiring", "int") != semiring:
             continue
-        config = ExperimentConfig(seed=1, **fields)
-        summary = _run_mutated(monkeypatch, config, _op_mutant(wanted, mutate, PICK[position]))
+        summary = _run_mutated(monkeypatch, ExperimentConfig(seed=1, **fields), mutant)
         if summary is None:
             continue
         assert summary["ok"] is False, name
@@ -115,18 +134,111 @@ def test_every_mutant_is_caught(monkeypatch, mutant, position):
         else:
             assert summary["oracle_match"] is False, name
         caught += 1
-    assert caught >= 3  # every mutant kind applies to several golden plans
+    return caught
+
+
+def _fetch_sites(plan, side):
+    """(round, op index, column) of every ``side`` ("fold" or "move") column
+    of the plan's ``Fetch`` ops, in round order."""
+    return [
+        (round_no, g, column)
+        for round_no, ops in sorted(plan.groups.items())
+        for g, op in enumerate(ops) if isinstance(op, Fetch)
+        for column in range(getattr(op, side).shape[1])
+    ]
+
+
+def _edit_term(plan, site, edit):
+    """Apply ``edit(array, column)`` to the fold column at ``site`` and, for a
+    fetched term (j != r), to its column in the move of the round before."""
+    round_no, g, column = site
+    op = plan.groups[round_no][g]
+    r, _, j = op.fold[:, column]
+    if j != r:
+        moved = int(np.sum(op.fold[0, :column] != op.fold[2, :column]))
+        prev_round, prev_g = next((rd, h) for rd in range(round_no - 1, 0, -1)
+                                  for h, prev in enumerate(plan.groups.get(rd, ()))
+                                  if isinstance(prev, Fetch) and prev.frag == op.frag)
+        prev = plan.groups[prev_round][prev_g]
+        move = edit(prev.move, moved)
+        plan.groups[prev_round][prev_g] = prev._replace(move=move, senders=move[2])
+    plan.groups[round_no][g] = op._replace(fold=edit(op.fold, column))
+
+
+def _fetch_term_mutant(edit, pick):
+    def apply(plan):
+        sites = _fetch_sites(plan, "fold")
+        if sites:
+            _edit_term(plan, sites[pick(len(sites))], edit)
+        return sites
+
+    return apply
+
+
+FETCH_TERM_MUTANTS = {
+    "remove-term": lambda array, i: np.delete(array, i, axis=1),
+    "duplicate-term": lambda array, i: np.insert(array, i, array[:, i], axis=1),
+}
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+@pytest.mark.parametrize("mutant", sorted(FETCH_TERM_MUTANTS))
+def test_every_fetch_term_mutant_is_caught(monkeypatch, mutant, position):
+    edit = FETCH_TERM_MUTANTS[mutant]
+    assert _caught(monkeypatch, _fetch_term_mutant(edit, PICK[position]), "int") >= 3
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+def test_fetched_value_moved_from_a_sender_that_lacks_it_raises_missing_tile(monkeypatch,
+                                                                             position):
+    caught = 0
+    for name in SPARSE_GOLDEN:
+        moved = []
+
+        def mutate(plan):
+            sites = _fetch_sites(plan, "move")
+            if sites:
+                round_no, g, column = sites[PICK[position](len(sites))]
+                op = plan.groups[round_no][g]
+                senders = op.senders.copy()
+                senders[column] = (senders[column] + 1) % plan.num_procs  # b(k, j) is only at j
+                plan.groups[round_no][g] = op._replace(senders=senders)
+                moved.append((int(senders[column]), round_no))
+            return sites
+
+        summary = _run_mutated(monkeypatch, ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]),
+                               mutate)
+        if summary is None:
+            continue
+        violation = summary["violation"]
+        assert summary["ok"] is False and violation["type"] == "MissingTile", name
+        assert (violation["processor"], violation["round"]) == moved[0], name
+        caught += 1
+    assert caught >= 3
+
+
+def _drop_held_value(pick):
+    """Delete the b value of the ``pick``ed fetched term from its sender's store."""
+
+    def apply(plan):
+        sites = _fetch_sites(plan, "move")
+        if sites:
+            round_no, g, column = sites[pick(len(sites))]
+            op = plan.groups[round_no][g]
+            _, k, j = op.move[:, column].tolist()
+            del plan.init[int(op.senders[column])][("b", k, j)]
+        return sites
+
+    return apply
 
 
 def test_missing_tile_record_names_processor_and_round(monkeypatch):
-    # sparse-trivial n=16 d=2 has two rounds.  Its first send (round 1,
-    # processor 0 to 1) is read in round 2; its last one (round 2,
-    # processor 15 to 11) in the trailing local step, where the record's
-    # round is None.
+    # sparse-trivial n=16 d=2 has two rounds.  A fetched value is read at its
+    # sender in its fetch round: the first one, b(1, 5), at processor 5 in
+    # round 1, the last one, b(14, 15), at processor 15 in round 2.
     config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS["sparse-trivial-int"])
-    for position, processor, round_no in (("first", 1, 2), ("last", 11, None)):
-        mutant = _op_mutant(MUTANTS["drop-send"][0], _drop_send, PICK[position])
-        violation = _run_mutated(monkeypatch, config, mutant)["violation"]
+    for position, processor, round_no in (("first", 5, 1), ("last", 15, 2)):
+        violation = _run_mutated(monkeypatch, config, _drop_held_value(PICK[position]))["violation"]
         assert violation["type"] == "MissingTile"
         assert (violation["processor"], violation["round"]) == (processor, round_no)
 

@@ -7,8 +7,8 @@ import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.plan import (Drop, Emit, Fold, Gather, Mac, MissingTile, MulAcc, Plan, PlanProgram,
-                        Rotate, Send, assemble_output)
+from mpcmm.plan import (Drop, Emit, Fetch, Fold, Gather, Mac, MissingTile, MulAcc, Plan,
+                        PlanProgram, Rotate, Send, assemble_output)
 from mpcmm.schedules.common import rotation_fragment
 
 INT = get_semiring("int")
@@ -28,7 +28,7 @@ def test_every_op_has_a_dispatch_entry():
     } - {Plan, Emit}
     assert len(ops) == 8
     assert set(plan_module._DISPATCH) == ops
-    assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Fold}
+    assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Fold, Fetch}
 
 
 def test_unknown_op_raises_type_error():
