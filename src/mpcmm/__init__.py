@@ -42,7 +42,6 @@ from .schedules.sparse import (
     Decomposition,
     EpsilonSchedule,
     OutputMask,
-    TermLedger,
     decompose,
     default_mask,
     iteration_budget,

@@ -185,7 +185,7 @@ def generate_instance(config: ExperimentConfig, spec):
         if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
             raise ValueError("sparse experiments need SPARSE matrix files")
     for matrix, name in ((a, "A"), (b, "B")):
-        spec.check_words([v for _, _, v in matrix.entries], name)
+        spec.check_words(matrix.v, name)
         matrix.validate(spec, name)
     return a, b, default_mask(a, b, d)
 
@@ -206,8 +206,7 @@ def build_schedule(config: ExperimentConfig, a, b, mask, spec):
 
 def masked_equal(out: DenseMatrix, oracle: DenseMatrix, mask) -> bool:
     """True iff ``out`` and ``oracle`` agree on every cell the mask lists."""
-    rows = np.repeat(np.arange(mask.n), [len(cols) for cols in mask.rows])
-    cols = np.fromiter((j for cols in mask.rows for j in cols), dtype=np.int64, count=len(rows))
+    rows, cols = mask.pairs
     return bool(np.array_equal(out.data[rows, cols], oracle.data[rows, cols]))
 
 

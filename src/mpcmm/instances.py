@@ -53,7 +53,7 @@ def random_d_sparse(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
     perm = rng.permutation(n)
     rows = np.repeat(np.arange(n), d)
     cols = (perm[rows] + np.tile(np.arange(d), n)) % n
-    return _sparse(n, rows, cols, random_values(spec, rng, n * d))
+    return SparseMatrix.from_arrays(n, n, rows, cols, random_values(spec, rng, n * d))
 
 
 def block_diagonal(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
@@ -62,8 +62,4 @@ def block_diagonal(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
         raise ValueError("requires d <= n with d dividing n")
     rows = np.repeat(np.arange(n), d)
     cols = rows // d * d + np.tile(np.arange(d), n)
-    return _sparse(n, rows, cols, random_values(spec, rng, n * d))
-
-
-def _sparse(n, rows, cols, values) -> SparseMatrix:
-    return SparseMatrix.from_entries(n, n, zip(rows.tolist(), cols.tolist(), values.tolist()))
+    return SparseMatrix.from_arrays(n, n, rows, cols, random_values(spec, rng, n * d))

@@ -1,8 +1,9 @@
 """Dense and sparse matrix storage, padding and the reference multiply.
 
 Dense matrices wrap a row-major int64 array.  Sparse matrices keep
-explicit (row, col, value) triplets and can be checked for d-sparsity
-(at most d stored entries in every row and every column).
+three int64 arrays (rows, columns, values) sorted by (row, column), the
+layout the sparse schedules join and slice, and can be checked for
+d-sparsity (at most d stored entries in every row and every column).
 
 :func:`naive_multiply` is the reference product every round schedule is
 compared against.  It shares one piece of code with the schedulers: the
@@ -58,53 +59,78 @@ class DenseMatrix:
         )
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # ((row, col, value), ...) sorted by (row, col)
+    """An n x m matrix as three int64 arrays ``r``, ``c``, ``v``, sorted by (r, c).
 
-    def __post_init__(self):
-        seen = set()
-        for r, c, _ in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) out of range")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
+    The arrays are the one format: the generators and the sparse
+    schedules read and build them directly.  ``entries`` is a derived
+    view of (row, col, value) int triples in the same order, for
+    ``save_matrix`` and for callers that want plain tuples.  The
+    constructor takes such triples in any order.
+    """
+
+    def __init__(self, rows, cols, entries=()):
+        try:
+            triples = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError("sparse matrix holds a word outside int64") from None
+        self._store(rows, cols, *triples.T)
+
+    @classmethod
+    def from_arrays(cls, rows, cols, r, c, v) -> "SparseMatrix":
+        """The matrix storing v[i] at (r[i], c[i]), the entries in any order."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, *(np.asarray(x, dtype=np.int64).reshape(-1) for x in (r, c, v)))
+        return m
 
     @staticmethod
     def from_entries(rows, cols, entries) -> "SparseMatrix":
-        ordered = tuple(sorted((int(r), int(c), int(v)) for r, c, v in entries))
-        return SparseMatrix(rows, cols, ordered)
+        return SparseMatrix(rows, cols, entries)
+
+    def _store(self, rows, cols, r, c, v):
+        order = np.lexsort((c, r))
+        r, c, v = r[order], c[order], v[order]
+        out = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if out.size:
+            raise ValueError(f"entry ({r[out[0]]}, {c[out[0]]}) out of range")
+        dup = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))
+        if dup.size:
+            raise ValueError(f"duplicate entry at ({r[dup[0]]}, {c[dup[0]]})")
+        self.rows, self.cols, self.r, self.c, self.v = int(rows), int(cols), r, c, v
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SparseMatrix)
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and all(np.array_equal(x, y) for x, y in zip((self.r, self.c, self.v),
+                                                        (other.r, other.c, other.v)))
+        )
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}, {self.cols}, {self.entries})"
+
+    @property
+    def entries(self) -> tuple:
+        """((row, col, value), ...) sorted by (row, col), as Python ints."""
+        return tuple(zip(self.r.tolist(), self.c.tolist(), self.v.tolist()))
 
     def validate(self, spec: SemiringSpec, what="matrix"):
         """Reject entries that store the semiring's zero element."""
-        for r, c, v in self.entries:
-            if v == spec.zero:
-                raise ValueError(f"{what} entry ({r}, {c}) stores the {spec.name} zero element")
+        zero = np.flatnonzero(self.v == spec.zero)
+        if zero.size:
+            r, c = self.r[zero[0]], self.c[zero[0]]
+            raise ValueError(f"{what} entry ({r}, {c}) stores the {spec.name} zero element")
 
     def to_dense(self, spec: SemiringSpec) -> DenseMatrix:
         data = spec.zeros(self.rows, self.cols)
-        for r, c, v in self.entries:
-            data[r, c] = v
+        data[self.r, self.c] = self.v
         return DenseMatrix(self.rows, self.cols, data)
-
-    def row_support(self) -> list[list[int]]:
-        supp = [[] for _ in range(self.rows)]
-        for r, c, _ in self.entries:
-            supp[r].append(c)
-        return supp
 
 
 def check_d_sparse(m: SparseMatrix, d: int) -> bool:
     """True iff every row and every column holds at most d entries."""
-    row_counts = [0] * m.rows
-    col_counts = [0] * m.cols
-    for r, c, _ in m.entries:
-        row_counts[r] += 1
-        col_counts[c] += 1
-    return all(n <= d for n in row_counts) and all(n <= d for n in col_counts)
+    return (int(np.bincount(m.r).max(initial=0)) <= d
+            and int(np.bincount(m.c).max(initial=0)) <= d)
 
 
 def _as_dense(m, spec: SemiringSpec) -> DenseMatrix:
@@ -132,10 +158,8 @@ def naive_multiply(a, b, spec: SemiringSpec) -> DenseMatrix:
 
 def _row_join(a: SparseMatrix, b: SparseMatrix, spec: SemiringSpec, add) -> DenseMatrix:
     """The sparse product: every term a(r, k) (*) b(k, j), summed per cell with ``add``."""
-    a_r, a_k, a_v = np.array(a.entries, dtype=np.int64).reshape(-1, 3).T
-    b_k, b_j, b_v = np.array(b.entries, dtype=np.int64).reshape(-1, 3).T
-    by_row = np.argsort(b_k, kind="stable")
-    b_k, b_j, b_v = b_k[by_row], b_j[by_row], b_v[by_row]
+    a_r, a_k, a_v = a.r, a.c, a.v
+    b_k, b_j, b_v = b.r, b.c, b.v  # sorted by (k, j)
     # Row k of B is b_*[first[k] : first[k] + count[k]].
     count = np.bincount(b_k, minlength=b.rows)
     first = np.cumsum(count) - count
@@ -168,7 +192,7 @@ def save_matrix(m, path):
             for r in range(m.rows):
                 fh.write(" ".join(str(int(v)) for v in m.data[r]) + "\n")
         else:
-            fh.write(f"SPARSE {m.rows} {m.cols} {len(m.entries)}\n")
+            fh.write(f"SPARSE {m.rows} {m.cols} {len(m.v)}\n")
             for r, c, v in m.entries:
                 fh.write(f"{r + 1} {c + 1} {v}\n")
 

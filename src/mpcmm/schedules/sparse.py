@@ -4,24 +4,30 @@ Processor r owns row r of A, column r of B, and the masked output row
 r.  All factor positions are structural knowledge, so schedules are
 wired at build time; only values travel at run time.
 
-Both schedules are one builder, which makes one plan per call:
+Both schedules are one builder, which makes one plan per call.  The
+whole front end is columnar: the inputs are sorted (r, c, v) arrays, and
+:func:`build_ledger` returns the masked terms as one (3, terms) int
+array, rows r, k, j sorted by (r, j, k), the row-wise layout of
+Gustavson's sparse product.  The mask, the decomposition and the fetch
+all work on such arrays.
 
 * trivial, the builder with zero layers: every processor fetches the B
-  values its pending terms need, at most d incoming values and 2d
-  outgoing values per processor per round, finishing in O(d) rounds.
-  The terms are sorted (r, k, j) int arrays, the row-wise layout of
-  Gustavson's sparse product, and each fetch round is one
-  :class:`~mpcmm.plan.Fetch` group op over them: it folds the values
-  the previous round fetched into the owners' output cells, then moves
-  this round's values from their senders to their owners.
+  values its terms need, at most d incoming values and 2d outgoing
+  values per processor per round, finishing in O(d) rounds.  Each fetch
+  round is one :class:`~mpcmm.plan.Fetch` group op over the term array:
+  it folds the values the previous round fetched into the owners'
+  output cells, then moves this round's values from their senders to
+  their owners.
 
 * two-phase: a decomposition first carves the term set into layers of
   disjoint dense blocks.  Each layer runs its blocks as parallel dense
   square multiplications (grid side sqrt(d), sqrt(d) + 1 rounds); the
-  leftover terms run through the same fetch.  The trivial round
-  count comes from the fetch assignment alone, without building that
-  schedule; when the blocks would not beat it the builder makes the
-  trivial plan instead, so two-phase never costs more rounds.
+  leftover terms run through the same fetch.  When the blocks would not
+  beat the trivial fetch the builder makes the trivial plan instead, so
+  two-phase never costs more rounds.  No fetch of every term takes fewer
+  rounds than its load bound (per owner, remote terms over d; per
+  sender, over 2d), so layers within that bound win without the trivial
+  fetch being assigned at all.
 
 The decomposition heuristic groups rows by identical remaining column
 support, pairs each group with its strongest output columns, and keeps
@@ -34,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -85,91 +93,101 @@ class OutputMask:
 
     n: int
     d: int
-    rows: tuple  # rows[r] = sorted tuple of column indices
+    rows: tuple  # rows[r] = strictly increasing tuple of column indices
 
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ValueError(f"mask needs {self.n} rows")
-        col_use = {}
-        for r, cols in enumerate(self.rows):
-            if len(cols) > self.d:
-                raise ValueError(f"mask row {r} lists {len(cols)} > d columns")
-            for j in cols:
-                if not 0 <= j < self.n:
-                    raise ValueError(f"mask column {j} out of range")
-                col_use[j] = col_use.get(j, 0) + 1
-        for j, uses in col_use.items():
-            if uses > self.d:
-                raise ValueError(f"mask column {j} used {uses} > d times")
+        r, j = self.pairs
+        per_row = np.bincount(r, minlength=self.n)
+        over = np.flatnonzero(per_row > self.d)
+        if over.size:
+            raise ValueError(f"mask row {over[0]} lists {per_row[over[0]]} > d columns")
+        out = np.flatnonzero((j < 0) | (j >= self.n))
+        if out.size:
+            raise ValueError(f"mask column {j[out[0]]} out of range")
+        unsorted = np.flatnonzero((r[1:] == r[:-1]) & (j[1:] <= j[:-1]))
+        if unsorted.size:
+            raise ValueError(f"mask row {r[unsorted[0]]} is not strictly increasing")
+        per_col = np.bincount(j, minlength=self.n)
+        over = np.flatnonzero(per_col > self.d)
+        if over.size:
+            raise ValueError(f"mask column {over[0]} used {per_col[over[0]]} > d times")
 
     def cols(self, r: int) -> tuple:
         return self.rows[r]
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """The masked cells as int64 arrays (r, j), in row order."""
+        r = np.repeat(np.arange(self.n), [len(cols) for cols in self.rows])
+        j = np.fromiter(chain.from_iterable(self.rows), dtype=np.int64, count=len(r))
+        return r, j
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """r * n + j of every masked cell (r, j), ascending."""
+        r, j = self.pairs
+        return r * self.n + j
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Elementwise: is ``keys`` in the ascending array ``sorted_keys``?"""
+    if not len(sorted_keys):
+        return np.zeros(np.shape(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
+def _join(a: SparseMatrix, b: SparseMatrix):
+    """Every term of A B, a(r, k) and b(k, j) both stored, as int64 arrays
+    r, k, j in (r, k, j) order: A's entry (r, k) meets B's row k, the
+    slice of B's sorted arrays that starts at ``first[k]``."""
+    count = np.bincount(b.r, minlength=a.cols)
+    first = np.cumsum(count) - count
+    per = count[a.c]
+    src = np.repeat(np.arange(len(a.c)), per)
+    at = np.arange(len(src)) - np.repeat(np.cumsum(per) - per, per) + first[a.c][src]
+    return a.r[src], a.c[src], b.c[at]
+
 
 def default_mask(a: SparseMatrix, b: SparseMatrix, d: int) -> OutputMask:
-    """Pick, per row, the d columns with the most contributing terms."""
-    n = a.rows
-    b_row_support = [[] for _ in range(n)]
-    for k, j, _ in b.entries:
-        b_row_support[k].append(j)
-    a_row_support = a.row_support()
+    """Pick, per row, the d columns with the most contributing terms.
 
-    col_capacity = [d] * n
+    Rows go in order, and each takes its best-ranked columns (most terms,
+    then lowest index) that fewer than d earlier rows took.
+    """
+    n, width = a.rows, b.cols
+    r, _, j = _join(a, b)
+    cells, counts = np.unique(r * width + j, return_counts=True)
+    cell_r, cell_j = np.divmod(cells, width)
+    ranked = np.lexsort((cell_j, -counts, cell_r))
+    cell_j = cell_j[ranked]
+    bounds = np.searchsorted(cell_r[ranked], np.arange(n + 1)).tolist()
+    room = np.full(width, d)
     rows = []
-    for r in range(n):
-        counts = {}
-        for k in a_row_support[r]:
-            for j in b_row_support[k]:
-                counts[j] = counts.get(j, 0) + 1
-        ranked = sorted(counts, key=lambda j: (-counts[j], j))
-        chosen = []
-        for j in ranked:
-            if len(chosen) == d:
-                break
-            if col_capacity[j] > 0:
-                chosen.append(j)
-                col_capacity[j] -= 1
-        rows.append(tuple(sorted(chosen)))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ranking = cell_j[lo:hi]
+        chosen = ranking[room[ranking] > 0][: max(d, 0)]
+        room[chosen] -= 1
+        rows.append(tuple(np.sort(chosen).tolist()))
     return OutputMask(n, d, tuple(rows))
 
 
-@dataclass
-class TermLedger:
-    """Pending products per masked output entry."""
+def build_ledger(a: SparseMatrix, b: SparseMatrix, mask: OutputMask) -> np.ndarray:
+    """Every masked term, as a (3, terms) int64 array with rows r, k, j.
 
-    pending: dict  # (r, j) -> set of inner indices k
-
-    @property
-    def remaining_terms(self) -> int:
-        return sum(len(ks) for ks in self.pending.values())
-
-    def copy(self) -> "TermLedger":
-        return TermLedger({rj: set(ks) for rj, ks in self.pending.items()})
-
-    def terms(self):
-        for (r, j), ks in sorted(self.pending.items()):
-            for k in sorted(ks):
-                yield r, k, j
-
-
-def build_ledger(a: SparseMatrix, b: SparseMatrix, mask: OutputMask) -> TermLedger:
-    n = a.rows
-    a_row = [[] for _ in range(n)]
-    for r, k, _ in a.entries:
-        a_row[r].append(k)
-    b_row = [set() for _ in range(n)]
-    for k, j, _ in b.entries:
-        b_row[k].add(j)
-
-    pending = {}
-    for r in range(n):
-        masked = set(mask.cols(r))
-        if not masked:
-            continue
-        for k in a_row[r]:
-            for j in b_row[k] & masked:
-                pending.setdefault((r, j), set()).add(k)
-    return TermLedger(pending)
+    Term (r, k, j) is a(r, k) (*) b(k, j) with both entries stored and j
+    in row r of the mask.  The columns are sorted by (r, j, k): owner r's
+    terms are one slice, and within it each output cell's terms are
+    consecutive.
+    """
+    r, k, j = _join(a, b)
+    keep = (j < mask.n) & _member(mask.keys, r * mask.n + j)
+    r, k, j = r[keep], k[keep], j[keep]
+    # The join lists each cell's terms with k ascending; a stable sort keeps that.
+    order = np.argsort(r * mask.n + j, kind="stable")
+    return np.stack((r[order], k[order], j[order]))
 
 
 @dataclass(frozen=True)
@@ -179,25 +197,29 @@ class BlockTriple:
     rows: tuple
     ks: tuple
     cols: tuple
-    terms: tuple  # (r, k, j) triples this block accounts for
+    terms: np.ndarray  # (3, t): the (r, k, j) terms this block accounts for, by (r, j, k)
 
 
 @dataclass
 class Decomposition:
     layers: list  # list of [BlockTriple]
-    ledger: TermLedger  # every masked term, before the layers took theirs
-    residual: TermLedger
+    ledger: np.ndarray  # (3, terms): every masked term, before the layers took theirs
+    residual: np.ndarray  # (3, terms): the ledger's terms no layer took, in ledger order
     layer_budget: int
     residual_budget: int
     block_side: int
 
     @property
     def total_terms(self) -> int:
-        return self.ledger.remaining_terms
+        return self.ledger.shape[1]
+
+    @property
+    def residual_terms(self) -> int:
+        return self.residual.shape[1]
 
     @property
     def covered_terms(self) -> int:
-        return sum(len(b.terms) for layer in self.layers for b in layer)
+        return sum(b.terms.shape[1] for layer in self.layers for b in layer)
 
     @property
     def meets_layer_budget(self) -> bool:
@@ -205,7 +227,7 @@ class Decomposition:
 
     @property
     def meets_residual_budget(self) -> bool:
-        return self.residual.remaining_terms <= self.residual_budget
+        return self.residual_terms <= self.residual_budget
 
     def report(self) -> dict:
         return {
@@ -213,7 +235,7 @@ class Decomposition:
             "layer_budget": self.layer_budget,
             "blocks": sum(len(layer) for layer in self.layers),
             "covered_terms": self.covered_terms,
-            "residual_terms": self.residual.remaining_terms,
+            "residual_terms": self.residual_terms,
             "residual_budget": self.residual_budget,
             "meets_layer_budget": self.meets_layer_budget,
             "meets_residual_budget": self.meets_residual_budget,
@@ -229,10 +251,16 @@ def decompose(
     of side sqrt(d)**2 together with their strongest output columns.  A
     layer is kept only when it covers enough new terms to be worth a
     block-multiply pass; budget misses are reported, never raised.
+
+    The terms stay in the array :func:`build_ledger` returns, and
+    ``live`` marks those no kept layer has taken; the residual is
+    ``terms[:, live]``.  Python loops run per layer, support group, row
+    and chunk, never per term.
     """
     n, d = mask.n, mask.d
-    ledger = build_ledger(a, b, mask)
-    remaining = ledger.copy()
+    terms = build_ledger(a, b, mask)
+    term_r, term_k, term_j = terms
+    live = np.ones(terms.shape[1], dtype=bool)
 
     grid = math.isqrt(d) if d >= 1 else 1
     side = max(grid * grid, 1)
@@ -242,95 +270,102 @@ def decompose(
     block_threshold = max(side**3 // 4, 1)
     max_blocks = max(n // side, 1)
 
-    b_col_support = {}
-    for k, j, _ in b.entries:
-        b_col_support.setdefault(j, set()).add(k)
+    row_at = np.searchsorted(term_r, np.arange(n + 1))  # row r's terms: row_at[r]:row_at[r + 1]
+    b_at = np.searchsorted(b.r, np.arange(n + 1))  # B's row k: b.c[b_at[k]:b_at[k + 1]]
+
+    def block(r_chunk, kset, needed, used_cols):
+        """The columns (ascending) and the term indices (in ledger order)
+        of the block over ``r_chunk`` x ``kset``, or None.
+
+        Its columns are the ``side`` unused ones with the most live terms
+        in the chunk, less any where a dense pass would compute a term
+        that is no longer live and so count it twice.  kset is drawn from
+        the rows' support, so the structural terms of a masked (r, j) in
+        the block are b's column support of j meeting kset: column j
+        stays iff every chunk row that masks j has ``needed[j]`` live
+        terms of (r, j) in kset.
+        """
+        rows = np.asarray(r_chunk)
+        at = np.concatenate([np.arange(row_at[r], row_at[r + 1]) for r in r_chunk])
+        hits = at[live[at] & kset[term_k[at]]]
+        free = hits[~used_cols[term_j[hits]]]
+        if len(free) < block_threshold:  # the block's terms are among these
+            return None
+        js, counts = np.unique(term_j[free], return_counts=True)
+        cols = js[np.lexsort((js, -counts))][:side]
+
+        slot = np.full(n, -1)
+        slot[cols] = np.arange(len(cols))
+        in_cols = hits[slot[term_j[hits]] >= 0]
+        cell = np.searchsorted(rows, term_r[in_cols]) * len(cols) + slot[term_j[in_cols]]
+        live_hits = np.bincount(cell, minlength=len(rows) * len(cols)).reshape(len(rows), -1)
+        masked = _member(mask.keys, rows[:, None] * n + cols[None, :])
+        cols = cols[~(masked & (live_hits != needed[cols])).any(axis=0)]
+        keep = np.zeros(n, dtype=bool)
+        keep[cols] = True
+        picked = hits[keep[term_j[hits]]]
+        if len(picked) < block_threshold:
+            return None
+        return tuple(np.sort(cols).tolist()), picked
 
     layers = []
     while len(layers) < layer_budget:
-        used_rows, used_ks, used_cols = set(), set(), set()
-        blocks = []
-        row_support = {}
-        for (r, _), ks in remaining.pending.items():
-            if ks:
-                row_support.setdefault(r, set()).update(ks)
+        used_rows, used_ks, used_cols = (np.zeros(n, dtype=bool) for _ in range(3))
+        blocks, taken = [], []
+        # Each row's live inner support, and the rows grouped by it (ascending).
+        support = np.sort(term_r[live] * n + term_k[live])
+        support_r, support_k = np.divmod(support[np.diff(support, prepend=-1) > 0], n)
+        starts = np.flatnonzero(np.diff(support_r, prepend=-1))
         groups = {}
-        for r, ks in row_support.items():
-            groups.setdefault(frozenset(ks), []).append(r)
+        for r, ks in zip(support_r[starts].tolist(), np.split(support_k, starts[1:])):
+            groups.setdefault(ks.tobytes(), (ks, []))[1].append(r)
+        row_live = np.bincount(term_r[live], minlength=n)
 
-        for sig in sorted(groups, key=lambda s: (-len(groups[s]) * len(s), min(groups[s]))):
+        for ks, rows in sorted(groups.values(), key=lambda g: (-len(g[1]) * len(g[0]), g[1][0])):
             if len(blocks) >= max_blocks:
                 break
-            rows_avail = sorted(r for r in groups[sig] if r not in used_rows)
-            k_full = sorted(k for k in sig if k not in used_ks)
-            for k_chunk in chunks(k_full, side):
-                kset = set(k_chunk)
+            rows_avail = [r for r in rows if not used_rows[r]]
+            if row_live[rows_avail].sum() < block_threshold:
+                continue  # no chunk of these rows holds enough terms for a block
+            for k_chunk in chunks(ks[~used_ks[ks]].tolist(), side):
+                kset = np.zeros(n, dtype=bool)
+                kset[k_chunk] = True
+                needed = np.bincount(np.concatenate([b.c[b_at[k] : b_at[k + 1]] for k in k_chunk]),
+                                     minlength=n)
                 for r_chunk in chunks(rows_avail, side):
                     if len(blocks) >= max_blocks:
                         break
-                    counts = {}
-                    for r in r_chunk:
-                        for j in mask.cols(r):
-                            if j in used_cols:
-                                continue
-                            hits = len(remaining.pending.get((r, j), set()) & kset)
-                            if hits:
-                                counts[j] = counts.get(j, 0) + hits
-                    cols = sorted(counts, key=lambda j: (-counts[j], j))[:side]
-                    # A dense pass over (rows x k_chunk x cols) computes every
-                    # structural term there; all of them must still be pending
-                    # or the pass would double-count.  kset is drawn from the
-                    # rows' support, so the structural terms for (r, j) within
-                    # the block are exactly b's column support meeting kset.
-                    ok_cols = []
-                    for j in cols:
-                        needed = b_col_support.get(j, set()) & kset
-                        if all(
-                            needed <= remaining.pending.get((r, j), set())
-                            for r in r_chunk
-                            if j in mask.cols(r)
-                        ):
-                            ok_cols.append(j)
-                    if not ok_cols:
+                    found = block(r_chunk, kset, needed, used_cols)
+                    if found is None:
                         continue
-                    terms = []
-                    for r in r_chunk:
-                        masked = set(mask.cols(r))
-                        for j in sorted(ok_cols):
-                            if j not in masked:
-                                continue
-                            for k in sorted(remaining.pending.get((r, j), set()) & kset):
-                                terms.append((r, k, j))
-                    if len(terms) < block_threshold:
-                        continue
-                    blocks.append(
-                        BlockTriple(
-                            tuple(r_chunk), tuple(k_chunk), tuple(sorted(ok_cols)), tuple(terms)
-                        )
-                    )
-                    used_rows.update(r_chunk)
-                    used_ks.update(k_chunk)
-                    used_cols.update(ok_cols)
+                    cols, picked = found
+                    blocks.append(BlockTriple(tuple(r_chunk), tuple(k_chunk), cols,
+                                              terms[:, picked]))
+                    taken.append(picked)
+                    used_rows[r_chunk] = True
+                    used_ks[k_chunk] = True
+                    used_cols[list(cols)] = True
                     break  # rows of this chunk are used up for the layer
 
-        layer_terms = sum(len(blk.terms) for blk in blocks)
-        if not blocks or layer_terms < layer_threshold:
+        if not blocks or sum(map(len, taken)) < layer_threshold:
             break
-        for blk in blocks:
-            for r, k, j in blk.terms:
-                remaining.pending[(r, j)].discard(k)
+        live[np.concatenate(taken)] = False
         layers.append(blocks)
 
-    for rj in [rj for rj, ks in remaining.pending.items() if not ks]:
-        del remaining.pending[rj]
-    return Decomposition(layers, ledger, remaining, layer_budget, residual_budget, side)
+    return Decomposition(layers, terms, terms[:, live], layer_budget, residual_budget, side)
 
 
-def _term_array(ledger: TermLedger) -> np.ndarray:
-    """The ledger's terms as a (3, terms) int array, rows r, k, j, sorted by (r, j, k)."""
-    terms = np.array([(r, k, j) for (r, j), ks in ledger.pending.items() for k in ks],
-                     dtype=np.int64).reshape(-1, 3).T
-    return terms[:, np.lexsort((terms[1], terms[2], terms[0]))]
+def _load_bound(terms, d: int) -> int:
+    """max(ceil(in_r / d), ceil(out_j / 2d), 1) over the remote terms.
+
+    A round moves at most d values into owner r and 2d out of sender j,
+    so every fetch of ``terms`` takes at least this many rounds.
+    """
+    quota = max(d, 1)
+    remote = terms[:, terms[0] != terms[2]]
+    into = int(np.bincount(remote[0]).max(initial=0))
+    out = int(np.bincount(remote[2]).max(initial=0))
+    return max(-(-into // quota), -(-out // (2 * quota)), 1)
 
 
 def _fetch_assignment(terms, d: int) -> np.ndarray:
@@ -401,10 +436,17 @@ def fetch_fragment(plan, terms, fetch_rounds, start):
 def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     """The one sparse plan: the fetch of every masked term or, given `eps`,
     the decomposition's layers and then the residual's fetch when that
-    takes fewer rounds.  The terms travel as sorted (r, k, j) int arrays,
-    and the fetch is one :class:`~mpcmm.plan.Fetch` group op per round
-    (see :func:`fetch_fragment`); the layers hand their C rows back with
-    per-processor ops.
+    takes no more rounds.  The terms travel as the ledger's sorted
+    (r, k, j) int arrays, and the fetch is one :class:`~mpcmm.plan.Fetch`
+    group op per round (see :func:`fetch_fragment`); the layers hand
+    their C rows back with per-processor ops.
+
+    Two-phase assigns the residual's fetch first.  If the layers' rounds
+    plus that fetch's are within the load bound of every term
+    (:func:`_load_bound`), which the trivial fetch cannot beat, the
+    layers win and the trivial fetch is never assigned; otherwise the
+    greedy assigns it and the fewer rounds win, the layers on a tie.
+    :class:`RoundBoundExceeded` checks the fetch the plan keeps.
     """
     if a.rows != n or a.cols != n or b.rows != n or b.cols != n:
         raise ValueError(f"inputs must be {n}x{n}")
@@ -413,31 +455,36 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     if mask.n != n or mask.d != d:
         raise ValueError("mask does not match the problem shape")
     decomp = None if eps is None else decompose(a, b, mask, eps)
-    ledger = build_ledger(a, b, mask) if decomp is None else decomp.ledger
-    terms = _term_array(ledger)
-    fetched = _fetch_assignment(terms, d)
-    rounds = max(int(fetched.max(initial=0)), 1)
-    bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
-    if rounds > bound:
-        raise RoundBoundExceeded(
-            f"fetch plan needs {rounds} rounds, over the {TRIVIAL_ROUND_CONSTANT}d = {bound} bound"
-        )
-    layers, grid, meta = (), 0, {}
+    terms = build_ledger(a, b, mask) if decomp is None else decomp.ledger
+    layers, grid, meta, fetched = (), 0, {}, None
     if decomp is not None:
         meta = {"fallback": True, "decomposition": decomp.report()}
     if decomp is not None and decomp.layers:
         grid = math.isqrt(decomp.block_side)
-        residual = _term_array(decomp.residual)
-        residual_fetched = _fetch_assignment(residual, d)
+        residual_fetched = _fetch_assignment(decomp.residual, d)
         total = len(decomp.layers) * (grid + 1) + int(residual_fetched.max(initial=0))
-        if total <= rounds:
-            layers, terms, rounds, fetched = decomp.layers, residual, total, residual_fetched
+        # No fetch of every term beats the load bound, so layers within it
+        # win without the trivial fetch being assigned.
+        if total > _load_bound(terms, d):
+            fetched = _fetch_assignment(terms, d)
+        if fetched is None or total <= max(int(fetched.max(initial=0)), 1):
+            layers, terms, fetched = decomp.layers, decomp.residual, residual_fetched
             meta["fallback"] = False
+    if fetched is None:
+        fetched = _fetch_assignment(terms, d)
+    fetch_rounds = int(fetched.max(initial=0))
+    bound = TRIVIAL_ROUND_CONSTANT * max(d, 1)
+    if fetch_rounds > bound:
+        raise RoundBoundExceeded(
+            f"fetch plan needs {fetch_rounds} rounds, over the {TRIVIAL_ROUND_CONSTANT}d = "
+            f"{bound} bound"
+        )
+    rounds = max(len(layers) * (grid + 1) + fetch_rounds, 1)
 
     plan = Plan(num_procs=n, num_rounds=rounds, min_memory=max(d, 1))
-    for r, k, v in a.entries:
+    for r, k, v in zip(a.r.tolist(), a.c.tolist(), a.v.tolist()):
         plan.set_init(r, ("a", r, k), np.array([v], dtype=np.int64))
-    for k, j, v in b.entries:
+    for k, j, v in zip(b.r.tolist(), b.c.tolist(), b.v.tolist()):
         plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
 
     stride = grid + 1
@@ -489,9 +536,8 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
     back to their owners, who fold them in one round later, which may be
     the trailing local step.
     """
-    side = grid * grid
-    a_support = {(r, k) for r, k, _ in a.entries}
-    b_support = {(k, j) for k, j, _ in b.entries}
+    n, side = mask.n, grid * grid
+    a_keys, b_keys = a.r * n + a.c, b.r * n + b.c
 
     for bi, blk in enumerate(layer):
         base = bi * side
@@ -502,6 +548,9 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
         rows = list(blk.rows) + [None] * (side - len(blk.rows))
         ks = list(blk.ks) + [None] * (side - len(blk.ks))
         cols = list(blk.cols) + [None] * (side - len(blk.cols))
+        # a_has[u][v]: is a(rows[u], ks[v]) stored; b_has[u][v]: is b(ks[u], cols[v]).
+        a_has = _stored(a_keys, n, blk.rows, blk.ks, side).tolist()
+        b_has = _stored(b_keys, n, blk.ks, blk.cols, side).tolist()
 
         def parts(ti, tj, x):
             # Row and column owners pack their value slices of A tile
@@ -511,20 +560,14 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
             a_pieces = []
             for u in range(ti * grid, (ti + 1) * grid):
                 r = rows[u]
-                keys = tuple(
-                    ("a", r, ks[v]) if ks[v] is not None and (r, ks[v]) in a_support else None
-                    for v in inner
-                )
+                keys = tuple(("a", r, ks[v]) if a_has[u][v] else None for v in inner)
                 key = ("xa", li, bi, u, x)
                 holder = bproc(ti, tj) if r is None else r
                 a_pieces.append((holder, key, Pack(key, keys, (1, grid))))
             b_pieces = []
             for v in range(tj * grid, (tj + 1) * grid):
                 j = cols[v]
-                keys = tuple(
-                    ("b", ks[u], j) if ks[u] is not None and (ks[u], j) in b_support else None
-                    for u in inner
-                )
+                keys = tuple(("b", ks[u], j) if b_has[u][v] else None for u in inner)
                 key = ("xb", li, bi, x, v)
                 holder = bproc(ti, tj) if j is None else j
                 b_pieces.append((holder, key, Pack(key, keys, (grid, 1))))
@@ -558,3 +601,12 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
                     accs.append(Drop((gkey,)))
                     plan.add(last + 1, r, *accs)
                 plan.add(last, p, Drop((ckey,)))
+
+
+def _stored(keys, n, rows, cols, side):
+    """(side, side) bools: entry [u, v] is whether row * n + col of
+    (rows[u], cols[v]) is in the ascending ``keys``; False where u or v
+    is past the end of its list (a padding row or column)."""
+    found = np.zeros((side, side), dtype=bool)
+    found[: len(rows), : len(cols)] = _member(keys, np.add.outer(np.multiply(rows, n), cols))
+    return found

@@ -224,12 +224,13 @@ def test_criterion_09_two_phase_advantage_and_budgets():
 
     decomp = decompose(a, b, mask, EpsilonSchedule())
     ok &= len(decomp.layers) <= iteration_budget(0.0, 0.1, 16)
-    ok &= decomp.residual.remaining_terms <= decomp.residual_budget
+    ok &= decomp.residual_terms <= decomp.residual_budget
     # term conservation census at n = 256
-    covered = [t for layer in decomp.layers for blk in layer for t in blk.terms]
-    combined = sorted(covered + list(decomp.residual.terms()))
+    # term arrays are (3, terms), rows r, k, j: each column is one term
+    covered = [t for layer in decomp.layers for blk in layer for t in zip(*blk.terms.tolist())]
+    combined = sorted(covered + list(zip(*decomp.residual.tolist())))
     ok &= len(set(combined)) == len(combined)
-    ok &= combined == sorted(build_ledger(a, b, mask).terms())
+    ok &= combined == sorted(zip(*build_ledger(a, b, mask).tolist()))
 
     for seed in range(3):
         rng = np.random.default_rng(800 + seed)

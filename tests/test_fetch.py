@@ -113,7 +113,7 @@ def test_pointer_greedy_matches_on_golden_ledgers(name):
     config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
     spec = get_semiring(config.semiring)
     a, b, mask = generate_instance(config, spec)
-    terms = sparse._term_array(sparse.build_ledger(a, b, mask))
+    terms = sparse.build_ledger(a, b, mask)
     assert (sparse._fetch_assignment(terms, config.d).tolist()
             == fetch_reference.fetch_assignment(terms, config.d).tolist())
 

@@ -136,6 +136,19 @@ def test_sparse_rejects_duplicates_and_zero_entries():
         m.validate(INT)
 
 
+def test_sparse_arrays_are_sorted_and_checked():
+    m = SparseMatrix.from_arrays(3, 3, [2, 0, 0], [1, 2, 0], [5, 6, 7])
+    assert (m.r.tolist(), m.c.tolist(), m.v.tolist()) == ([0, 0, 2], [0, 2, 1], [7, 6, 5])
+    assert m.entries == ((0, 0, 7), (0, 2, 6), (2, 1, 5))
+    assert m == SparseMatrix(3, 3, reversed(m.entries)) != SparseMatrix(3, 3, m.entries[:2])
+    with pytest.raises(ValueError, match=r"entry \(3, 0\) out of range"):
+        SparseMatrix.from_arrays(3, 3, [3], [0], [1])
+    with pytest.raises(ValueError, match=r"duplicate entry at \(1, 1\)"):
+        SparseMatrix.from_arrays(3, 3, [1, 1], [1, 1], [1, 2])
+    with pytest.raises(ValueError, match="outside int64"):
+        SparseMatrix.from_entries(2, 2, [(0, 0, 2**63)])
+
+
 def test_dense_file_round_trip(tmp_path):
     m = random_dense(3, 5, INT, np.random.default_rng(10))
     path = tmp_path / "dense.txt"

@@ -88,6 +88,8 @@ class TestMask:
             OutputMask(2, 1, ((0, 1), (0,)))  # row over capacity
         with pytest.raises(ValueError):
             OutputMask(2, 1, ((0,), (0,)))  # column used twice
+        with pytest.raises(ValueError, match="row 0 is not strictly increasing"):
+            OutputMask(2, 2, ((0, 0), (1,)))  # row repeats a column
 
 
 class TestTrivial:
@@ -170,7 +172,7 @@ class TestDecompose:
         decomp = decompose(a, b, mask, EpsilonSchedule())
         assert len(decomp.layers) == 1
         assert len(decomp.layers[0]) == 16
-        assert decomp.residual.remaining_terms == 0
+        assert decomp.residual_terms == 0
         assert decomp.covered_terms == decomp.total_terms == 256 * 16 * 16
         assert decomp.meets_layer_budget and decomp.meets_residual_budget
 
@@ -178,7 +180,7 @@ class TestDecompose:
         a = SparseMatrix.from_entries(8, 8, [])
         decomp = decompose(a, a, default_mask(a, a, 2), EpsilonSchedule())
         assert decomp.layers == [] and decomp.total_terms == 0
-        assert decomp.residual.remaining_terms == 0
+        assert decomp.residual_terms == 0
 
     def test_residual_budget_is_snapped(self):
         # 8 * 32 * 32**1.8 is exactly 2**17; the float product lands just above it.
@@ -191,7 +193,7 @@ class TestDecompose:
         eps = EpsilonSchedule(0.0, 0.1)
         decomp = decompose(a, b, mask, eps)
         assert len(decomp.layers) <= iteration_budget(0.0, 0.1, 16)
-        assert decomp.residual.remaining_terms <= decomp.residual_budget
+        assert decomp.residual_terms <= decomp.residual_budget
         census_against_ledger(a, b, mask, decomp)
 
     def test_blockdiag_census(self):
@@ -215,12 +217,15 @@ class TestDecompose:
 
 
 def census_against_ledger(a, b, mask, decomp):
-    """Exhaustive term conservation: layers + residual = every masked term."""
-    covered = [t for layer in decomp.layers for blk in layer for t in blk.terms]
-    residual = list(decomp.residual.terms())
+    """Exhaustive term conservation: layers + residual = every masked term.
+
+    Term arrays are (3, terms), rows r, k, j: each column is one term.
+    """
+    covered = [t for layer in decomp.layers for blk in layer for t in zip(*blk.terms.tolist())]
+    residual = list(zip(*decomp.residual.tolist()))
     combined = sorted(covered + residual)
     assert len(set(combined)) == len(combined), "a term is claimed twice"
-    assert combined == sorted(build_ledger(a, b, mask).terms())
+    assert combined == sorted(zip(*build_ledger(a, b, mask).tolist()))
 
 
 class TestTwoPhase:
@@ -286,7 +291,7 @@ class TestTwoPhase:
         b = mixed_instance(n, d, light, spec, np.random.default_rng(32))
         mask = default_mask(a, b, d)
         decomp = decompose(a, b, mask, EpsilonSchedule())
-        assert decomp.layers and decomp.residual.remaining_terms > 0
+        assert decomp.layers and decomp.residual_terms > 0
         census_against_ledger(a, b, mask, decomp)
         two = schedule_sparse_twophase(n, d, a, b, mask, EpsilonSchedule(), spec)
         assert not two.meta["fallback"]
