@@ -16,8 +16,8 @@ of densified: A's entry (r, k) meets every entry (k, j) of B's row k,
 O(n d**2) terms for d-sparse inputs, and each output cell takes the
 carrier's sum of its terms with the matching numpy ufunc.  Like the
 sparse schedules, it forms terms of stored entries only, which gives the
-dense product's words wherever the zero annihilates: on every word of
-the int and bool carriers, and on non-negative tropical words.
+dense product's words wherever the zero annihilates, which is on every
+word of each built-in carrier's domain.
 """
 
 from __future__ import annotations

@@ -27,13 +27,22 @@ over stacks kept in a per-run object, so executing a plan twice gives the
 same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
 its static words and its step.
 
+All kinds share one store contract.  A processor's store in a round is
+its state after that round's messages arrive.  Before a round's first
+group op, each processor whose store one of the round's group ops
+changes (the processors the kind's words function returns) gets one copy
+of its store with its inbox merged, and the group ops change that copy
+in place; the processor's per-processor ops then run on it.  A group op
+hands values to stores only through ``_give``, which accumulates like
+``Mac``: a key already held becomes old (+) new.
+
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each.  Row i's tile is k equal ``(holder, key, recipe)`` pieces
-concatenated along an axis, read out of each holder's store after its
-inbox merge: ``None`` moves the stored tile ``key`` out, a ``Slice`` or
-``Pack`` recipe is run there.  A piece that several rows use is read
-once.  Its words count as sent by its holder and received by the row's
-processor, or as held when the two are one.
+concatenated along an axis, read out of each holder's store: ``None``
+moves the stored tile ``key`` out, a ``Slice`` or ``Pack`` recipe is run
+there.  A piece that several rows use is read once.  Its words count as
+sent by its holder and received by the row's processor, or as held when
+the two are one.
 
 :class:`Rotate` is one slot of a skewed block rotation (see
 ``schedules.common.rotation_fragment``) over the stacks a gather filled
@@ -44,8 +53,7 @@ and the fragment's C stack.  A slot:
    ``b_to[i]``, which must be permutations, or drops them if it has no
    sends (``schedules.rect.schedule_ndn`` then gathers the next ones).
    The next slot multiplies whatever tile landed in each row;
-3. in the last slot, hands each C tile back to its processor's store
-   (accumulating like ``Mac``).
+3. in the last slot, gives each C tile to its processor's store.
 
 :class:`Fold` is one round of a fan-in tree sum (see
 ``schedules.rect.tree_sum_fragment``) for every group of a fragment.  A
@@ -53,10 +61,10 @@ group has t members, each holding one addend of ``entries`` words; with
 fan-in ``width`` its members fall into m = ceil(t / width) chunks of
 consecutive members.
 
-1. Step 0 pops each member's addend out of its store (after the inbox
-   merge) into a (groups, t, entries) stack and scatters it: entry e of
-   a member in chunk c goes to member (e * m + c) mod t, the entry's
-   collector for that chunk.  Entries a member collects itself stay.
+1. Step 0 pops each member's addend out of its store into a (t, groups,
+   entries) stack and scatters it: entry e of a member in chunk c goes
+   to member (e * m + c) mod t, the entry's collector for that chunk.
+   Entries a member collects itself stay.
 2. Step s >= 1 folds level s - 1.  The holders of entry e form a list
    (the collectors of chunks 0 .. m - 1 at level 0); each run of
    ``width`` consecutive holders folds with ``vadd`` into its first one,
@@ -68,24 +76,24 @@ consecutive members.
    of the next level forwards its value to that run's first holder, in
    the same round: fold before forward.
 4. The step whose fold leaves one holder (``Fold.last_step``) sends
-   nothing.  It hands each finished entry to its holder's store under
-   ``out_keys[g][e]``, as a (1,) tile accumulated like ``AccCell``.
+   nothing.  It gives each finished entry to its holder's store under
+   ``out_keys[g][e]``, as a (1,) tile.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar
 (r, k, j) term arrays.  Like a fold step, it folds before it moves.
 
 1. It folds first.  For each column (r, k, j) of ``fold``, processor r
-   adds a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile
-   accumulated like ``MulAcc``: one elementwise product, then one sum per
-   cell with ``vadd``, left to right.  a(r, k) is read in r's store.
+   adds a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile:
+   one elementwise product, then one sum per cell with ``vadd``, left to
+   right, given to the cell.  a(r, k) is read in r's store.
    b(k, j) is read in r's store too when j == r; the terms with j != r
    take the values the previous round moved, and must be its ``move``
    columns in their order.
 2. Then it moves.  b(k, j) of each column (r, k, j) of ``move`` is read
-   in the store of ``senders[i]``, which keeps it, and is in flight to r
-   until the next round's fold.  It counts as sent by the sender and
-   received by r, so r's next round charges it like an inbox.
+   in the store of processor j, which holds column j of B and keeps it,
+   and is in flight to r until the next round's fold.  It counts as sent
+   by j and received by r, so r's next round charges it like an inbox.
 
 The processors it folds into are its ``active`` ones; a sender's store
 does not change.
@@ -241,8 +249,7 @@ class Fetch(NamedTuple):
 
     frag: int  # the rounds of one fetch share the values in flight
     fold: np.ndarray  # (3, terms) rows r, k, j: c(r, j) (+)= a(r, k) (*) b(k, j) at r
-    move: np.ndarray  # (3, values) rows r, k, j: b(k, j) moves to r
-    senders: np.ndarray  # (values,): the processor each moved b(k, j) is read at
+    move: np.ndarray  # (3, values) rows r, k, j: b(k, j) moves from j to r
 
 
 @dataclass
@@ -293,17 +300,20 @@ class PlanProgram(Program):
         active = {}
         for round_no, p in plan.ops:
             active.setdefault(round_no, set()).add(p)
-        # Static group words per round: held at its end, sent, received.
-        self.group_words = {}
+        # Static group words per round (held at its end, sent, received) and
+        # the processors whose stores the round's group ops change.
+        self.group_words, self.group_procs = {}, {}
         for round_no, group_ops in plan.groups.items():
             words = tuple(np.zeros(procs, dtype=np.int64) for _ in range(3))
-            touched = active.setdefault(round_no, set())
+            touched = set()
             for op in group_ops:
                 touched.update(_group_kind(op).words(op, *words))
             if round_no == trailing and any(figures.any() for figures in words):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
             self.group_words[round_no] = words
+            self.group_procs[round_no] = sorted(touched)
+            active.setdefault(round_no, set()).update(touched)
         self.active_procs = {round_no: sorted(ps) for round_no, ps in active.items()}
         self.start()
 
@@ -345,8 +355,10 @@ class PlanProgram(Program):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
+        for p in self.group_procs[round_no]:
+            states[p] = self._merge(states[p], inboxes.pop(p, ()))
         for op in group_ops:
-            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states, inboxes)
+            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states)
         return self.group_words[round_no]
 
     def handler(self, round_no, p, state, inbox):
@@ -373,7 +385,8 @@ class _GroupKind(NamedTuple):
     # (op, held, sent, received): add the op's static words to the three
     # arrays over processors; returns the processors whose stores it changes.
     words: Callable
-    # (program, op, round_no, states, inboxes): run the op in its round.
+    # (program, op, round_no, states): run the op in its round, changing in
+    # place the stores of the processors ``words`` returns (see the module doc).
     step: Callable
 
 
@@ -433,14 +446,12 @@ def _gather_words(op, held, sent, received):
     return sorted({holder for row in op.tiles for pieces, _ in row for holder, _, _ in pieces})
 
 
-def _gather_step(program, op, round_no, states, inboxes):
-    holders = {holder for row in op.tiles for pieces, _ in row for holder, _, _ in pieces}
-    stores = {p: program._merge(states[p], inboxes.pop(p, ())) for p in holders}
+def _gather_step(program, op, round_no, states):
     values = {}  # (holder, key) -> piece
 
     def read(holder, key, recipe):
         if (holder, key) not in values:
-            store = stores[holder]
+            store = states[holder]
             try:
                 if recipe is not None:
                     _DISPATCH[type(recipe)](program.spec, store, recipe, None)
@@ -461,8 +472,6 @@ def _gather_step(program, op, round_no, states, inboxes):
                     raise ValueError(f"gathered piece {key!r} has shape {value.shape}, not {part}")
             stack[row] = np.concatenate(parts, axis=axis)
     program.stacks.setdefault(op.frag, _Stacks()).fill(a, b)
-    for p, store in stores.items():
-        states[p] = store
 
 
 def _rotate_words(op, held, sent, received):
@@ -478,15 +487,12 @@ def _rotate_words(op, held, sent, received):
     return () if op.c_keys is None else op.procs.tolist()
 
 
-def _rotate_step(program, op, round_no, states, inboxes):
+def _rotate_step(program, op, round_no, states):
     stacks = program.stacks[op.frag]
     _slot(program.spec, op, stacks)
     if op.c_keys is not None:
         del program.stacks[op.frag]
-        for p, key, tile in zip(op.procs.tolist(), op.c_keys, stacks.c):
-            store = dict(states[p])
-            _acc(program.spec, store, key, tile)
-            states[p] = store
+        _give(program.spec, states, op.procs.tolist(), op.c_keys, stacks.c)
 
 
 def _slot(spec, op, stacks):
@@ -555,55 +561,33 @@ def _fold_words(op, held, sent, received):
     return ()
 
 
-def _fold_step(program, op, round_no, states, inboxes):
+def _fold_step(program, op, round_no, states):
     if op.step == 0:
-        program.stacks[op.frag] = _scatter(op, round_no, states, inboxes, program._merge)
+        program.stacks[op.frag] = _scatter(op, round_no, states)
         return
-    values = program.stacks[op.frag] = _chunk_fold(program.spec, program.stacks[op.frag],
-                                                   op.width)
+    values = program.stacks[op.frag]  # (holders, groups, entries)
+    values = program.stacks[op.frag] = _segment_add(program.spec, values,
+                                                    np.arange(0, len(values), op.width))
     if op.step == op.last_step:
         del program.stacks[op.frag]
-        flat = values.reshape(-1)  # (groups, 1, entries), contiguous
-        for p, cells in _handouts(op).items():
-            store = dict(states[p])
-            for i in cells:
-                g, e = divmod(i, op.entries)
-                _acc(program.spec, store, op.out_keys[g][e], flat[i : i + 1])
-            states[p] = store
+        keys = [key for group in op.out_keys for key in group]
+        _give(program.spec, states, op.final_holders().ravel().tolist(), keys,
+              values.reshape(-1, 1))
 
 
-def _scatter(op, round_no, states, inboxes, merge):
-    """Step 0: each member's addend out of its processor's merged store."""
+def _scatter(op, round_no, states):
+    """Step 0: each member's addend out of its processor's store, stacked
+    (members, groups, entries)."""
     groups, t = op.members.shape
-    values = np.empty((groups, t, op.entries), dtype=np.int64)
+    values = np.empty((t, groups, op.entries), dtype=np.int64)
     for g, (procs, keys) in enumerate(zip(op.members.tolist(), op.addend_keys)):
         for l, (p, key) in enumerate(zip(procs, keys)):
-            store = merge(states[p], inboxes.pop(p, ()))
-            addend = _pop(store, key, p, round_no)
+            addend = _pop(states[p], key, p, round_no)
             if addend.size != op.entries:
                 raise ValueError(f"fold addend {key!r} has {addend.size} words, "
                                  f"not {op.entries}")
-            values[g, l] = addend.reshape(-1)
-            states[p] = store
+            values[l, g] = addend.reshape(-1)
     return values
-
-
-def _chunk_fold(spec, values, width):
-    """Fold each run of ``width`` consecutive holders (axis 1) into its first, in order."""
-    out = values[:, ::width].copy()
-    for j in range(1, min(width, values.shape[1])):
-        part = values[:, j::width]
-        runs = part.shape[1]
-        out[:, :runs] = spec.vadd(out[:, :runs], part)
-    return out
-
-
-def _handouts(op):
-    """Processor -> flat indices g * entries + e of the finished entries handed to it."""
-    procs = op.final_holders().ravel()
-    order = np.argsort(procs, kind="stable")
-    cuts = np.flatnonzero(np.diff(procs[order])) + 1
-    return {int(procs[part[0]]): part.tolist() for part in np.split(order, cuts)}
 
 
 # -- Fetch -------------------------------------------------------------------
@@ -611,12 +595,12 @@ def _handouts(op):
 
 def _fetch_words(op, held, sent, received):
     procs = len(sent)
-    sent += np.bincount(op.senders, minlength=procs)
+    sent += np.bincount(op.move[2], minlength=procs)
     received += np.bincount(op.move[0], minlength=procs)
     return np.unique(op.fold[0]).tolist()
 
 
-def _fetch_step(program, op, round_no, states, inboxes):
+def _fetch_step(program, op, round_no, states):
     where = round_no if round_no <= program.total_rounds else None  # None: the trailing step
     moved, values = program.stacks.pop(op.frag, (op.fold[:, :0], op.fold[0, :0]))
     local = op.fold[2] == op.fold[0]
@@ -627,7 +611,7 @@ def _fetch_step(program, op, round_no, states, inboxes):
     if op.move.size:
         _, k, j = op.move.tolist()
         keys = [("b", kk, jj) for kk, jj in zip(k, j)]
-        program.stacks[op.frag] = op.move, _words_at(states, op.senders.tolist(), keys, where)
+        program.stacks[op.frag] = op.move, _words_at(states, j, keys, where)
 
 
 def _fetch_fold(spec, terms, local, values, states, where):
@@ -646,27 +630,33 @@ def _fetch_fold(spec, terms, local, values, states, where):
     r, j = r[order], j[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])
     sums = _segment_add(spec, spec.vmul(a, b)[order], starts)
-    cells = list(zip(r[starts].tolist(), j[starts].tolist()))
-    held = [states[p].get(("c", p, q)) for p, q in cells]
-    old = [i for i, tile in enumerate(held) if tile is not None]
-    if old:
-        sums[old] = spec.vadd(np.concatenate([held[i] for i in old]), sums[old])
-    store, owner = None, None
-    for i, (p, q) in enumerate(cells):
-        if p != owner:
-            store, owner = dict(states[p]), p
-            states[p] = store
-        store["c", p, q] = sums[i : i + 1]
+    procs = r[starts].tolist()
+    keys = [("c", p, q) for p, q in zip(procs, j[starts].tolist())]
+    _give(spec, states, procs, keys, sums[:, None])
 
 
 def _segment_add(spec, values, starts):
-    """The carrier's sum of each run ``values[starts[i] : starts[i + 1]]``, left to right."""
+    """The carrier's sum of each run ``values[starts[i] : starts[i + 1]]`` (along
+    axis 0), left to right."""
     sums = values[starts]
     lengths = np.diff(starts, append=len(values))
     for offset in range(1, int(lengths.max(initial=1))):
         longer = np.flatnonzero(lengths > offset)
         sums[longer] = spec.vadd(sums[longer], values[starts[longer] + offset])
     return sums
+
+
+def _give(spec, states, procs, keys, values):
+    """Hand ``values[i]`` to processor ``procs[i]``'s store under ``keys[i]``,
+    for every i, accumulating like ``_acc``: a key already held becomes
+    old (+) new, with one ``vadd`` over all of them.  The (procs[i], keys[i])
+    must be distinct within one call.  ``values`` is written in place."""
+    held = [i for i, (p, key) in enumerate(zip(procs, keys)) if key in states[p]]
+    if held:
+        old = np.stack([states[procs[i]][keys[i]] for i in held])
+        values[held] = spec.vadd(old, values[held])
+    for p, key, value in zip(procs, keys, values):
+        states[p][key] = value
 
 
 def _words_at(states, procs, keys, round_no):

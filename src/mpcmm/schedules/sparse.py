@@ -426,11 +426,11 @@ def fetch_fragment(plan, terms, fetch_rounds, start):
     arrived = terms[:, :0]
     for rd in range(1, int(rounds.max(initial=0)) + 1):
         move = moves[:, np.searchsorted(rounds, rd) : np.searchsorted(rounds, rd, side="right")]
-        plan.add_group(start + rd, Fetch(frag, arrived, move, move[2]))
+        plan.add_group(start + rd, Fetch(frag, arrived, move))
         arrived = move
     last = np.concatenate([arrived, terms[:, ~remote]], axis=1)
     if last.size:
-        plan.add_group(plan.num_rounds + 1, Fetch(frag, last, last[:, :0], last[2, :0]))
+        plan.add_group(plan.num_rounds + 1, Fetch(frag, last, last[:, :0]))
 
 
 def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:

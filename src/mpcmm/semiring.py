@@ -25,7 +25,9 @@ min-plus product needs no per-term clamp (see :func:`_trop_matmul`).
 
 Carriers also fix their word domain (``domain``, inclusive bounds, or
 None for every int64 word): bool words are 0 or 1, and tropical words
-lie within +-``TROPICAL_INF``.  Words outside it are rejected where
+lie in [0, ``TROPICAL_INF``].  The tropical zero annihilates only there:
+``mul`` computes min(a + b, INF), so for a word x < 0, INF (*) x would
+be INF + x, a finite word.  Words outside the domain are rejected where
 matrices enter an experiment (:meth:`SemiringSpec.check_words`).
 """
 
@@ -264,7 +266,7 @@ TROPICAL = SemiringSpec(
     vadd=_trop_add,
     vmul=_trop_mul,
     matmul=_trop_matmul,
-    domain=(-int(TROPICAL_INF), int(TROPICAL_INF)),
+    domain=(0, int(TROPICAL_INF)),
 )
 
 

@@ -131,9 +131,9 @@ def _fetch_plan(moved):
         for q in range(3):
             plan.set_init(p, ("a", p, q), np.array([10 * p + q + 1]))
             plan.set_init(p, ("b", q, p), np.array([q + 2 * p + 1]))
-    plan.add_group(1, Fetch(0, _terms(), moved, moved[2]))
+    plan.add_group(1, Fetch(0, _terms(), moved))
     last = np.concatenate([moved, _terms((0, 0, 0))], axis=1)
-    plan.add_group(2, Fetch(0, last, _terms(), moved[2, :0]))
+    plan.add_group(2, Fetch(0, last, _terms()))
     for r, j in {(0, 0), *zip(moved[0].tolist(), moved[2].tolist())}:
         plan.emit(r, ("c", r, j), r, j, (1,))
     return plan
@@ -157,12 +157,11 @@ def test_fetch_folds_products_per_cell_and_charges_words():
 
 
 def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
-    moved = _terms((0, 1, 2), (1, 0, 2))
-    plan = _fetch_plan(moved)
-    plan.add_group(1, plan.groups[1].pop()._replace(senders=np.array([2, 0])))
+    plan = _fetch_plan(_terms((0, 1, 2), (1, 0, 2)))
+    del plan.init[2][("b", 0, 2)]
     with pytest.raises(MissingTile) as caught:
         run(PlanProgram(plan, INT), MpcConfig(3, 16))
-    assert (caught.value.processor, caught.value.round, caught.value.key) == (0, 1, ("b", 0, 2))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (2, 1, ("b", 0, 2))
 
 
 def test_a_missing_resident_value_is_named_at_the_trailing_step():
@@ -185,6 +184,6 @@ def test_a_fold_must_take_the_values_in_flight_in_order():
 def test_a_fetch_that_moves_in_the_trailing_step_raises_value_error():
     plan = Plan(num_procs=2, num_rounds=1)
     moved = _terms((0, 1, 1))
-    plan.add_group(2, Fetch(0, _terms(), moved, moved[2]))
+    plan.add_group(2, Fetch(0, _terms(), moved))
     with pytest.raises(ValueError, match="trailing"):
         PlanProgram(plan, INT)

@@ -11,6 +11,7 @@ import hashlib
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
@@ -231,6 +232,23 @@ def test_predicted_rounds_match_transcript(name):
     schedule = build_schedule(config, *generate_instance(config, spec), spec)
     result, _ = schedule.execute(cap_factor=config.cap_factor)
     assert schedule.meta["predicted_rounds"] == result.transcript.rounds
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_executing_a_schedule_twice_gives_the_same_bytes(name):
+    """Group ops change the stores in place, so a run must leave the built
+    plan as it found it."""
+    config = ExperimentConfig(seed=1, **CONFIGS[name])
+    spec = get_semiring(config.semiring)
+    schedule = build_schedule(config, *generate_instance(config, spec), spec)
+
+    def outcome():
+        result, out = schedule.execute(cap_factor=config.cap_factor)
+        outputs = {p: [(r, c, np.asarray(block).tobytes()) for r, c, block in blocks]
+                   for p, blocks in result.outputs.items()}
+        return result.transcript.to_csv(), outputs, out.data.tobytes()
+
+    assert outcome() == outcome()
 
 
 if __name__ == "__main__":

@@ -310,6 +310,18 @@ def test_cli_reports_a_stored_zero_without_traceback(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written
 
 
+def test_cli_reports_a_negative_tropical_word_without_traceback(tmp_path, capsys):
+    fields = _file_instance_with_word(tmp_path, -1)
+    rc = main(["run", "--case", "sparse-trivial", "--n", "4", "--d", "1",
+               "--instance", "file", "--file-a", fields["file_a"], "--file-b",
+               fields["file_b"], "--semiring", "tropical", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mpcmm: error:") and len(err.splitlines()) == 1
+    assert "outside the tropical domain [0, " in err
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written
+
+
 @pytest.mark.parametrize("file_a", ["", "missing.txt"])
 def test_cli_reports_a_missing_input_file_without_traceback(tmp_path, capsys, file_a):
     fields = _file_instance_with_word(tmp_path, 1)

@@ -156,9 +156,10 @@ def test_custom_spec_from_scalar_ops():
 def test_check_words_enforces_each_domain():
     get_semiring("int").check_words(np.array([-(2**63), 2**63 - 1]))
     get_semiring("bool").check_words(np.array([0, 1]))
-    get_semiring("tropical").check_words(np.array([-TROPICAL_INF, TROPICAL_INF]))
+    get_semiring("tropical").check_words(np.array([0, TROPICAL_INF]))
+    # A negative tropical word breaks the zero: INF (*) -1 = INF - 1 is finite.
     for name, word in (("bool", 2), ("bool", -1), ("tropical", TROPICAL_INF + 1),
-                       ("tropical", -TROPICAL_INF - 1)):
+                       ("tropical", -1)):
         with pytest.raises(ValueError, match=f"{name} domain"):
             get_semiring(name).check_words(np.array([0, word]))
     with pytest.raises(ValueError, match="outside int64"):

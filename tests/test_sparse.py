@@ -17,9 +17,14 @@ from mpcmm import (
     schedule_sparse_trivial,
     schedule_sparse_twophase,
 )
+from mpcmm.experiment import ExperimentConfig, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
+from mpcmm.plan import AccCell, Gather
 from mpcmm.schedules import sparse as sparse_module
 from mpcmm.schedules.sparse import build_ledger
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS, _digest
+from test_rotation import _assert_built_both_ways_agree, _build
 
 INT = get_semiring("int")
 BOOL = get_semiring("bool")
@@ -304,6 +309,54 @@ class TestTwoPhase:
         assert hashlib.sha256(result.transcript.to_csv().encode()).hexdigest() == (
             "b57dc83538fb6254fb25a9cfd66cbe2877339fcc5613a8f1a7d0f7dd59b28a8b"
         )
+
+
+# The layers-fallback golden instance with its four layers kept: (summary
+# SHA-256, transcript SHA-256) per semiring.
+FOUR_LAYERS = {
+    "int": (
+        "f9116bee5cd00bda4933ef32820d60fd2541c002f6da511aeec01acd14b12642",
+        "159a3e7c6cf7723e29221ad77d095cc87bebce02801992da7b8726a64413d5cf",
+    ),
+    "bool": (
+        "2e6b94ab4c477cf84bd692c89238f589f7fb5cceece474553629e7ff32c1767d",
+        "159a3e7c6cf7723e29221ad77d095cc87bebce02801992da7b8726a64413d5cf",
+    ),
+    "tropical": (
+        "f0804b813d26befdf8615baf9f82d269eda2ee2ee489b359b36318d37f7fb708",
+        "159a3e7c6cf7723e29221ad77d095cc87bebce02801992da7b8726a64413d5cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("semiring", sorted(FOUR_LAYERS))
+def test_four_kept_layers_match_the_reference_and_their_hashes(monkeypatch, tmp_path,
+                                                                semiring):
+    """A plan that keeps more than one layer, which no golden config does.
+
+    With a load bound too high to stop them, the layers win on the
+    layers-fallback instance: four one-slot layers (grid side 1) and no
+    residual, 8 rounds.  Layer l's C rows reach their owners in round
+    2l + 3, where layer l + 1's gathers read those owners' stores, so a
+    gather holder's inbox is merged there.
+    """
+    monkeypatch.setattr(sparse_module, "_load_bound", lambda terms, d: 1 << 40)
+    config = ExperimentConfig(seed=1, semiring=semiring,
+                              **GOLDEN_CONFIGS["sparse-twophase-layers-fallback"])
+    schedule = _build(config)[0]
+    plan = schedule.program.plan
+    assert schedule.meta["fallback"] is False
+    assert schedule.meta["decomposition"]["layers"] == 4 and plan.num_rounds == 8
+    for round_no in (3, 5, 7):
+        holders = {holder for op in plan.groups[round_no] if isinstance(op, Gather)
+                   for row in op.tiles for pieces, _ in row for holder, _, _ in pieces}
+        assert any(isinstance(op, AccCell)
+                   for p in holders for op in plan.ops.get((round_no, p), ()))
+    _assert_built_both_ways_agree(lambda: _build(config))
+    summary = run_experiment(config, out_dir=str(tmp_path))
+    assert summary["ok"]
+    hashes = _digest(summary["summary_path"]), _digest(summary["transcript_path"])
+    assert hashes == FOUR_LAYERS[semiring]
 
 
 class TestIterationBudget:
