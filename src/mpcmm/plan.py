@@ -1,15 +1,19 @@
 """Dataflow plans: the instruction set round schedules compile to.
 
-A schedule builder precomputes, per (round, processor), a short list of
-ops over a key -> tile store.  The generic :class:`PlanProgram` then
-interprets those ops inside the engine's handler.  Keys are tuples such
-as ("A", i, q); payloads of bundled sends carry (key, shape) tags so the
+A schedule builder precomputes the ops of every round over key -> tile
+stores: group ops, each for many processors at once, and per (round,
+processor) a list of per-processor ops.  The generic :class:`PlanProgram`
+interprets both inside the engine's hooks.  Keys are tuples such as
+("A", i, q); payloads of bundled sends carry (key, shape) tags so the
 receiver can restore tiles into its own store.
 
-Per-processor ops::
+Per-processor ops.  The shipped builders place none: ``Slice`` and
+``Pack`` ship only as gather recipes.  The other kinds are the
+instruction set of the test references, whose ops ``plan.ops`` holds
+(``perfbench/probes.py`` counts them)::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
-    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise; only test references emit it)
+    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
     AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
     Slice(dst, src, rows, cols) copy a sub-block
@@ -55,33 +59,31 @@ and the fragment's C stack.  A slot:
    The next slot multiplies whatever tile landed in each row;
 3. in the last slot, gives each C tile to its processor's store.
 
-:class:`Fold` is one round of a fan-in tree sum (see
-``schedules.rect.tree_sum_fragment``) for every group of a fragment.  A
-group has t members, each holding one addend of ``entries`` words; with
-fan-in ``width`` its members fall into m = ceil(t / width) chunks of
-consecutive members.
+:class:`Scatter` carries values across one barrier into stores (see
+``schedules.rect.tree_sum_fragment``, the sparse layers' hand-back and
+square's redistribution): a move in round rd and its give, with the
+same ``frag``, in round rd + 1, which may be the trailing step.
 
-1. Step 0 pops each member's addend out of its store into a (t, groups,
-   entries) stack and scatters it: entry e of a member in chunk c goes
-   to member (e * m + c) mod t, the entry's collector for that chunk.
-   Entries a member collects itself stay.
-2. Step s >= 1 folds level s - 1.  The holders of entry e form a list
-   (the collectors of chunks 0 .. m - 1 at level 0); each run of
-   ``width`` consecutive holders folds with ``vadd`` into its first one,
-   the others in list order, so ``vadd`` sees the operands in the order
-   that per-entry ``AccCell`` ops would give it.  The holders left are those
-   of the next level: holder i after step s is member
-   (e * m + i * width**(s - 1)) mod t.
-3. If more than one holder is left, each holder not first in its run
-   of the next level forwards its value to that run's first holder, in
-   the same round: fold before forward.
-4. The step whose fold leaves one holder (``Fold.last_step``) sends
-   nothing.  It gives each finished entry to its holder's store under
-   ``out_keys[g][e]``, as a (1,) tile.
+1. The move pops tile ``keys[i]`` out of processor ``procs[i]``'s
+   store, for every i.  The tiles are cut, in order, into equally many
+   units of ``shape``, and unit u goes to processor ``to[u]``, or is
+   dropped if that is -1.  It counts as sent by its holder and received
+   by ``to[u]``, or as held when the two are one.
+2. The give sums, for each destination i, the units that ``take`` (rows
+   unit, destination; destinations ascending) lists for it, left to
+   right with ``vadd``, and hands the sum to processor ``procs[i]``
+   under ``keys[i]``.  Its (processor, key) pairs must be distinct and
+   it takes each unit at most once.  A unit that was not moved to its
+   destination's processor raises :class:`MissingTile` there.
+
+A destination that holds its key already gets old (+) (x1 (+) x2 ...),
+where the per-entry tree-sum reference (and ``Fold``, which this kind
+replaced) added ((old (+) x1) (+) x2) ...; semiring addition is
+associative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar
-(r, k, j) term arrays.  Like a fold step, it folds before it moves.
+(r, k, j) term arrays.  Like a tree-sum level, it sums before it moves.
 
 1. It folds first.  For each column (r, k, j) of ``fold``, processor r
    adds a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile:
@@ -215,33 +217,15 @@ class Rotate(NamedTuple):
     c_keys: tuple | None  # last slot: per row, the store key C is handed back under
 
 
-class Fold(NamedTuple):
-    """One tree-sum round for every group of a fragment (see module doc)."""
+class Scatter(NamedTuple):
+    """A move, or the give that ends it a round later (see module doc)."""
 
-    frag: int  # the steps of one fragment share its value stack
-    members: np.ndarray  # (groups, t): the processor of each member
-    width: int  # fan-in of every level, >= 2
-    entries: int  # words per addend
-    step: int  # 0 scatters; s >= 1 folds level s - 1, then forwards or hands out
-    addend_keys: tuple  # per group, per member: the store key of its addend
-    out_keys: tuple  # per group, per entry: the key its finished value is handed out under
-
-    @property
-    def chunks(self) -> int:
-        return -(-self.members.shape[1] // self.width)
-
-    @property
-    def last_step(self) -> int:
-        """The hand-out step: the first whose fold leaves one holder per entry."""
-        step, holders = 1, self.chunks
-        while holders > 1:
-            step, holders = step + 1, -(-holders // self.width)
-        return step
-
-    def final_holders(self) -> np.ndarray:
-        """(groups, entries): the processor each finished entry is handed to."""
-        t = self.members.shape[1]
-        return self.members[:, np.arange(self.entries) * self.chunks % t]
+    frag: int  # a move and its give share the units in flight
+    shape: tuple  # every unit moved and given is a tile of this shape
+    procs: np.ndarray  # move: the holder of each tile; give: the processor of each destination
+    keys: tuple  # move: the key of each tile; give: the key of each destination
+    to: np.ndarray | None  # move: the receiver of each unit, -1 drops it; None in a give
+    take: np.ndarray | None  # give: (2, units) rows unit, destination; None in a move
 
 
 class Fetch(NamedTuple):
@@ -261,7 +245,8 @@ class Plan:
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
     ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
-    groups: dict = field(default_factory=dict)  # round -> [Gather | Rotate | Fold | Fetch]
+    # round -> [Gather | Rotate | Scatter | Fetch], run before that round's ``ops``
+    groups: dict = field(default_factory=dict)
     fragments: int = 0  # group-op fragments numbered so far
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
@@ -270,6 +255,23 @@ class Plan:
 
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
+
+    def scatter(self, round_no, shape, holders, keys, to, sums, sum_keys):
+        """Add a :class:`Scatter`: in ``round_no`` tile ``keys[i]`` leaves
+        ``holders[i]`` and unit u goes to ``to[u]`` (-1 drops it); in the
+        next round unit u adds into destination ``sums[u]`` (-1: none),
+        handed in at its receiver under ``sum_keys[sums[u]]``."""
+        frag = self.fragments
+        self.fragments += 1
+        to, sums = np.asarray(to, dtype=np.int32), np.asarray(sums, dtype=np.int32)
+        order = np.argsort(sums, kind="stable").astype(np.int32)
+        order = order[np.searchsorted(sums[order], 0):]  # the units a sum takes
+        procs = np.zeros(len(sum_keys), dtype=np.int32)
+        procs[sums[order]] = to[order]
+        self.add_group(round_no, Scatter(frag, shape, np.asarray(holders, dtype=np.int32),
+                                         tuple(keys), to, None))
+        self.add_group(round_no + 1, Scatter(frag, shape, procs, tuple(sum_keys), None,
+                                             np.stack((order, sums[order]))))
 
     @property
     def final_ops(self) -> dict:
@@ -519,75 +521,51 @@ def _route(at, to):
     return out
 
 
-# -- Fold --------------------------------------------------------------------
+# -- Scatter -----------------------------------------------------------------
 
 
-def _fold_holders(op, step):
-    """(entries, holders): the member index of each holder left by ``step``'s fold."""
-    t = op.members.shape[1]
-    stride = op.width ** (step - 1)
-    count = -(-t // (stride * op.width))
-    return (np.arange(op.entries)[:, None] * op.chunks + np.arange(count) * stride) % t
+def _scatter_words(op, held, sent, received):
+    if op.take is not None:  # a give
+        unit, dest = op.take
+        if not np.array_equal(dest[np.flatnonzero(np.diff(dest, prepend=-1))],
+                              np.arange(len(op.keys))):
+            raise ValueError("a give must sum units into each destination in turn")
+        if len(np.unique(unit)) != len(unit):
+            raise ValueError("a give must take each moved unit at most once")
+        if len(set(zip(op.procs.tolist(), op.keys))) != len(op.keys):
+            raise ValueError("a give must hand each (processor, key) one sum")
+        return np.unique(op.procs).tolist()
+    holder = np.repeat(op.procs, len(op.to) // max(len(op.procs), 1))
+    if len(holder) != len(op.to):
+        raise ValueError("a move must cut its tiles into equally many units")
+    size, procs = math.prod(op.shape), len(held)
+    kept, away = holder == op.to, (op.to >= 0) & (holder != op.to)
+    held += np.bincount(holder[kept], minlength=procs) * size
+    sent += np.bincount(holder[away], minlength=procs) * size
+    received += np.bincount(op.to[away], minlength=procs) * size
+    return np.unique(op.procs).tolist()
 
 
-def _fold_words(op, held, sent, received):
-    t, width = op.members.shape[1], op.width
-    if width < 2:
-        raise ValueError("a fold needs a fan-in width of at least 2")
-    if not 0 <= op.step <= op.last_step:
-        raise ValueError(f"fold step {op.step} is not one of 0 .. {op.last_step}")
-
-    def add(figures, per_member):
-        np.add.at(figures, op.members, np.broadcast_to(per_member, op.members.shape))
-
-    if op.step == 0:
-        member = np.arange(t)
-        collector = (np.arange(op.entries)[:, None] * op.chunks + member // width) % t
-        own = collector == member
-        kept = own.sum(axis=0)
-        add(held, kept)
-        add(sent, op.entries - kept)
-        add(received, np.bincount(collector[~own], minlength=t))
-        return op.members.ravel().tolist()
-    if op.step == op.last_step:
-        return op.final_holders().ravel().tolist()
-    holders = _fold_holders(op, op.step)
-    position = np.arange(holders.shape[1])
-    forward = position % width != 0
-    target = holders[:, position // width * width]
-    add(held, np.bincount(holders[:, ~forward].ravel(), minlength=t))
-    add(sent, np.bincount(holders[:, forward].ravel(), minlength=t))
-    add(received, np.bincount(target[:, forward].ravel(), minlength=t))
-    return ()
-
-
-def _fold_step(program, op, round_no, states):
-    if op.step == 0:
-        program.stacks[op.frag] = _scatter(op, round_no, states)
+def _scatter_step(program, op, round_no, states):
+    if op.take is None:  # a move
+        size = len(op.to) // max(len(op.procs), 1) * math.prod(op.shape)  # words per tile
+        values = np.empty((len(op.procs), size), dtype=np.int64)
+        for i, (p, key) in enumerate(zip(op.procs.tolist(), op.keys)):
+            tile = _pop(states[p], key, p, round_no)
+            if tile.size != size:
+                raise ValueError(f"scattered tile {key!r} has {tile.size} words, not {size}")
+            values[i] = tile.reshape(-1)
+        program.stacks[op.frag] = op.to, values.reshape(len(op.to), -1)
         return
-    values = program.stacks[op.frag]  # (holders, groups, entries)
-    values = program.stacks[op.frag] = _segment_add(program.spec, values,
-                                                    np.arange(0, len(values), op.width))
-    if op.step == op.last_step:
-        del program.stacks[op.frag]
-        keys = [key for group in op.out_keys for key in group]
-        _give(program.spec, states, op.final_holders().ravel().tolist(), keys,
-              values.reshape(-1, 1))
-
-
-def _scatter(op, round_no, states):
-    """Step 0: each member's addend out of its processor's store, stacked
-    (members, groups, entries)."""
-    groups, t = op.members.shape
-    values = np.empty((t, groups, op.entries), dtype=np.int64)
-    for g, (procs, keys) in enumerate(zip(op.members.tolist(), op.addend_keys)):
-        for l, (p, key) in enumerate(zip(procs, keys)):
-            addend = _pop(states[p], key, p, round_no)
-            if addend.size != op.entries:
-                raise ValueError(f"fold addend {key!r} has {addend.size} words, "
-                                 f"not {op.entries}")
-            values[l, g] = addend.reshape(-1)
-    return values
+    to, values = program.stacks.pop(op.frag)
+    unit, dest = op.take
+    stray = np.flatnonzero(to[unit] != op.procs[dest])
+    if stray.size:
+        i = dest[stray[0]]
+        where = round_no if round_no <= program.total_rounds else None  # None: the trailing step
+        raise MissingTile(int(op.procs[i]), where, op.keys[i])
+    sums = _segment_add(program.spec, values[unit], np.flatnonzero(np.diff(dest, prepend=-1)))
+    _give(program.spec, states, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
 
 
 # -- Fetch -------------------------------------------------------------------
@@ -671,7 +649,7 @@ def _words_at(states, procs, keys, round_no):
 _GROUP_DISPATCH = {
     Gather: _GroupKind(_gather_words, _gather_step),
     Rotate: _GroupKind(_rotate_words, _rotate_step),
-    Fold: _GroupKind(_fold_words, _fold_step),
+    Scatter: _GroupKind(_scatter_words, _scatter_step),
     Fetch: _GroupKind(_fetch_words, _fetch_step),
 }
 

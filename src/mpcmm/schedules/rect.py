@@ -11,11 +11,11 @@ Three machine shapes:
 
 * (d, n, d) on n processors with O(d) words: the d x d output splits
   into d blocks of side sqrt(d), each assigned to a group of n / d
-  processors.  In one distribution round the input holders cut their
-  column of A and row of B into tile pieces, which the rotation ships
-  to each tile's first consumer; sqrt(d) skewed product rounds
-  accumulate group partials, and a tree sum folds the n / d partials
-  per block.
+  processors.  Each input holder starts with its column of A and row of
+  B cut into tile pieces, which the rotation's gather ships to each
+  tile's first consumer in one distribution round; sqrt(d) skewed
+  product rounds accumulate group partials, and a tree sum folds the
+  n / d partials per block.
 
 * (d, n, d) on d processors with O(n) words: same shape with
   sqrt(n)-side tiles cut from rows of A and columns of B, d / sqrt(n)
@@ -25,9 +25,9 @@ Three machine shapes:
 The tree sum fans t distributed addends into per-entry totals with
 fan-in width k: one scatter round spreads each addend's entries over
 collectors, then k-ary rounds reduce the per-entry value count to one.
-``tree_sum_fragment`` sums every group of a schedule at once, as one
-:class:`~mpcmm.plan.Fold` group op per round over a (groups, members,
-entries) stack, so its build cost grows with rounds, not with entries.
+``tree_sum_fragment`` sums every group of a schedule at once with
+:class:`~mpcmm.plan.Scatter` moves and gives over index arrays, at most
+one of each per round, so it places no op per entry.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix
-from ..plan import Drop, Fold, Gather, Plan, PlanProgram, Rotate, Slice
+from ..plan import Gather, Plan, PlanProgram, Rotate, Slice
 from ..semiring import SemiringSpec
 from .common import Schedule, rotation_fragment
 
@@ -51,26 +51,51 @@ def tree_sum_fragment(plan: Plan, members, addend_keys, entries: int, width: int
     ``members`` is a (groups, t) processor array, ``addend_keys[g][l]``
     names member l's addend in group g (flat length ``entries``) and
     ``ns[g]`` keeps group g's key names apart from other groups and
-    fragments.  One :class:`~mpcmm.plan.Fold` group op per round covers
-    every group: the scatter in ``start_round``, then one k-ary level per
-    round up to ``start_round + rounds - 1``.  The finished entries reach
-    their holders' stores in the hand-out step one round past that: the
-    caller's next round, or the plan's trailing local step (round
-    ``num_rounds + 1``, which sends nothing) if the sum ends the plan.
-    ``holders[g][e]`` is the (proc, key) of group g's entry e.
+    fragments.  With fan-in k = max(2, ``width``), member l is in chunk
+    l // k of m = ceil(t / k).  :class:`~mpcmm.plan.Scatter` ops cover
+    every group.  In ``start_round`` a move sends entry e of each member
+    of chunk c to its collector, member (e * m + c) mod t.  Each later
+    round, one per level, gives what the last round moved into the
+    receivers' ("tv", ns[g], e, p) cells; then, while an entry has more
+    than one holder, a move sends the cell of every holder but the first
+    of each k consecutive ones to that first.  The last give, in round
+    ``start_round + rounds``, is the caller's next round or the plan's
+    trailing local step (round ``num_rounds + 1``) if the sum ends the
+    plan.  ``holders[g][e]`` is the (proc, key) of group g's entry e.
     """
-    members = np.asarray(members, dtype=np.int64)
-    fold = Fold(plan.fragments, members, max(2, width), entries, 0, tuple(addend_keys), ())
-    plan.fragments += 1
-    holders = tuple(
-        tuple((p, ("tv", ns[g], e, p)) for e, p in enumerate(procs))
-        for g, procs in enumerate(fold.final_holders().tolist())
-    )
-    fold = fold._replace(out_keys=tuple(tuple(key for _, key in row) for row in holders))
-    rounds = fold.last_step
-    for step in range(rounds + 1):
-        plan.add_group(start_round + step, fold._replace(step=step))
-    return rounds, holders
+    members = np.asarray(members, dtype=np.int32)
+    groups, t = members.shape
+    width = max(2, width)
+    m = -(-t // width)
+
+    def cells(procs):  # the value key of each holder of a (groups, entries, holders) array
+        return [("tv", ns[g], e, p) for g, rows in enumerate(procs.tolist())
+                for e, row in enumerate(rows) for p in row]
+
+    # holders[g, e, c]: the processor that sums chunk c of entry e, then
+    # those left after each level; the sums of a move are indexes into them.
+    holders = members[:, (np.arange(entries)[:, None] * m + np.arange(m)) % t]
+    # unit (g, l, e) of the first move adds into holder (g, e, l // k)
+    chunk = np.arange(t, dtype=np.int32)[:, None] // width
+    sums = ((np.arange(groups, dtype=np.int32)[:, None, None] * entries
+             + np.arange(entries, dtype=np.int32)) * m + chunk).ravel()
+    keys = cells(holders)
+    plan.scatter(start_round, (1,), members.ravel(), [k for group in addend_keys for k in group],
+                 holders.ravel()[sums], sums, keys)
+    rounds = 1
+    while holders.shape[2] > 1:
+        # every holder but the first of each k forwards its cell to that first
+        place = np.arange(holders.shape[2])
+        forward = place % width != 0
+        run, firsts = place[forward] // width, holders[:, :, ::width]
+        sums = np.arange(groups * entries)[:, None] * (run[-1] + 1) + run
+        keys = cells(firsts[:, :, : run[-1] + 1])  # all but a last lone holder take sums
+        plan.scatter(start_round + rounds, (1,), holders[:, :, forward].ravel(),
+                     cells(holders[:, :, forward]), firsts[:, :, run].ravel(), sums.ravel(), keys)
+        holders, rounds = firsts, rounds + 1
+    # the last give's keys are the finished entries', group by group
+    final = iter(zip(holders.ravel().tolist(), keys))
+    return rounds, tuple(tuple(next(final) for _ in range(entries)) for _ in range(groups))
 
 
 @dataclass(frozen=True)
@@ -198,9 +223,9 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
     Processor ``proc(i, j, l)``, member l of the group for output block
     (i, j), rotates inner tiles l * blocks .. (l + 1) * blocks - 1 into its
     partial ("P", i, j, l); ``parts(i, j, q)`` gives the pieces of A tile
-    (i, q) and B tile (q, j) where the inputs hold them, which the rotation
-    carves and ships in round 1.  A tree sum then folds each group's
-    partials, whose blocks have ``side**2`` entries.
+    (i, q) and B tile (q, j) where the inputs hold them, which the
+    rotation's gather moves out in round 1.  A tree sum then folds each
+    group's partials, whose blocks have ``side**2`` entries.
     """
     for l in range(group_size):
         rotation_fragment(
@@ -235,8 +260,9 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
 
 
 def _cut(holder, key, src, rows, cols):
-    """A rotation piece that ``holder`` slices out of its input ``src``."""
+    """A gathered piece that ``holder`` slices out of its input ``src``."""
     return holder, key, Slice(key, src, rows, cols)
+
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:
@@ -252,23 +278,21 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     plan = Plan(num_procs=n, num_rounds=0, min_memory=d)
     proc = lambda i, j, l: (i * g + j) * t + l
 
+    # Processor c starts with column c of A cut into the pieces of A tiles
+    # (i, c // g), and row c of B into those of B tiles (c // g, j): A tile
+    # (i, q) is piece i of A columns q * g .. q * g + g - 1, B tile (q, j)
+    # piece j of B rows q * g .. q * g + g - 1.
     for c in range(n):
-        plan.set_init(c, ("ac", c), a.data[:, c : c + 1])
-        plan.set_init(c, ("br", c), b.data[c : c + 1, :])
+        for i in range(g):
+            plan.set_init(c, ("acs", c, i), a.data[i * g : (i + 1) * g, c : c + 1])
+            plan.set_init(c, ("brs", c, i), b.data[c : c + 1, i * g : (i + 1) * g])
 
-    # A tile (i, q) is g column pieces, cut from A columns q * g .. q * g +
-    # g - 1 by their holders; B tile (q, j) likewise from B rows.
     def parts(i, j, q):
         cols = range(q * g, (q + 1) * g)
-        a_rows, b_cols = (i * g, (i + 1) * g), (j * g, (j + 1) * g)
-        return (
-            (tuple(_cut(c, ("acs", c, i), ("ac", c), a_rows, (0, 1)) for c in cols), 1),
-            (tuple(_cut(c, ("brs", c, j), ("br", c), (0, 1), b_cols) for c in cols), 0),
-        )
+        return ((tuple((c, ("acs", c, i), None) for c in cols), 1),
+                (tuple((c, ("brs", c, j), None) for c in cols), 0))
 
     _rotate_and_sum(plan, g, t, g, proc, parts)
-    for c in range(n):
-        plan.add(1, c, Drop((("ac", c), ("br", c))))
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(n, d),
@@ -301,23 +325,20 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     plan = Plan(num_procs=dp, num_rounds=0, min_memory=n)
     proc = lambda i, j, l: (i * blocks + j) * m + l
 
+    # Processor c starts with row c of A and column c of B cut into the
+    # pieces of A tiles (c // s, q) and B tiles (q, c // s): A tile (i, q)
+    # is piece q of A rows i * s .. i * s + s - 1, B tile (q, j) piece q
+    # of B columns j * s .. j * s + s - 1.
     for c in range(dp):
-        plan.set_init(c, ("ar", c), a_pad[c : c + 1, :])
-        plan.set_init(c, ("bc", c), b_pad[:, c : c + 1])
+        for q in range(s):
+            plan.set_init(c, ("ars", c, q), a_pad[c : c + 1, q * s : (q + 1) * s])
+            plan.set_init(c, ("bcs", c, q), b_pad[q * s : (q + 1) * s, c : c + 1])
 
-    # A tile (i, q) is s row pieces, cut from A rows i * s .. i * s + s - 1
-    # by their holders; B tile (q, j) likewise from B columns.
     def parts(i, j, q):
-        a_rows, b_cols = range(i * s, (i + 1) * s), range(j * s, (j + 1) * s)
-        strip = (q * s, (q + 1) * s)
-        return (
-            (tuple(_cut(c, ("ars", c, q), ("ar", c), (0, 1), strip) for c in a_rows), 0),
-            (tuple(_cut(c, ("bcs", c, q), ("bc", c), strip, (0, 1)) for c in b_cols), 1),
-        )
+        return ((tuple((c, ("ars", c, q), None) for c in range(i * s, (i + 1) * s)), 0),
+                (tuple((c, ("bcs", c, q), None) for c in range(j * s, (j + 1) * s)), 1))
 
     _rotate_and_sum(plan, blocks, m, s, proc, parts)
-    for c in range(dp):
-        plan.add(1, c, Drop((("ar", c), ("bc", c))))
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(dp, n),

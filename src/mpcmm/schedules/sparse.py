@@ -48,7 +48,7 @@ import numpy as np
 from ..engine import MpcConfig
 from ..matrix import SparseMatrix, check_d_sparse
 from ..bounds import snapped
-from ..plan import AccCell, Drop, Fetch, Pack, Plan, PlanProgram, Send, Slice
+from ..plan import Fetch, Pack, Plan, PlanProgram
 from ..semiring import SemiringSpec
 from .common import Schedule, chunks, rotation_fragment
 
@@ -438,8 +438,8 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     the decomposition's layers and then the residual's fetch when that
     takes no more rounds.  The terms travel as the ledger's sorted
     (r, k, j) int arrays, and the fetch is one :class:`~mpcmm.plan.Fetch`
-    group op per round (see :func:`fetch_fragment`); the layers hand
-    their C rows back with per-processor ops.
+    group op per round (see :func:`fetch_fragment`); each layer hands its
+    C rows back with one :class:`~mpcmm.plan.Scatter` (:func:`hand_back`).
 
     Two-phase assigns the residual's fetch first.  If the layers' rounds
     plus that fetch's are within the load bound of every term
@@ -532,12 +532,13 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
     Rounds r0 .. r0 + grid: the skewed square rotation, whose first
     round distributes the values: each tile row (column) is packed by the
     owner of its A row (B column), or as zeros at the consumer for a
-    padding row (column).  The last slot also scatters finished C rows
-    back to their owners, who fold them in one round later, which may be
-    the trailing local step.
+    padding row (column).  Its last round also sends the finished C rows
+    back to their owners (:func:`hand_back`), who add them in one round
+    later, which may be the trailing local step.
     """
     n, side = mask.n, grid * grid
     a_keys, b_keys = a.r * n + a.c, b.r * n + b.c
+    blocks = []
 
     for bi, blk in enumerate(layer):
         base = bi * side
@@ -545,9 +546,9 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
         def bproc(ti, tj):
             return base + ti * grid + tj
 
-        rows = list(blk.rows) + [None] * (side - len(blk.rows))
-        ks = list(blk.ks) + [None] * (side - len(blk.ks))
-        cols = list(blk.cols) + [None] * (side - len(blk.cols))
+        # -1 marks a padding row, inner index or column
+        rows, ks, cols = (list(ids) + [-1] * (side - len(ids))
+                          for ids in (blk.rows, blk.ks, blk.cols))
         # a_has[u][v]: is a(rows[u], ks[v]) stored; b_has[u][v]: is b(ks[u], cols[v]).
         a_has = _stored(a_keys, n, blk.rows, blk.ks, side).tolist()
         b_has = _stored(b_keys, n, blk.ks, blk.cols, side).tolist()
@@ -562,45 +563,42 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
                 r = rows[u]
                 keys = tuple(("a", r, ks[v]) if a_has[u][v] else None for v in inner)
                 key = ("xa", li, bi, u, x)
-                holder = bproc(ti, tj) if r is None else r
+                holder = bproc(ti, tj) if r < 0 else r
                 a_pieces.append((holder, key, Pack(key, keys, (1, grid))))
             b_pieces = []
             for v in range(tj * grid, (tj + 1) * grid):
                 j = cols[v]
                 keys = tuple(("b", ks[u], j) if b_has[u][v] else None for u in inner)
                 key = ("xb", li, bi, x, v)
-                holder = bproc(ti, tj) if j is None else j
+                holder = bproc(ti, tj) if j < 0 else j
                 b_pieces.append((holder, key, Pack(key, keys, (grid, 1))))
             return (tuple(a_pieces), 0), (tuple(b_pieces), 1)
 
-        rotation_fragment(plan, grid, bproc, parts, lambda ti, tj: ("XC", li, bi, ti, tj),
-                          r0 + 1, grid)
+        c_key = lambda ti, tj: ("XC", li, bi, ti, tj)
+        rotation_fragment(plan, grid, bproc, parts, c_key, r0 + 1, grid)
+        blocks.append((base + np.arange(side), [c_key(*divmod(t, grid)) for t in range(side)],
+                       np.array(rows), np.array(cols)))
+    hand_back(plan, r0 + grid, grid, blocks, mask)
 
-        # Gather, after the last slot's Mac in the same round: finished
-        # C-tile rows go home to their owners, who fold them in one round
-        # later, which may be the trailing local step.
-        last = r0 + grid
-        for ti in range(grid):
-            for tj in range(grid):
-                p = bproc(ti, tj)
-                ckey = ("XC", li, bi, ti, tj)
-                for u_local in range(grid):
-                    r = rows[ti * grid + u_local]
-                    if r is None:
-                        continue
-                    gkey = ("xg", li, bi, r, tj)
-                    plan.add(last, p, Slice(gkey, ckey, (u_local, u_local + 1), (0, grid)))
-                    if r != p:
-                        plan.add(last, p, Send(r, (gkey,)), Drop((gkey,)))
-                    masked = set(mask.cols(r))
-                    accs = []
-                    for v_local in range(grid):
-                        j = cols[tj * grid + v_local]
-                        if j is not None and j in masked:
-                            accs.append(AccCell(("c", r, j), gkey, v_local))
-                    accs.append(Drop((gkey,)))
-                    plan.add(last + 1, r, *accs)
-                plan.add(last, p, Drop((ckey,)))
+
+def hand_back(plan, round_no, grid, blocks, mask):
+    """Send a layer's finished C rows to their owners in ``round_no``.
+
+    ``blocks`` lists, per block, the processor and the C tile key of each
+    tile (ti, tj) in row-major order, and the block's rows and columns,
+    -1 for padding.  One :class:`~mpcmm.plan.Scatter`: row u of tile
+    (ti, tj) goes to the owner of block row ti * grid + u (a padding row
+    is dropped), who adds each masked cell (r, j) of it into ("c", r, j)
+    in the next round, which may be the trailing local step.
+    """
+    ti, tj, u, v = np.indices((grid,) * 4).reshape(4, -1)
+    r = np.concatenate([rows[ti * grid + u] for _, _, rows, _ in blocks])
+    j = np.concatenate([cols[tj * grid + v] for _, _, _, cols in blocks])
+    given = (j >= 0) & _member(mask.keys, r * mask.n + j)
+    cells = [("c", p, q) for p, q in zip(r[given].tolist(), j[given].tolist())]
+    plan.scatter(round_no, (1,), np.concatenate([procs for procs, _, _, _ in blocks]),
+                 [key for _, keys, _, _ in blocks for key in keys], r,
+                 np.where(given, np.cumsum(given) - 1, -1), cells)
 
 
 def _stored(keys, n, rows, cols, side):

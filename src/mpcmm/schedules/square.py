@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix, pad_to_multiple
 from ..bounds import snapped
-from ..plan import Drop, Plan, PlanProgram, Send
+from ..plan import Plan, PlanProgram
 from ..semiring import SemiringSpec
 from .common import Schedule, rotation_fragment
 
@@ -102,20 +102,20 @@ def schedule_square(
     def block(m, i, j):
         return m.data[i * t : (i + 1) * t, j * t : (j + 1) * t]
 
+    keys = []
     for i in range(g):
         for j in range(g):
-            p = proc(i, j)
-            if shift:
-                # Transposed start: send each block home in one round.
-                home, keys = proc(j, i), (("A", j, i), ("B", j, i))
-                plan.set_init(p, ("A", j, i), block(a, j, i))
-                plan.set_init(p, ("B", j, i), block(b, j, i))
-                if home != p:
-                    plan.add(1, p, Send(home, keys), Drop(keys))
-            else:
-                plan.set_init(p, ("A", i, j), block(a, i, j))
-                plan.set_init(p, ("B", i, j), block(b, i, j))
-            plan.emit(p, ("C", i, j), i * t, j * t, (t, t))
+            own = (j, i) if shift else (i, j)  # a transposed start holds blocks (j, i)
+            keys += [("A", *own), ("B", *own)]
+            plan.set_init(proc(i, j), keys[-2], block(a, *own))
+            plan.set_init(proc(i, j), keys[-1], block(b, *own))
+            plan.emit(proc(i, j), ("C", i, j), i * t, j * t, (t, t))
+    if shift:
+        # One Scatter moves each block home, from processor (i, j) to (j, i),
+        # in round 1 and hands it in there in round 2, before the gather.
+        holders = [p for p in range(g * g) for _ in "AB"]
+        plan.scatter(1, (t, t), holders, keys, [proc(p % g, p // g) for p in holders],
+                     range(len(keys)), keys)
 
     # Each block is one piece, held by its owner.  The rotation ships it to
     # its slot-0 consumer in round 1 + shift; the last slot lands in the

@@ -7,10 +7,11 @@ its holder, which sends the piece to its first consumer unless it is
 that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``, ``Send``
 and ``Drop`` list on each of the grid**2 processors, run by the plan
 interpreter op by op.  Tests monkeypatch it into the square, rect and
-sparse modules to run every schedule both ways.
+sparse modules to run every schedule both ways, together with
+``hand_back``, the per-processor hand-back of the sparse layers' C rows.
 """
 
-from mpcmm.plan import Assemble, Drop, Mac, Send
+from mpcmm.plan import AccCell, Assemble, Drop, Mac, Send, Slice
 
 
 def distribute(plan, grid, proc, parts, round_no):
@@ -54,3 +55,28 @@ def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
                     ops += [Send(left, (akey,)), Send(up, (bkey,))]
                 ops.append(Drop((akey, bkey)))
                 plan.add(first_round + s, p, *ops)
+
+
+def hand_back(plan, round_no, grid, blocks, mask):
+    """``schedules.sparse.hand_back`` per processor: each C row is a
+    ``Slice`` at its block processor, sent to its owner unless that is the
+    processor itself, and added cell by cell with ``AccCell`` in the next
+    round.  It reads the C tiles after the last slot's ``Mac``, so it goes
+    with the per-processor rotation."""
+    for procs, c_keys, rows, cols in blocks:
+        for tile, (p, ckey) in enumerate(zip(procs.tolist(), c_keys)):
+            ti, tj = divmod(tile, grid)
+            for u in range(grid):
+                r = int(rows[ti * grid + u])
+                if r < 0:
+                    continue
+                gkey = ("xg", ckey, u)
+                plan.add(round_no, p, Slice(gkey, ckey, (u, u + 1), (0, grid)))
+                if r != p:
+                    plan.add(round_no, p, Send(r, (gkey,)), Drop((gkey,)))
+                masked = set(mask.cols(r))
+                accs = [AccCell(("c", r, j), gkey, v)
+                        for v, j in enumerate(cols[tj * grid : (tj + 1) * grid].tolist())
+                        if j >= 0 and j in masked]
+                plan.add(round_no + 1, r, *accs, Drop((gkey,)))
+            plan.add(round_no, p, Drop((ckey,)))

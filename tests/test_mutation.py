@@ -1,8 +1,8 @@
 """Mutation test: the checks catch a faulty plan.
 
 Per-processor mutants change one op of a golden sparse plan built with
-the per-processor fetch of ``fetch_reference`` (the built plans keep only
-the layers' hand-back as per-processor ops): they drop a ``Send``, run a
+the per-processor fetch of ``fetch_reference`` (the shipped plans place
+no per-processor op): they drop a ``Send``, run a
 ``Mac``/``MulAcc`` twice, or cut the last key off a bundled ``Send``.
 Every such mutant must end in an oracle mismatch or a typed ``MpcError``
 (a lost tile raises ``MissingTile``), never in a passing run or an
@@ -19,6 +19,13 @@ a piece moved to a holder that lacks its key must raise ``MissingTile``
 naming that holder and the gather's round, and a tile with one piece
 removed is rejected with a ``ValueError`` before any word moves.
 
+Scatter mutants change one unit of a built golden plan's ``Scatter``
+ops, on every golden plan that has one: the (d,n,d) tree sums, the
+layered sparse plans and square's redistribution.  A unit that feeds a
+give, moved to another receiver or dropped, must raise ``MissingTile``
+(or break a budget first); a unit the give takes twice is rejected with
+a ``ValueError`` before any word moves.
+
 A product run twice changes the result only where ``add`` is not
 idempotent, so that mutant runs on the int configs only: in the bool and
 tropical semirings x (+) x = x, and the doubled plan is still correct.
@@ -32,7 +39,7 @@ import pytest
 
 import mpcmm.experiment as experiment
 from mpcmm.experiment import ExperimentConfig, run_experiment
-from mpcmm.plan import Fetch, Gather, Mac, MulAcc, Pack, PlanProgram, Send
+from mpcmm.plan import Fetch, Gather, Mac, MulAcc, Pack, PlanProgram, Scatter, Send
 
 from fetch_reference import per_processor_fetch
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -291,3 +298,78 @@ def test_gathered_tile_missing_a_piece_is_rejected(monkeypatch, position):
         else:
             assert summary is None, name
     assert caught >= 20
+
+
+def _scatters(plan, gives):
+    """(round, op index) of every ``Scatter`` give (or move), in round order."""
+    return [(round_no, g) for round_no, ops in sorted(plan.groups.items())
+            for g, op in enumerate(ops)
+            if isinstance(op, Scatter) and (op.to is None) == gives]
+
+
+def _fed_units(plan):
+    """(round, op index, unit) of every moved unit that its give sums, in round order."""
+    takes = {plan.groups[rd][g].frag: plan.groups[rd][g].take for rd, g in _scatters(plan, True)}
+    return [(rd, g, u) for rd, g in _scatters(plan, False)
+            for u in np.sort(takes[plan.groups[rd][g].frag][0]).tolist()]
+
+
+def _move_mutant(receiver, pick):
+    """Send the ``pick``ed unit that feeds a give to ``receiver(to, procs)``."""
+
+    def apply(plan):
+        sites = _fed_units(plan)
+        if sites:
+            rd, g, u = sites[pick(len(sites))]
+            op = plan.groups[rd][g]
+            to = op.to.copy()
+            to[u] = receiver(int(to[u]), plan.num_procs)
+            plan.groups[rd][g] = op._replace(to=to)
+        return sites
+
+    return apply
+
+
+def _duplicate_give_index(pick):
+    def apply(plan):
+        sites = [(rd, g, column) for rd, g in _scatters(plan, True)
+                 for column in range(plan.groups[rd][g].take.shape[1])]
+        if sites:
+            rd, g, column = sites[pick(len(sites))]
+            op = plan.groups[rd][g]
+            plan.groups[rd][g] = op._replace(take=np.insert(op.take, column,
+                                                            op.take[:, column], axis=1))
+        return sites
+
+    return apply
+
+
+SCATTER_GOLDEN = sorted(
+    name for name, fields in GOLDEN_CONFIGS.items()
+    if fields["case"] in ("dnd-n", "dnd-d") or fields.get("redistribute")
+    or name in ("sparse-twophase-blockdiag", "sparse-twophase-grid3")
+)
+SCATTER_MUTANTS = {
+    "reroute-unit": lambda pick: _move_mutant(lambda to, procs: (to + 1) % procs, pick),
+    "drop-unit": lambda pick: _move_mutant(lambda to, procs: -1, pick),
+    "duplicate-give-index": _duplicate_give_index,
+}
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+@pytest.mark.parametrize("mutant", sorted(SCATTER_MUTANTS))
+def test_every_scatter_mutant_is_caught(monkeypatch, mutant, position):
+    caught = 0
+    for name in SCATTER_GOLDEN:
+        config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
+        try:
+            summary = _run_mutated(monkeypatch, config, SCATTER_MUTANTS[mutant](PICK[position]))
+        except ValueError as err:
+            assert mutant == "duplicate-give-index" and "at most once" in str(err), name
+        else:
+            assert mutant != "duplicate-give-index", name
+            violation = summary["violation"]
+            assert summary["ok"] is False, name
+            assert violation["type"] in ("MissingTile", "BandwidthExceeded", "MemoryExceeded")
+        caught += 1
+    assert caught == len(SCATTER_GOLDEN) == 13

@@ -1,15 +1,20 @@
 """Plan interpreter: op dispatch, send payloads and tile sharing."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.plan import (Drop, Emit, Fetch, Fold, Gather, Mac, MissingTile, MulAcc, Plan,
-                        PlanProgram, Rotate, Send, assemble_output)
+from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance
+from mpcmm.plan import (Drop, Emit, Fetch, Gather, Mac, MissingTile, MulAcc, Plan,
+                        PlanProgram, Rotate, Scatter, Send, assemble_output)
 from mpcmm.schedules.common import rotation_fragment
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
 
@@ -28,7 +33,7 @@ def test_every_op_has_a_dispatch_entry():
     } - {Plan, Emit}
     assert len(ops) == 8
     assert set(plan_module._DISPATCH) == ops
-    assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Fold, Fetch}
+    assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Scatter, Fetch}
 
 
 def test_unknown_op_raises_type_error():
@@ -97,15 +102,14 @@ def test_ops_past_the_trailing_step_raise_value_error():
 @pytest.mark.parametrize("kind", ["gather", "rotate", "fold"])
 def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
     plan = Plan(num_procs=4, num_rounds=1)
+    to = np.array([1, 0, 3, 2])
     if kind == "gather":  # processor 1 holds the pieces processor 0 consumes
         pieces = ((1, ("x",), None),), 0
         op = Gather(0, np.arange(1), 1, ((pieces, pieces),))
     elif kind == "rotate":
-        to = np.array([1, 0, 3, 2])
         op = Rotate(0, np.arange(4), 1, to, to, None)
-    else:  # a scatter: step 0 of a four-member fold
-        keys = tuple(("M", l) for l in range(4)), tuple(("s", e) for e in range(4))
-        op = Fold(0, np.arange(4).reshape(1, 4), 2, 4, 0, (keys[0],), (keys[1],))
+    else:  # the move that starts a four-member tree sum
+        op = Scatter(0, (1,), np.arange(4), tuple(("M", l) for l in range(4)), to, None)
     plan.add_group(2, op)
     with pytest.raises(ValueError, match="trailing"):
         PlanProgram(plan, INT)
@@ -177,3 +181,71 @@ def test_delivered_payload_survives_later_accumulation():
     assert np.array_equal(receiver, [[1, 2], [3, 4]])
     assert np.array_equal(sender, [[4, 5], [6, 7]])
     assert np.array_equal(x, [[1, 2], [3, 4]])
+
+
+def _scatter_plan():
+    """Processor 0 holds x = [1, 2, 3, 4] and processor 1 y = [10, 20, 30, 40]
+    and s0 = [100]; one scatter in round 1 sums them into s0 at processor 1,
+    s1 at processor 0 and s2 at processor 2, in the trailing step."""
+    plan = Plan(num_procs=3, num_rounds=1)
+    plan.set_init(0, ("x",), np.array([1, 2, 3, 4]))
+    plan.set_init(1, ("y",), np.array([10, 20, 30, 40]))
+    plan.set_init(1, ("s", 0), np.array([100]))
+    cells = [("s", 0), ("s", 1), ("s", 2)]
+    # x: 1 -> 1, 2 stays at 0, 3 -> 2, 4 is dropped; y: 10 and 20 stay, 30 -> 0, 40 -> 2
+    plan.scatter(1, (1,), [0, 1], [("x",), ("y",)], [1, 0, 2, -1, 1, 1, 0, 2],
+                 [0, 1, 2, -1, 0, 0, 1, 2], cells)
+    for p, key in zip((1, 0, 2), cells):
+        plan.emit(p, key, 0, key[1], (1,))
+    return plan
+
+
+def test_scatter_sums_its_units_at_their_receivers_and_charges_their_words():
+    result = run(PlanProgram(_scatter_plan(), INT), MpcConfig(3, 8))
+    out = assemble_output(result.outputs, 1, 3, INT)
+    assert out.tolist() == [[100 + 1 + 10 + 20, 2 + 30, 3 + 40]]
+    rows = [(r.words_sent, r.words_received, r.peak_memory) for r in result.transcript.rows]
+    # peak: x; y and s0; at processor 2 the two words it ends the run with
+    assert rows == [(2, 1, 4), (2, 1, 5), (0, 2, 2)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda op: op._replace(keys=(("s", 0),) * 3, procs=op.procs[[0, 0, 0]]), "one sum"),
+    (lambda op: op._replace(take=np.insert(op.take, 1, op.take[:, 1], axis=1)), "at most once"),
+    (lambda op: op._replace(take=op.take[:, ::-1]), "in turn"),
+])
+def test_a_give_that_repeats_a_destination_or_a_unit_raises_value_error(edit, message):
+    plan = _scatter_plan()
+    plan.groups[2] = [edit(op) for op in plan.groups[2]]
+    with pytest.raises(ValueError, match=message):
+        PlanProgram(plan, INT)
+
+
+def test_a_give_whose_unit_went_elsewhere_raises_missing_tile():
+    plan = _scatter_plan()
+    (move,) = plan.groups[1]
+    plan.groups[1] = [move._replace(to=np.where(move.to == 2, 1, move.to))]
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(3, 8))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (2, None, ("s", 2))
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {f"{name}-{i}": config for name in workloads.NAMES
+            for i, config in enumerate(workloads.configs(name, workloads.DEFAULT_SEED))}
+
+
+SHIPPED_CONFIGS = {**{name: ExperimentConfig(seed=1, **fields)
+                      for name, fields in GOLDEN_CONFIGS.items()}, **_workload_configs()}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_builders_place_no_per_processor_op(name):
+    config = SHIPPED_CONFIGS[name]
+    spec = get_semiring(config.semiring)
+    schedule = build_schedule(config, *generate_instance(config, spec), spec)
+    assert schedule.program.plan.ops == {}

@@ -19,7 +19,7 @@ from mpcmm import (
 )
 from mpcmm.experiment import ExperimentConfig, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
-from mpcmm.plan import AccCell, Gather
+from mpcmm.plan import Gather, Scatter
 from mpcmm.schedules import sparse as sparse_module
 from mpcmm.schedules.sparse import build_ledger
 
@@ -337,8 +337,8 @@ def test_four_kept_layers_match_the_reference_and_their_hashes(monkeypatch, tmp_
     With a load bound too high to stop them, the layers win on the
     layers-fallback instance: four one-slot layers (grid side 1) and no
     residual, 8 rounds.  Layer l's C rows reach their owners in round
-    2l + 3, where layer l + 1's gathers read those owners' stores, so a
-    gather holder's inbox is merged there.
+    2l + 3, where layer l + 1's gathers read those owners' stores, so the
+    give that hands them in must run before the gather at a shared holder.
     """
     monkeypatch.setattr(sparse_module, "_load_bound", lambda terms, d: 1 << 40)
     config = ExperimentConfig(seed=1, semiring=semiring,
@@ -348,15 +348,39 @@ def test_four_kept_layers_match_the_reference_and_their_hashes(monkeypatch, tmp_
     assert schedule.meta["fallback"] is False
     assert schedule.meta["decomposition"]["layers"] == 4 and plan.num_rounds == 8
     for round_no in (3, 5, 7):
-        holders = {holder for op in plan.groups[round_no] if isinstance(op, Gather)
-                   for row in op.tiles for pieces, _ in row for holder, _, _ in pieces}
-        assert any(isinstance(op, AccCell)
-                   for p in holders for op in plan.ops.get((round_no, p), ()))
+        ops = plan.groups[round_no]
+        give = next(i for i, op in enumerate(ops) if isinstance(op, Scatter) and op.to is None)
+        gather = next(i for i, op in enumerate(ops) if isinstance(op, Gather))
+        holders = {holder for row in ops[gather].tiles for pieces, _ in row
+                   for holder, _, _ in pieces}
+        assert give < gather and holders & set(ops[give].procs.tolist())
     _assert_built_both_ways_agree(lambda: _build(config))
     summary = run_experiment(config, out_dir=str(tmp_path))
     assert summary["ok"]
     hashes = _digest(summary["summary_path"]), _digest(summary["transcript_path"])
     assert hashes == FOUR_LAYERS[semiring]
+
+
+@pytest.mark.parametrize("semiring", ["int", "bool", "tropical"])
+def test_layer_blocks_that_share_rows_hand_back_like_the_reference(monkeypatch, semiring):
+    """``decompose`` lets the blocks of one layer share rows when d is not a
+    perfect square, so one owner gets C rows from several blocks of a layer.
+
+    With the load bound patched as above, blockdiag n=24 d=8 (seed 12) keeps
+    four layers of six blocks over twelve rows each and runs 12 rounds; its
+    hand-backs must give the reference's bytes and the oracle's cells.
+    """
+    monkeypatch.setattr(sparse_module, "_load_bound", lambda terms, d: 1 << 40)
+    config = ExperimentConfig(case="sparse-twophase", n=24, d=8, instance="blockdiag",
+                              seed=12, semiring=semiring)
+    schedule, a, b, mask, _ = _build(config)
+    assert schedule.meta["fallback"] is False and schedule.program.plan.num_rounds == 12
+    layers = decompose(a, b, mask, EpsilonSchedule(0.0, config.eps)).layers
+    assert len(layers) == 4
+    for layer in layers:
+        rows = [r for blk in layer for r in blk.rows]
+        assert len(layer) == 6 and len(set(rows)) == 12 < len(rows)
+    _assert_built_both_ways_agree(lambda: _build(config))
 
 
 class TestIterationBudget:

@@ -1,9 +1,9 @@
-"""The tree sum as fold group ops against the per-entry reference.
+"""The tree sum as scatter group ops against the per-entry reference.
 
 Every schedule that folds partials (both (d,n,d) cases and the standalone
-sum) is built twice: once as it ships, with one ``Fold`` group op per
-round, and once with ``tree_sum_reference.tree_sum_fragment`` patched into
-the rect module.  Both must give the same transcript bytes, the same
+sum) is built twice: once as it ships, with a ``Scatter`` move and give
+per level, and once with ``tree_sum_reference.tree_sum_fragment`` patched
+into the rect module.  Both must give the same transcript bytes, the same
 outputs and the same violation records.
 """
 
@@ -18,7 +18,7 @@ from mpcmm import MpcConfig, MpcError, SumTask, tree_sum
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
 from mpcmm.instances import random_dense
 from mpcmm.matrix import naive_multiply
-from mpcmm.plan import Fold, Plan, PlanProgram
+from mpcmm.plan import Plan, PlanProgram, Scatter
 from mpcmm.schedules import rect
 from mpcmm.schedules.common import Schedule
 from mpcmm.semiring import get_semiring
@@ -36,9 +36,10 @@ def per_entry_tree_sum():
         yield
 
 
-def _folds(schedule):
-    return [op for ops in schedule.program.plan.groups.values() for op in ops
-            if isinstance(op, Fold)]
+def _scatters(schedule):
+    """The plan's ``Scatter`` ops in round order: in a (d,n,d) plan, its tree sum."""
+    return [op for _, ops in sorted(schedule.program.plan.groups.items()) for op in ops
+            if isinstance(op, Scatter)]
 
 
 def _outcome(schedule, cap_factor=None):
@@ -68,10 +69,10 @@ def _build(config):
 def test_golden_configs_fold_matches_reference(name):
     config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
     folded, a, b, spec = _build(config)
-    assert _folds(folded), "the schedule should fold partials"
+    assert _scatters(folded), "the schedule should fold partials"
     with per_entry_tree_sum():
         reference = _build(config)[0]
-    assert not _folds(reference)
+    assert not _scatters(reference)
     outcome = _outcome(folded)
     assert outcome == _outcome(reference)
     assert outcome[2] == naive_multiply(a, b, spec)
@@ -188,42 +189,55 @@ def test_executing_a_schedule_twice_gives_the_same_bytes(fields):
 
 def test_fold_hands_entries_to_the_holders_it_names(monkeypatch):
     build = experiment.build_schedule
-    final_holders = Fold.final_holders
 
-    def misrouted(op):
-        holders = final_holders(op).copy()
-        holders[0, 0] = holders[0, 1]  # entry 0 of group 0 goes to entry 1's holder
-        return holders
+    def misrouted(op, move):
+        """The last give with its first sum handed to its second's processor,
+        and the move before it sending that sum's units there too."""
+        other = op.procs[op.procs != op.procs[0]][0]
+        to, procs = move.to.copy(), op.procs.copy()
+        to[op.take[0][op.take[1] == 0]] = other
+        procs[0] = other
+        return op._replace(procs=procs), move._replace(to=to)
 
     def misrouting_build(config, a, b, mask, spec):
         schedule = build(config, a, b, mask, spec)
-        monkeypatch.setattr(Fold, "final_holders", misrouted)
+        groups = schedule.program.plan.groups
+        (rd, g), = [(rd, g) for rd, ops in groups.items() for g, op in enumerate(ops)
+                    if isinstance(op, Scatter) and op.to is None and rd == max(groups)]
+        h = next(h for h, op in enumerate(groups[rd - 1]) if op.frag == groups[rd][g].frag)
+        groups[rd][g], groups[rd - 1][h] = misrouted(groups[rd][g], groups[rd - 1][h])
         schedule.program = PlanProgram(schedule.program.plan, spec)
         return schedule
 
     monkeypatch.setattr(experiment, "build_schedule", misrouting_build)
     summary = run_experiment(ExperimentConfig(case="dnd-n", n=16, d=4), write=False)
-    assert summary["oracle_match"] is False
+    assert summary["violation"] is None and summary["oracle_match"] is False
 
 
 def test_fold_build_grows_with_rounds_not_entries():
     schedule = _build(ExperimentConfig(case="dnd-n", n=512, d=64, semiring="tropical"))[0]
     plan = schedule.program.plan
-    folds = _folds(schedule)
-    # 64 groups of 8 members, 64 entries each: one scatter and one fold step.
-    assert [op.step for op in folds] == [0, 1]
-    assert folds[0].members.shape == (64, 8)
+    move, give = _scatters(schedule)
+    # 64 groups of 8 members, 64 entries each: one level, a move and its give.
     assert plan.num_rounds == 1 + 8 + 1
-    assert all(round_no == 1 for round_no, _ in plan.ops)  # only the round-1 carving
+    assert any(op is move for op in plan.groups[plan.num_rounds])
+    assert any(op is give for op in plan.groups[plan.num_rounds + 1])
+    assert move.procs.shape == (512,) and move.to.shape == (512 * 64,)
+    assert give.take.shape == (2, 512 * 64) and len(give.keys) == 64 * 64
+    assert not plan.ops
 
 
 def test_fold_only_rounds_hand_no_processor_to_the_interpreter():
+    """A level's values live in its holders' stores: each round of the sum
+    hands the interpreter only the processors whose stores it changes."""
     schedule = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS["dnd-n-tree2"]))[0]
     program = schedule.program
-    steps = {op.step: round_no for round_no, ops in program.plan.groups.items()
-             for op in ops if isinstance(op, Fold)}
-    scatter = _folds(schedule)[0]
-    # the scatter pops every member's addend; the forwarding level touches no store
-    assert program.active(steps[0]) == sorted(scatter.members.ravel().tolist())
-    assert scatter.last_step == 2 and list(program.active(steps[1])) == []
-    assert steps[scatter.last_step] > program.total_rounds  # the hand-out runs at finalize
+    rounds = {id(op): rd for rd, ops in program.plan.groups.items() for op in ops}
+    scatter, give, forward, last = _scatters(schedule)
+    # the scatter pops every member's addend; the level round gives into the
+    # collectors and forwards from some of them; the last give runs at finalize
+    assert program.active(rounds[id(scatter)]) == sorted(scatter.procs.tolist())
+    assert rounds[id(give)] == rounds[id(forward)] == rounds[id(scatter)] + 1
+    assert program.active(rounds[id(give)]) == sorted(set(give.procs.tolist()))
+    assert set(forward.procs.tolist()) < set(give.procs.tolist())
+    assert rounds[id(last)] > program.total_rounds
