@@ -21,7 +21,9 @@ words for every int64 input as the int64 product (``int``, ``bool``) or
 the per-term loop (``tropical``) would, one tile at a time or stacked.
 Integer products go through float64 BLAS only where that is exact (the
 2**53 rule in :func:`_float_exact`, applied to the whole stack); the
-min-plus product needs no per-term clamp (see :func:`_trop_matmul`).
+min-plus product needs no per-term clamp, and may narrow to int32
+internally on large products whose words allow it; its words in and out
+are unchanged (see :func:`_trop_matmul`).
 
 Carriers also fix their word domain (``domain``, inclusive bounds, or
 None for every int64 word): bool words are 0 or 1, and tropical words
@@ -120,11 +122,15 @@ _FLOAT_EXACT = 1 << 53
 # at a time.
 _FLOAT_CHUNK = 1 << 15
 
-# The min-plus product keeps its temporaries to at most _TROP_BLOCK
-# elements.  Output tiles above _TROP_LOOP_CELLS would fit fewer than eight
-# k-slices in a block, and there a plain loop over k is faster.
-_TROP_BLOCK = 1 << 16
-_TROP_LOOP_CELLS = _TROP_BLOCK // 8
+# The min-plus product keeps its temporaries to at most _TROP_TEMP elements.
+_TROP_TEMP = 1 << 15
+
+# The int32 sentinel of the min-plus product: S + S still fits int32.
+_TROP_NARROW = (1 << 30) - 1
+
+# Min-plus products with fewer terms than this stay in int64: below it the
+# range check, the casts and the map back cost more than int32 saves.
+_TROP_NARROW_MIN_TERMS = 1 << 17
 
 
 def _float_exact(a, b):
@@ -189,51 +195,74 @@ def _trop_matmul(a, b):
     The scalar definition clamps every term, min(a + b, INF), before the
     minimum.  Starting the minimum at INF applies that clamp once for all
     terms, since min(m, min(t, INF)) == min(m, t) whenever m <= INF, so the
-    result is the same word for every int64 input.
+    int64 product is the same word for every int64 input.
+
+    When the product has at least _TROP_NARROW_MIN_TERMS terms, every word
+    of both operands lies in [0, INF] and the largest finite words of a and
+    b sum to less than S = _TROP_NARROW, the product runs in int32 instead:
+    both operands are clipped to S, the minimum starts at S, and results
+    >= S become INF.  Every clipped word is at most S, so no term exceeds
+    S + S < 2**31 and none overflows.  A term of two finite words is below
+    S and unchanged by the clip.  A term with an INF operand is at least S,
+    as its other word is >= 0, and its scalar value is min(a + b, INF) =
+    INF.  A result below S is therefore the least finite term, and one at
+    or above S had no finite term: the words are those of the int64
+    product.
     """
     *batch, rows, inner = a.shape
     cols = b.shape[-1]
-    if rows * cols > _TROP_LOOP_CELLS:
-        out = np.empty((*batch, rows, cols), dtype=np.int64)
-        for t in np.ndindex(*batch):
-            out[t] = _trop_strips(a[t], b[t])
-        return out
-    # Small tiles: reduce blocks of (tiles, k-slices, rows, cols) terms, at
-    # most _TROP_BLOCK of them, over the k axis.
     tiles = math.prod(batch)
-    a = a.reshape(tiles, rows, inner).transpose(0, 2, 1)
+    a = a.reshape(tiles, rows, inner)
     b = b.reshape(tiles, inner, cols)
-    cells = max(rows * cols, 1)
-    step = max(min(inner, _TROP_BLOCK // cells), 1)
-    group = max(_TROP_BLOCK // (cells * step), 1)
-    out = np.empty((tiles, rows, cols), dtype=np.int64)
-    for t0 in range(0, tiles, group):
-        at, bt = a[t0 : t0 + group], b[t0 : t0 + group]
-        out_t = out[t0 : t0 + group]
-        out_t[...] = (at[:, :step, :, None] + bt[:, :step, None, :]).min(
-            axis=1, initial=TROPICAL_INF
-        )
-        for k0 in range(step, inner, step):
-            block = at[:, k0 : k0 + step, :, None] + bt[:, k0 : k0 + step, None, :]
-            np.minimum(out_t, block.min(axis=1), out=out_t)
+    if _trop_narrow(a, b):
+        out = _min_plus(_trop_clip(a), _trop_clip(b), _TROP_NARROW)
+        out = np.where(out >= _TROP_NARROW, TROPICAL_INF, out)
+    else:
+        out = _min_plus(a, b, TROPICAL_INF)
     return out.reshape(*batch, rows, cols)
 
 
-def _trop_strips(a, b):
-    """The min-plus product of one large tile, in place over k, one strip of
-    rows at a time, so that the strip and its terms stay in cache."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.full((rows, cols), TROPICAL_INF, dtype=np.int64)
-    strip = max(_TROP_BLOCK // cols, 1)
-    term = np.empty((min(strip, rows), cols), dtype=np.int64)
-    for i0 in range(0, rows, strip):
-        out_strip = out[i0 : i0 + strip]
-        a_strip = a[i0 : i0 + strip]
-        term_strip = term[: len(out_strip)]
-        for k in range(inner):
-            np.add(a_strip[:, k : k + 1], b[k : k + 1, :], out=term_strip)
-            np.minimum(out_strip, term_strip, out=out_strip)
+def _trop_narrow(a, b):
+    """True when the min-plus product of ``a`` and ``b`` runs in int32."""
+    if a.size * b.shape[-1] < _TROP_NARROW_MIN_TERMS or min(a.min(), b.min()) < 0:
+        return False
+    return _finite_max(a) + _finite_max(b) < _TROP_NARROW
+
+
+def _finite_max(x):
+    # A word above INF counts as finite here, so it keeps the product wide.
+    return int(x.max(initial=0, where=x != TROPICAL_INF))
+
+
+def _trop_clip(x):
+    return np.minimum(x, _TROP_NARROW, out=np.empty(x.shape, np.int32), casting="unsafe")
+
+
+def _min_plus(a, b, sentinel):
+    """out[t] = min(sentinel, min over k of a[t][:, k] + b[t][k, :]), in a's dtype.
+
+    The loop over k adds one column of ``a`` to one row of ``b`` into a
+    reused temporary of at most _TROP_TEMP elements and takes the minimum in
+    place, a block at a time so that the block and its terms stay in cache:
+    a group of small tiles, or a strip of rows of a large one.
+    """
+    tiles, rows, inner = a.shape
+    cols = b.shape[-1]
+    out = np.full((tiles, rows, cols), sentinel, dtype=a.dtype)
+    group = max(_TROP_TEMP // max(rows * cols, 1), 1)
+    strip = rows if group > 1 else max(_TROP_TEMP // max(cols, 1), 1)
+    term = np.empty(min(group, tiles) * min(strip, rows) * cols, dtype=a.dtype)
+    a = a[..., None]
+    b = b[:, :, None, :]
+    for t0 in range(0, tiles, group):
+        for i0 in range(0, rows, strip):
+            acc = out[t0 : t0 + group, i0 : i0 + strip]
+            a_block = a[t0 : t0 + group, i0 : i0 + strip]
+            b_block = b[t0 : t0 + group]
+            term_block = term[: acc.size].reshape(acc.shape)
+            for k in range(inner):
+                np.add(a_block[:, :, k], b_block[:, k], out=term_block)
+                np.minimum(acc, term_block, out=acc)
     return out
 
 

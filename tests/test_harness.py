@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpcmm import check_d_sparse, get_semiring, save_matrix
+from mpcmm import SparseMatrix, check_d_sparse, get_semiring, save_matrix
+from mpcmm import semiring as semiring_module
 from mpcmm.cli import main
 from mpcmm.experiment import CASES, COMMON_FIELDS, ExperimentConfig, generate_instance, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
@@ -102,6 +103,35 @@ def test_file_instance_round_trip(tmp_path):
     )
     summary = run_experiment(config, out_dir=str(tmp_path))
     assert summary["ok"]
+
+
+@pytest.mark.parametrize("low, high, narrow", [(1 << 31, 1 << 40, False), (0, (1 << 20) - 1, True)])
+def test_tropical_file_words_pick_the_product_width(tmp_path, monkeypatch, low, high, narrow):
+    # sparse-twophase blockdiag n=121 d=121 keeps its layers, so its rotation
+    # slots multiply stacks of 121 11x11 tiles, 11**5 terms each: enough for
+    # int32.  Words far above 2**30 keep every such product in int64; words
+    # below 2**20 let each run in int32.  A stored INF is rejected as a stored
+    # zero, so INF enters only as an absent entry.
+    n, d = 121, 121
+    rng = np.random.default_rng(16)
+    rows = np.repeat(np.arange(n), d)
+    cols = rows // d * d + np.tile(np.arange(d), n)
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in paths:
+        words = rng.integers(low, high, n * d, endpoint=True)
+        save_matrix(SparseMatrix.from_arrays(n, n, rows, cols, words), path)
+    widths, decide = [], semiring_module._trop_narrow
+
+    def counted(a, b):
+        widths.append(decide(a, b))
+        return widths[-1]
+
+    monkeypatch.setattr(semiring_module, "_trop_narrow", counted)
+    config = ExperimentConfig(case="sparse-twophase", n=n, d=d, semiring="tropical",
+                              instance="file", file_a=str(paths[0]), file_b=str(paths[1]))
+    summary = run_experiment(config, out_dir=str(tmp_path))
+    assert summary["ok"] and summary["oracle_match"] and not summary["fallback"]
+    assert widths and set(widths) == {narrow}
 
 
 @pytest.mark.parametrize(

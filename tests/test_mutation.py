@@ -26,6 +26,12 @@ give, moved to another receiver or dropped, must raise ``MissingTile``
 (or break a budget first); a unit the give takes twice is rejected with
 a ``ValueError`` before any word moves.
 
+Kernel mutants edit one line of the min-plus kernel's source: the int32
+sentinel S raised by one (S + S then overflows int32) and the guard that
+keeps a negative word out of the int32 path dropped.  The tropical
+product of each must differ from the scalar loop on some case of the
+width-cut bit-identity test.
+
 A product run twice changes the result only where ``add`` is not
 idempotent, so that mutant runs on the int configs only: in the bool and
 tropical semirings x (+) x = x, and the doubled plan is still correct.
@@ -34,15 +40,21 @@ of the cell gives the same sum, so that mutant runs on the int configs
 too, whose values are all positive.
 """
 
+import inspect
+import sys
+import types
+
 import numpy as np
 import pytest
 
 import mpcmm.experiment as experiment
+import mpcmm.semiring as semiring
 from mpcmm.experiment import ExperimentConfig, run_experiment
 from mpcmm.plan import Fetch, Gather, Mac, MulAcc, Pack, PlanProgram, Scatter, Send
 
 from fetch_reference import per_processor_fetch
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_semiring import width_mismatches
 
 SPARSE_GOLDEN = sorted(
     name for name, fields in GOLDEN_CONFIGS.items() if fields["case"].startswith("sparse")
@@ -373,3 +385,20 @@ def test_every_scatter_mutant_is_caught(monkeypatch, mutant, position):
             assert violation["type"] in ("MissingTile", "BandwidthExceeded", "MemoryExceeded")
         caught += 1
     assert caught == len(SCATTER_GOLDEN) == 13
+
+
+KERNEL_MUTANTS = {
+    "sentinel-plus-one": ("_TROP_NARROW = (1 << 30) - 1", "_TROP_NARROW = 1 << 30"),
+    "no-sign-guard": (" or min(a.min(), b.min()) < 0", ""),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
+def test_every_kernel_mutant_is_caught(monkeypatch, mutant):
+    old, new = KERNEL_MUTANTS[mutant]
+    source = inspect.getsource(semiring)
+    assert source.count(old) == 1
+    module = types.ModuleType(f"semiring_{mutant}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
+    exec(compile(source.replace(old, new), semiring.__file__, "exec"), module.__dict__)
+    assert width_mismatches(monkeypatch, module)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcmm import SemiringSpec, builtin_semirings, get_semiring
-from mpcmm.semiring import TROPICAL_INF
+from mpcmm import semiring as semiring_module
+from mpcmm.semiring import TROPICAL, TROPICAL_INF
 
 
 def sample_element(spec, rng):
@@ -98,22 +99,31 @@ def scalar_matmul(spec, a, b):
 def kernel_operand(spec, shape, rng):
     if spec.name == "bool":
         return rng.integers(0, 2, size=shape, dtype=np.int64)
-    x = rng.integers(-(1 << 20), 1 << 20, size=shape, dtype=np.int64)
-    if spec.name == "tropical":
-        x[rng.random(shape) < 0.125] = TROPICAL_INF
+    if spec.name == "int":
+        return rng.integers(-(1 << 20), 1 << 20, size=shape, dtype=np.int64)
+    x = rng.integers(0, 1 << 20, size=shape, dtype=np.int64)
+    x[rng.random(shape) < 0.125] = TROPICAL_INF
     return x
 
 
+def int64_product(monkeypatch, a, b):
+    """The tropical product with the int32 path switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(semiring_module, "_trop_narrow", lambda a, b: False)
+        return TROPICAL.matmul(a, b)
+
+
 # (rows, inner, cols) on both sides of each kernel's size cut-offs: int and
-# bool go through float64 from 2**14 terms; tropical reduces k-blocks of at
-# most 2**16 elements (several, the last one partial, at 90x20x90) and above
-# 2**13 output cells loops over k on strips of rows (two, the last one
+# bool go through float64 from 2**14 terms, tropical through int32 from 2**17
+# (90x20x90 and 260x2x256).  The min-plus loop over k works on blocks of at
+# most 2**15 cells: whole tiles up to 2**14 cells (at 128x3x128), above that
+# strips of 2**15 // cols rows (one at 129x2x128; three, the last one
 # partial, at 260x2x256).  Inner 0 gives the semiring zero.
 KERNEL_SHAPES = [(4, 5, 3), (1, 1, 1), (1, 64, 1), (8, 8, 8), (32, 32, 32),
-                 (90, 20, 90), (260, 2, 256), (3, 0, 4)]
+                 (90, 20, 90), (128, 3, 128), (129, 2, 128), (260, 2, 256), (3, 0, 4)]
 
 
-def test_matmul_kernel_matches_scalar_loop(semiring):
+def test_matmul_kernel_matches_scalar_loop(semiring, monkeypatch):
     rng = np.random.default_rng(13)
     for rows, inner, cols in KERNEL_SHAPES:
         a = kernel_operand(semiring, (rows, inner), rng)
@@ -121,6 +131,97 @@ def test_matmul_kernel_matches_scalar_loop(semiring):
         got = semiring.matmul(a, b)
         assert got.dtype == np.int64
         assert np.array_equal(got, scalar_matmul(semiring, a, b)), (rows, inner, cols)
+        if semiring.name == "tropical":  # either width gives the same words
+            assert np.array_equal(got, int64_product(monkeypatch, a, b)), (rows, inner, cols)
+
+
+# The tropical product runs in int32 only when the largest finite words of
+# its operands sum to less than S; at S itself a finite cell would read INF.
+S = (1 << 30) - 1
+# Single tiles and stacks, with inner 0 and batch 0.
+WIDTH_SHAPES = [((5, 4), (4, 6)), ((3, 4, 5), (3, 5, 2)), ((2, 3, 0), (2, 0, 4)),
+                ((0, 2, 3), (0, 3, 2)), ((3, 0), (0, 2))]
+
+
+def width_cases():
+    """(name, a, b, narrow) for the tropical product on both sides of the width
+    cut: the largest finite words of a and b sum to ``total`` (S - 1 runs in
+    int32, S in int64) among INF at density 0, 1/8 or 1, plus words outside the
+    domain.  ``narrow`` is the expected width once products of every size may
+    narrow, None where the operands leave it open (no words, or no finite
+    word)."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for total in (S - 1, S):
+        for density in (0, 0.125, 1):
+            for shape_a, shape_b in WIDTH_SHAPES:
+                highs = total // 2, total - total // 2
+                a, b = (rng.integers(0, high, shape, endpoint=True)
+                        for shape, high in zip((shape_a, shape_b), highs))
+                a[rng.random(shape_a) < density] = TROPICAL_INF
+                b[rng.random(shape_b) < density] = TROPICAL_INF
+                narrow = None
+                if a.size and b.size and density < 1:
+                    if density:
+                        # Cell (0, 0) of each tile gets one finite term, the
+                        # sum of the two largest finite words: total itself.
+                        a[..., 0, :] = TROPICAL_INF
+                        b[..., :, 0] = TROPICAL_INF
+                    a[..., 0, 0], b[..., 0, 0] = highs
+                    narrow = total < S
+                cases.append((f"total={total} inf={density} {shape_a}x{shape_b}", a, b, narrow))
+    # A negative word is outside the domain: INF (*) -x is the finite word
+    # INF - x, so a row of INF words gives finite cells.
+    a = rng.integers(0, 1 << 20, (6, 5))
+    a[0] = TROPICAL_INF
+    b = rng.integers(-(1 << 20), 1 << 20, (5, 4))
+    cases.append(("negative", a, b, False))
+    # So is a word above INF; it must not be clipped as if it were INF.
+    a = rng.integers(0, 1 << 20, (6, 5))
+    a[1, 2] = TROPICAL_INF + 7
+    b = rng.integers(0, 1 << 20, (5, 4))
+    cases.append(("above INF", a, b, False))
+    return cases
+
+
+WIDTH_CASES = width_cases()
+WIDTH_WANTED = [scalar_matmul(TROPICAL, a, b) for _, a, b, _ in WIDTH_CASES]
+
+
+def width_mismatches(monkeypatch, module):
+    """The names of the width cases where the tropical product of ``module``
+    (``mpcmm.semiring`` or a copy of it) differs from the scalar loop or
+    returns other than int64 words.  The cases are small, so the product's
+    size gate is lowered to let every nonempty one narrow."""
+    bad = []
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "_TROP_NARROW_MIN_TERMS", 1)
+        for (name, a, b, _), wanted in zip(WIDTH_CASES, WIDTH_WANTED):
+            got = module.TROPICAL.matmul(a, b)
+            if got.dtype != np.int64 or not np.array_equal(got, wanted):
+                bad.append(name)
+    return bad
+
+
+def test_tropical_matmul_is_bit_identical_on_both_sides_of_the_width_cut(monkeypatch):
+    assert width_mismatches(monkeypatch, semiring_module) == []
+    with monkeypatch.context() as mp:
+        mp.setattr(semiring_module, "_trop_narrow", lambda a, b: False)
+        assert width_mismatches(monkeypatch, semiring_module) == []
+    with monkeypatch.context() as mp:
+        mp.setattr(semiring_module, "_TROP_NARROW_MIN_TERMS", 1)
+        for name, a, b, narrow in WIDTH_CASES:
+            if narrow is not None:
+                assert semiring_module._trop_narrow(a, b) is narrow, name
+    assert {narrow for *_, narrow in WIDTH_CASES} == {True, False, None}
+
+
+def test_small_tropical_products_stay_in_int64():
+    # 64 * 32 * 64 = 2**17 terms narrows; one column fewer stays in int64.
+    a = np.ones((64, 32), dtype=np.int64)
+    assert semiring_module._trop_narrow(a, np.ones((32, 64), dtype=np.int64))
+    assert not semiring_module._trop_narrow(a, np.ones((32, 63), dtype=np.int64))
+    assert not semiring_module._trop_narrow(a[None], np.ones((1, 32, 63), dtype=np.int64))
 
 
 def test_int_matmul_exact_past_float_range():
@@ -171,8 +272,13 @@ def test_stacked_matmul_matches_tile_by_tile(name):
     spec = get_semiring(name)
     rng = np.random.default_rng(3)
     high = 2 if name == "bool" else 1 << 20
+    # The min-plus loop groups 2**15 // (rows * cols) tiles per block: one
+    # partial group at 3x90x20x90, two at 5x90x4x90 and at 400x10x4x10.
+    # Tropical stacks of at least 2**17 terms narrow to int32 where their
+    # tiles alone would not (90x4x90, 10x4x10).
     for batch, rows, inner, cols in ((7, 1, 1, 1), (5, 8, 8, 8), (3, 90, 20, 90),
-                                     (2, 100, 3, 100), (4, 3, 0, 2), (0, 2, 2, 2)):
+                                     (5, 90, 4, 90), (400, 10, 4, 10), (2, 100, 3, 100),
+                                     (4, 3, 0, 2), (0, 2, 2, 2)):
         a = rng.integers(0, high, (batch, rows, inner))
         b = rng.integers(0, high, (batch, inner, cols))
         out = spec.matmul(a, b)
