@@ -26,10 +26,13 @@ the order sent, received, peak, so the first record is well defined.
 Two optional program hooks let whole rounds run without touching every
 processor:
 
-* ``active(round_no)`` names the processors with per-processor work in
-  the round.  A processor left out whose inbox is empty is not handed to
-  ``handler``: it keeps its state and the engine keeps its cached state
-  words.  The default, ``None``, hands every processor to ``handler``.
+* ``active(round_no)`` names the processors whose state may change in
+  the round other than through their inbox: those ``handler`` has work
+  for, and those whose state ``group_step`` replaces, which ``handler``
+  hands back so that the engine measures it.  A processor left out whose
+  inbox is empty is not handed to ``handler``: it keeps its state and the
+  engine keeps its cached state words.  The default, ``None``, hands
+  every processor to ``handler``.
 * ``group_step(round_no, states, inboxes)`` runs work done for many
   processors at once (tile stacks moved by index permutation, say)
   before the round's handlers.  It returns that work's words as three

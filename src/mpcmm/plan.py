@@ -1,30 +1,10 @@
-"""Dataflow plans: the instruction set round schedules compile to.
+"""Dataflow plans: the group ops round schedules compile to.
 
-A schedule builder precomputes the ops of every round over key -> tile
-stores: group ops, each for many processors at once, and per (round,
-processor) a list of per-processor ops.  The generic :class:`PlanProgram`
-interprets both inside the engine's hooks.  Keys are tuples such as
-("A", i, q); payloads of bundled sends carry (key, shape) tags so the
-receiver can restore tiles into its own store.
-
-Per-processor ops.  The shipped builders place none: ``Slice`` and
-``Pack`` ship only as gather recipes.  The other kinds are the
-instruction set of the test references, whose ops ``plan.ops`` holds
-(``perfbench/probes.py`` counts them)::
-
-    Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
-    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
-    AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
-    Assemble(dst, srcs, axis)   concatenate tiles
-    Slice(dst, src, rows, cols) copy a sub-block
-    Pack(dst, keys, shape)      gather scalars (None -> zero) into a tile
-    Send(dst, keys)             bundle the listed tiles to processor dst
-    Drop(keys)                  free tiles
-    Emit(key, row, col, shape)  finalize only: place a tile in the output
-
-Accumulator destinations that do not exist yet start as zero tiles, so
-plans never pre-allocate outputs.  An op that reads a key its store does
-not hold raises :class:`MissingTile`.
+A schedule builder precomputes the group ops of every round over
+key -> tile stores, each op for many processors at once, plus each
+processor's initial store and its ``Emit`` list.  :class:`PlanProgram`
+runs them inside the engine's hooks.  Keys are tuples such as
+("A", i, q).
 
 Group ops run one round of a fragment for all of its processors at once,
 over stacks kept in a per-run object, so executing a plan twice gives the
@@ -35,18 +15,19 @@ All kinds share one store contract.  A processor's store in a round is
 its state after that round's messages arrive.  Before a round's first
 group op, each processor whose store one of the round's group ops
 changes (the processors the kind's words function returns) gets one copy
-of its store with its inbox merged, and the group ops change that copy
-in place; the processor's per-processor ops then run on it.  A group op
-hands values to stores only through ``_give``, which accumulates like
-``Mac``: a key already held becomes old (+) new.
+of its store, and the group ops change that copy in place.  A group op
+hands values to stores only through ``_give``, which accumulates: a key
+already held becomes old (+) new.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each.  Row i's tile is k equal ``(holder, key, recipe)`` pieces
 concatenated along an axis, read out of each holder's store: ``None``
-moves the stored tile ``key`` out, a ``Slice`` or ``Pack`` recipe is run
-there.  A piece that several rows use is read once.  Its words count as
-sent by its holder and received by the row's processor, or as held when
-the two are one.
+moves the stored tile ``key`` out; a ``Slice`` (a sub-block of a stored
+tile) or ``Pack`` (stored one-word tiles, None as the zero, in a tile of
+its shape) recipe reads the piece there and leaves the store as it is.
+A piece that several rows use is read once.  Its words count as sent by
+its holder and received by the row's processor, or as held when the two
+are one.
 
 :class:`Rotate` is one slot of a skewed block rotation (see
 ``schedules.common.rotation_fragment``) over the stacks a gather filled
@@ -77,9 +58,8 @@ same ``frag``, in round rd + 1, which may be the trailing step.
    destination's processor raises :class:`MissingTile` there.
 
 A destination that holds its key already gets old (+) (x1 (+) x2 ...),
-where the per-entry tree-sum reference (and ``Fold``, which this kind
-replaced) added ((old (+) x1) (+) x2) ...; semiring addition is
-associative, so the words are equal.
+where the per-entry tree-sum reference adds ((old (+) x1) (+) x2) ...;
+semiring addition is associative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar
@@ -100,16 +80,21 @@ associative, so the words are equal.
 The processors it folds into are its ``active`` ones; a sender's store
 does not change.
 
-In a round, group ops run before any processor's per-processor ops, in
-the order they were added.  Round ``num_rounds + 1`` is the trailing
-local step: the engine runs its group ops after the last barrier, then
-each processor's ``finalize`` runs its ops of that round and its emits.
-It is local, so nothing in it may send, and no op may be placed later.
-A group op's words (held, sent, received) come from its static shape,
-not from the stacks, and the engine charges them like messages.  Its
-held words are those it keeps out of the stores at the end of the
-round, not those in flight; a processor whose store it does not touch
-in a round is left out of ``active``.
+In a round, group ops run in the order they were added.  Round
+``num_rounds + 1`` is the trailing local step: the engine runs its group
+ops after the last barrier, then each processor's ``finalize`` places
+its emits.  It is local, so nothing in it may send, and no group op may
+be placed later.  A group op's words (held, sent, received) come from
+its static shape, not from the stacks, and the engine charges them like
+messages.  Its held words are those it keeps out of the stores at the
+end of the round, not those in flight.  ``PlanProgram.active`` names,
+per round, the processors whose stores the round's group ops change:
+only those are handed to the engine's ``handler``, which then measures
+their stores.
+
+``Plan.ops`` is where a per-processor op list would go, per (round,
+processor).  No shipped builder places one and ``PlanProgram`` rejects a
+plan that has one; the per-processor references in ``tests/`` run them.
 """
 
 from __future__ import annotations
@@ -136,36 +121,10 @@ class MissingTile(MpcError):
 
 
 @dataclass(frozen=True)
-class Mac:
-    c: tuple
-    a: tuple
-    b: tuple
-
-
-@dataclass(frozen=True)
-class MulAcc:
-    c: tuple
-    a: tuple
-    b: tuple
-
-
-@dataclass(frozen=True)
-class AccCell:
-    c: tuple
-    src: tuple
-    index: int  # flat index into src
-
-
-@dataclass(frozen=True)
-class Assemble:
-    dst: tuple
-    srcs: tuple
-    axis: int
-
-
-@dataclass(frozen=True)
 class Slice:
-    dst: tuple
+    """Gather recipe: rows and columns [r0, r1) x [c0, c1) of tile ``src``."""
+
+    dst: tuple  # the piece's key
     src: tuple
     rows: tuple
     cols: tuple
@@ -173,24 +132,17 @@ class Slice:
 
 @dataclass(frozen=True)
 class Pack:
-    dst: tuple
+    """Gather recipe: a tile of ``shape`` from one-word tiles, row-major."""
+
+    dst: tuple  # the piece's key
     keys: tuple  # scalar keys, None entries become the zero element
     shape: tuple
 
 
 @dataclass(frozen=True)
-class Send:
-    dst: int
-    keys: tuple
-
-
-@dataclass(frozen=True)
-class Drop:
-    keys: tuple
-
-
-@dataclass(frozen=True)
 class Emit:
+    """Place tile ``key`` at (row, col) of the output at finalize."""
+
     key: tuple
     row: int
     col: int
@@ -238,31 +190,34 @@ class Fetch(NamedTuple):
 
 @dataclass
 class Plan:
-    """Per-round, per-processor op lists plus initial state and outputs."""
+    """A schedule's group ops per round, its processors' initial stores and emits."""
 
     num_procs: int
     num_rounds: int
     min_memory: int = 1
     init: dict = field(default_factory=dict)  # proc -> {key: array}
-    ops: dict = field(default_factory=dict)  # (round, proc) -> [op]; see PlanProgram
-    # round -> [Gather | Rotate | Scatter | Fetch], run before that round's ``ops``
+    # (round, proc) -> [per-processor op]: empty on every shipped plan, and
+    # ``PlanProgram`` rejects any other (see the module doc)
+    ops: dict = field(default_factory=dict)
+    # round -> [Gather | Rotate | Scatter | Fetch]; see the module doc
     groups: dict = field(default_factory=dict)
     fragments: int = 0  # group-op fragments numbered so far
     emits: dict = field(default_factory=dict)  # proc -> [Emit]
 
-    def add(self, round_no, proc, *ops):
-        self.ops.setdefault((round_no, proc), []).extend(ops)
-
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
+
+    def fragment(self) -> int:
+        """A new fragment number: the group ops of one fragment share its stacks."""
+        self.fragments += 1
+        return self.fragments - 1
 
     def scatter(self, round_no, shape, holders, keys, to, sums, sum_keys):
         """Add a :class:`Scatter`: in ``round_no`` tile ``keys[i]`` leaves
         ``holders[i]`` and unit u goes to ``to[u]`` (-1 drops it); in the
         next round unit u adds into destination ``sums[u]`` (-1: none),
         handed in at its receiver under ``sum_keys[sums[u]]``."""
-        frag = self.fragments
-        self.fragments += 1
+        frag = self.fragment()
         to, sums = np.asarray(to, dtype=np.int32), np.asarray(sums, dtype=np.int32)
         order = np.argsort(sums, kind="stable").astype(np.int32)
         order = order[np.searchsorted(sums[order], 0):]  # the units a sum takes
@@ -275,7 +230,7 @@ class Plan:
 
     @property
     def final_ops(self) -> dict:
-        """Empty, for ``perfbench/probes.py``: the trailing step's ops are round R + 1's."""
+        """Empty, for ``perfbench/probes.py``: no plan has per-processor ops at finalize."""
         return {}
 
     def emit(self, proc, key, row, col, shape):
@@ -286,22 +241,22 @@ class Plan:
 
 
 class PlanProgram(Program):
+    """Runs a plan's group ops in the engine's hooks (see the module doc)."""
+
     def __init__(self, plan: Plan, spec: SemiringSpec):
         self.plan = plan
         self.spec = spec
         self.num_procs = plan.num_procs
         self.total_rounds = plan.num_rounds
         self.min_memory = plan.min_memory
+        self._check_ops(plan)
         procs = plan.num_procs
         trailing = plan.num_rounds + 1  # the local step after the last barrier
-        past = max([round_no for round_no, _ in plan.ops] + list(plan.groups), default=0)
+        past = max(plan.groups, default=0)
         if past > trailing:
-            raise ValueError(f"an op is placed in round {past}, past the trailing "
+            raise ValueError(f"a group op is placed in round {past}, past the trailing "
                              f"local step (round {trailing})")
 
-        active = {}
-        for round_no, p in plan.ops:
-            active.setdefault(round_no, set()).add(p)
         # Static group words per round (held at its end, sent, received) and
         # the processors whose stores the round's group ops change.
         self.group_words, self.group_procs = {}, {}
@@ -315,9 +270,13 @@ class PlanProgram(Program):
                                  "must hold, send and receive nothing")
             self.group_words[round_no] = words
             self.group_procs[round_no] = sorted(touched)
-            active.setdefault(round_no, set()).update(touched)
-        self.active_procs = {round_no: sorted(ps) for round_no, ps in active.items()}
         self.start()
+
+    def _check_ops(self, plan):
+        """Reject per-processor ops: this interpreter would drop them."""
+        if plan.ops:
+            raise ValueError("a plan with per-processor ops cannot run: PlanProgram "
+                             "runs group ops only")
 
     def start(self):
         self.stacks = {}  # fragment -> its stacks in the current run
@@ -326,55 +285,22 @@ class PlanProgram(Program):
         return dict(self.plan.init.get(p, {}))
 
     def active(self, round_no):
-        return self.active_procs.get(round_no, ())
-
-    def _merge(self, state, inbox):
-        store = dict(state)
-        for msg in inbox:
-            payload, tag = msg.payload, msg.tag
-            if len(tag) == 1:
-                ((key, shape),) = tag
-                store[key] = payload.reshape(shape)
-                continue
-            offset = 0
-            for key, shape in tag:
-                size = math.prod(shape)
-                store[key] = payload[offset : offset + size].reshape(shape)
-                offset += size
-        return store
-
-    def _exec(self, store, ops, sends, round_no, p):
-        spec = self.spec
-        try:
-            for op in ops:
-                _DISPATCH[type(op)](spec, store, op, sends)
-        except KeyError as missing:
-            if type(op) not in _DISPATCH:
-                raise TypeError(f"unknown op {op!r}") from None
-            raise MissingTile(p, round_no, missing.args[0]) from None
+        return self.group_procs.get(round_no, ())
 
     def group_step(self, round_no, states, inboxes):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
         for p in self.group_procs[round_no]:
-            states[p] = self._merge(states[p], inboxes.pop(p, ()))
+            states[p] = dict(states[p])
         for op in group_ops:
             _GROUP_DISPATCH[type(op)].step(self, op, round_no, states)
         return self.group_words[round_no]
 
-    def handler(self, round_no, p, state, inbox):
-        store = self._merge(state, inbox)
-        sends = []
-        self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
-        return store, sends
-
     def finalize(self, p, state, inbox):
-        store = self._merge(state, inbox)
-        self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
         out = []
         for e in self.plan.emits.get(p, ()):
-            block = store.get(e.key)
+            block = state.get(e.key)
             if block is None:
                 block = np.full(e.shape, self.spec.zero, dtype=np.int64)
             out.append((e.row, e.col, block.reshape(e.shape)))
@@ -445,7 +371,9 @@ def _gather_words(op, held, sent, received):
                 else:
                     sent[holder] += words
                     received[p] += words
-    return sorted({holder for row in op.tiles for pieces, _ in row for holder, _, _ in pieces})
+    # Only a stored piece moved out changes its holder's store.
+    return sorted({holder for row in op.tiles for pieces, _ in row
+                   for holder, _, recipe in pieces if recipe is None})
 
 
 def _gather_step(program, op, round_no, states):
@@ -454,10 +382,10 @@ def _gather_step(program, op, round_no, states):
     def read(holder, key, recipe):
         if (holder, key) not in values:
             store = states[holder]
+            make = None if recipe is None else _RECIPES[type(recipe)]
             try:
-                if recipe is not None:
-                    _DISPATCH[type(recipe)](program.spec, store, recipe, None)
-                values[holder, key] = store.pop(key)
+                values[holder, key] = (store.pop(key) if make is None
+                                       else make(program.spec, store, recipe))
             except KeyError as missing:
                 raise MissingTile(holder, round_no, missing.args[0]) from None
         return values[holder, key]
@@ -474,6 +402,24 @@ def _gather_step(program, op, round_no, states):
                     raise ValueError(f"gathered piece {key!r} has shape {value.shape}, not {part}")
             stack[row] = np.concatenate(parts, axis=axis)
     program.stacks.setdefault(op.frag, _Stacks()).fill(a, b)
+
+
+def _slice(spec, store, recipe):
+    r0, r1 = recipe.rows
+    c0, c1 = recipe.cols
+    return store[recipe.src][r0:r1, c0:c1]
+
+
+def _pack(spec, store, recipe):
+    flat = np.full(math.prod(recipe.shape), spec.zero, dtype=np.int64)
+    for i, key in enumerate(recipe.keys):
+        if key is not None:
+            flat[i] = store[key].reshape(-1)[0]
+    return flat.reshape(recipe.shape)
+
+
+# (spec, store, recipe) -> the piece; reads the holder's store, changes nothing
+_RECIPES = {Slice: _slice, Pack: _pack}
 
 
 def _rotate_words(op, held, sent, received):
@@ -626,9 +572,9 @@ def _segment_add(spec, values, starts):
 
 def _give(spec, states, procs, keys, values):
     """Hand ``values[i]`` to processor ``procs[i]``'s store under ``keys[i]``,
-    for every i, accumulating like ``_acc``: a key already held becomes
-    old (+) new, with one ``vadd`` over all of them.  The (procs[i], keys[i])
-    must be distinct within one call.  ``values`` is written in place."""
+    for every i, accumulating: a key already held becomes old (+) new, with
+    one ``vadd`` over all of them.  The (procs[i], keys[i]) must be distinct
+    within one call.  ``values`` is written in place."""
     held = [i for i, (p, key) in enumerate(zip(procs, keys)) if key in states[p]]
     if held:
         old = np.stack([states[procs[i]][keys[i]] for i in held])
@@ -651,79 +597,6 @@ _GROUP_DISPATCH = {
     Rotate: _GroupKind(_rotate_words, _rotate_step),
     Scatter: _GroupKind(_scatter_words, _scatter_step),
     Fetch: _GroupKind(_fetch_words, _fetch_step),
-}
-
-
-# -- per-processor ops -------------------------------------------------------
-
-
-def _acc(spec, store, key, value):
-    if key in store:
-        store[key] = spec.vadd(store[key], value)
-    else:
-        store[key] = value
-
-
-def _mac(spec, store, op, sends):
-    _acc(spec, store, op.c, spec.matmul(store[op.a], store[op.b]))
-
-
-def _mul_acc(spec, store, op, sends):
-    _acc(spec, store, op.c, spec.vmul(store[op.a], store[op.b]))
-
-
-def _acc_cell(spec, store, op, sends):
-    _acc(spec, store, op.c, store[op.src].reshape(-1)[op.index : op.index + 1])
-
-
-def _assemble(spec, store, op, sends):
-    store[op.dst] = np.concatenate([store[k] for k in op.srcs], axis=op.axis)
-
-
-def _slice(spec, store, op, sends):
-    r0, r1 = op.rows
-    c0, c1 = op.cols
-    store[op.dst] = store[op.src][r0:r1, c0:c1].copy()
-
-
-def _pack(spec, store, op, sends):
-    flat = np.full(math.prod(op.shape), spec.zero, dtype=np.int64)
-    for i, key in enumerate(op.keys):
-        if key is not None:
-            flat[i] = store[key].reshape(-1)[0]
-    store[op.dst] = flat.reshape(op.shape)
-
-
-def _send(spec, store, op, sends):
-    if sends is None:
-        raise ValueError("Send op is not allowed in finalize")
-    keys = op.keys
-    if len(keys) == 1:
-        # No op writes a stored tile in place, so the payload may share
-        # the tile's memory; ravel copies only a non-contiguous tile.
-        (key,) = keys
-        tile = store[key]
-        sends.append((op.dst, ((key, tile.shape),), tile.ravel()))
-    else:
-        tag = tuple((k, store[k].shape) for k in keys)
-        sends.append((op.dst, tag, np.concatenate([store[k].ravel() for k in keys])))
-
-
-def _drop(spec, store, op, sends):
-    for k in op.keys:
-        store.pop(k, None)
-
-
-# Every op except Emit, which only ``finalize`` reads from ``plan.emits``.
-_DISPATCH = {
-    Mac: _mac,
-    MulAcc: _mul_acc,
-    AccCell: _acc_cell,
-    Assemble: _assemble,
-    Slice: _slice,
-    Pack: _pack,
-    Send: _send,
-    Drop: _drop,
 }
 
 

@@ -36,8 +36,7 @@ def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
     row_i, row_j = np.divmod(np.arange(grid * grid), grid)
     a_to = row_i * grid + (row_j - 1) % grid
     b_to = (row_i - 1) % grid * grid + row_j
-    frag = plan.fragments
-    plan.fragments += 1
+    frag = plan.fragment()
     plan.add_group(first_round - 1,
                    Gather(frag, procs, side, tuple(parts(i, j, (i + j) % grid) for i, j in cells)))
     for s in range(grid):

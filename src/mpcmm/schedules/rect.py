@@ -193,8 +193,7 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
     # and B columns j * s .. j * s + s - 1.  Round q + 2 multiplies strip q
     # before it gathers strip q + 1.
     procs = np.arange(n)
-    frag = plan.fragments
-    plan.fragments += 1
+    frag = plan.fragment()
     for q in range(q_count):
         strip = (q * s, (q + 1) * s)
         a_rows = [tuple(_cut(kk, ("as", kk, q), ("ar", kk), (0, 1), strip)

@@ -421,8 +421,7 @@ def fetch_fragment(plan, terms, fetch_rounds, start):
     remote = terms[2] != terms[0]
     order = np.argsort(fetch_rounds, kind="stable")
     moves, rounds = terms[:, remote][:, order], fetch_rounds[order]
-    frag = plan.fragments
-    plan.fragments += 1
+    frag = plan.fragment()
     arrived = terms[:, :0]
     for rd in range(1, int(rounds.max(initial=0)) + 1):
         move = moves[:, np.searchsorted(rounds, rd) : np.searchsorted(rounds, rd, side="right")]

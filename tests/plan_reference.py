@@ -1,0 +1,226 @@
+"""The per-processor instruction set: what the references in ``tests/`` run on.
+
+The shipped plans hold group ops only (``mpcmm.plan``).  The rotation,
+fetch and tree-sum references spell the same schedules out as ops per
+(round, processor), placed with :func:`add` in ``Plan.ops`` and run op
+by op by :class:`ReferenceProgram`, whose tiles travel as engine
+messages::
+
+    Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
+    MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
+    AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
+    Assemble(dst, srcs, axis)   concatenate tiles
+    Slice(dst, src, rows, cols) copy a sub-block (``mpcmm.plan.Slice``)
+    Pack(dst, keys, shape)      gather scalars (None -> zero) into a tile
+                                (``mpcmm.plan.Pack``)
+    Send(dst, keys)             bundle the listed tiles to processor dst
+    Drop(keys)                  free tiles
+
+Accumulator destinations that do not exist yet start as zero tiles, so
+plans never pre-allocate outputs.  An op that reads a key its store does
+not hold raises ``MissingTile``.  A ``Send``'s payload carries (key,
+shape) tags so that the receiver restores the tiles into its own store.
+
+In a round, the plan's group ops run before any processor's ops.  The
+ops placed in the trailing local step (round ``num_rounds + 1``) run in
+``finalize``, before its emits; nothing there may send, and no op may be
+placed later.
+
+:func:`run_references` makes the builders construct
+:class:`ReferenceProgram`; every context manager that patches a
+reference fragment into them calls it.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from mpcmm.plan import MissingTile, Pack, PlanProgram, Slice
+from mpcmm.schedules import rect, sparse, square
+
+
+@dataclass(frozen=True)
+class Mac:
+    c: tuple
+    a: tuple
+    b: tuple
+
+
+@dataclass(frozen=True)
+class MulAcc:
+    c: tuple
+    a: tuple
+    b: tuple
+
+
+@dataclass(frozen=True)
+class AccCell:
+    c: tuple
+    src: tuple
+    index: int  # flat index into src
+
+
+@dataclass(frozen=True)
+class Assemble:
+    dst: tuple
+    srcs: tuple
+    axis: int
+
+
+@dataclass(frozen=True)
+class Send:
+    dst: int
+    keys: tuple
+
+
+@dataclass(frozen=True)
+class Drop:
+    keys: tuple
+
+
+def add(plan, round_no, proc, *ops):
+    """Place ``ops`` at the end of processor ``proc``'s list for ``round_no``."""
+    plan.ops.setdefault((round_no, proc), []).extend(ops)
+
+
+def run_references(mp):
+    """Make the builders run their plans on :class:`ReferenceProgram`, with
+    the ``pytest.MonkeyPatch`` ``mp``."""
+    for module in (square, rect, sparse):
+        mp.setattr(module, "PlanProgram", ReferenceProgram)
+
+
+class ReferenceProgram(PlanProgram):
+    """A :class:`~mpcmm.plan.PlanProgram` that also runs ``plan.ops``."""
+
+    def __init__(self, plan, spec):
+        super().__init__(plan, spec)
+        handled = {}
+        for round_no, p in plan.ops:
+            handled.setdefault(round_no, set(self.group_procs.get(round_no, ()))).add(p)
+        self.handled = {round_no: sorted(ps) for round_no, ps in handled.items()}
+
+    def _check_ops(self, plan):
+        trailing = plan.num_rounds + 1
+        past = max((round_no for round_no, _ in plan.ops), default=0)
+        if past > trailing:
+            raise ValueError(f"an op is placed in round {past}, past the trailing "
+                             f"local step (round {trailing})")
+
+    def active(self, round_no):
+        return self.handled.get(round_no) or super().active(round_no)
+
+    def group_step(self, round_no, states, inboxes):
+        for p in self.group_procs.get(round_no, ()):
+            if p in inboxes:
+                states[p] = _merge(states[p], inboxes.pop(p))
+        return super().group_step(round_no, states, inboxes)
+
+    def handler(self, round_no, p, state, inbox):
+        store = _merge(state, inbox)
+        sends = []
+        self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
+        return store, sends
+
+    def finalize(self, p, state, inbox):
+        store = _merge(state, inbox)
+        self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
+        return super().finalize(p, store, [])
+
+    def _exec(self, store, ops, sends, round_no, p):
+        spec = self.spec
+        try:
+            for op in ops:
+                _DISPATCH[type(op)](spec, store, op, sends)
+        except KeyError as missing:
+            if type(op) not in _DISPATCH:
+                raise TypeError(f"unknown op {op!r}") from None
+            raise MissingTile(p, round_no, missing.args[0]) from None
+
+
+def _merge(state, inbox):
+    """A copy of ``state`` with the tiles of ``inbox`` restored from their tags."""
+    store = dict(state)
+    for msg in inbox:
+        payload, tag = msg.payload, msg.tag
+        if len(tag) == 1:
+            ((key, shape),) = tag
+            store[key] = payload.reshape(shape)
+            continue
+        offset = 0
+        for key, shape in tag:
+            size = math.prod(shape)
+            store[key] = payload[offset : offset + size].reshape(shape)
+            offset += size
+    return store
+
+
+def _acc(spec, store, key, value):
+    if key in store:
+        store[key] = spec.vadd(store[key], value)
+    else:
+        store[key] = value
+
+
+def _mac(spec, store, op, sends):
+    _acc(spec, store, op.c, spec.matmul(store[op.a], store[op.b]))
+
+
+def _mul_acc(spec, store, op, sends):
+    _acc(spec, store, op.c, spec.vmul(store[op.a], store[op.b]))
+
+
+def _acc_cell(spec, store, op, sends):
+    _acc(spec, store, op.c, store[op.src].reshape(-1)[op.index : op.index + 1])
+
+
+def _assemble(spec, store, op, sends):
+    store[op.dst] = np.concatenate([store[k] for k in op.srcs], axis=op.axis)
+
+
+def _slice(spec, store, op, sends):
+    r0, r1 = op.rows
+    c0, c1 = op.cols
+    store[op.dst] = store[op.src][r0:r1, c0:c1].copy()
+
+
+def _pack(spec, store, op, sends):
+    flat = np.full(math.prod(op.shape), spec.zero, dtype=np.int64)
+    for i, key in enumerate(op.keys):
+        if key is not None:
+            flat[i] = store[key].reshape(-1)[0]
+    store[op.dst] = flat.reshape(op.shape)
+
+
+def _send(spec, store, op, sends):
+    if sends is None:
+        raise ValueError("Send op is not allowed in finalize")
+    keys = op.keys
+    if len(keys) == 1:
+        # No op writes a stored tile in place, so the payload may share
+        # the tile's memory; ravel copies only a non-contiguous tile.
+        (key,) = keys
+        tile = store[key]
+        sends.append((op.dst, ((key, tile.shape),), tile.ravel()))
+    else:
+        tag = tuple((k, store[k].shape) for k in keys)
+        sends.append((op.dst, tag, np.concatenate([store[k].ravel() for k in keys])))
+
+
+def _drop(spec, store, op, sends):
+    for k in op.keys:
+        store.pop(k, None)
+
+
+# Every per-processor op; Emit is not one (``finalize`` reads ``plan.emits``).
+_DISPATCH = {
+    Mac: _mac,
+    MulAcc: _mul_acc,
+    AccCell: _acc_cell,
+    Assemble: _assemble,
+    Slice: _slice,
+    Pack: _pack,
+    Send: _send,
+    Drop: _drop,
+}

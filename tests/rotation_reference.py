@@ -5,13 +5,16 @@ Same signature and same result as the group-op fragment, with no group
 op.  The distribution round runs each piece's ``Slice`` or ``Pack`` at
 its holder, which sends the piece to its first consumer unless it is
 that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``, ``Send``
-and ``Drop`` list on each of the grid**2 processors, run by the plan
-interpreter op by op.  Tests monkeypatch it into the square, rect and
-sparse modules to run every schedule both ways, together with
-``hand_back``, the per-processor hand-back of the sparse layers' C rows.
+and ``Drop`` list on each of the grid**2 processors, run by
+``plan_reference.ReferenceProgram`` op by op.  Tests monkeypatch it into
+the square, rect and sparse modules to run every schedule both ways,
+together with ``hand_back``, the per-processor hand-back of the sparse
+layers' C rows.
 """
 
-from mpcmm.plan import AccCell, Assemble, Drop, Mac, Send, Slice
+from mpcmm.plan import Slice
+
+from plan_reference import AccCell, Assemble, Drop, Mac, Send, add
 
 
 def distribute(plan, grid, proc, parts, round_no):
@@ -24,17 +27,16 @@ def distribute(plan, grid, proc, parts, round_no):
             for pieces, _ in tiles:
                 for holder, key, make in pieces:
                     if make is not None:
-                        plan.add(round_no, holder, make)
+                        add(plan, round_no, holder, make)
                     if proc(i, j) != holder:
-                        plan.add(round_no, holder, Send(proc(i, j), (key,)), Drop((key,)))
+                        add(plan, round_no, holder, Send(proc(i, j), (key,)), Drop((key,)))
             gather.append(tuple((tuple(k for _, k, _ in pieces), axis) for pieces, axis in tiles))
     return tuple(gather)
 
 
 def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
     gather = distribute(plan, grid, proc, parts, first_round - 1)
-    frag = plan.fragments  # keeps this fragment's tile keys apart from others'
-    plan.fragments += 1
+    frag = plan.fragment()  # keeps this fragment's tile keys apart from others'
     for i in range(grid):
         for j in range(grid):
             p, c = proc(i, j), c_key(i, j)
@@ -54,7 +56,7 @@ def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
                 if s < grid - 1:
                     ops += [Send(left, (akey,)), Send(up, (bkey,))]
                 ops.append(Drop((akey, bkey)))
-                plan.add(first_round + s, p, *ops)
+                add(plan, first_round + s, p, *ops)
 
 
 def hand_back(plan, round_no, grid, blocks, mask):
@@ -71,12 +73,12 @@ def hand_back(plan, round_no, grid, blocks, mask):
                 if r < 0:
                     continue
                 gkey = ("xg", ckey, u)
-                plan.add(round_no, p, Slice(gkey, ckey, (u, u + 1), (0, grid)))
+                add(plan, round_no, p, Slice(gkey, ckey, (u, u + 1), (0, grid)))
                 if r != p:
-                    plan.add(round_no, p, Send(r, (gkey,)), Drop((gkey,)))
+                    add(plan, round_no, p, Send(r, (gkey,)), Drop((gkey,)))
                 masked = set(mask.cols(r))
                 accs = [AccCell(("c", r, j), gkey, v)
                         for v, j in enumerate(cols[tj * grid : (tj + 1) * grid].tolist())
                         if j >= 0 and j in masked]
-                plan.add(round_no + 1, r, *accs, Drop((gkey,)))
-            plan.add(round_no, p, Drop((ckey,)))
+                add(plan, round_no + 1, r, *accs, Drop((gkey,)))
+            add(plan, round_no, p, Drop((ckey,)))

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from mpcmm import MpcConfig, MpcError, get_semiring, run
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
-from mpcmm.plan import Drop, Fetch, MissingTile, MulAcc, Plan, PlanProgram, Send
+from mpcmm.plan import Fetch, MissingTile, Plan, PlanProgram
 from mpcmm.schedules import sparse
 
 import fetch_reference
 from fetch_reference import per_processor_fetch
+from plan_reference import Drop, MulAcc, Send
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")

@@ -50,9 +50,10 @@ import pytest
 import mpcmm.experiment as experiment
 import mpcmm.semiring as semiring
 from mpcmm.experiment import ExperimentConfig, run_experiment
-from mpcmm.plan import Fetch, Gather, Mac, MulAcc, Pack, PlanProgram, Scatter, Send
+from mpcmm.plan import Fetch, Gather, Pack, Scatter
 
 from fetch_reference import per_processor_fetch
+from plan_reference import Mac, MulAcc, Send
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_semiring import width_mismatches
 
@@ -105,7 +106,7 @@ def _run_mutated(monkeypatch, config, mutate):
     def mutated(config, a, b, mask, spec):
         schedule = build(config, a, b, mask, spec)
         if mutate(schedule.program.plan):
-            schedule.program = PlanProgram(schedule.program.plan, spec)
+            schedule.program = type(schedule.program)(schedule.program.plan, spec)
             found.append(True)
         return schedule
 

@@ -1,4 +1,5 @@
-"""Plan interpreter: op dispatch, send payloads and tile sharing."""
+"""Plan interpreter: group-op dispatch, and the per-processor reference's
+op dispatch, send payloads and tile sharing."""
 
 import dataclasses
 import importlib.util
@@ -9,36 +10,52 @@ import pytest
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
-from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance
-from mpcmm.plan import (Drop, Emit, Fetch, Gather, Mac, MissingTile, MulAcc, Plan,
-                        PlanProgram, Rotate, Scatter, Send, assemble_output)
+from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
+from mpcmm.plan import (Emit, Fetch, Gather, MissingTile, Pack, Plan, PlanProgram, Rotate,
+                        Scatter, Slice, assemble_output)
 from mpcmm.schedules.common import rotation_fragment
 
+import plan_reference
+from plan_reference import Drop, Mac, MulAcc, ReferenceProgram, Send, add
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
 
 
 def _program(num_procs=2, num_rounds=1):
-    return PlanProgram(Plan(num_procs=num_procs, num_rounds=num_rounds), INT)
+    return ReferenceProgram(Plan(num_procs=num_procs, num_rounds=num_rounds), INT)
+
+
+def _dataclasses(module):
+    return {obj for obj in vars(module).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__}
 
 
 def test_every_op_has_a_dispatch_entry():
-    ops = {
-        obj
-        for obj in vars(plan_module).values()
-        if isinstance(obj, type)
-        and dataclasses.is_dataclass(obj)
-        and obj.__module__ == plan_module.__name__
-    } - {Plan, Emit}
-    assert len(ops) == 8
-    assert set(plan_module._DISPATCH) == ops
+    # The shipped interpreter: group ops, gather recipes and emits only.
+    assert _dataclasses(plan_module) == {Plan, Slice, Pack, Emit}
+    assert set(plan_module._RECIPES) == {Slice, Pack}
     assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Scatter, Fetch}
+    assert not {"_DISPATCH", "_exec"} & set(vars(plan_module))
+    assert "add" not in vars(Plan) and "handler" not in vars(PlanProgram)
+    # The reference runs every per-processor kind, the recipes among them.
+    ops = _dataclasses(plan_reference)
+    assert len(ops) == 6
+    assert set(plan_reference._DISPATCH) == ops | {Slice, Pack}
+
+
+def test_plan_program_rejects_per_processor_ops():
+    plan = Plan(num_procs=2, num_rounds=1)
+    add(plan, 1, 0, Drop((("x",),)))
+    with pytest.raises(ValueError, match="per-processor ops"):
+        PlanProgram(plan, INT)
+    ReferenceProgram(plan, INT)
 
 
 def test_unknown_op_raises_type_error():
     program = _program()
-    program.plan.add(1, 0, Emit(("x",), 0, 0, (1,)))
+    add(program.plan, 1, 0, Emit(("x",), 0, 0, (1,)))
     with pytest.raises(TypeError, match="unknown op"):
         program.handler(1, 0, {}, [])
 
@@ -46,7 +63,7 @@ def test_unknown_op_raises_type_error():
 def test_send_in_finalize_raises_value_error():
     program = _program()
     program.plan.set_init(0, ("x",), np.arange(4))
-    program.plan.add(2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
+    add(program.plan, 2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
     with pytest.raises(ValueError, match="finalize"):
         program.finalize(0, program.init_state(0), [])
 
@@ -79,10 +96,10 @@ def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
         for j in range(grid):
             p = proc(i, j)
             plan.set_init(p, ("one",), np.array([[1]]))
-            plan.add(rounds + 1, p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
-            plan.add(rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
+            add(plan, rounds + 1, p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
+            add(plan, rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
             plan.emit(p, ("D",), i, j, (1, 1))
-    result = run(PlanProgram(plan, INT), MpcConfig(grid * grid, 4))
+    result = run(ReferenceProgram(plan, INT), MpcConfig(grid * grid, 4))
     assert result.transcript.rounds == rounds
     c = a @ b
     out = assemble_output(result.outputs, grid, grid, INT)
@@ -91,9 +108,9 @@ def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
 
 def test_ops_past_the_trailing_step_raise_value_error():
     plan = Plan(num_procs=1, num_rounds=1)
-    plan.add(3, 0, Drop((("x",),)))
+    add(plan, 3, 0, Drop((("x",),)))
     with pytest.raises(ValueError, match="trailing"):
-        PlanProgram(plan, INT)
+        ReferenceProgram(plan, INT)
     plan, _ = _rotation_plan(1, 1, 3)  # its only slot in round R + 2
     with pytest.raises(ValueError, match="trailing"):
         PlanProgram(plan, INT)
@@ -139,9 +156,9 @@ def test_gather_tiles_must_be_equal_pieces(pieces, message):
 def test_send_past_the_last_round_raises_value_error():
     plan = Plan(num_procs=2, num_rounds=1)
     plan.set_init(0, ("x",), np.arange(4))
-    plan.add(2, 0, Send(1, (("x",),)))
+    add(plan, 2, 0, Send(1, (("x",),)))
     with pytest.raises(ValueError, match="finalize"):
-        run(PlanProgram(plan, INT), MpcConfig(2, 8))
+        run(ReferenceProgram(plan, INT), MpcConfig(2, 8))
 
 
 def test_single_key_send_matches_bundled_send():
@@ -153,7 +170,7 @@ def test_single_key_send_matches_bundled_send():
     tiles = {("x",): x, ("y",): y, ("z",): z}
     for key, tile in tiles.items():
         program.plan.set_init(0, key, tile)
-    program.plan.add(1, 0, *(Send(1, (key,)) for key in tiles), Send(1, tuple(tiles)))
+    add(program.plan, 1, 0, *(Send(1, (key,)) for key in tiles), Send(1, tuple(tiles)))
     _, sends = program.handler(1, 0, program.init_state(0), [])
     *singles, (_, bundle_tag, bundle_payload) = sends
     for (dst, tag, payload), (key, tile) in zip(singles, tiles.items()):
@@ -171,11 +188,11 @@ def test_delivered_payload_survives_later_accumulation():
     plan.set_init(0, ("y",), np.ones((2, 2), dtype=np.int64))
     # the send shares ("x",)'s memory; the sender then rebinds that key twice
     # x += y * y (elementwise, so x += 1), then x += y @ y
-    plan.add(1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
-    plan.add(2, 0, Drop((("y",),)))  # round R + 1
+    add(plan, 1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
+    add(plan, 2, 0, Drop((("y",),)))  # round R + 1
     plan.emit(0, ("x",), 0, 0, (2, 2))
     plan.emit(1, ("x",), 0, 2, (2, 2))
-    result = run(PlanProgram(plan, INT), MpcConfig(2, 8))
+    result = run(ReferenceProgram(plan, INT), MpcConfig(2, 8))
     (_, _, sender), = result.outputs[0]
     (_, _, receiver), = result.outputs[1]
     assert np.array_equal(receiver, [[1, 2], [3, 4]])
@@ -230,11 +247,17 @@ def test_a_give_whose_unit_went_elsewhere_raises_missing_tile():
     assert (caught.value.processor, caught.value.round, caught.value.key) == (2, None, ("s", 2))
 
 
-def _workload_configs():
+def _perfbench(name):
+    """The module ``perfbench/<name>.py``, which is not a package."""
     spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+        name, Path(__file__).parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload_configs():
+    workloads = _perfbench("workloads")
     return {f"{name}-{i}": config for name in workloads.NAMES
             for i, config in enumerate(workloads.configs(name, workloads.DEFAULT_SEED))}
 
@@ -249,3 +272,41 @@ def test_shipped_builders_place_no_per_processor_op(name):
     spec = get_semiring(config.semiring)
     schedule = build_schedule(config, *generate_instance(config, spec), spec)
     assert schedule.program.plan.ops == {}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in GOLDEN_CONFIGS.items() if f["case"] == "ndn"))
+def test_ndn_gathers_hand_no_processor_to_the_handler(monkeypatch, name):
+    """ndn's gathers read every piece through a ``Slice`` recipe, which
+    leaves its holder's store as it is, and its last slot hands C back in
+    the trailing step: no round hands a processor to the engine's handler."""
+    handed = []
+
+    def handler(program, round_no, p, state, inbox):
+        handed.append((round_no, p))
+        return state, []
+
+    monkeypatch.setattr(PlanProgram, "handler", handler, raising=False)
+    summary = run_experiment(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]), write=False)
+    assert summary["ok"] and handed == []
+
+
+@pytest.mark.parametrize("fields", [
+    dict(case="square", n=16, alpha=1.0),
+    dict(case="ndn", n=16, d=4),
+    dict(case="dnd-n", n=16, d=4),
+    dict(case="dnd-d", n=16, d=4),
+    dict(case="sparse-trivial", n=16, d=2),
+    dict(case="sparse-twophase", n=32, d=4, instance="blockdiag"),
+])
+def test_perfbench_probes_read_names_the_plans_still_have(fields):
+    """``perfbench/probes.py`` reads ``Plan.ops``, ``Plan.final_ops``,
+    ``PlanProgram.handler`` and ``PlanProgram.finalize``; the shipped plans
+    hold no per-processor op."""
+    probes = _perfbench("probes").Probes("layers")
+    with probes:
+        summary = run_experiment(ExperimentConfig(seed=1, **fields), write=False)
+    assert summary["ok"]
+    counts = {name: value for name, value in probes.metrics().items()
+              if name.startswith("plan.ops.")}
+    assert counts and set(counts.values()) == {0}
+    assert probes.calls["plan.finalize"] > 0

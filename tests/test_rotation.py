@@ -24,6 +24,7 @@ from mpcmm.schedules import rect, sparse, square
 from mpcmm.schedules.sparse import EpsilonSchedule, default_mask
 
 import rotation_reference
+from plan_reference import run_references
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SEMIRINGS = st.sampled_from(["int", "bool", "tropical"])
@@ -35,6 +36,7 @@ def per_processor_rotation():
         for module in (square, rect, sparse):
             mp.setattr(module, "rotation_fragment", rotation_reference.rotation_fragment)
         mp.setattr(sparse, "hand_back", rotation_reference.hand_back)
+        run_references(mp)
         yield
 
 

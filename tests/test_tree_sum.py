@@ -24,6 +24,7 @@ from mpcmm.schedules.common import Schedule
 from mpcmm.semiring import get_semiring
 
 import tree_sum_reference
+from plan_reference import run_references
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SEMIRINGS = st.sampled_from(["int", "bool", "tropical"])
@@ -33,6 +34,7 @@ SEMIRINGS = st.sampled_from(["int", "bool", "tropical"])
 def per_entry_tree_sum():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rect, "tree_sum_fragment", tree_sum_reference.tree_sum_fragment)
+        run_references(mp)
         yield
 
 
@@ -99,7 +101,7 @@ def _sum_schedule(t, width, entries, memory, semiring, seed, extra_rounds, group
         for e, (proc, key) in enumerate(group):
             plan.emit(proc, key, g, e, (1,))
     config = MpcConfig(groups * t, memory)
-    schedule = Schedule(PlanProgram(plan, spec), config, groups, entries, groups, entries)
+    schedule = Schedule(rect.PlanProgram(plan, spec), config, groups, entries, groups, entries)
     totals = addends[:, 0]
     for l in range(1, t):
         totals = spec.vadd(totals, addends[:, l])

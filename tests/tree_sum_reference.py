@@ -3,14 +3,14 @@
 
 Same signature and same result as the group-op fragment, but every
 group's scatter and every level is a list of ``AccCell``/``Send``/
-``Drop`` ops per entry and member, run by the plan interpreter op by op.
-A cell copy is an ``AccCell`` into a fresh key, which gives the same
-words and values as a copy, and a sum adds one-word tiles with
-``AccCell`` at index 0.  Tests monkeypatch it into the rect module to run
-every tree sum both ways.
+``Drop`` ops per entry and member, run by
+``plan_reference.ReferenceProgram`` op by op.  A cell copy is an
+``AccCell`` into a fresh key, which gives the same words and values as a
+copy, and a sum adds one-word tiles with ``AccCell`` at index 0.  Tests
+monkeypatch it into the rect module to run every tree sum both ways.
 """
 
-from mpcmm.plan import AccCell, Drop, Send
+from plan_reference import AccCell, Drop, Send, add
 
 
 def tree_sum_fragment(plan, members, addend_keys, entries, width, start_round, ns):
@@ -33,13 +33,13 @@ def _one_group(plan, members, addend_keys, entries, width, start_round, ns):
         by_dst = {}
         for e in range(entries):
             key = ("ts", ns, e, l)
-            plan.add(start_round, src, AccCell(key, addend_keys[l], e))
+            add(plan, start_round, src, AccCell(key, addend_keys[l], e))
             by_dst.setdefault((e * m + chunk) % t, []).append(key)
         for dst_l, keys in sorted(by_dst.items()):
             dst = members[dst_l]
             if dst != src:
-                plan.add(start_round, src, Send(dst, tuple(keys)), Drop(tuple(keys)))
-        plan.add(start_round, src, Drop((addend_keys[l],)))
+                add(plan, start_round, src, Send(dst, tuple(keys)), Drop(tuple(keys)))
+        add(plan, start_round, src, Drop((addend_keys[l],)))
 
     holders = {}
     for e in range(entries):
@@ -49,7 +49,7 @@ def _one_group(plan, members, addend_keys, entries, width, start_round, ns):
             skey = ("tv", ns, e, dst)
             for l in range(c * width, min((c + 1) * width, t)):
                 tkey = ("ts", ns, e, l)
-                plan.add(start_round + 1, dst, AccCell(skey, tkey, 0), Drop((tkey,)))
+                add(plan, start_round + 1, dst, AccCell(skey, tkey, 0), Drop((tkey,)))
             holders[e].append((dst, skey))
 
     # A level's AccCells were added before its Sends, so each collector folds
@@ -62,9 +62,9 @@ def _one_group(plan, members, addend_keys, entries, width, start_round, ns):
             for c0 in range(0, len(holders[e]), width):
                 col_proc, col_key = holders[e][c0]
                 for sender_proc, sender_key in holders[e][c0 + 1 : c0 + width]:
-                    plan.add(level_round, sender_proc, Send(col_proc, (sender_key,)),
+                    add(plan, level_round, sender_proc, Send(col_proc, (sender_key,)),
                              Drop((sender_key,)))
-                    plan.add(level_round + 1, col_proc, AccCell(col_key, sender_key, 0),
+                    add(plan, level_round + 1, col_proc, AccCell(col_key, sender_key, 0),
                              Drop((sender_key,)))
                 new_holders.append((col_proc, col_key))
             holders[e] = new_holders
