@@ -20,14 +20,18 @@ hands values to stores only through ``_give``, which accumulates: a key
 already held becomes old (+) new.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
-side) each.  Row i's tile is k equal ``(holder, key, recipe)`` pieces
-concatenated along an axis, read out of each holder's store: ``None``
-moves the stored tile ``key`` out; a ``Slice`` (a sub-block of a stored
-tile) or ``Pack`` (stored one-word tiles, None as the zero, in a tile of
-its shape) recipe reads the piece there and leaves the store as it is.
-A piece that several rows use is read once.  Its words count as sent by
-its holder and received by the row's processor, or as held when the two
-are one.
+side) each, from source tiles.  Each distinct tile it reads is listed
+once, with its holder, its key, the shape it must have and whether it
+moves out of the holder's store (then each of its words is read exactly
+once) or is only read.  The sources' words are concatenated in order,
+each tile row-major, with zeros after them, and cut into units of
+``width`` consecutive words.  ``words[0]`` and ``words[1]`` cut every
+tile row of the A and B stacks into units too: ``words[s, r, y, x]`` is
+the offset, in units, of unit x of row y of stack row r's tile, or -1
+for zeros, so one fancy index fills both stacks.  ``charges`` names the
+processor each unit counts against: the holder of the source it reads,
+or any processor for zeros.  A unit counts as sent by that processor and
+received by its row's, or as held when the two are one.
 
 :class:`Rotate` is one slot of a skewed block rotation (see
 ``schedules.common.rotation_fragment``) over the stacks a gather filled
@@ -121,25 +125,6 @@ class MissingTile(MpcError):
 
 
 @dataclass(frozen=True)
-class Slice:
-    """Gather recipe: rows and columns [r0, r1) x [c0, c1) of tile ``src``."""
-
-    dst: tuple  # the piece's key
-    src: tuple
-    rows: tuple
-    cols: tuple
-
-
-@dataclass(frozen=True)
-class Pack:
-    """Gather recipe: a tile of ``shape`` from one-word tiles, row-major."""
-
-    dst: tuple  # the piece's key
-    keys: tuple  # scalar keys, None entries become the zero element
-    shape: tuple
-
-
-@dataclass(frozen=True)
 class Emit:
     """Place tile ``key`` at (row, col) of the output at finalize."""
 
@@ -150,12 +135,18 @@ class Emit:
 
 
 class Gather(NamedTuple):
-    """Fill a fragment's A and B stacks with input pieces (see module doc)."""
+    """Fill a fragment's A and B stacks with source words (see module doc)."""
 
     frag: int  # a fragment's gathers and slots share its tile stacks
     procs: np.ndarray  # processor of each stack row: the consumer of its tiles
     side: int  # every A and B tile is side x side
-    tiles: tuple  # per row ((a_pieces, a_axis), (b_pieces, b_axis)); see the module doc
+    holders: np.ndarray  # (sources,) the processor that holds each source tile
+    keys: tuple  # the store key of each source tile
+    shapes: tuple  # the shape each source tile must have
+    moves: np.ndarray  # (sources,) bools: the tile moves out of its holder's store
+    width: int  # the words in one unit
+    words: np.ndarray  # (2, rows, side, side // width) int32: unit offsets; -1 zeros
+    charges: np.ndarray  # like ``words``: the processor each unit counts against
 
 
 class Rotate(NamedTuple):
@@ -359,67 +350,65 @@ class _Stacks:
 
 
 def _gather_words(op, held, sent, received):
-    for p, row in zip(op.procs.tolist(), op.tiles):
-        for pieces, _ in row:
-            if not pieces or op.side % len(pieces):
-                raise ValueError(f"a gathered {op.side}x{op.side} tile cannot be "
-                                 f"{len(pieces)} equal pieces")
-            words = op.side * op.side // len(pieces)
-            for holder, _, _ in pieces:
-                if holder == p:
-                    held[p] += words
-                else:
-                    sent[holder] += words
-                    received[p] += words
-    # Only a stored piece moved out changes its holder's store.
-    return sorted({holder for row in op.tiles for pieces, _ in row
-                   for holder, _, recipe in pieces if recipe is None})
+    procs, rows, side, width = len(held), len(op.procs), op.side, op.width
+    size = {shape: math.prod(shape) for shape in set(op.shapes)}
+    if not len(op.holders) == len(op.keys) == len(op.moves) == len(op.shapes):
+        raise ValueError("a gather must give every source a holder, a key, a shape and a move")
+    if side % width or any(n % width for n in size.values()):
+        raise ValueError(f"gathered units of {width} words must tile every {side}-word tile "
+                         "row and every source")
+    shape = (2, rows, side, side // width)
+    if op.words.shape != shape or op.charges.shape != shape:
+        raise ValueError(f"a gather's words and charges must be {shape}")
+    units = [size[shape] // width for shape in op.shapes]
+    total = sum(units)
+    if op.words.size and (op.words.min() < -1 or op.words.max() >= total):
+        bad = op.words[(op.words < -1) | (op.words >= total)][0]
+        raise ValueError(f"gathered unit offset {bad} lies past the {total} units of "
+                         f"{width} words of its sources")
+    charged = np.bincount(op.charges.ravel(), minlength=procs) * width
+    if len(charged) > procs:
+        raise ValueError(f"a gathered unit is charged to no processor of {procs}")
+    source = np.repeat(np.arange(len(units) + 1), units + [1])  # the zeros at unit -1
+    wrong = np.flatnonzero((np.append(op.holders, -1)[source][op.words] != op.charges)
+                           & (op.words >= 0))
+    if wrong.size:
+        i = source[op.words.flat[wrong[0]]]
+        raise ValueError(f"a unit of gathered source {op.keys[i]!r} at processor "
+                         f"{op.holders[i]} is charged to processor {op.charges.flat[wrong[0]]}")
+    if op.moves.any():  # a tile moved out of its holder's store is read whole, once
+        count = np.bincount(op.words.ravel() + 1, minlength=total + 1)[1:]
+        lost = np.flatnonzero((count != 1) & op.moves[source[:-1]])
+        if lost.size:
+            i = source[lost[0]]
+            raise ValueError(f"gathered source {op.keys[i]!r} moves out of processor "
+                             f"{op.holders[i]}, but a word of it is read "
+                             f"{count[lost[0]]} times")
+    kept = (op.charges == op.procs[:, None, None]).sum(axis=(0, 2, 3)) * width  # held, per row
+    own = np.bincount(op.procs, weights=kept, minlength=procs).astype(np.int64)
+    held += own
+    sent += charged - own
+    received += np.bincount(op.procs, weights=2 * side * side - kept,
+                            minlength=procs).astype(np.int64)
+    # Only a source moved out changes its holder's store.
+    return np.flatnonzero(np.bincount(op.holders[op.moves], minlength=procs)).tolist()
 
 
 def _gather_step(program, op, round_no, states):
-    values = {}  # (holder, key) -> piece
-
-    def read(holder, key, recipe):
-        if (holder, key) not in values:
-            store = states[holder]
-            make = None if recipe is None else _RECIPES[type(recipe)]
-            try:
-                values[holder, key] = (store.pop(key) if make is None
-                                       else make(program.spec, store, recipe))
-            except KeyError as missing:
-                raise MissingTile(holder, round_no, missing.args[0]) from None
-        return values[holder, key]
-
-    shape = (len(op.procs), op.side, op.side)
-    a, b = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
-    for row, tiles in enumerate(op.tiles):
-        for stack, (pieces, axis) in zip((a, b), tiles):
-            share = op.side // len(pieces)
-            part = (share, op.side) if axis == 0 else (op.side, share)
-            parts = [read(*piece) for piece in pieces]
-            for (_, key, _), value in zip(pieces, parts):
-                if value.shape != part:
-                    raise ValueError(f"gathered piece {key!r} has shape {value.shape}, not {part}")
-            stack[row] = np.concatenate(parts, axis=axis)
+    tiles = []
+    for p, key, move in zip(op.holders.tolist(), op.keys, op.moves.tolist()):
+        try:
+            tiles.append(states[p].pop(key) if move else states[p][key])
+        except KeyError:
+            raise MissingTile(p, round_no, key) from None
+    if [tile.shape for tile in tiles] != list(op.shapes):
+        key, tile, shape = next((key, tile, shape) for key, tile, shape
+                                in zip(op.keys, tiles, op.shapes) if tile.shape != shape)
+        raise ValueError(f"gathered source {key!r} has shape {tile.shape}, not {shape}")
+    tiles.append(np.full(op.width, program.spec.zero, dtype=np.int64))  # unit -1
+    units = np.concatenate(tiles, axis=None).reshape(-1, op.width)
+    a, b = units[op.words].reshape(2, -1, op.side, op.side)
     program.stacks.setdefault(op.frag, _Stacks()).fill(a, b)
-
-
-def _slice(spec, store, recipe):
-    r0, r1 = recipe.rows
-    c0, c1 = recipe.cols
-    return store[recipe.src][r0:r1, c0:c1]
-
-
-def _pack(spec, store, recipe):
-    flat = np.full(math.prod(recipe.shape), spec.zero, dtype=np.int64)
-    for i, key in enumerate(recipe.keys):
-        if key is not None:
-            flat[i] = store[key].reshape(-1)[0]
-    return flat.reshape(recipe.shape)
-
-
-# (spec, store, recipe) -> the piece; reads the holder's store, changes nothing
-_RECIPES = {Slice: _slice, Pack: _pack}
 
 
 def _rotate_words(op, held, sent, received):
@@ -476,11 +465,11 @@ def _scatter_words(op, held, sent, received):
         if not np.array_equal(dest[np.flatnonzero(np.diff(dest, prepend=-1))],
                               np.arange(len(op.keys))):
             raise ValueError("a give must sum units into each destination in turn")
-        if len(np.unique(unit)) != len(unit):
+        if unit.size and np.bincount(unit).max() > 1:
             raise ValueError("a give must take each moved unit at most once")
         if len(set(zip(op.procs.tolist(), op.keys))) != len(op.keys):
             raise ValueError("a give must hand each (processor, key) one sum")
-        return np.unique(op.procs).tolist()
+        return np.flatnonzero(np.bincount(op.procs, minlength=len(held))).tolist()
     holder = np.repeat(op.procs, len(op.to) // max(len(op.procs), 1))
     if len(holder) != len(op.to):
         raise ValueError("a move must cut its tiles into equally many units")
@@ -489,7 +478,7 @@ def _scatter_words(op, held, sent, received):
     held += np.bincount(holder[kept], minlength=procs) * size
     sent += np.bincount(holder[away], minlength=procs) * size
     received += np.bincount(op.to[away], minlength=procs) * size
-    return np.unique(op.procs).tolist()
+    return np.flatnonzero(np.bincount(op.procs, minlength=procs)).tolist()
 
 
 def _scatter_step(program, op, round_no, states):

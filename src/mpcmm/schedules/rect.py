@@ -39,7 +39,7 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix
-from ..plan import Gather, Plan, PlanProgram, Rotate, Slice
+from ..plan import Gather, Plan, PlanProgram, Rotate
 from ..semiring import SemiringSpec
 from .common import Schedule, rotation_fragment
 
@@ -189,19 +189,23 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
         plan.emit(kk, c_keys[kk], i * s, j * s, (s, s))
 
-    # Processor i * s + j gathers the pieces of A rows i * s .. i * s + s - 1
-    # and B columns j * s .. j * s + s - 1.  Round q + 2 multiplies strip q
+    # Processor i * s + j gathers strip q of A rows i * s .. i * s + s - 1
+    # and of B columns j * s .. j * s + s - 1, reading (not moving) the
+    # sources A row kk at kk, then B column kk at kk: word (u, v) of its A
+    # tile is word q * s + v of A row i * s + u, and of its B tile word
+    # q * s + u of B column j * s + v.  Round q + 2 multiplies strip q
     # before it gathers strip q + 1.
     procs = np.arange(n)
+    holders = np.tile(np.arange(n, dtype=np.int32), 2)
+    keys = tuple(("ar", kk) for kk in range(n)) + tuple(("bc", kk) for kk in range(n))
+    shapes = ((1, dp),) * n + ((dp, 1),) * n
+    i, j, u, v = np.indices((s,) * 4, dtype=np.int32).reshape(4, n, s, s)
+    charges = np.stack((i * s + u, j * s + v))  # the A row and the B column of each word
     frag = plan.fragment()
     for q in range(q_count):
-        strip = (q * s, (q + 1) * s)
-        a_rows = [tuple(_cut(kk, ("as", kk, q), ("ar", kk), (0, 1), strip)
-                        for kk in range(i * s, (i + 1) * s)) for i in range(s)]
-        b_cols = [tuple(_cut(kk, ("bs", kk, q), ("bc", kk), strip, (0, 1))
-                        for kk in range(j * s, (j + 1) * s)) for j in range(s)]
-        tiles = tuple(((a_rows[i], 0), (b_cols[j], 1)) for i in range(s) for j in range(s))
-        plan.add_group(q + 1, Gather(frag, procs, s, tiles))
+        words = np.stack((charges[0] * dp + q * s + v, (n + charges[1]) * dp + q * s + u))
+        plan.add_group(q + 1, Gather(frag, procs, s, holders, keys, shapes,
+                                     np.zeros(2 * n, dtype=bool), 1, words, charges))
         plan.add_group(q + 2, Rotate(frag, procs, s, None, None,
                                      c_keys if q == q_count - 1 else None))
 
@@ -256,12 +260,6 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
     for (i, j), group in zip(cells, holders):
         for e, (holder, key) in enumerate(group):
             plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
-
-
-def _cut(holder, key, src, rows, cols):
-    """A gathered piece that ``holder`` slices out of its input ``src``."""
-    return holder, key, Slice(key, src, rows, cols)
-
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:

@@ -48,7 +48,7 @@ import numpy as np
 from ..engine import MpcConfig
 from ..matrix import SparseMatrix, check_d_sparse
 from ..bounds import snapped
-from ..plan import Fetch, Pack, Plan, PlanProgram
+from ..plan import Fetch, Plan, PlanProgram
 from ..semiring import SemiringSpec
 from .common import Schedule, chunks, rotation_fragment
 
@@ -563,14 +563,14 @@ def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatr
                 keys = tuple(("a", r, ks[v]) if a_has[u][v] else None for v in inner)
                 key = ("xa", li, bi, u, x)
                 holder = bproc(ti, tj) if r < 0 else r
-                a_pieces.append((holder, key, Pack(key, keys, (1, grid))))
+                a_pieces.append((holder, key, keys))
             b_pieces = []
             for v in range(tj * grid, (tj + 1) * grid):
                 j = cols[v]
                 keys = tuple(("b", ks[u], j) if b_has[u][v] else None for u in inner)
                 key = ("xb", li, bi, x, v)
                 holder = bproc(ti, tj) if j < 0 else j
-                b_pieces.append((holder, key, Pack(key, keys, (grid, 1))))
+                b_pieces.append((holder, key, keys))
             return (tuple(a_pieces), 0), (tuple(b_pieces), 1)
 
         c_key = lambda ti, tj: ("XC", li, bi, ti, tj)

@@ -10,9 +10,8 @@ messages::
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
     AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
-    Slice(dst, src, rows, cols) copy a sub-block (``mpcmm.plan.Slice``)
+    Slice(dst, src, rows, cols) copy a sub-block
     Pack(dst, keys, shape)      gather scalars (None -> zero) into a tile
-                                (``mpcmm.plan.Pack``)
     Send(dst, keys)             bundle the listed tiles to processor dst
     Drop(keys)                  free tiles
 
@@ -20,6 +19,10 @@ Accumulator destinations that do not exist yet start as zero tiles, so
 plans never pre-allocate outputs.  An op that reads a key its store does
 not hold raises ``MissingTile``.  A ``Send``'s payload carries (key,
 shape) tags so that the receiver restores the tiles into its own store.
+
+:func:`gather_pieces` is the per-piece reference for ``plan.Gather``:
+it reads each piece at its holder with ``Slice``'s or ``Pack``'s own
+code, or moves the stored tile out.
 
 In a round, the plan's group ops run before any processor's ops.  The
 ops placed in the trailing local step (round ``num_rounds + 1``) run in
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpcmm.plan import MissingTile, Pack, PlanProgram, Slice
+from mpcmm.plan import MissingTile, PlanProgram
 from mpcmm.schedules import rect, sparse, square
 
 
@@ -66,6 +69,21 @@ class Assemble:
     dst: tuple
     srcs: tuple
     axis: int
+
+
+@dataclass(frozen=True)
+class Slice:
+    dst: tuple
+    src: tuple
+    rows: tuple
+    cols: tuple
+
+
+@dataclass(frozen=True)
+class Pack:
+    dst: tuple
+    keys: tuple  # one-word keys, None entries become the zero element
+    shape: tuple
 
 
 @dataclass(frozen=True)
@@ -137,6 +155,44 @@ class ReferenceProgram(PlanProgram):
             if type(op) not in _DISPATCH:
                 raise TypeError(f"unknown op {op!r}") from None
             raise MissingTile(p, round_no, missing.args[0]) from None
+
+
+def gather_pieces(spec, states, procs, side, tiles):
+    """Fill an A and a B stack piece by piece; returns them with the words
+    held, sent and received per processor.
+
+    Row r's tile is the pieces ``tiles[r] = ((a_pieces, a_axis), (b_pieces,
+    b_axis))`` concatenated along the axis, each ``(holder, key, recipe)``:
+    a ``None`` recipe moves the stored tile ``key`` out of ``states[holder]``;
+    a ``Slice`` or ``Pack`` (whose ``dst`` is ``key``) reads the piece there
+    and leaves the store as it is.  A piece several rows use is read once.
+    Its words count against its holder: as held when that is the row's
+    processor ``procs[r]``, else as sent by the holder and received there.
+    """
+    held, sent, received = (np.zeros(len(states), dtype=np.int64) for _ in range(3))
+    stacks = np.empty((2, len(procs), side, side), dtype=np.int64)
+    values = {}  # (holder, key) -> piece
+    for row, (p, tile) in enumerate(zip(procs, tiles)):
+        for stack, (pieces, axis) in zip(stacks, tile):
+            words = side * side // len(pieces)
+            parts = []
+            for holder, key, recipe in pieces:
+                if holder == p:
+                    held[p] += words
+                else:
+                    sent[holder] += words
+                    received[p] += words
+                if (holder, key) not in values:
+                    store = states[holder]
+                    if recipe is None:
+                        values[holder, key] = store.pop(key)
+                    else:
+                        scratch = dict(store)
+                        _DISPATCH[type(recipe)](spec, scratch, recipe, None)
+                        values[holder, key] = scratch[key]
+                parts.append(values[holder, key])
+            stack[row] = np.concatenate(parts, axis=axis)
+    return stacks[0], stacks[1], (held, sent, received)
 
 
 def _merge(state, inbox):

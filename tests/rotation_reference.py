@@ -2,32 +2,32 @@
 ``schedules.common.rotation_fragment``.
 
 Same signature and same result as the group-op fragment, with no group
-op.  The distribution round runs each piece's ``Slice`` or ``Pack`` at
-its holder, which sends the piece to its first consumer unless it is
-that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``, ``Send``
-and ``Drop`` list on each of the grid**2 processors, run by
-``plan_reference.ReferenceProgram`` op by op.  Tests monkeypatch it into
-the square, rect and sparse modules to run every schedule both ways,
-together with ``hand_back``, the per-processor hand-back of the sparse
-layers' C rows.
+op.  The distribution round packs each piece that lists one-word keys
+into a tile at its holder (``Pack``), which sends the piece to its first
+consumer unless it is that consumer; every slot is an ``Assemble``
+(slot 0), ``Mac``, ``Send`` and ``Drop`` list on each of the grid**2
+processors, run by ``plan_reference.ReferenceProgram`` op by op.  Tests
+monkeypatch it into the square, rect and sparse modules to run every
+schedule both ways, together with ``hand_back``, the per-processor
+hand-back of the sparse layers' C rows.
 """
 
-from mpcmm.plan import Slice
-
-from plan_reference import AccCell, Assemble, Drop, Mac, Send, add
+from plan_reference import AccCell, Assemble, Drop, Mac, Pack, Send, Slice, add
 
 
-def distribute(plan, grid, proc, parts, round_no):
+def distribute(plan, grid, proc, parts, round_no, side):
     """Place every slot-0 piece at its consumer; returns, per cell in
     row-major order, the piece keys with their axes."""
     gather = []
     for i in range(grid):
         for j in range(grid):
             tiles = parts(i, j, (i + j) % grid)
-            for pieces, _ in tiles:
-                for holder, key, make in pieces:
-                    if make is not None:
-                        add(plan, round_no, holder, make)
+            for pieces, axis in tiles:
+                share = side // len(pieces)
+                shape = (share, side) if axis == 0 else (side, share)
+                for holder, key, words in pieces:
+                    if words is not None:
+                        add(plan, round_no, holder, Pack(key, words, shape))
                     if proc(i, j) != holder:
                         add(plan, round_no, holder, Send(proc(i, j), (key,)), Drop((key,)))
             gather.append(tuple((tuple(k for _, k, _ in pieces), axis) for pieces, axis in tiles))
@@ -35,7 +35,7 @@ def distribute(plan, grid, proc, parts, round_no):
 
 
 def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
-    gather = distribute(plan, grid, proc, parts, first_round - 1)
+    gather = distribute(plan, grid, proc, parts, first_round - 1, side)
     frag = plan.fragment()  # keeps this fragment's tile keys apart from others'
     for i in range(grid):
         for j in range(grid):

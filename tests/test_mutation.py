@@ -14,10 +14,14 @@ or duplicated there, must end in an oracle mismatch; a fetched b value
 deleted from its sender's store must raise ``MissingTile`` naming that
 sender and the round.
 
-Gather mutants change one piece of a built golden plan's ``Gather``:
-a piece moved to a holder that lacks its key must raise ``MissingTile``
-naming that holder and the gather's round, and a tile with one piece
-removed is rejected with a ``ValueError`` before any word moves.
+Gather mutants change one source or unit of a built golden plan's
+``Gather``: a source moved, with the units that read it, to a holder
+that lacks its key must raise ``MissingTile`` naming that holder and the
+gather's round; a row that stops reading its piece of a source that
+moves out of its holder's store (its units read zeros instead), and a
+unit whose offset lies past the sources' units (where the step appends
+its zeros), are each rejected with a ``ValueError`` before any word
+moves.
 
 Scatter mutants change one unit of a built golden plan's ``Scatter``
 ops, on every golden plan that has one: the (d,n,d) tree sums, the
@@ -41,6 +45,7 @@ too, whose values are all positive.
 """
 
 import inspect
+import math
 import sys
 import types
 
@@ -50,7 +55,7 @@ import pytest
 import mpcmm.experiment as experiment
 import mpcmm.semiring as semiring
 from mpcmm.experiment import ExperimentConfig, run_experiment
-from mpcmm.plan import Fetch, Gather, Pack, Scatter
+from mpcmm.plan import Fetch, Gather, Scatter
 
 from fetch_reference import per_processor_fetch
 from plan_reference import Mac, MulAcc, Send
@@ -234,34 +239,40 @@ def test_missing_tile_record_names_processor_and_round(monkeypatch):
         assert (violation["processor"], violation["round"]) == (processor, round_no)
 
 
-def _pieces(plan):
-    """(round, op index, row, side, piece index) of every gathered piece
-    that reads its holder's store, in round order (padding reads nothing)."""
-    return [
-        (round_no, g, row, side, i)
-        for round_no, ops in sorted(plan.groups.items())
-        for g, op in enumerate(ops) if isinstance(op, Gather)
-        for row, tiles in enumerate(op.tiles)
-        for side, (pieces, _) in enumerate(tiles)
-        for i, (_, _, recipe) in enumerate(pieces)
-        if not (isinstance(recipe, Pack) and not any(recipe.keys))
-    ]
+def _gathers(plan):
+    """(round, op index) of every ``Gather``, in round order."""
+    return [(round_no, g) for round_no, ops in sorted(plan.groups.items())
+            for g, op in enumerate(ops) if isinstance(op, Gather)]
 
 
-def _piece_at(plan, site):
-    round_no, g, row, side, i = site
-    return plan.groups[round_no][g].tiles[row][side][0][i]
+def _sources_of_units(op):
+    """The source each unit of ``op`` reads, shaped like its words; -1 for zeros."""
+    units = [math.prod(shape) // op.width for shape in op.shapes]
+    return np.append(np.repeat(np.arange(len(units)), units), -1)[op.words]
 
 
-def _replace_piece(plan, site, piece):
-    """Put ``piece`` in place of the one at ``site``; None removes it."""
-    round_no, g, row, side, i = site
+def _move_source(plan, site, holder):
+    """Give the source at ``site`` (round, op index, source) to ``holder``,
+    and charge the units that read it there."""
+    round_no, g, i = site
     op = plan.groups[round_no][g]
-    tiles = [list(tile) for tile in op.tiles]
-    pieces, axis = tiles[row][side]
-    pieces = pieces[:i] + ((piece,) if piece is not None else ()) + pieces[i + 1 :]
-    tiles[row][side] = pieces, axis
-    plan.groups[round_no][g] = op._replace(tiles=tuple(map(tuple, tiles)))
+    holders = op.holders.copy()
+    holders[i] = holder
+    charges = np.where(_sources_of_units(op) == i, holder, op.charges).astype(np.int32)
+    plan.groups[round_no][g] = op._replace(holders=holders, charges=charges)
+
+
+def _moved_pieces(plan):
+    """(round, op index, stack side, row, source) of every piece that a row
+    reads of a source that moves out of its holder's store, in round order."""
+    sites = []
+    for round_no, g in _gathers(plan):
+        op = plan.groups[round_no][g]
+        source = _sources_of_units(op).reshape(2, len(op.procs), -1)
+        side, row, unit = np.nonzero((source >= 0) & op.moves[source])
+        pieces = np.unique(np.stack((side, row, source[side, row, unit])), axis=1)
+        sites += [(round_no, g, *piece) for piece in pieces.T.tolist()]
+    return sites
 
 
 @pytest.mark.parametrize("position", sorted(PICK))
@@ -271,12 +282,15 @@ def test_gathered_piece_missing_at_its_holder_raises_missing_tile(monkeypatch, p
         moved = []
 
         def mutate(plan):
-            sites = _pieces(plan) if plan.num_procs > 1 else ()  # another holder must exist
+            sites = [(round_no, g, i) for round_no, g in _gathers(plan)
+                     for i in range(len(plan.groups[round_no][g].keys))]
+            if plan.num_procs == 1:  # another holder must exist
+                sites = []
             if sites:
                 site = sites[PICK[position](len(sites))]
-                holder, key, recipe = _piece_at(plan, site)
-                other = (holder + 1) % plan.num_procs
-                _replace_piece(plan, site, (other, key, recipe))
+                op = plan.groups[site[0]][site[1]]
+                other = (int(op.holders[site[2]]) + 1) % plan.num_procs
+                _move_source(plan, site, other)
                 moved.append((other, site[0]))
             return sites
 
@@ -291,22 +305,72 @@ def test_gathered_piece_missing_at_its_holder_raises_missing_tile(monkeypatch, p
     assert caught >= 20
 
 
+def _drop_piece(plan, site):
+    round_no, g, side, row, i = site
+    op = plan.groups[round_no][g]
+    words = op.words.copy()
+    words[side, row][_sources_of_units(op)[side, row] == i] = -1
+    plan.groups[round_no][g] = op._replace(words=words)
+    return repr(op.keys[i])
+
+
+def _units(plan):
+    """(round, op index, unit) of every unit that reads a source, in round order."""
+    return [(round_no, g, unit) for round_no, g in _gathers(plan)
+            for unit in np.flatnonzero(plan.groups[round_no][g].words >= 0).tolist()]
+
+
+def _offset_past_the_sources(plan, site):
+    round_no, g, unit = site
+    op = plan.groups[round_no][g]
+    words = op.words.copy()
+    words.flat[unit] = sum(math.prod(shape) for shape in op.shapes) // op.width
+    plan.groups[round_no][g] = op._replace(words=words)
+
+
 @pytest.mark.parametrize("position", sorted(PICK))
 def test_gathered_tile_missing_a_piece_is_rejected(monkeypatch, position):
+    """A row that stops reading its piece of a moved source loses those
+    words.  A piece of a source that is only read, pointed at the zero word
+    instead, is a valid gather of other inputs (as the sparse padding is),
+    so only the moved pieces are mutated."""
     caught = 0
     for name in GATHER_GOLDEN:
+        dropped = []
 
         def mutate(plan):
-            sites = _pieces(plan)
+            sites = _moved_pieces(plan)
             if sites:
-                _replace_piece(plan, sites[PICK[position](len(sites))], None)
+                dropped.append(_drop_piece(plan, sites[PICK[position](len(sites))]))
             return sites
 
         config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
         try:
             summary = _run_mutated(monkeypatch, config, mutate)
         except ValueError as err:
-            assert "piece" in str(err), name
+            assert dropped[0] in str(err), name
+            caught += 1
+        else:
+            assert summary is None, name
+    assert caught >= 20
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+def test_gathered_unit_past_the_sources_is_rejected(monkeypatch, position):
+    caught = 0
+    for name in GATHER_GOLDEN:
+
+        def mutate(plan):
+            sites = _units(plan)
+            if sites:
+                _offset_past_the_sources(plan, sites[PICK[position](len(sites))])
+            return sites
+
+        config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
+        try:
+            summary = _run_mutated(monkeypatch, config, mutate)
+        except ValueError as err:
+            assert "past the" in str(err), name
             caught += 1
         else:
             assert summary is None, name

@@ -3,20 +3,24 @@ op dispatch, send payloads and tile sharing."""
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
-from mpcmm.plan import (Emit, Fetch, Gather, MissingTile, Pack, Plan, PlanProgram, Rotate,
-                        Scatter, Slice, assemble_output)
-from mpcmm.schedules.common import rotation_fragment
+from mpcmm.plan import (Emit, Fetch, Gather, MissingTile, Plan, PlanProgram, Rotate, Scatter,
+                        assemble_output)
+from mpcmm.schedules.common import gather, rotation_fragment
 
 import plan_reference
-from plan_reference import Drop, Mac, MulAcc, ReferenceProgram, Send, add
+import rotation_reference
+from plan_reference import (Drop, Mac, MulAcc, Pack, ReferenceProgram, Send, Slice, add,
+                            gather_pieces)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
@@ -33,16 +37,19 @@ def _dataclasses(module):
 
 
 def test_every_op_has_a_dispatch_entry():
-    # The shipped interpreter: group ops, gather recipes and emits only.
-    assert _dataclasses(plan_module) == {Plan, Slice, Pack, Emit}
-    assert set(plan_module._RECIPES) == {Slice, Pack}
+    # The shipped interpreter: group ops, a plan and its emits only; a
+    # gather reads index arrays, with no recipe kinds.
+    assert _dataclasses(plan_module) == {Plan, Emit}
     assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Scatter, Fetch}
-    assert not {"_DISPATCH", "_exec"} & set(vars(plan_module))
+    assert not {"_DISPATCH", "_exec", "_RECIPES"} & set(vars(plan_module))
     assert "add" not in vars(Plan) and "handler" not in vars(PlanProgram)
-    # The reference runs every per-processor kind, the recipes among them.
+    # The reference runs every per-processor kind, Slice and Pack among them,
+    # and the per-processor rotation takes them from it.
     ops = _dataclasses(plan_reference)
-    assert len(ops) == 6
-    assert set(plan_reference._DISPATCH) == ops | {Slice, Pack}
+    assert len(ops) == 8 and {plan_reference.Slice, plan_reference.Pack} <= ops
+    assert set(plan_reference._DISPATCH) == ops
+    assert rotation_reference.Slice is plan_reference.Slice
+    assert rotation_reference.Pack is plan_reference.Pack
 
 
 def test_plan_program_rejects_per_processor_ops():
@@ -121,8 +128,8 @@ def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
     plan = Plan(num_procs=4, num_rounds=1)
     to = np.array([1, 0, 3, 2])
     if kind == "gather":  # processor 1 holds the pieces processor 0 consumes
-        pieces = ((1, ("x",), None),), 0
-        op = Gather(0, np.arange(1), 1, ((pieces, pieces),))
+        a, b = ((((1, (key,), None),), 0) for key in "xy")
+        op = gather(0, np.arange(1), 1, [(a, b)])
     elif kind == "rotate":
         op = Rotate(0, np.arange(4), 1, to, to, None)
     else:  # the move that starts a four-member tree sum
@@ -146,11 +153,151 @@ def test_missing_tile_in_a_gather_names_the_holder_and_round():
                                              (2, "has shape")])
 def test_gather_tiles_must_be_equal_pieces(pieces, message):
     plan = Plan(num_procs=1, num_rounds=1)
-    plan.set_init(0, ("x",), np.ones((2, 2), dtype=np.int64))
-    tile = tuple((0, ("x",), None) for _ in range(pieces)), 0
-    plan.add_group(1, Gather(0, np.arange(1), 4, ((tile, tile),)))
+    tile = []
+    for stack in "ab":  # every piece a stored 2x2 tile, where a 4x4 tile's halves are 2x4
+        keys = [(stack, k) for k in range(pieces)]
+        for key in keys:
+            plan.set_init(0, key, np.ones((2, 2), dtype=np.int64))
+        tile.append((tuple((0, key, None) for key in keys), 0))
     with pytest.raises(ValueError, match=message):
+        plan.add_group(1, gather(0, np.arange(1), 4, [tuple(tile)]))
         run(PlanProgram(plan, INT), MpcConfig(1, 64))
+
+
+def _edit(op, field, index, value):
+    array = getattr(op, field).copy()
+    array[index] = value
+    return op._replace(**{field: array})
+
+
+@pytest.mark.parametrize("edit, message", [
+    # row 0 reads zeros where A[0, 0], which moves out, was
+    (lambda op: _edit(op, "words", (0, 0, 0, 0), -1), "read 0 times"),
+    # row 1 reads row 0's A tile too, charged to its holder
+    (lambda op: _edit(_edit(op, "words", (0, 1, 0, 0), op.words[0, 0, 0, 0]),
+                      "charges", (0, 1, 0, 0), 0), "read 2 times"),
+    (lambda op: _edit(op, "words", (1, 3, 0, 0), 8), "past the 8 units"),
+    (lambda op: _edit(op, "charges", (1, 3, 0, 0), 2), "is charged to processor 2"),
+    (lambda op: _edit(op, "charges", (1, 3, 0, 0), 4), "no processor of 4"),
+    (lambda op: op._replace(width=2), "must tile"),
+    (lambda op: op._replace(moves=op.moves[:-1]), "every source"),
+], ids=["lost", "twice", "past", "charge", "nobody", "width", "moves"])
+def test_a_gather_that_misplaces_a_word_raises_value_error(edit, message):
+    plan, _ = _rotation_plan(2, 3, 3)  # the gather runs in round 2
+    (op,) = plan.groups[2]
+    PlanProgram(plan, INT)
+    plan.groups[2] = [edit(op)]
+    with pytest.raises(ValueError, match=message):
+        PlanProgram(plan, INT)
+
+
+def _word_gather(procs, side, tiles, init):
+    """The ``Gather`` of ``gather_pieces``' ``tiles``, one word per unit,
+    translated word by word; ``init[p]`` is processor p's store."""
+    index = {}  # (holder, key) -> (source, shape, moves)
+    at = np.empty((2, 2, len(procs), side, side), dtype=np.int64)  # (source, word) per word
+    charges = np.empty((2, len(procs), side, side), dtype=np.int32)
+    for row, tile in enumerate(tiles):
+        for s, (pieces, axis) in enumerate(tile):
+            share = side // len(pieces)
+            rows, cols = (share, side) if axis == 0 else (side, share)
+            for n, (holder, key, recipe) in enumerate(pieces):
+                for y in range(rows):
+                    for x in range(cols):
+                        y0, x0 = (n * share, 0) if axis == 0 else (0, n * share)
+                        where = (s, row, y0 + y, x0 + x)
+                        charges[where] = holder
+                        if recipe is None:  # the stored tile key, moved out
+                            src, word = key, y * cols + x
+                        elif isinstance(recipe, Slice):
+                            src = recipe.src
+                            word = ((recipe.rows[0] + y) * init[holder][src].shape[1]
+                                    + recipe.cols[0] + x)
+                        else:
+                            src, word = recipe.keys[y * cols + x], 0
+                        if src is None:
+                            at[(slice(None), *where)] = -1
+                            continue
+                        shape = init[holder][src].shape
+                        i = index.setdefault((holder, src), (len(index), shape, recipe is None))[0]
+                        at[(slice(None), *where)] = i, word
+    sizes = [math.prod(shape) for _, shape, _ in index.values()]
+    starts = np.append(np.cumsum([0] + sizes)[:-1], -1)
+    words = np.where(at[0] < 0, -1, starts[at[0]] + at[1]).astype(np.int32)
+    return Gather(0, np.array(procs), side, np.array([h for h, _ in index], dtype=np.int32),
+                  tuple(key for _, key in index), tuple(shape for _, shape, _ in index.values()),
+                  np.array([moves for _, _, moves in index.values()], dtype=bool), 1,
+                  words, charges)
+
+
+@st.composite
+def _gathers(draw):
+    """A gather of pieces that move stored tiles out, slice strips and
+    sub-blocks out of one stored tile per processor, or pack one-word tiles
+    and zeros, over up to four processors that share their sources."""
+    procs_n = draw(st.integers(1, 4))
+    side = draw(st.sampled_from([1, 2, 4]))
+    procs = draw(st.lists(st.integers(0, procs_n - 1), min_size=1, max_size=4))
+    values = st.integers(0, 9)
+    init = {p: {("T", p): np.array(draw(st.lists(values, min_size=4 * side * side,
+                                                 max_size=4 * side * side))).reshape(2 * side, -1),
+                **{("w", p, i): np.array([draw(values)]) for i in range(3)}}
+            for p in range(procs_n)}
+    layout = [(draw(st.sampled_from([c for c in (1, 2, 4) if side % c == 0])),
+               draw(st.sampled_from([0, 1])),
+               draw(st.sampled_from(["move", "slice", "pack", "mixed"]))) for _ in "ab"]
+    tiles = []
+    for _ in procs:
+        tile = []
+        for count, axis, kind in layout:
+            rows, cols = (side // count, side) if axis == 0 else (side, side // count)
+            pieces = []
+            for _ in range(count):
+                holder = draw(st.integers(0, procs_n - 1))
+                made = kind if kind != "mixed" else draw(st.sampled_from(["move", "slice", "pack"]))
+                key = ("piece", len(pieces), len(tiles), len(tile))
+                if made == "move":
+                    init[holder][key] = np.array(draw(st.lists(values, min_size=rows * cols,
+                                                               max_size=rows * cols)))
+                    init[holder][key] = init[holder][key].reshape(rows, cols)
+                    pieces.append((holder, key, None))
+                elif made == "slice":
+                    r0 = draw(st.integers(0, 2 * side - rows))
+                    c0 = draw(st.integers(0, 2 * side - cols))
+                    pieces.append((holder, key, Slice(key, ("T", holder), (r0, r0 + rows),
+                                                      (c0, c0 + cols))))
+                else:
+                    words = st.sampled_from([None] + [("w", holder, i) for i in range(3)])
+                    keys = tuple(draw(words) for _ in range(rows * cols))
+                    pieces.append((holder, key, Pack(key, keys, (rows, cols))))
+            tile.append((tuple(pieces), axis))
+        tiles.append(tuple(tile))
+    return procs_n, procs, side, tiles, init, {kind for _, _, kind in layout}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_gathers(), semiring=st.sampled_from(["int", "tropical"]))
+def test_index_gather_matches_the_per_piece_reference(case, semiring):
+    procs_n, procs, side, tiles, init, kinds = case
+    spec = get_semiring(semiring)
+    ref_states = [dict(init[p]) for p in range(procs_n)]
+    a, b, words = gather_pieces(spec, ref_states, procs, side, tiles)
+    ops = [_word_gather(procs, side, tiles, init)]
+    if not kinds & {"slice", "mixed"}:  # the builders' translation, with wider units
+        ops.append(gather(0, np.array(procs), side, [
+            tuple((tuple((h, k, r if r is None else r.keys) for h, k, r in pieces), axis)
+                  for pieces, axis in tile) for tile in tiles]))
+    for op in ops:
+        plan = Plan(num_procs=procs_n, num_rounds=1)
+        plan.init = init
+        plan.add_group(1, op)
+        program = PlanProgram(plan, spec)
+        assert all(np.array_equal(x, y) for x, y in zip(program.group_words[1], words))
+        states = [program.init_state(p) for p in range(procs_n)]
+        program.group_step(1, states, {})
+        stacks = program.stacks[0]
+        assert np.array_equal(stacks.a, a) and np.array_equal(stacks.b, b)
+        assert [sorted(store) for store in states] == [sorted(store) for store in ref_states]
 
 
 def test_send_past_the_last_round_raises_value_error():
@@ -276,8 +423,8 @@ def test_shipped_builders_place_no_per_processor_op(name):
 
 @pytest.mark.parametrize("name", sorted(n for n, f in GOLDEN_CONFIGS.items() if f["case"] == "ndn"))
 def test_ndn_gathers_hand_no_processor_to_the_handler(monkeypatch, name):
-    """ndn's gathers read every piece through a ``Slice`` recipe, which
-    leaves its holder's store as it is, and its last slot hands C back in
+    """ndn's gathers read strips of the stored input rows and columns,
+    which stay in their holders' stores, and its last slot hands C back in
     the trailing step: no round hands a processor to the engine's handler."""
     handed = []
 

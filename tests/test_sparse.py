@@ -351,8 +351,7 @@ def test_four_kept_layers_match_the_reference_and_their_hashes(monkeypatch, tmp_
         ops = plan.groups[round_no]
         give = next(i for i, op in enumerate(ops) if isinstance(op, Scatter) and op.to is None)
         gather = next(i for i, op in enumerate(ops) if isinstance(op, Gather))
-        holders = {holder for row in ops[gather].tiles for pieces, _ in row
-                   for holder, _, _ in pieces}
+        holders = set(ops[gather].charges.ravel().tolist())
         assert give < gather and holders & set(ops[give].procs.tolist())
     _assert_built_both_ways_agree(lambda: _build(config))
     summary = run_experiment(config, out_dir=str(tmp_path))
