@@ -26,21 +26,22 @@ the order sent, received, peak, so the first record is well defined.
 Two optional program hooks let whole rounds run without touching every
 processor:
 
-* ``active(round_no)`` names the processors whose state may change in
-  the round other than through their inbox: those ``handler`` has work
-  for, and those whose state ``group_step`` replaces, which ``handler``
-  hands back so that the engine measures it.  A processor left out whose
-  inbox is empty is not handed to ``handler``: it keeps its state and the
-  engine keeps its cached state words.  The default, ``None``, hands
-  every processor to ``handler``.
+* ``active(round_no)`` names the processors ``handler`` has work for in
+  the round other than their inbox.  A processor left out whose inbox is
+  empty is not handed to ``handler``: it keeps its state and the engine
+  keeps its cached state words.  The default, ``None``, hands every
+  processor to ``handler``.
 * ``group_step(round_no, states, inboxes)`` runs work done for many
   processors at once (tile stacks moved by index permutation, say)
-  before the round's handlers.  It returns that work's words as three
+  before the round's handlers.  It may change stores in place.  It
+  returns (held, sent, received, changed): that work's words as three
   int arrays over processors, taken from static shapes rather than
-  measured: words held at the end of the round (and so at the start of
-  the next, or at finalize), words sent and words received.  The engine
-  adds them to the same sent, received and peak figures as messages.
-  In the trailing local step all three must be zero.
+  measured (words held at the end of the round, and so at the start of
+  the next or at finalize, words sent and words received), and the
+  processors whose states it changed.  The engine adds the words to the
+  same sent, received and peak figures as messages, and re-measures the
+  state words of each processor in ``changed`` right after the step.
+  In the trailing local step the three arrays must be zero.
 """
 
 from __future__ import annotations
@@ -203,20 +204,20 @@ class Program:
         return {}
 
     def active(self, round_no: int):
-        """Processors, ascending, whose state may change in the round other
-        than through their inbox; None means all of them."""
+        """Processors, ascending, that ``handler`` has work for in the round
+        other than their inbox; None means all of them."""
         return None
 
     def group_step(self, round_no: int, states: list, inboxes: dict):
         """Run the round's group work before its handlers.
 
-        It may replace entries of ``states`` (a list over processors) and
-        pop entries of ``inboxes`` (processor -> non-empty message list),
-        but only for processors that ``active`` names in this round.
-        Returns (held, sent, received) int arrays, or None for no group
-        work.  It is also called once for round ``total_rounds + 1``, the
-        trailing local step, before any ``finalize``; the work it does
-        there must hold, send and receive nothing.
+        It may change entries of ``states`` (a list over processors) in
+        place or replace them, and pop entries of ``inboxes`` (processor ->
+        non-empty message list), but only for the processors it returns in
+        ``changed``.  Returns (held, sent, received, changed), or None for
+        no group work.  It is also called once for round ``total_rounds +
+        1``, the trailing local step, before any ``finalize``; the work it
+        does there must hold, send and receive nothing.
         """
         return None
 
@@ -283,9 +284,11 @@ def run(program: Program, config: MpcConfig) -> RunResult:
         if group is None:
             held = np.zeros(procs, dtype=np.int64)
         else:
-            held, group_sent, group_received = group
+            held, group_sent, group_received, changed = group
             sent += group_sent
             received += group_received
+            for p in changed:
+                state_words[p] = _words(states[p])
         active = program.active(round_no)
         if active is None:
             handled = everyone
@@ -354,7 +357,7 @@ def run(program: Program, config: MpcConfig) -> RunResult:
             row = transcript.rows[(program.total_rounds - 1) * procs + p]
             row.peak_memory = max(row.peak_memory, fin_words)
     group = program.group_step(program.total_rounds + 1, states, inboxes)
-    if group is not None and any(words.any() for words in group):
+    if group is not None and any(words.any() for words in group[:3]):
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
     for p in everyone:
         outputs[p] = program.finalize(p, states[p], inboxes.get(p) or [])

@@ -12,12 +12,16 @@ same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
 its static words and its step.
 
 All kinds share one store contract.  A processor's store in a round is
-its state after that round's messages arrive.  Before a round's first
-group op, each processor whose store one of the round's group ops
-changes (the processors the kind's words function returns) gets one copy
-of its store, and the group ops change that copy in place.  A group op
-hands values to stores only through ``_give``, which accumulates: a key
-already held becomes old (+) new.
+its state after that round's messages arrive.  Group ops change the
+stores in place: each run starts from its own copies of the initial
+stores (``init_state``), and no group op writes into an array it did not
+make.  A group op hands values to stores only through ``_give``, which
+accumulates: a key already held becomes old (+) new.  The engine
+re-measures the stores of the processors a round's group ops change (the
+ones the kinds' words functions return), and hands no processor to its
+``handler``.  Every kind reads stored tiles through one reader,
+``_tiles``; a key its processor's store lacks raises
+:class:`MissingTile`, and so does an emitted key at finalize.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each, from source tiles.  Each distinct tile it reads is listed
@@ -91,10 +95,7 @@ its emits.  It is local, so nothing in it may send, and no group op may
 be placed later.  A group op's words (held, sent, received) come from
 its static shape, not from the stacks, and the engine charges them like
 messages.  Its held words are those it keeps out of the stores at the
-end of the round, not those in flight.  ``PlanProgram.active`` names,
-per round, the processors whose stores the round's group ops change:
-only those are handed to the engine's ``handler``, which then measures
-their stores.
+end of the round, not those in flight.
 
 ``Plan.ops`` is where a per-processor op list would go, per (round,
 processor).  No shipped builder places one and ``PlanProgram`` rejects a
@@ -105,6 +106,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -248,9 +250,9 @@ class PlanProgram(Program):
             raise ValueError(f"a group op is placed in round {past}, past the trailing "
                              f"local step (round {trailing})")
 
-        # Static group words per round (held at its end, sent, received) and
-        # the processors whose stores the round's group ops change.
-        self.group_words, self.group_procs = {}, {}
+        # Per round: the group ops' static words (held at its end, sent,
+        # received) and the processors whose stores they change.
+        self.group_words = {}
         for round_no, group_ops in plan.groups.items():
             words = tuple(np.zeros(procs, dtype=np.int64) for _ in range(3))
             touched = set()
@@ -259,8 +261,7 @@ class PlanProgram(Program):
             if round_no == trailing and any(figures.any() for figures in words):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
-            self.group_words[round_no] = words
-            self.group_procs[round_no] = sorted(touched)
+            self.group_words[round_no] = (*words, sorted(touched))
         self.start()
 
     def _check_ops(self, plan):
@@ -276,26 +277,22 @@ class PlanProgram(Program):
         return dict(self.plan.init.get(p, {}))
 
     def active(self, round_no):
-        return self.group_procs.get(round_no, ())
+        return ()
 
     def group_step(self, round_no, states, inboxes):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
-        for p in self.group_procs[round_no]:
-            states[p] = dict(states[p])
         for op in group_ops:
             _GROUP_DISPATCH[type(op)].step(self, op, round_no, states)
         return self.group_words[round_no]
 
     def finalize(self, p, state, inbox):
-        out = []
-        for e in self.plan.emits.get(p, ()):
-            block = state.get(e.key)
-            if block is None:
-                block = np.full(e.shape, self.spec.zero, dtype=np.int64)
-            out.append((e.row, e.col, block.reshape(e.shape)))
-        return out
+        try:
+            return [(e.row, e.col, state[e.key].reshape(e.shape))
+                    for e in self.plan.emits.get(p, ())]
+        except KeyError as missing:
+            raise MissingTile(p, None, missing.args[0]) from None
 
 
 class _GroupKind(NamedTuple):
@@ -316,11 +313,22 @@ def _group_kind(op):
         raise TypeError(f"unknown group op {op!r}") from None
 
 
-def _pop(store, key, p, round_no):
+def _tiles(program, states, procs, keys, moves, round_no):
+    """Tile ``keys[i]`` of processor ``procs[i]``'s store, for every i: moved
+    out of the store where ``moves[i]``, else only read.  The first key, in
+    order, that its store lacks raises :class:`MissingTile`."""
+    tiles = []
     try:
-        return store.pop(key)
+        for p, key, move in zip(procs, keys, moves):
+            tiles.append(states[p].pop(key) if move else states[p][key])
     except KeyError:
-        raise MissingTile(p, round_no, key) from None
+        raise _missing(program, p, round_no, key) from None
+    return tiles
+
+
+def _missing(program, p, round_no, key):
+    """The :class:`MissingTile` for ``key`` at ``p``; the trailing step reports round None."""
+    return MissingTile(p, round_no if round_no <= program.total_rounds else None, key)
 
 
 # -- Gather and Rotate -------------------------------------------------------
@@ -395,12 +403,7 @@ def _gather_words(op, held, sent, received):
 
 
 def _gather_step(program, op, round_no, states):
-    tiles = []
-    for p, key, move in zip(op.holders.tolist(), op.keys, op.moves.tolist()):
-        try:
-            tiles.append(states[p].pop(key) if move else states[p][key])
-        except KeyError:
-            raise MissingTile(p, round_no, key) from None
+    tiles = _tiles(program, states, op.holders.tolist(), op.keys, op.moves.tolist(), round_no)
     if [tile.shape for tile in tiles] != list(op.shapes):
         key, tile, shape = next((key, tile, shape) for key, tile, shape
                                 in zip(op.keys, tiles, op.shapes) if tile.shape != shape)
@@ -484,21 +487,18 @@ def _scatter_words(op, held, sent, received):
 def _scatter_step(program, op, round_no, states):
     if op.take is None:  # a move
         size = len(op.to) // max(len(op.procs), 1) * math.prod(op.shape)  # words per tile
-        values = np.empty((len(op.procs), size), dtype=np.int64)
-        for i, (p, key) in enumerate(zip(op.procs.tolist(), op.keys)):
-            tile = _pop(states[p], key, p, round_no)
+        tiles = _tiles(program, states, op.procs.tolist(), op.keys, repeat(True), round_no)
+        for key, tile in zip(op.keys, tiles):
             if tile.size != size:
                 raise ValueError(f"scattered tile {key!r} has {tile.size} words, not {size}")
-            values[i] = tile.reshape(-1)
-        program.stacks[op.frag] = op.to, values.reshape(len(op.to), -1)
+        program.stacks[op.frag] = op.to, np.concatenate(tiles, axis=None).reshape(len(op.to), -1)
         return
     to, values = program.stacks.pop(op.frag)
     unit, dest = op.take
     stray = np.flatnonzero(to[unit] != op.procs[dest])
     if stray.size:
         i = dest[stray[0]]
-        where = round_no if round_no <= program.total_rounds else None  # None: the trailing step
-        raise MissingTile(int(op.procs[i]), where, op.keys[i])
+        raise _missing(program, int(op.procs[i]), round_no, op.keys[i])
     sums = _segment_add(program.spec, values[unit], np.flatnonzero(np.diff(dest, prepend=-1)))
     _give(program.spec, states, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
 
@@ -514,31 +514,31 @@ def _fetch_words(op, held, sent, received):
 
 
 def _fetch_step(program, op, round_no, states):
-    where = round_no if round_no <= program.total_rounds else None  # None: the trailing step
+    def read(procs, keys):  # the one-word tiles, left in their stores
+        return np.concatenate(_tiles(program, states, procs, keys, repeat(False), round_no))
+
     moved, values = program.stacks.pop(op.frag, (op.fold[:, :0], op.fold[0, :0]))
     local = op.fold[2] == op.fold[0]
     if not np.array_equal(op.fold[:, ~local], moved):
         raise ValueError("a fetch must fold the values the last round moved, in their order")
     if op.fold.size:
-        _fetch_fold(program.spec, op.fold, local, values, states, where)
+        _fetch_fold(program.spec, op.fold, local, values, states, read)
     if op.move.size:
         _, k, j = op.move.tolist()
-        keys = [("b", kk, jj) for kk, jj in zip(k, j)]
-        program.stacks[op.frag] = op.move, _words_at(states, j, keys, where)
+        program.stacks[op.frag] = op.move, read(j, [("b", kk, jj) for kk, jj in zip(k, j)])
 
 
-def _fetch_fold(spec, terms, local, values, states, where):
+def _fetch_fold(spec, terms, local, values, states, read):
     """c(r, j) (+)= a(r, k) (*) b(k, j) for every (r, k, j) column of ``terms``:
     b(k, j) is in r's store where ``local``, else the next of ``values``."""
     r, k, j = terms
     owners = r.tolist()
-    a = _words_at(states, owners, [("a", p, q) for p, q in zip(owners, k.tolist())], where)
+    a = read(owners, [("a", p, q) for p, q in zip(owners, k.tolist())])
     b = np.empty_like(a)
     b[~local] = values
     if local.any():
         mine = r[local].tolist()
-        b[local] = _words_at(states, mine, [("b", q, p) for p, q in zip(mine, k[local].tolist())],
-                             where)
+        b[local] = read(mine, [("b", q, p) for p, q in zip(mine, k[local].tolist())])
     order = np.lexsort((j, r))
     r, j = r[order], j[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])
@@ -570,15 +570,6 @@ def _give(spec, states, procs, keys, values):
         values[held] = spec.vadd(old, values[held])
     for p, key, value in zip(procs, keys, values):
         states[p][key] = value
-
-
-def _words_at(states, procs, keys, round_no):
-    """The one-word tile ``keys[i]`` of processor ``procs[i]``'s store, for every i."""
-    try:
-        return np.concatenate([states[p][key] for p, key in zip(procs, keys)])
-    except KeyError:
-        p, key = next((p, key) for p, key in zip(procs, keys) if key not in states[p])
-        raise MissingTile(p, round_no, key) from None
 
 
 _GROUP_DISPATCH = {

@@ -147,15 +147,7 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
     plan.num_rounds = rounds
     for e, (proc, key) in enumerate(holders):
         plan.emit(proc, key, e // side, e % side, (1,))
-    return Schedule(
-        PlanProgram(plan, spec),
-        MpcConfig(t, k),
-        side,
-        side,
-        side,
-        side,
-        meta={"predicted_rounds": rounds},
-    )
+    return Schedule(PlanProgram(plan, spec), MpcConfig(t, k), side, side, side, side)
 
 
 def _check_inputs(n, d, a, b, rows, cols):
@@ -216,7 +208,7 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
         n,
         n,
         n,
-        meta={"predicted_rounds": q_count, "padded_d": dp},
+        meta={"padded_d": dp},
     )
 
 
@@ -297,7 +289,7 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         d,
         d,
         d,
-        meta={"predicted_rounds": plan.num_rounds, "groups": d, "group_size": t},
+        meta={"groups": d, "group_size": t},
     )
 
 
@@ -343,5 +335,5 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
         dp,
         d,
         d,
-        meta={"predicted_rounds": plan.num_rounds, "padded_d": dp, "group_size": m},
+        meta={"padded_d": dp, "group_size": m},
     )

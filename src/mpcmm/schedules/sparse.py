@@ -501,7 +501,7 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         n,
         n,
         n,
-        meta={"predicted_rounds": rounds, **meta},
+        meta=meta,
     )
 
 

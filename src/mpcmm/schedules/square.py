@@ -134,5 +134,5 @@ def schedule_square(
         shape.padded_n,
         n,
         n,
-        meta={"grid": g, "tile": t, "predicted_rounds": rounds},
+        meta={"grid": g, "tile": t},
     )

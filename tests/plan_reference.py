@@ -114,10 +114,9 @@ class ReferenceProgram(PlanProgram):
 
     def __init__(self, plan, spec):
         super().__init__(plan, spec)
-        handled = {}
-        for round_no, p in plan.ops:
-            handled.setdefault(round_no, set(self.group_procs.get(round_no, ()))).add(p)
-        self.handled = {round_no: sorted(ps) for round_no, ps in handled.items()}
+        self.handled = {}  # round -> the processors with per-processor ops, ascending
+        for round_no, p in sorted(plan.ops):
+            self.handled.setdefault(round_no, []).append(p)
 
     def _check_ops(self, plan):
         trailing = plan.num_rounds + 1
@@ -127,10 +126,11 @@ class ReferenceProgram(PlanProgram):
                              f"local step (round {trailing})")
 
     def active(self, round_no):
-        return self.handled.get(round_no) or super().active(round_no)
+        return self.handled.get(round_no, ())
 
     def group_step(self, round_no, states, inboxes):
-        for p in self.group_procs.get(round_no, ()):
+        group = self.group_words.get(round_no)
+        for p in () if group is None else group[3]:
             if p in inboxes:
                 states[p] = _merge(states[p], inboxes.pop(p))
         return super().group_step(round_no, states, inboxes)

@@ -259,7 +259,7 @@ class Grouped(Program):
 
     def group_step(self, round_no, states, inboxes):
         if round_no == 1:
-            return np.array([3, 0]), np.array([5, 0]), np.array([0, 5])
+            return np.array([3, 0]), np.array([5, 0]), np.array([0, 5]), []
         return None
 
 
@@ -269,6 +269,33 @@ def test_group_words_join_the_budget_figures():
     assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
             for r in t.rows] == [(1, 0, 5, 0, 8), (1, 1, 0, 5, 0), (2, 0, 0, 0, 3),
                                  (2, 1, 0, 0, 5)]
+
+
+@pytest.mark.parametrize("named", [[1], []])
+def test_the_engine_measures_the_stores_a_group_step_names(named):
+    calls = []
+
+    class Giving(Grouped):
+        """Round 1's group work also gives processor 1 a 2-word tile, in place."""
+
+        def group_step(self, round_no, states, inboxes):
+            group = super().group_step(round_no, states, inboxes)
+            if round_no == 1:
+                states[1]["g"] = np.zeros(2, dtype=np.int64)
+                return (*group[:3], named)
+            return group
+
+        def handler(self, round_no, p, state, inbox):
+            calls.append((round_no, p))
+            return state, []
+
+    t = run(Giving(), MpcConfig(2, 8)).transcript
+    # a processor the step leaves out keeps its cached state words
+    words = 2 if named else 0
+    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
+            for r in t.rows] == [(1, 0, 5, 0, 8), (1, 1, 0, 5, words), (2, 0, 0, 0, 3),
+                                 (2, 1, 0, 0, 5 + words)]
+    assert calls == []
 
 
 def test_group_words_break_budgets_like_messages():
@@ -288,7 +315,7 @@ def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
             calls.append(("group", round_no))
             if round_no == 3:
                 none = np.zeros(2, dtype=np.int64)
-                return none, np.array([self.words, 0]), none
+                return none, np.array([self.words, 0]), none, []
             return super().group_step(round_no, states, inboxes)
 
         def finalize(self, p, state, inbox):

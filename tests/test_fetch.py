@@ -19,7 +19,6 @@ from mpcmm.schedules import sparse
 
 import fetch_reference
 from fetch_reference import per_processor_fetch
-from plan_reference import Drop, MulAcc, Send
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
@@ -71,17 +70,6 @@ def test_cap_factor_1_breaks_a_budget_in_some_golden_fetch():
         for name in SPARSE_GOLDEN
     ]
     assert any(v is not None for v in violations)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_no_builder_emits_mul_acc_and_the_fetch_no_send_or_drop(name):
-    plan = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])).program.plan
-    ops = [op for ops in plan.ops.values() for op in ops]
-    assert not any(isinstance(op, MulAcc) for op in ops)
-    if name in SPARSE_GOLDEN:  # the only per-processor traffic left is the layers' hand-back
-        for op in ops:
-            if isinstance(op, (Send, Drop)):
-                assert all(key[0] in ("xg", "XC") for key in op.keys), op
 
 
 def test_one_fetch_per_round_and_one_in_the_trailing_step():

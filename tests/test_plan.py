@@ -2,9 +2,7 @@
 op dispatch, send payloads and tile sharing."""
 
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ import plan_reference
 import rotation_reference
 from plan_reference import (Drop, Mac, MulAcc, Pack, ReferenceProgram, Send, Slice, add,
                             gather_pieces)
-from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import SHIPPED_CONFIGS, perfbench
 
 INT = get_semiring("int")
 
@@ -394,25 +392,6 @@ def test_a_give_whose_unit_went_elsewhere_raises_missing_tile():
     assert (caught.value.processor, caught.value.round, caught.value.key) == (2, None, ("s", 2))
 
 
-def _perfbench(name):
-    """The module ``perfbench/<name>.py``, which is not a package."""
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).parents[1] / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _workload_configs():
-    workloads = _perfbench("workloads")
-    return {f"{name}-{i}": config for name in workloads.NAMES
-            for i, config in enumerate(workloads.configs(name, workloads.DEFAULT_SEED))}
-
-
-SHIPPED_CONFIGS = {**{name: ExperimentConfig(seed=1, **fields)
-                      for name, fields in GOLDEN_CONFIGS.items()}, **_workload_configs()}
-
-
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_builders_place_no_per_processor_op(name):
     config = SHIPPED_CONFIGS[name]
@@ -421,20 +400,38 @@ def test_shipped_builders_place_no_per_processor_op(name):
     assert schedule.program.plan.ops == {}
 
 
-@pytest.mark.parametrize("name", sorted(n for n, f in GOLDEN_CONFIGS.items() if f["case"] == "ndn"))
-def test_ndn_gathers_hand_no_processor_to_the_handler(monkeypatch, name):
-    """ndn's gathers read strips of the stored input rows and columns,
-    which stay in their holders' stores, and its last slot hands C back in
-    the trailing step: no round hands a processor to the engine's handler."""
-    handed = []
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_plans_hand_no_processor_to_the_handler(monkeypatch, name):
+    """Group ops change the stores in place and name to the engine the
+    processors their kinds touch, which the engine then measures: no round
+    hands a processor to the engine's handler, and every store a round's
+    group ops change belongs to a processor the round names."""
+    handed, steps = [], []
+    group_step = PlanProgram.group_step
 
     def handler(program, round_no, p, state, inbox):
         handed.append((round_no, p))
         return state, []
 
+    def traced_group_step(program, round_no, states, inboxes):
+        before = [dict(store) for store in states]  # keeps every tile alive for ``is``
+        group = group_step(program, round_no, states, inboxes)
+        if group is not None:
+            moved = {p for p, (old, new) in enumerate(zip(before, states))
+                     if old.keys() != new.keys() or any(old[k] is not new[k] for k in old)}
+            steps.append((program, round_no, moved, group[3]))
+        return group
+
     monkeypatch.setattr(PlanProgram, "handler", handler, raising=False)
-    summary = run_experiment(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]), write=False)
-    assert summary["ok"] and handed == []
+    monkeypatch.setattr(PlanProgram, "group_step", traced_group_step)
+    summary = run_experiment(SHIPPED_CONFIGS[name], write=False)
+    assert summary["ok"] and handed == [] and steps
+    for program, round_no, moved, changed in steps:
+        touched = set()
+        for op in program.plan.groups[round_no]:
+            words = (np.zeros(program.num_procs, dtype=np.int64) for _ in range(3))
+            touched.update(plan_module._group_kind(op).words(op, *words))
+        assert changed == sorted(touched) and moved <= touched, round_no
 
 
 @pytest.mark.parametrize("fields", [
@@ -449,7 +446,7 @@ def test_perfbench_probes_read_names_the_plans_still_have(fields):
     """``perfbench/probes.py`` reads ``Plan.ops``, ``Plan.final_ops``,
     ``PlanProgram.handler`` and ``PlanProgram.finalize``; the shipped plans
     hold no per-processor op."""
-    probes = _perfbench("probes").Probes("layers")
+    probes = perfbench("probes").Probes("layers")
     with probes:
         summary = run_experiment(ExperimentConfig(seed=1, **fields), write=False)
     assert summary["ok"]

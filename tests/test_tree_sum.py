@@ -190,11 +190,15 @@ def test_executing_a_schedule_twice_gives_the_same_bytes(fields):
 
 
 def test_fold_hands_entries_to_the_holders_it_names(monkeypatch):
+    """A sum handed to another processor leaves its holder without the entry
+    it emits: finalize raises ``MissingTile`` naming that holder."""
     build = experiment.build_schedule
+    holders = []
 
     def misrouted(op, move):
         """The last give with its first sum handed to its second's processor,
         and the move before it sending that sum's units there too."""
+        holders.append(int(op.procs[0]))
         other = op.procs[op.procs != op.procs[0]][0]
         to, procs = move.to.copy(), op.procs.copy()
         to[op.take[0][op.take[1] == 0]] = other
@@ -213,7 +217,9 @@ def test_fold_hands_entries_to_the_holders_it_names(monkeypatch):
 
     monkeypatch.setattr(experiment, "build_schedule", misrouting_build)
     summary = run_experiment(ExperimentConfig(case="dnd-n", n=16, d=4), write=False)
-    assert summary["violation"] is None and summary["oracle_match"] is False
+    violation = summary["violation"]
+    assert summary["ok"] is False and violation["type"] == "MissingTile"
+    assert (violation["processor"], violation["round"]) == (holders[0], None)
 
 
 def test_fold_build_grows_with_rounds_not_entries():
@@ -230,16 +236,22 @@ def test_fold_build_grows_with_rounds_not_entries():
 
 
 def test_fold_only_rounds_hand_no_processor_to_the_interpreter():
-    """A level's values live in its holders' stores: each round of the sum
-    hands the interpreter only the processors whose stores it changes."""
+    """A level's values live in its holders' stores: no round of the sum
+    hands a processor to the handler, and each names to the engine only the
+    processors whose stores it changes."""
     schedule = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS["dnd-n-tree2"]))[0]
     program = schedule.program
     rounds = {id(op): rd for rd, ops in program.plan.groups.items() for op in ops}
     scatter, give, forward, last = _scatters(schedule)
+
+    def changed(op):
+        return program.group_words[rounds[id(op)]][3]
+
     # the scatter pops every member's addend; the level round gives into the
     # collectors and forwards from some of them; the last give runs at finalize
-    assert program.active(rounds[id(scatter)]) == sorted(scatter.procs.tolist())
+    assert all(program.active(rd) == () for rd in range(1, program.total_rounds + 2))
+    assert changed(scatter) == sorted(scatter.procs.tolist())
     assert rounds[id(give)] == rounds[id(forward)] == rounds[id(scatter)] + 1
-    assert program.active(rounds[id(give)]) == sorted(set(give.procs.tolist()))
+    assert changed(give) == sorted(set(give.procs.tolist()))
     assert set(forward.procs.tolist()) < set(give.procs.tolist())
     assert rounds[id(last)] > program.total_rounds
