@@ -225,6 +225,8 @@ class Program:
         return state, []
 
     def finalize(self, p: int, state: dict, inbox: list) -> list:
+        """Processor p's (row, col, block) outputs: each block is an int64
+        array, 2-d or flat (one row), whose first word goes to (row, col)."""
         return []
 
 
@@ -361,6 +363,6 @@ def run(program: Program, config: MpcConfig) -> RunResult:
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
     for p in everyone:
         outputs[p] = program.finalize(p, states[p], inboxes.get(p) or [])
-        output_words[p] = int(sum(np.asarray(block).size for _, _, block in outputs[p]))
+        output_words[p] = sum(block.size for _, _, block in outputs[p])
     transcript.output_words = output_words
     return RunResult(transcript, outputs)

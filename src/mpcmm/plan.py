@@ -90,10 +90,12 @@ does not change.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
-ops after the last barrier, then each processor's ``finalize`` places
-its emits.  It is local, so nothing in it may send, and no group op may
-be placed later.  A group op's words (held, sent, received) come from
-its static shape, not from the stacks, and the engine charges them like
+ops after the last barrier, then ``finalize`` returns each processor's
+emitted tiles as stored, and ``assemble_output`` places each at its
+emit's (row, col), a flat tile as one row; no two emits cover one cell.
+The step is local, so nothing in it may send, and no group op may be
+placed later.  A group op's words (held, sent, received) come from its
+static shape, not from the stacks, and the engine charges them like
 messages.  Its held words are those it keeps out of the stores at the
 end of the round, not those in flight.
 
@@ -128,12 +130,11 @@ class MissingTile(MpcError):
 
 @dataclass(frozen=True)
 class Emit:
-    """Place tile ``key`` at (row, col) of the output at finalize."""
+    """Place tile ``key``, as stored, at (row, col) of the output at finalize."""
 
     key: tuple
     row: int
     col: int
-    shape: tuple
 
 
 class Gather(NamedTuple):
@@ -226,8 +227,8 @@ class Plan:
         """Empty, for ``perfbench/probes.py``: no plan has per-processor ops at finalize."""
         return {}
 
-    def emit(self, proc, key, row, col, shape):
-        self.emits.setdefault(proc, []).append(Emit(key, row, col, shape))
+    def emit(self, proc, key, row, col):
+        self.emits.setdefault(proc, []).append(Emit(key, row, col))
 
     def set_init(self, proc, key, array):
         self.init.setdefault(proc, {})[key] = np.asarray(array, dtype=np.int64)
@@ -289,8 +290,7 @@ class PlanProgram(Program):
 
     def finalize(self, p, state, inbox):
         try:
-            return [(e.row, e.col, state[e.key].reshape(e.shape))
-                    for e in self.plan.emits.get(p, ())]
+            return [(e.row, e.col, state[e.key]) for e in self.plan.emits.get(p, ())]
         except KeyError as missing:
             raise MissingTile(p, None, missing.args[0]) from None
 
@@ -333,7 +333,8 @@ def _missing(program, p, round_no, key):
 
 # -- Gather and Rotate -------------------------------------------------------
 
-# A slot multiplies at most this many words of A (and of B) per kernel call.
+# A slot multiplies at most this many words of A (and of B) per kernel call:
+# the one bound on a stacked product's temporaries (the kernels take a stack whole).
 _SLOT_WORDS = 1 << 15
 
 
@@ -441,7 +442,8 @@ def _slot(spec, op, stacks):
     first = stacks.c is None
     if first:
         stacks.c = np.empty((rows, op.side, op.side), dtype=np.int64)
-    # A few rows at a time, so that temporaries stay small.
+    # A few rows at a time, so that temporaries stay small and reuse heap
+    # memory: larger ones come from fresh, faulting pages.
     step = max(_SLOT_WORDS // max(op.side * op.side, 1), 1)
     for r0 in range(0, rows, step):
         r1 = r0 + step
@@ -581,13 +583,13 @@ _GROUP_DISPATCH = {
 
 
 def assemble_output(result_outputs, rows, cols, spec: SemiringSpec) -> np.ndarray:
-    """Stitch emitted blocks into a dense array (overlaps are summed)."""
+    """Place each emitted block, as stored, in a rows x cols array of zeros.
+
+    A flat block is one row.  No plan emits a cell twice, so each block is
+    written once; cells no block covers keep the carrier's zero."""
     data = spec.zeros(rows, cols)
     for blocks in result_outputs.values():
         for r0, c0, block in blocks:
-            block = np.asarray(block)
-            if block.ndim == 1:
-                block = block.reshape(1, -1)
-            r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-            data[r0:r1, c0:c1] = spec.vadd(data[r0:r1, c0:c1], block)
+            height, width = block.shape if block.ndim == 2 else (1, len(block))
+            data[r0 : r0 + height, c0 : c0 + width] = block
     return data

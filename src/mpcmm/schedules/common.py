@@ -137,9 +137,5 @@ class Schedule:
     def execute(self, cap_factor=None) -> tuple[RunResult, DenseMatrix]:
         result = run(self.program, self.machine(cap_factor))
         data = assemble_output(result.outputs, self.out_rows, self.out_cols, self.program.spec)
-        full = DenseMatrix(self.out_rows, self.out_cols, data)
-        if (self.crop_rows, self.crop_cols) != (self.out_rows, self.out_cols):
-            full = DenseMatrix(
-                self.crop_rows, self.crop_cols, full.data[: self.crop_rows, : self.crop_cols].copy()
-            )
-        return result, full
+        return result, DenseMatrix(self.crop_rows, self.crop_cols,
+                                   data[: self.crop_rows, : self.crop_cols])

@@ -135,10 +135,10 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
     entries, side = task.entries, task.side
     plan = Plan(num_procs=t, num_rounds=0, min_memory=1)
     for l in range(t):
-        plan.set_init(l, ("M", l), np.asarray(task.addends[l], dtype=np.int64).reshape(-1))
+        plan.set_init(l, ("M", l), np.asarray(task.addends[l], dtype=np.int64).reshape(side, side))
 
     if t == 1:
-        plan.emit(0, ("M", 0), 0, 0, (side, side))
+        plan.emit(0, ("M", 0), 0, 0)
         return Schedule(PlanProgram(plan, spec), MpcConfig(1, k), side, side, side, side)
 
     rounds, (holders,) = tree_sum_fragment(
@@ -146,7 +146,7 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
     )
     plan.num_rounds = rounds
     for e, (proc, key) in enumerate(holders):
-        plan.emit(proc, key, e // side, e % side, (1,))
+        plan.emit(proc, key, e // side, e % side)
     return Schedule(PlanProgram(plan, spec), MpcConfig(t, k), side, side, side, side)
 
 
@@ -179,7 +179,7 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
     for kk, (_, i, j) in enumerate(c_keys):
         plan.set_init(kk, ("ar", kk), a_pad[kk : kk + 1, :])
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
-        plan.emit(kk, c_keys[kk], i * s, j * s, (s, s))
+        plan.emit(kk, c_keys[kk], i * s, j * s)
 
     # Processor i * s + j gathers strip q of A rows i * s .. i * s + s - 1
     # and of B columns j * s .. j * s + s - 1, reading (not moving) the
@@ -237,7 +237,7 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
     cells = [(i, j) for i in range(blocks) for j in range(blocks)]
     if group_size == 1:
         for i, j in cells:
-            plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side, (side, side))
+            plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side)
         return
     rounds, holders = tree_sum_fragment(
         plan,
@@ -251,7 +251,7 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
     plan.num_rounds = phase1 + rounds
     for (i, j), group in zip(cells, holders):
         for e, (holder, key) in enumerate(group):
-            plan.emit(holder, key, i * side + e // side, j * side + e % side, (1,))
+            plan.emit(holder, key, i * side + e // side, j * side + e % side)
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:

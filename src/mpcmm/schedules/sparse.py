@@ -492,7 +492,7 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
         _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
     for r in range(n):
         for j in mask.cols(r):
-            plan.emit(r, ("c", r, j), r, j, (1,))
+            plan.emit(r, ("c", r, j), r, j)
 
     return Schedule(
         PlanProgram(plan, spec),

@@ -109,7 +109,7 @@ def schedule_square(
             keys += [("A", *own), ("B", *own)]
             plan.set_init(proc(i, j), keys[-2], block(a, *own))
             plan.set_init(proc(i, j), keys[-1], block(b, *own))
-            plan.emit(proc(i, j), ("C", i, j), i * t, j * t, (t, t))
+            plan.emit(proc(i, j), ("C", i, j), i * t, j * t)
     if shift:
         # One Scatter moves each block home, from processor (i, j) to (j, i),
         # in round 1 and hands it in there in round 2, before the gather.

@@ -118,11 +118,7 @@ _FLOAT_MIN_TERMS = 1 << 14
 # float64 holds every integer of magnitude below 2**53 exactly.
 _FLOAT_EXACT = 1 << 53
 
-# Stacked float64 products convert at most this many elements of an operand
-# at a time.
-_FLOAT_CHUNK = 1 << 15
-
-# The min-plus product keeps its temporaries to at most _TROP_TEMP elements.
+# A min-plus strip holds at most this many terms; a stack from ``plan._slot`` is one strip.
 _TROP_TEMP = 1 << 15
 
 # The int32 sentinel of the min-plus product: S + S still fits int32.
@@ -160,21 +156,7 @@ def _int_matmul(a, b):
 
 def _float_matmul(a, b):
     """The int64 words of ``a @ b``, multiplied in float64 BLAS."""
-    if a.ndim == 2:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    # Stacks convert a few tiles at a time: temporaries of a few hundred KB
-    # come from reused heap memory, larger ones from fresh, faulting pages.
-    *batch, rows, inner = a.shape
-    cols = b.shape[-1]
-    tiles = math.prod(batch)
-    a = a.reshape(tiles, rows, inner)
-    b = b.reshape(tiles, inner, cols)
-    out = np.empty((tiles, rows, cols), dtype=np.int64)
-    step = max(_FLOAT_CHUNK // max(rows * inner, inner * cols, 1), 1)
-    for t0 in range(0, tiles, step):
-        t1 = t0 + step
-        out[t0:t1] = np.matmul(a[t0:t1].astype(np.float64), b[t0:t1].astype(np.float64))
-    return out.reshape(*batch, rows, cols)
+    return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
 
 
 def _bool_matmul(a, b):
@@ -242,27 +224,24 @@ def _min_plus(a, b, sentinel):
     """out[t] = min(sentinel, min over k of a[t][:, k] + b[t][k, :]), in a's dtype.
 
     The loop over k adds one column of ``a`` to one row of ``b`` into a
-    reused temporary of at most _TROP_TEMP elements and takes the minimum in
-    place, a block at a time so that the block and its terms stay in cache:
-    a group of small tiles, or a strip of rows of a large one.
+    reused temporary and takes the minimum in place, a strip of rows of
+    every tile at a time, so that the strip and its terms stay in cache:
+    at most _TROP_TEMP elements, or one row of each tile.
     """
     tiles, rows, inner = a.shape
     cols = b.shape[-1]
     out = np.full((tiles, rows, cols), sentinel, dtype=a.dtype)
-    group = max(_TROP_TEMP // max(rows * cols, 1), 1)
-    strip = rows if group > 1 else max(_TROP_TEMP // max(cols, 1), 1)
-    term = np.empty(min(group, tiles) * min(strip, rows) * cols, dtype=a.dtype)
+    strip = max(_TROP_TEMP // max(tiles * cols, 1), 1)
+    term = np.empty(tiles * min(strip, rows) * cols, dtype=a.dtype)
     a = a[..., None]
     b = b[:, :, None, :]
-    for t0 in range(0, tiles, group):
-        for i0 in range(0, rows, strip):
-            acc = out[t0 : t0 + group, i0 : i0 + strip]
-            a_block = a[t0 : t0 + group, i0 : i0 + strip]
-            b_block = b[t0 : t0 + group]
-            term_block = term[: acc.size].reshape(acc.shape)
-            for k in range(inner):
-                np.add(a_block[:, :, k], b_block[:, k], out=term_block)
-                np.minimum(acc, term_block, out=acc)
+    for i0 in range(0, rows, strip):
+        acc = out[:, i0 : i0 + strip]
+        a_block = a[:, i0 : i0 + strip]
+        term_block = term[: acc.size].reshape(acc.shape)
+        for k in range(inner):
+            np.add(a_block[:, :, k], b[:, k], out=term_block)
+            np.minimum(acc, term_block, out=acc)
     return out
 
 

@@ -124,7 +124,7 @@ def _fetch_plan(moved):
     last = np.concatenate([moved, _terms((0, 0, 0))], axis=1)
     plan.add_group(2, Fetch(0, last, _terms()))
     for r, j in {(0, 0), *zip(moved[0].tolist(), moved[2].tolist())}:
-        plan.emit(r, ("c", r, j), r, j, (1,))
+        plan.emit(r, ("c", r, j), r, j)
     return plan
 
 

@@ -33,6 +33,9 @@ CONFIGS = {
        for s in SEMIRINGS},
     "square-redistribute": dict(case="square", n=16, alpha=1.0, redistribute=True),
     "square-padded": dict(case="square", n=18, alpha=1.0),
+    # Grid 4 of 2 x 2 tiles padded to 8 x 8: the last tile row and column lie
+    # wholly past the 6 x 6 output, so their emitted tiles are cropped away.
+    "square-edge": dict(case="square", n=6, alpha=1.5),
     "square-alpha2": dict(case="square", n=8, alpha=2.0, semiring="bool"),
     "sparse-trivial-blockdiag": dict(case="sparse-trivial", n=16, d=4, instance="blockdiag"),
     "sparse-twophase-blockdiag": dict(case="sparse-twophase", n=32, d=4, instance="blockdiag"),
@@ -161,6 +164,10 @@ GOLDEN = {
     "square-padded": (
         "6b33d9c47f5511fe6f2ed18b3d64128ccc813ae92915aeb1af58c9fa9d76ebbb",
         "7a8ecf68c4dfc2d5de116bc71e703e3772e0df3ba44b4529b79f692d35e30a3d",
+    ),
+    "square-edge": (
+        "ecf7fa3b3e2469320c92f2e5ffbce65f6bae8e37b88a122356ecf5dc1de599fc",
+        "c09ddffb2b75a93fd6cd6a6ce5628a023a6e96f08239086edcf51660d7ca5ddb",
     ),
     "square-alpha2": (
         "287df2fbf07c59bc118855190d62f0e6e36b7b99652573b440f033d5af1e8e2c",

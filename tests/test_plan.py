@@ -60,7 +60,7 @@ def test_plan_program_rejects_per_processor_ops():
 
 def test_unknown_op_raises_type_error():
     program = _program()
-    add(program.plan, 1, 0, Emit(("x",), 0, 0, (1,)))
+    add(program.plan, 1, 0, Emit(("x",), 0, 0))
     with pytest.raises(TypeError, match="unknown op"):
         program.handler(1, 0, {}, [])
 
@@ -103,7 +103,7 @@ def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
             plan.set_init(p, ("one",), np.array([[1]]))
             add(plan, rounds + 1, p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
             add(plan, rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
-            plan.emit(p, ("D",), i, j, (1, 1))
+            plan.emit(p, ("D",), i, j)
     result = run(ReferenceProgram(plan, INT), MpcConfig(grid * grid, 4))
     assert result.transcript.rounds == rounds
     c = a @ b
@@ -335,8 +335,8 @@ def test_delivered_payload_survives_later_accumulation():
     # x += y * y (elementwise, so x += 1), then x += y @ y
     add(plan, 1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
     add(plan, 2, 0, Drop((("y",),)))  # round R + 1
-    plan.emit(0, ("x",), 0, 0, (2, 2))
-    plan.emit(1, ("x",), 0, 2, (2, 2))
+    plan.emit(0, ("x",), 0, 0)
+    plan.emit(1, ("x",), 0, 2)
     result = run(ReferenceProgram(plan, INT), MpcConfig(2, 8))
     (_, _, sender), = result.outputs[0]
     (_, _, receiver), = result.outputs[1]
@@ -358,7 +358,7 @@ def _scatter_plan():
     plan.scatter(1, (1,), [0, 1], [("x",), ("y",)], [1, 0, 2, -1, 1, 1, 0, 2],
                  [0, 1, 2, -1, 0, 0, 1, 2], cells)
     for p, key in zip((1, 0, 2), cells):
-        plan.emit(p, key, 0, key[1], (1,))
+        plan.emit(p, key, 0, key[1])
     return plan
 
 
@@ -369,6 +369,17 @@ def test_scatter_sums_its_units_at_their_receivers_and_charges_their_words():
     rows = [(r.words_sent, r.words_received, r.peak_memory) for r in result.transcript.rows]
     # peak: x; y and s0; at processor 2 the two words it ends the run with
     assert rows == [(2, 1, 4), (2, 1, 5), (0, 2, 2)]
+
+
+def test_assemble_output_places_blocks_as_stored_and_leaves_the_rest_zero():
+    """A 2-d block fills its rows and columns from its corner and a flat one
+    is one row; cells no block covers keep the carrier's zero."""
+    trop = get_semiring("tropical")
+    outputs = {0: [(0, 1, np.array([[1, 2], [3, 4]]))], 2: [(2, 0, np.array([5, 6, 7]))]}
+    out = assemble_output(outputs, 3, 4, trop)
+    inf = trop.zero
+    assert out.dtype == np.int64
+    assert out.tolist() == [[inf, 1, 2, inf], [inf, 3, 4, inf], [5, 6, 7, inf]]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -51,6 +51,14 @@ class TestTreeSum:
         assert result.transcript.rounds == 0
         assert int(out.data[0, 0]) == int(task.addends[0][0])
 
+    @pytest.mark.parametrize("shape", [(3, 3), (9,)])
+    def test_single_matrix_addend_is_placed_as_a_square(self, shape):
+        """A lone addend is emitted as it is stored, a 3 x 3 tile however it came."""
+        addend = np.arange(1, 10, dtype=np.int64)
+        result, out = tree_sum(SumTask(1, 9, (addend.reshape(shape),)), INT).execute()
+        assert result.transcript.rounds == 0
+        assert out.data.tolist() == addend.reshape(3, 3).tolist()
+
     def test_matrix_addends(self):
         rng = np.random.default_rng(4)
         t, k = 12, 9

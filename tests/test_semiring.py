@@ -272,13 +272,19 @@ def test_stacked_matmul_matches_tile_by_tile(name):
     spec = get_semiring(name)
     rng = np.random.default_rng(3)
     high = 2 if name == "bool" else 1 << 20
-    # The min-plus loop groups 2**15 // (rows * cols) tiles per block: one
-    # partial group at 3x90x20x90, two at 5x90x4x90 and at 400x10x4x10.
-    # Tropical stacks of at least 2**17 terms narrow to int32 where their
-    # tiles alone would not (90x4x90, 10x4x10).
+    # The kernels take any stack whole; only the interpreter's rotation slots
+    # cut stacks, to 2**15 words per operand.  At 9x64x64x64 an operand is
+    # 36,864 words, more than one slot's chunk, and the int and bool kernels
+    # multiply all of it in one float64 product.  The min-plus loop runs a
+    # strip of 2**15 // (tiles * cols) rows of every tile at a time: one
+    # strip at 3x90x20x90 and 2x100x3x100, two at 5x90x4x90, 400x10x4x10
+    # and 9x64x64x64, three at 2x200x3x200.  Tropical stacks of at least
+    # 2**17 terms narrow to int32 where their tiles alone would not
+    # (90x4x90, 10x4x10).
     for batch, rows, inner, cols in ((7, 1, 1, 1), (5, 8, 8, 8), (3, 90, 20, 90),
                                      (5, 90, 4, 90), (400, 10, 4, 10), (2, 100, 3, 100),
-                                     (4, 3, 0, 2), (0, 2, 2, 2)):
+                                     (2, 200, 3, 200), (9, 64, 64, 64), (4, 3, 0, 2),
+                                     (0, 2, 2, 2)):
         a = rng.integers(0, high, (batch, rows, inner))
         b = rng.integers(0, high, (batch, inner, cols))
         out = spec.matmul(a, b)

@@ -99,7 +99,7 @@ def _sum_schedule(t, width, entries, memory, semiring, seed, extra_rounds, group
     plan.num_rounds = rounds + extra_rounds
     for g, group in enumerate(holders):
         for e, (proc, key) in enumerate(group):
-            plan.emit(proc, key, g, e, (1,))
+            plan.emit(proc, key, g, e)
     config = MpcConfig(groups * t, memory)
     schedule = Schedule(rect.PlanProgram(plan, spec), config, groups, entries, groups, entries)
     totals = addends[:, 0]
