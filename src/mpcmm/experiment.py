@@ -124,6 +124,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown semiring {self.semiring!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.d < 0:
+            raise ValueError("d must be >= 0")
+        if self.cap_factor < 1:
+            raise ValueError("cap_factor must be >= 1")
 
     def prefix(self) -> str:
         """The artifact name: the case, n, a bit per field the case reads and

@@ -39,7 +39,8 @@ received by its row's, or as held when the two are one.
 
 :class:`Rotate` is one slot of a skewed block rotation (see
 ``schedules.common.rotation_fragment``) over the stacks a gather filled
-and the fragment's C stack.  A slot:
+and the fragment's C stack.  A rotation turns all the grids of a schedule
+or sparse layer, so each round holds one gather or one slot.  A slot:
 
 1. multiplies the stacks row by row and accumulates into the C stack;
 2. sends: moves the A and B tile of row i to rows ``a_to[i]`` and
@@ -405,7 +406,7 @@ def _gather_words(op, held, sent, received):
 
 def _gather_step(program, op, round_no, states):
     tiles = _tiles(program, states, op.holders.tolist(), op.keys, op.moves.tolist(), round_no)
-    if [tile.shape for tile in tiles] != list(op.shapes):
+    if any(tile.shape != shape for tile, shape in zip(tiles, op.shapes)):
         key, tile, shape = next((key, tile, shape) for key, tile, shape
                                 in zip(op.keys, tiles, op.shapes) if tile.shape != shape)
         raise ValueError(f"gathered source {key!r} has shape {tile.shape}, not {shape}")

@@ -16,29 +16,33 @@ def chunks(items, size):
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
-    """Skewed block rotation (Cannon, 1969) on a grid x grid processor block.
+def rotation_fragment(plan, procs, parts, c_key, first_round, side):
+    """Skewed block rotation (Cannon, 1969) on grids of grid x grid processors.
 
-    In slot s, run in round ``first_round + s``, processor ``proc(i, j)``
-    accumulates A tile (i, x) times B tile (x, j) into ``c_key(i, j)`` for
-    x = (i + j + s) mod grid, then (except in the last slot) passes the A
-    tile one grid column left and the B tile one grid row up.  The skew
-    gives every tile exactly one consumer per slot.  ``parts(i, j, x)``
-    gives the pieces of the tiles of slot 0 where the caller keeps them,
-    as ``((a_pieces, a_axis), (b_pieces, b_axis))`` (see :func:`gather`);
-    one :class:`~mpcmm.plan.Gather` in round ``first_round - 1`` reads
-    them all.  Each slot is one :class:`~mpcmm.plan.Rotate` over the
-    grid**2 processors, stack row i * grid + j; C tiles reach the stores
-    after the last slot.
+    ``procs`` is a (grids, grid, grid) processor array: ``procs[b, i, j]``
+    is processor (i, j) of grid b.  In slot s, run in round
+    ``first_round + s``, it accumulates grid b's A tile (i, x) times B
+    tile (x, j) into ``c_key(b, i, j)`` for x = (i + j + s) mod grid,
+    then (except in the last slot) passes the A tile one grid column left
+    and the B tile one grid row up.  The skew gives every tile exactly one
+    consumer per slot.  ``parts(b, i, j, x)`` gives the pieces of grid b's
+    tiles of slot 0 where the caller keeps them, as
+    ``((a_pieces, a_axis), (b_pieces, b_axis))`` (see :func:`gather`).
+    All grids turn together: one :class:`~mpcmm.plan.Gather` in round
+    ``first_round - 1`` reads every grid's pieces, and each slot is one
+    :class:`~mpcmm.plan.Rotate` over all the processors, stack row
+    (b * grid + i) * grid + j, whose sends stay within its grid; C tiles
+    reach the stores after the last slot.
     """
-    cells = [(i, j) for i in range(grid) for j in range(grid)]
-    procs = np.array([proc(i, j) for i, j in cells], dtype=np.int64)
-    c_keys = tuple(c_key(i, j) for i, j in cells)
-    row_i, row_j = np.divmod(np.arange(grid * grid), grid)
-    a_to = row_i * grid + (row_j - 1) % grid
-    b_to = (row_i - 1) % grid * grid + row_j
+    grids, grid, _ = np.shape(procs)
+    procs = np.asarray(procs, dtype=np.int64).ravel()
+    b, i, j = np.indices((grids, grid, grid)).reshape(3, -1)
+    cells = list(zip(b.tolist(), i.tolist(), j.tolist()))
+    c_keys = tuple(c_key(*cell) for cell in cells)
+    a_to = (b * grid + i) * grid + (j - 1) % grid
+    b_to = (b * grid + (i - 1) % grid) * grid + j
     frag = plan.fragment()
-    tiles = [parts(i, j, (i + j) % grid) for i, j in cells]
+    tiles = (parts(b, i, j, (i + j) % grid) for b, i, j in cells)
     plan.add_group(first_round - 1, gather(frag, procs, side, tiles))
     for s in range(grid):
         last = s == grid - 1
@@ -47,16 +51,17 @@ def rotation_fragment(plan, grid, proc, parts, c_key, first_round, side):
 
 
 def gather(frag, procs, side, tiles):
-    """The :class:`~mpcmm.plan.Gather` that fills stack row r with ``tiles[r]``.
+    """The :class:`~mpcmm.plan.Gather` that fills stack row r with tile r.
 
-    ``tiles[r]`` is ``((a_pieces, a_axis), (b_pieces, b_axis))``: each
-    side x side tile is its pieces concatenated along the axis, and every
-    row cuts a side into as many equal pieces.  A piece ``(holder, key,
-    words)`` is the stored tile ``key``, which moves out of ``holder``'s
-    store, if ``words`` is None; otherwise ``words`` lists one-word tiles
-    of ``holder``'s store (None: a zero), row-major, which stay there.
-    Either way all its words count against ``holder``.  A tile several
-    pieces read is one source, listed where it is first read.
+    ``tiles`` yields one ``((a_pieces, a_axis), (b_pieces, b_axis))`` per
+    row of ``procs``: each side x side tile is its pieces concatenated
+    along the axis, and every row cuts a side into as many equal pieces.
+    A piece ``(holder, key, words)`` is the stored tile ``key``, which
+    moves out of ``holder``'s store, if ``words`` is None; otherwise
+    ``words`` lists one-word tiles of ``holder``'s store (None: a zero),
+    row-major, which stay there.  Either way all its words count against
+    ``holder``.  A tile several pieces read is one source, listed where
+    it is first read.
     """
     index = {}  # holder -> {key: source number}; no (holder, key) pair is made per word
     holders, keys, moved = [], [], {}  # per source; source number -> shape if it moves whole
@@ -70,16 +75,18 @@ def gather(frag, procs, side, tiles):
             keys.append(key)
         return i
 
-    layout = []  # per side: piece shape, axis and count
-    for pieces, axis in tiles[0]:
-        count = len(pieces)
-        if count == 0 or side % count:
-            raise ValueError(f"a gathered {side}x{side} tile cannot be {count} equal pieces")
-        layout.append(((side // count, side) if axis == 0 else (side, side // count), axis, count))
+    layout = []  # per side: piece shape, axis and count, as the first row cuts it
     # per side: each piece's holder, its whole source (-1 if it packs words),
     # and the sources of the words the packing pieces read (-1: a zero word)
     owner, whole, packed = ([[], []] for _ in range(3))
-    for tile in tiles:
+    for tile in tiles:  # one row at a time: a row's tuples die once read
+        if not layout:
+            for pieces, axis in tile:
+                count = len(pieces)
+                if count == 0 or side % count:
+                    raise ValueError(f"a gathered {side}x{side} tile can't be {count} equal pieces")
+                shape = (side // count, side) if axis == 0 else (side, side // count)
+                layout.append((shape, axis, count))
         for s, ((pieces, axis), (shape, axis0, count)) in enumerate(zip(tile, layout)):
             if axis != axis0 or len(pieces) != count:
                 raise ValueError("every row must cut a gathered side into the same pieces")
@@ -100,7 +107,7 @@ def gather(frag, procs, side, tiles):
     width = 1 if any(packed) else math.gcd(*set(sizes), *(cols for (_, cols), _, _ in layout))
     starts = np.cumsum([0] + sizes) // width
     starts[-1] = -1  # zeros
-    words = np.empty((2, len(tiles), side, side // width), dtype=np.int32)
+    words = np.empty((2, len(procs), side, side // width), dtype=np.int32)
     charges = np.empty_like(words)
     for s, ((rows, cols), axis, count) in enumerate(layout):
         if not packed[s]:
@@ -110,7 +117,7 @@ def gather(frag, procs, side, tiles):
         else:
             raise ValueError("a gathered side's pieces must all move whole or all pack words")
         for out, part in ((words, units), (charges, np.repeat(owner[s], rows * cols // width))):
-            part = part.reshape(len(tiles), count, rows, cols // width)
+            part = part.reshape(len(procs), count, rows, cols // width)
             out[s] = (part.transpose(0, 2, 1, 3) if axis == 1 else part).reshape(out[s].shape)
     moves = np.zeros(len(keys), dtype=bool)
     moves[list(moved)] = True

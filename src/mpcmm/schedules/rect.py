@@ -12,10 +12,10 @@ Three machine shapes:
 * (d, n, d) on n processors with O(d) words: the d x d output splits
   into d blocks of side sqrt(d), each assigned to a group of n / d
   processors.  Each input holder starts with its column of A and row of
-  B cut into tile pieces, which the rotation's gather ships to each
-  tile's first consumer in one distribution round; sqrt(d) skewed
-  product rounds accumulate group partials, and a tree sum folds the
-  n / d partials per block.
+  B cut into tile pieces.  One rotation, whose grid l holds member l of
+  every group, ships each tile to its first consumer with one gather and
+  accumulates the group partials in sqrt(d) skewed product rounds, one
+  ``Rotate`` each; a tree sum folds the n / d partials per block.
 
 * (d, n, d) on d processors with O(n) words: same shape with
   sqrt(n)-side tiles cut from rows of A and columns of B, d / sqrt(n)
@@ -218,36 +218,24 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
     Processor ``proc(i, j, l)``, member l of the group for output block
     (i, j), rotates inner tiles l * blocks .. (l + 1) * blocks - 1 into its
     partial ("P", i, j, l); ``parts(i, j, q)`` gives the pieces of A tile
-    (i, q) and B tile (q, j) where the inputs hold them, which the
-    rotation's gather moves out in round 1.  A tree sum then folds each
-    group's partials, whose blocks have ``side**2`` entries.
+    (i, q) and B tile (q, j) where the inputs hold them.  Members l form
+    grid l of one rotation, whose gather moves all pieces out in round
+    1.  A tree sum then folds each group's partials of ``side**2`` entries.
     """
-    for l in range(group_size):
-        rotation_fragment(
-            plan,
-            blocks,
-            lambda i, j: proc(i, j, l),
-            lambda i, j, x: parts(i, j, l * blocks + x),
-            lambda i, j: ("P", i, j, l),
-            2,
-            side,
-        )
-    phase1 = 1 + blocks
-    plan.num_rounds = phase1
+    l, i, j = np.indices((group_size, blocks, blocks))
+    procs = proc(i, j, l)  # grid l holds member l of every group
+    rotation_fragment(plan, procs, lambda l, i, j, x: parts(i, j, l * blocks + x),
+                      lambda l, i, j: ("P", i, j, l), 2, side)
+    plan.num_rounds = phase1 = 1 + blocks
     cells = [(i, j) for i in range(blocks) for j in range(blocks)]
     if group_size == 1:
         for i, j in cells:
             plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side)
         return
     rounds, holders = tree_sum_fragment(
-        plan,
-        [[proc(i, j, l) for l in range(group_size)] for i, j in cells],
+        plan, procs.reshape(group_size, -1).T,
         [[("P", i, j, l) for l in range(group_size)] for i, j in cells],
-        side * side,
-        side * side,
-        phase1 + 1,
-        [("g", i, j) for i, j in cells],
-    )
+        side * side, side * side, phase1 + 1, [("g", i, j) for i, j in cells])
     plan.num_rounds = phase1 + rounds
     for (i, j), group in zip(cells, holders):
         for e, (holder, key) in enumerate(group):

@@ -21,13 +21,14 @@ all work on such arrays.
 
 * two-phase: a decomposition first carves the term set into layers of
   disjoint dense blocks.  Each layer runs its blocks as parallel dense
-  square multiplications (grid side sqrt(d), sqrt(d) + 1 rounds); the
-  leftover terms run through the same fetch.  When the blocks would not
-  beat the trivial fetch the builder makes the trivial plan instead, so
-  two-phase never costs more rounds.  No fetch of every term takes fewer
-  rounds than its load bound (per owner, remote terms over d; per
-  sender, over 2d), so layers within that bound win without the trivial
-  fetch being assigned at all.
+  square multiplications: one rotation whose grids are the blocks (grid
+  side sqrt(d), sqrt(d) + 1 rounds), one gather and one ``Rotate`` per
+  slot for all of them.  The leftover terms run through the same fetch.
+  When the blocks would not beat the trivial fetch the builder makes the
+  trivial plan instead, so two-phase never costs more rounds.  No fetch
+  of every term takes fewer rounds than its load bound (per owner,
+  remote terms over d; per sender, over 2d), so layers within that bound
+  win without the trivial fetch being assigned at all.
 
 The decomposition heuristic groups rows by identical remaining column
 support, pairs each group with its strongest output columns, and keeps
@@ -68,6 +69,8 @@ class EpsilonSchedule:
     eps2: float = 0.1
 
     def __post_init__(self):
+        if not (math.isfinite(self.eps1) and math.isfinite(self.eps2)):
+            raise ValueError(f"eps1 and eps2 must be finite, not {self.eps1} and {self.eps2}")
         if self.eps1 < 0:
             raise ValueError("eps1 must be >= 0")
         if self.eps1 > self.eps2 or (self.eps1 == self.eps2 != 0):
@@ -80,11 +83,14 @@ def iteration_budget(eps1: float, eps2: float, d: int, improved: bool = True) ->
     The improved bound grows as d**(4 * eps2), the superseded one as
     d**(5 * eps2 - eps1).  eps2 = 0 requests no reduction at all.
     """
-    EpsilonSchedule(eps1, eps2)  # validates the ordering
+    EpsilonSchedule(eps1, eps2)  # validates the exponents
     if eps2 == 0:
         return 1
     exponent = 4 * eps2 if improved else 5 * eps2 - eps1
-    return snapped(ROUND_CONSTANT * d**exponent)
+    try:
+        return snapped(ROUND_CONSTANT * d**exponent)
+    except OverflowError:
+        raise ValueError(f"eps2 = {eps2} at d = {d}: the budget leaves float range") from None
 
 
 @dataclass(frozen=True)
@@ -528,82 +534,66 @@ def schedule_sparse_twophase(
 def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):
     """One layer: disjoint dense blocks on grid**2 processors each.
 
-    Rounds r0 .. r0 + grid: the skewed square rotation, whose first
-    round distributes the values: each tile row (column) is packed by the
-    owner of its A row (B column), or as zeros at the consumer for a
-    padding row (column).  Its last round also sends the finished C rows
-    back to their owners (:func:`hand_back`), who add them in one round
-    later, which may be the trailing local step.
+    Rounds r0 .. r0 + grid: one skewed square rotation whose grid bi is
+    block bi, on processors bi * grid**2 .. (bi + 1) * grid**2 - 1.  Its
+    gather distributes every block's values in round r0: each tile row
+    (column) is packed by the owner of its A row (B column), or as zeros
+    at the consumer for a padding row (column).  Its last round also
+    sends the finished C rows back to their owners (:func:`hand_back`),
+    who add them one round later, which may be the trailing local step.
     """
     n, side = mask.n, grid * grid
-    a_keys, b_keys = a.r * n + a.c, b.r * n + b.c
-    blocks = []
+    # per block, its rows, inner indices and columns, each padded with -1 to side
+    ids = [[list(part) + [-1] * (side - len(part)) for part in (blk.rows, blk.ks, blk.cols)]
+           for blk in layer]
+    rows, ks, cols = np.array(ids, dtype=np.int64).transpose(1, 0, 2)  # (blocks, side) each
+    # a_has[bi][u][v]: is a(rows[bi, u], ks[bi, v]) stored; b_has: is b(ks[bi, u], cols[bi, v])
+    a_has = _stored(a.r * n + a.c, n, rows, ks).tolist()
+    b_has = _stored(b.r * n + b.c, n, ks, cols).tolist()
 
-    for bi, blk in enumerate(layer):
-        base = bi * side
+    def parts(bi, ti, tj, x):
+        # Row and column owners pack their value slices of block bi's A tile
+        # (ti, x) and B tile (x, tj); padding is zeros packed by the consumer.
+        (rs, inner_ids, js), has_a, has_b = ids[bi], a_has[bi], b_has[bi]
+        inner, own = range(x * grid, (x + 1) * grid), bi * side + ti * grid + tj
+        a_pieces = tuple(
+            (own if rs[u] < 0 else rs[u], ("xa", li, bi, u, x),
+             tuple(("a", rs[u], inner_ids[v]) if has_a[u][v] else None for v in inner))
+            for u in range(ti * grid, (ti + 1) * grid))
+        b_pieces = tuple(
+            (own if js[v] < 0 else js[v], ("xb", li, bi, x, v),
+             tuple(("b", inner_ids[u], js[v]) if has_b[u][v] else None for u in inner))
+            for v in range(tj * grid, (tj + 1) * grid))
+        return (a_pieces, 0), (b_pieces, 1)
 
-        def bproc(ti, tj):
-            return base + ti * grid + tj
-
-        # -1 marks a padding row, inner index or column
-        rows, ks, cols = (list(ids) + [-1] * (side - len(ids))
-                          for ids in (blk.rows, blk.ks, blk.cols))
-        # a_has[u][v]: is a(rows[u], ks[v]) stored; b_has[u][v]: is b(ks[u], cols[v]).
-        a_has = _stored(a_keys, n, blk.rows, blk.ks, side).tolist()
-        b_has = _stored(b_keys, n, blk.ks, blk.cols, side).tolist()
-
-        def parts(ti, tj, x):
-            # Row and column owners pack their value slices of A tile
-            # (ti, x) and B tile (x, tj); a padding row or column is packed
-            # as zeros at the consumer itself.
-            inner = range(x * grid, (x + 1) * grid)
-            a_pieces = []
-            for u in range(ti * grid, (ti + 1) * grid):
-                r = rows[u]
-                keys = tuple(("a", r, ks[v]) if a_has[u][v] else None for v in inner)
-                key = ("xa", li, bi, u, x)
-                holder = bproc(ti, tj) if r < 0 else r
-                a_pieces.append((holder, key, keys))
-            b_pieces = []
-            for v in range(tj * grid, (tj + 1) * grid):
-                j = cols[v]
-                keys = tuple(("b", ks[u], j) if b_has[u][v] else None for u in inner)
-                key = ("xb", li, bi, x, v)
-                holder = bproc(ti, tj) if j < 0 else j
-                b_pieces.append((holder, key, keys))
-            return (tuple(a_pieces), 0), (tuple(b_pieces), 1)
-
-        c_key = lambda ti, tj: ("XC", li, bi, ti, tj)
-        rotation_fragment(plan, grid, bproc, parts, c_key, r0 + 1, grid)
-        blocks.append((base + np.arange(side), [c_key(*divmod(t, grid)) for t in range(side)],
-                       np.array(rows), np.array(cols)))
-    hand_back(plan, r0 + grid, grid, blocks, mask)
+    c_key = lambda bi, ti, tj: ("XC", li, bi, ti, tj)
+    procs = np.arange(len(layer) * side).reshape(-1, grid, grid)
+    rotation_fragment(plan, procs, parts, c_key, r0 + 1, grid)
+    c_keys = [c_key(bi, *divmod(t, grid)) for bi in range(len(layer)) for t in range(side)]
+    hand_back(plan, r0 + grid, grid, procs, c_keys, rows, cols, mask)
 
 
-def hand_back(plan, round_no, grid, blocks, mask):
+def hand_back(plan, round_no, grid, procs, c_keys, rows, cols, mask):
     """Send a layer's finished C rows to their owners in ``round_no``.
 
-    ``blocks`` lists, per block, the processor and the C tile key of each
-    tile (ti, tj) in row-major order, and the block's rows and columns,
-    -1 for padding.  One :class:`~mpcmm.plan.Scatter`: row u of tile
-    (ti, tj) goes to the owner of block row ti * grid + u (a padding row
-    is dropped), who adds each masked cell (r, j) of it into ("c", r, j)
-    in the next round, which may be the trailing local step.
+    ``procs[bi, ti, tj]`` holds block bi's C tile (ti, tj) under key
+    ``c_keys[(bi * grid + ti) * grid + tj]``; ``rows`` and ``cols`` are
+    (blocks, grid**2) arrays of the blocks' rows and columns, -1 for
+    padding.  One :class:`~mpcmm.plan.Scatter`: row u of tile (ti, tj)
+    goes to the owner of block row ti * grid + u (a padding row is
+    dropped), who adds each masked cell (r, j) of it into ("c", r, j) in
+    the next round, which may be the trailing local step.
     """
     ti, tj, u, v = np.indices((grid,) * 4).reshape(4, -1)
-    r = np.concatenate([rows[ti * grid + u] for _, _, rows, _ in blocks])
-    j = np.concatenate([cols[tj * grid + v] for _, _, _, cols in blocks])
+    r, j = rows[:, ti * grid + u].ravel(), cols[:, tj * grid + v].ravel()
     given = (j >= 0) & _member(mask.keys, r * mask.n + j)
     cells = [("c", p, q) for p, q in zip(r[given].tolist(), j[given].tolist())]
-    plan.scatter(round_no, (1,), np.concatenate([procs for procs, _, _, _ in blocks]),
-                 [key for _, keys, _, _ in blocks for key in keys], r,
+    plan.scatter(round_no, (1,), procs.ravel(), c_keys, r,
                  np.where(given, np.cumsum(given) - 1, -1), cells)
 
 
-def _stored(keys, n, rows, cols, side):
-    """(side, side) bools: entry [u, v] is whether row * n + col of
-    (rows[u], cols[v]) is in the ascending ``keys``; False where u or v
-    is past the end of its list (a padding row or column)."""
-    found = np.zeros((side, side), dtype=bool)
-    found[: len(rows), : len(cols)] = _member(keys, np.add.outer(np.multiply(rows, n), cols))
-    return found
+def _stored(keys, n, rows, cols):
+    """(blocks, side, side) bools: is rows[bi, u] * n + cols[bi, v] in the
+    ascending ``keys``, at [bi, u, v]; False where either is -1 (padding)."""
+    found = _member(keys, rows[:, :, None] * n + cols[:, None, :])
+    return found & (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]

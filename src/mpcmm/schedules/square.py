@@ -120,10 +120,11 @@ def schedule_square(
     # Each block is one piece, held by its owner.  The rotation ships it to
     # its slot-0 consumer in round 1 + shift; the last slot lands in the
     # trailing local step, one round past the end.
-    def parts(i, j, x):
+    def parts(_, i, j, x):
         return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
 
-    rotation_fragment(plan, g, proc, parts, lambda i, j: ("C", i, j), 2 + shift, t)
+    rotation_fragment(plan, [[[proc(i, j) for j in range(g)] for i in range(g)]], parts,
+                      lambda _, i, j: ("C", i, j), 2 + shift, t)
 
     config = MpcConfig(g * g, shape.memory)
     program = PlanProgram(plan, spec)

@@ -136,10 +136,11 @@ def test_tropical_file_words_pick_the_product_width(tmp_path, monkeypatch, low, 
 
 @pytest.mark.parametrize(
     "fields",
-    [dict(case="cube"), dict(instance="csv"), dict(semiring="real"), dict(n=0)],
+    [dict(case="cube"), dict(instance="csv"), dict(semiring="real"), dict(n=0), dict(d=-1),
+     dict(cap_factor=0)],
 )
 def test_config_rejects_bad_fields_at_construction(fields):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(fields))):
         ExperimentConfig(**{"case": "square", "n": 4, **fields})
 
 
@@ -364,3 +365,15 @@ def test_cli_reports_a_missing_input_file_without_traceback(tmp_path, capsys, fi
     assert err.startswith("mpcmm: error:") and len(err.splitlines()) == 1
     assert ("--file-a" in err) if not path else (repr(path) in err)
     assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no artifacts written
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "200"])
+def test_cli_reports_an_eps_without_a_finite_budget_without_traceback(tmp_path, capsys, eps):
+    # inf and nan are not exponents; at 200, d**(4 * eps2) leaves float range.
+    rc = main(["run", "--case", "sparse-twophase", "--n", "16", "--d", "4", "--eps", eps,
+               "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("mpcmm: error:") and len(err.splitlines()) == 1
+    assert "eps2" in err
+    assert not os.listdir(tmp_path)  # no artifacts written

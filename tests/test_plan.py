@@ -83,10 +83,11 @@ def _rotation_plan(grid, num_rounds, first_round):
             plan.set_init(proc(i, j), ("A", i, j), np.array([[i + 2 * j + 1]]))
             plan.set_init(proc(i, j), ("B", i, j), np.array([[3 * i + j + 1]]))
 
-    def parts(i, j, x):
+    def parts(_, i, j, x):
         return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
 
-    rotation_fragment(plan, grid, proc, parts, lambda i, j: ("C", i, j), first_round, 1)
+    procs = np.arange(grid * grid).reshape(1, grid, grid)
+    rotation_fragment(plan, procs, parts, lambda _, i, j: ("C", i, j), first_round, 1)
     return plan, proc
 
 

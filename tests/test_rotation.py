@@ -25,7 +25,7 @@ from mpcmm.schedules.sparse import EpsilonSchedule, default_mask
 
 import rotation_reference
 from plan_reference import run_references
-from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import CONFIGS as GOLDEN_CONFIGS, SHIPPED_CONFIGS
 
 SEMIRINGS = st.sampled_from(["int", "bool", "tropical"])
 
@@ -224,6 +224,15 @@ def test_rotation_emits_one_group_op_per_slot():
     ops = [op for _, round_ops in sorted(plan.groups.items()) for op in round_ops]
     assert [type(op) for op in ops] == [Gather] + [Rotate] * 4
     assert not plan.ops
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_all_grids_of_a_rotation_turn_in_one_rotate_per_round(name):
+    """The (d, n, d) groups' members and a sparse layer's blocks turn in the
+    same rounds, as one rotation: no round holds two ``Rotate`` ops."""
+    plan = _build(SHIPPED_CONFIGS[name])[0].program.plan
+    for round_no, ops in plan.groups.items():
+        assert sum(isinstance(op, Rotate) for op in ops) <= 1, f"round {round_no}"
 
 
 # The dense cases move every input piece through group ops: the gathers
