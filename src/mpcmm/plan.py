@@ -27,7 +27,8 @@ ones the kinds' words functions return), and hands no processor to its
 side) each, from source tiles.  Each distinct tile it reads is listed
 once, with its holder, its key, the shape it must have and whether it
 moves out of the holder's store (then each of its words is read exactly
-once) or is only read.  The sources' words are concatenated in order,
+once) or is only read, such as a sparse row tile whose words the sparse
+layers pick by offset.  The sources' words are concatenated in order,
 each tile row-major, with zeros after them, and cut into units of
 ``width`` consecutive words.  ``words[0]`` and ``words[1]`` cut every
 tile row of the A and B stacks into units too: ``words[s, r, y, x]`` is
@@ -71,23 +72,27 @@ where the per-entry tree-sum reference adds ((old (+) x1) (+) x2) ...;
 semiring addition is associative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
-``schedules.sparse``) for every processor at once, over columnar
-(r, k, j) term arrays.  Like a tree-sum level, it sums before it moves.
+``schedules.sparse``) for every processor at once, over columnar terms
+(r, k, j, a_at, b_at).  Processor r holds row r of A as one flat tile
+("a", r) and column r of B as ("b", r): a(r, k) is word a_at of ("a", r)
+and b(k, j) word b_at of ("b", j).  Like a tree-sum level, it sums
+before it moves.
 
-1. It folds first.  For each column (r, k, j) of ``fold``, processor r
-   adds a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile:
+1. It folds first.  For each term of ``fold``, processor r adds
+   a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile:
    one elementwise product, then one sum per cell with ``vadd``, left to
    right, given to the cell.  a(r, k) is read in r's store.
    b(k, j) is read in r's store too when j == r; the terms with j != r
    take the values the previous round moved, and must be its ``move``
    columns in their order.
-2. Then it moves.  b(k, j) of each column (r, k, j) of ``move`` is read
-   in the store of processor j, which holds column j of B and keeps it,
-   and is in flight to r until the next round's fold.  It counts as sent
-   by j and received by r, so r's next round charges it like an inbox.
+2. Then it moves.  b(k, j) of each term of ``move`` is read in the store
+   of processor j, which keeps its tile, and is in flight to r until the
+   next round's fold.  It counts as sent by j and received by r, so r's
+   next round charges it like an inbox.
 
-The processors it folds into are its ``active`` ones; a sender's store
-does not change.
+A read takes each touched tile once and picks its words by offset; an
+offset outside its tile raises ``ValueError``.  The processors it folds
+into are its ``active`` ones; a sender's store does not change.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
@@ -179,8 +184,8 @@ class Fetch(NamedTuple):
     """One round of the sparse value fetch for every processor (see module doc)."""
 
     frag: int  # the rounds of one fetch share the values in flight
-    fold: np.ndarray  # (3, terms) rows r, k, j: c(r, j) (+)= a(r, k) (*) b(k, j) at r
-    move: np.ndarray  # (3, values) rows r, k, j: b(k, j) moves from j to r
+    fold: np.ndarray  # (5, terms) r, k, j, a_at, b_at: c(r, j) (+)= a(r, k) (*) b(k, j) at r
+    move: np.ndarray  # (5, values), rows as in ``fold``: b(k, j) moves from j to r
 
 
 @dataclass
@@ -232,7 +237,9 @@ class Plan:
         self.emits.setdefault(proc, []).append(Emit(key, row, col))
 
     def set_init(self, proc, key, array):
-        self.init.setdefault(proc, {})[key] = np.asarray(array, dtype=np.int64)
+        tile = np.asarray(array, dtype=np.int64).view()
+        tile.setflags(write=False)  # a read-only view: no run writes an initial tile
+        self.init.setdefault(proc, {})[key] = tile
 
 
 class PlanProgram(Program):
@@ -517,8 +524,8 @@ def _fetch_words(op, held, sent, received):
 
 
 def _fetch_step(program, op, round_no, states):
-    def read(procs, keys):  # the one-word tiles, left in their stores
-        return np.concatenate(_tiles(program, states, procs, keys, repeat(False), round_no))
+    def read(name, procs, at):  # words of row tiles, left in their stores
+        return _words_at(program, states, name, procs, at, round_no)
 
     moved, values = program.stacks.pop(op.frag, (op.fold[:, :0], op.fold[0, :0]))
     local = op.fold[2] == op.fold[0]
@@ -527,21 +534,35 @@ def _fetch_step(program, op, round_no, states):
     if op.fold.size:
         _fetch_fold(program.spec, op.fold, local, values, states, read)
     if op.move.size:
-        _, k, j = op.move.tolist()
-        program.stacks[op.frag] = op.move, read(j, [("b", kk, jj) for kk, jj in zip(k, j)])
+        program.stacks[op.frag] = op.move, read("b", op.move[2], op.move[4])
+
+
+def _words_at(program, states, name, procs, at, round_no):
+    """Word ``at[i]`` of tile (name, procs[i]) in processor ``procs[i]``'s
+    store, for every i, each touched tile read once and left there."""
+    touched = np.flatnonzero(np.bincount(procs, minlength=len(states))).tolist()
+    keys = [(name, p) for p in touched]
+    tiles = _tiles(program, states, touched, keys, repeat(False), round_no)
+    sizes = np.array([tile.size for tile in tiles], dtype=np.int64)
+    which = np.searchsorted(touched, procs)
+    outside = np.flatnonzero((at < 0) | (at >= sizes[which]))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"offset {at[i]} lies outside the {sizes[which[i]]} words of tile "
+                         f"{keys[which[i]]!r} at processor {procs[i]} in round {round_no}")
+    return np.concatenate(tiles)[(np.cumsum(sizes) - sizes)[which] + at]
 
 
 def _fetch_fold(spec, terms, local, values, states, read):
-    """c(r, j) (+)= a(r, k) (*) b(k, j) for every (r, k, j) column of ``terms``:
-    b(k, j) is in r's store where ``local``, else the next of ``values``."""
-    r, k, j = terms
-    owners = r.tolist()
-    a = read(owners, [("a", p, q) for p, q in zip(owners, k.tolist())])
+    """c(r, j) (+)= a(r, k) (*) b(k, j) for every (r, k, j, a_at, b_at)
+    column of ``terms``: b(k, j) is in r's store where ``local``, else the
+    next of ``values``."""
+    r, _, j, a_at, b_at = terms
+    a = read("a", r, a_at)
     b = np.empty_like(a)
     b[~local] = values
     if local.any():
-        mine = r[local].tolist()
-        b[local] = read(mine, [("b", q, p) for p, q in zip(mine, k[local].tolist())])
+        b[local] = read("b", r[local], b_at[local])
     order = np.lexsort((j, r))
     r, j = r[order], j[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])

@@ -57,28 +57,32 @@ def gather(frag, procs, side, tiles):
     row of ``procs``: each side x side tile is its pieces concatenated
     along the axis, and every row cuts a side into as many equal pieces.
     A piece ``(holder, key, words)`` is the stored tile ``key``, which
-    moves out of ``holder``'s store, if ``words`` is None; otherwise
-    ``words`` lists one-word tiles of ``holder``'s store (None: a zero),
-    row-major, which stay there.  Either way all its words count against
-    ``holder``.  A tile several pieces read is one source, listed where
-    it is first read.
+    moves out of ``holder``'s store, if ``words`` is None.  Otherwise
+    ``words`` is ``(shape, offsets)``: ``key`` is a tile of that shape
+    that stays in ``holder``'s store, such as a sparse row tile, and the
+    piece's words, row-major, are its flat words at ``offsets``, -1 for a
+    zero; a ``None`` key reads no tile, all zeros.  Either way all its
+    words count against ``holder``.  A tile several pieces read is one
+    source, listed where it is first read.
     """
-    index = {}  # holder -> {key: source number}; no (holder, key) pair is made per word
-    holders, keys, moved = [], [], {}  # per source; source number -> shape if it moves whole
+    index = {}  # holder -> {key: source number}: no tuple per piece for the collector to scan
+    holders, keys, shapes, moves = [], [], [], []  # per source
 
-    def source(holder, key):
+    def source(holder, key, shape, move):
         sources = index.setdefault(holder, {})
         i = sources.get(key)
         if i is None:
             i = sources[key] = len(keys)
             holders.append(holder)
             keys.append(key)
+            shapes.append(shape)
+            moves.append(move)
         return i
 
     layout = []  # per side: piece shape, axis and count, as the first row cuts it
-    # per side: each piece's holder, its whole source (-1 if it packs words),
-    # and the sources of the words the packing pieces read (-1: a zero word)
-    owner, whole, packed = ([[], []] for _ in range(3))
+    # per side: each piece's holder and source (-1: none), and the offsets of
+    # the packing pieces
+    owner, read, offsets = ([[], []] for _ in range(3))
     for tile in tiles:  # one row at a time: a row's tuples die once read
         if not layout:
             for pieces, axis in tile:
@@ -93,36 +97,36 @@ def gather(frag, procs, side, tiles):
             for holder, key, words in pieces:
                 owner[s].append(holder)
                 if words is None:
-                    i = source(holder, key)
-                    moved[i] = shape
-                    whole[s].append(i)
+                    read[s].append(source(holder, key, shape, True))
                 else:
-                    whole[s].append(-1)
-                    packed[s] += [-1 if k is None else source(holder, k) for k in words]
-    shapes, sizes = [(1,)] * len(keys), [1] * len(keys)  # a packed word's source is one word
-    for i, shape in moved.items():
-        shapes[i], sizes[i] = shape, math.prod(shape)
+                    read[s].append(-1 if key is None else source(holder, key, words[0], False))
+                    offsets[s].append(words[1])
+    sizes = [math.prod(shape) for shape in shapes]
     # A unit is as many words as divide every source and every row of a
     # piece; one word where pieces pack words.
-    width = 1 if any(packed) else math.gcd(*set(sizes), *(cols for (_, cols), _, _ in layout))
+    width = 1 if any(offsets) else math.gcd(*set(sizes), *(cols for (_, cols), _, _ in layout))
     starts = np.cumsum([0] + sizes) // width
     starts[-1] = -1  # zeros
     words = np.empty((2, len(procs), side, side // width), dtype=np.int32)
     charges = np.empty_like(words)
     for s, ((rows, cols), axis, count) in enumerate(layout):
-        if not packed[s]:
-            units = starts[whole[s]][:, None] + np.arange(rows * cols // width)
-        elif len(packed[s]) == len(owner[s]) * rows * cols:
-            units = starts[packed[s]]
+        src = np.array(read[s], dtype=np.int64)
+        if not offsets[s]:
+            units = starts[src][:, None] + np.arange(rows * cols // width)
+        elif len(offsets[s]) == len(src):
+            at = np.array(offsets[s], dtype=np.int64).reshape(len(src), -1)
+            if at.shape[1] != rows * cols or (at < -1).any() or (
+                    at >= np.append(sizes, 0)[src][:, None]).any():
+                raise ValueError(f"a packing piece needs {rows * cols} offsets, each -1 or "
+                                 "a word of its tile")
+            units = np.where(at >= 0, starts[src][:, None] + at, -1)
         else:
             raise ValueError("a gathered side's pieces must all move whole or all pack words")
         for out, part in ((words, units), (charges, np.repeat(owner[s], rows * cols // width))):
             part = part.reshape(len(procs), count, rows, cols // width)
             out[s] = (part.transpose(0, 2, 1, 3) if axis == 1 else part).reshape(out[s].shape)
-    moves = np.zeros(len(keys), dtype=bool)
-    moves[list(moved)] = True
     return Gather(frag, procs, side, np.array(holders, dtype=np.int32), tuple(keys),
-                  tuple(shapes), moves, width, words, charges)
+                  tuple(shapes), np.array(moves, dtype=bool), width, words, charges)
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """d-sparse multiplication on n processors with O(d) words each.
 
 Processor r owns row r of A, column r of B, and the masked output row
-r.  All factor positions are structural knowledge, so schedules are
-wired at build time; only values travel at run time.
+r.  It stores the inputs as two row tiles, ("a", r) in column order and
+("b", r) in row order, and the builders name each word by its offset in
+its tile, found with ``searchsorted``.  All factor positions are
+structural knowledge, so schedules are wired at build time; only values
+travel at run time.
 
 Both schedules are one builder, which makes one plan per call.  The
 whole front end is columnar: the inputs are sorted (r, c, v) arrays, and
@@ -416,7 +419,9 @@ def _fetch_assignment(terms, d: int) -> np.ndarray:
 
 
 def fetch_fragment(plan, terms, fetch_rounds, start):
-    """The fetch of ``terms``, a (3, terms) int array r, k, j sorted by (r, j, k).
+    """The fetch of ``terms``, a (5, terms) int array r, k, j, a_at, b_at
+    sorted by (r, j, k): a(r, k) is word a_at of row tile ("a", r) and
+    b(k, j) word b_at of ("b", j).
 
     Term i with j != r moves b(k, j) from processor j to r in round
     ``start + fetch_rounds[i]`` and folds into c(r, j) in the round after;
@@ -487,15 +492,19 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     rounds = max(len(layers) * (grid + 1) + fetch_rounds, 1)
 
     plan = Plan(num_procs=n, num_rounds=rounds, min_memory=max(d, 1))
-    for r, k, v in zip(a.r.tolist(), a.c.tolist(), a.v.tolist()):
-        plan.set_init(r, ("a", r, k), np.array([v], dtype=np.int64))
-    for k, j, v in zip(b.r.tolist(), b.c.tolist(), b.v.tolist()):
-        plan.set_init(j, ("b", k, j), np.array([v], dtype=np.int64))
+    order = np.lexsort((b.r, b.c))  # B by (column, row)
+    a_keys, b_keys = a.r * n + a.c, b.c[order] * n + b.r[order]
+    for name, keys, values in (("a", a_keys, a.v), ("b", b_keys, b.v[order])):
+        bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+        for p in np.flatnonzero(np.diff(bounds)).tolist():
+            plan.set_init(p, (name, p), values[bounds[p] : bounds[p + 1]])
 
     stride = grid + 1
-    fetch_fragment(plan, terms, fetched, len(layers) * stride)
+    r, k, j = terms
+    at = _offsets(a_keys, n, r, k), _offsets(b_keys, n, j, k)
+    fetch_fragment(plan, np.vstack((terms, *at)), fetched, len(layers) * stride)
     for li, layer in enumerate(layers):
-        _build_layer(plan, layer, li, li * stride + 1, grid, mask, a, b)
+        _build_layer(plan, layer, li, li * stride + 1, grid, mask, a_keys, b_keys)
     for r in range(n):
         for j in mask.cols(r):
             plan.emit(r, ("c", r, j), r, j)
@@ -531,39 +540,42 @@ def schedule_sparse_twophase(
     return _sparse_schedule(n, d, a, b, mask, spec, eps)
 
 
-def _build_layer(plan, layer, li, r0, grid, mask, a: SparseMatrix, b: SparseMatrix):
+def _build_layer(plan, layer, li, r0, grid, mask, a_keys, b_keys):
     """One layer: disjoint dense blocks on grid**2 processors each.
 
     Rounds r0 .. r0 + grid: one skewed square rotation whose grid bi is
     block bi, on processors bi * grid**2 .. (bi + 1) * grid**2 - 1.  Its
     gather distributes every block's values in round r0: each tile row
-    (column) is packed by the owner of its A row (B column), or as zeros
-    at the consumer for a padding row (column).  Its last round also
-    sends the finished C rows back to their owners (:func:`hand_back`),
-    who add them one round later, which may be the trailing local step.
+    (column) is packed by the owner of its A row (B column) out of its
+    row tile, whose words are r * n + k in ``a_keys`` (j * n + k in
+    ``b_keys``), or as zeros at the consumer for a padding row (column).
+    Its last round also sends the finished C rows back to their owners
+    (:func:`hand_back`), who add them one round later, which may be the
+    trailing local step.
     """
     n, side = mask.n, grid * grid
     # per block, its rows, inner indices and columns, each padded with -1 to side
     ids = [[list(part) + [-1] * (side - len(part)) for part in (blk.rows, blk.ks, blk.cols)]
            for blk in layer]
     rows, ks, cols = np.array(ids, dtype=np.int64).transpose(1, 0, 2)  # (blocks, side) each
-    # a_has[bi][u][v]: is a(rows[bi, u], ks[bi, v]) stored; b_has: is b(ks[bi, u], cols[bi, v])
-    a_has = _stored(a.r * n + a.c, n, rows, ks).tolist()
-    b_has = _stored(b.r * n + b.c, n, ks, cols).tolist()
+    # a_at[bi][u][v]: a(rows[bi, u], ks[bi, v])'s offset in its row tile, -1 if not stored;
+    # b_at[bi][v][u]: b(ks[bi, u], cols[bi, v])'s
+    a_at = _offsets(a_keys, n, rows[:, :, None], ks[:, None, :]).tolist()
+    b_at = _offsets(b_keys, n, cols[:, :, None], ks[:, None, :]).tolist()
+
+    def packed(name, p, at):  # words of processor p's row tile, by offset
+        return p, (name, p), (plan.init[p][(name, p)].shape, at)
 
     def parts(bi, ti, tj, x):
-        # Row and column owners pack their value slices of block bi's A tile
-        # (ti, x) and B tile (x, tj); padding is zeros packed by the consumer.
-        (rs, inner_ids, js), has_a, has_b = ids[bi], a_has[bi], b_has[bi]
-        inner, own = range(x * grid, (x + 1) * grid), bi * side + ti * grid + tj
-        a_pieces = tuple(
-            (own if rs[u] < 0 else rs[u], ("xa", li, bi, u, x),
-             tuple(("a", rs[u], inner_ids[v]) if has_a[u][v] else None for v in inner))
-            for u in range(ti * grid, (ti + 1) * grid))
-        b_pieces = tuple(
-            (own if js[v] < 0 else js[v], ("xb", li, bi, x, v),
-             tuple(("b", inner_ids[u], js[v]) if has_b[u][v] else None for u in inner))
-            for v in range(tj * grid, (tj + 1) * grid))
+        # Row and column owners pack their words of block bi's A tile (ti, x)
+        # and B tile (x, tj); padding is zeros packed by the consumer.
+        rs, js = ids[bi][0], ids[bi][2]
+        inner, own = slice(x * grid, (x + 1) * grid), bi * side + ti * grid + tj
+        pad = own, None, ((), (-1,) * grid)
+        a_pieces = tuple(pad if rs[u] < 0 else packed("a", rs[u], a_at[bi][u][inner])
+                         for u in range(ti * grid, (ti + 1) * grid))
+        b_pieces = tuple(pad if js[v] < 0 else packed("b", js[v], b_at[bi][v][inner])
+                         for v in range(tj * grid, (tj + 1) * grid))
         return (a_pieces, 0), (b_pieces, 1)
 
     c_key = lambda bi, ti, tj: ("XC", li, bi, ti, tj)
@@ -592,8 +604,10 @@ def hand_back(plan, round_no, grid, procs, c_keys, rows, cols, mask):
                  np.where(given, np.cumsum(given) - 1, -1), cells)
 
 
-def _stored(keys, n, rows, cols):
-    """(blocks, side, side) bools: is rows[bi, u] * n + cols[bi, v] in the
-    ascending ``keys``, at [bi, u, v]; False where either is -1 (padding)."""
-    found = _member(keys, rows[:, :, None] * n + cols[:, None, :])
-    return found & (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]
+def _offsets(keys, n, major, minor):
+    """Elementwise (broadcasting), the offset of word major * n + minor in
+    the row tile of ``major``, whose words are its run of the ascending
+    ``keys``; -1 where it is not stored or either index is -1 (padding)."""
+    want = major * n + minor
+    stored = _member(keys, want) & (major >= 0) & (minor >= 0)
+    return np.where(stored, np.searchsorted(keys, want) - np.searchsorted(keys, major * n), -1)

@@ -2,10 +2,12 @@
 ``schedules.sparse.fetch_fragment`` and ``schedules.sparse._fetch_assignment``.
 
 ``fetch_fragment`` has the same signature and the same result as the
-group-op fragment, with no group op.  Each fetched value is a ``Send`` key
-at its sender in its fetch round, bundled per (sender, owner), and a
-``MulAcc`` and a ``Drop`` at its owner in the round after; each resident
-term (j == r) is a ``MulAcc`` in the trailing local step.
+group-op fragment, with no group op.  Each fetched value is a ``Slice``
+of one word out of its sender's B column tile ("b", j) and a ``Send`` in
+its fetch round, bundled per (sender, owner), and a ``MulAcc`` and a
+``Drop`` at its owner in the round after, with a(r, k) sliced out of the
+owner's A row tile ("a", r); each resident term (j == r) slices both
+words and is a ``MulAcc`` in the trailing local step.
 ``plan_reference.ReferenceProgram`` runs them op by op.
 ``per_processor_fetch`` patches it into the sparse module, so every
 sparse schedule can be built both ways.
@@ -22,7 +24,7 @@ import pytest
 
 from mpcmm.schedules import sparse
 
-from plan_reference import Drop, MulAcc, Send, add, run_references
+from plan_reference import Drop, MulAcc, Send, Slice, add, run_references
 
 
 def fetch_assignment(terms, d):
@@ -42,18 +44,29 @@ def fetch_assignment(terms, d):
 
 
 def fetch_fragment(plan, terms, fetch_rounds, start):
-    triples = list(zip(*terms.tolist()))
-    for r, k, j in triples:
+    terms = list(zip(*terms.tolist()))
+    for r, k, j, a_at, b_at in terms:
         if j == r:
-            add(plan, plan.num_rounds + 1, r, MulAcc(("c", r, j), ("a", r, k), ("b", k, j)))
-    sends = {}  # (round, sender, owner) -> [keys]
-    remote = [(r, k, j) for r, k, j in triples if j != r]
-    for (r, k, j), rd in zip(remote, fetch_rounds.tolist()):
-        bkey = ("b", k, j)
-        sends.setdefault((rd, j, r), []).append(bkey)
-        add(plan, start + rd + 1, r, MulAcc(("c", r, j), ("a", r, k), bkey), Drop((bkey,)))
-    for (rd, j, r), keys in sorted(sends.items()):
-        add(plan, start + rd, j, Send(r, tuple(keys)))
+            add(plan, plan.num_rounds + 1, r, *_fold(r, k, j, a_at, b_at))
+    sends = {}  # (round, sender, owner) -> [(key, offset)]
+    remote = [term for term in terms if term[2] != term[0]]
+    for (r, k, j, a_at, b_at), rd in zip(remote, fetch_rounds.tolist()):
+        sends.setdefault((rd, j, r), []).append((("b", k, j), b_at))
+        add(plan, start + rd + 1, r, *_fold(r, k, j, a_at))
+    for (rd, j, r), words in sorted(sends.items()):
+        keys = tuple(key for key, _ in words)
+        add(plan, start + rd, j, *(Slice(key, ("b", j), (at, at + 1), None) for key, at in words),
+            Send(r, keys), Drop(keys))
+
+
+def _fold(r, k, j, a_at, b_at=None):
+    """c(r, j) (+)= a(r, k) (*) b(k, j) at r, a(r, k) sliced out of r's row
+    tile; b(k, j) too where ``b_at`` is given (j == r), else as it arrived."""
+    a, b = ("a", r, k, j), ("b", k, j)
+    ops = [Slice(a, ("a", r), (a_at, a_at + 1), None)]
+    if b_at is not None:
+        ops.append(Slice(b, ("b", r), (b_at, b_at + 1), None))
+    return (*ops, MulAcc(("c", r, j), a, b), Drop((a, b)))
 
 
 @contextlib.contextmanager

@@ -10,8 +10,8 @@ messages::
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
     AccCell(c, src, index)  c  (+)=  flat word ``index`` of src, as a (1,) tile
     Assemble(dst, srcs, axis)   concatenate tiles
-    Slice(dst, src, rows, cols) copy a sub-block
-    Pack(dst, keys, shape)      gather scalars (None -> zero) into a tile
+    Slice(dst, src, rows, cols) copy a sub-block; words rows[0]:rows[1] if cols is None
+    Pack(dst, src, offsets, shape)  gather flat words of src (-1 -> zero) into a tile
     Send(dst, keys)             bundle the listed tiles to processor dst
     Drop(keys)                  free tiles
 
@@ -76,13 +76,14 @@ class Slice:
     dst: tuple
     src: tuple
     rows: tuple
-    cols: tuple
+    cols: tuple | None  # None: src is flat, and rows are its words
 
 
 @dataclass(frozen=True)
 class Pack:
     dst: tuple
-    keys: tuple  # one-word keys, None entries become the zero element
+    src: tuple | None  # None: every offset is -1
+    offsets: tuple  # flat offsets into src; -1 entries become the zero element
     shape: tuple
 
 
@@ -237,15 +238,15 @@ def _assemble(spec, store, op, sends):
 
 def _slice(spec, store, op, sends):
     r0, r1 = op.rows
-    c0, c1 = op.cols
-    store[op.dst] = store[op.src][r0:r1, c0:c1].copy()
+    tile = store[op.src]
+    store[op.dst] = (tile[r0:r1] if op.cols is None else tile[r0:r1, op.cols[0]:op.cols[1]]).copy()
 
 
 def _pack(spec, store, op, sends):
     flat = np.full(math.prod(op.shape), spec.zero, dtype=np.int64)
-    for i, key in enumerate(op.keys):
-        if key is not None:
-            flat[i] = store[key].reshape(-1)[0]
+    for i, offset in enumerate(op.offsets):
+        if offset >= 0:
+            flat[i] = store[op.src].reshape(-1)[offset]
     store[op.dst] = flat.reshape(op.shape)
 
 

@@ -5,9 +5,9 @@ Same signature and same result as the group-op fragment, with no group
 op: it takes the same (grids, grid, grid) processor array and
 ``parts(b, i, j, x)`` and ``c_key(b, i, j)``, and turns the grids one
 after another, grid b's processors as ``procs[b]``.  The distribution
-round packs each piece that lists one-word keys into a tile at its
-holder (``Pack``), which sends the piece to its first consumer unless it
-is that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``,
+round packs each piece that lists offsets into a tile at its holder
+(``Pack``, out of the row tile the piece names), which sends the piece
+to its first consumer unless it is that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``,
 ``Send`` and ``Drop`` list on each of a grid's grid**2 processors, run
 by ``plan_reference.ReferenceProgram`` op by op.  Tests
 monkeypatch it into the square, rect and sparse modules to run every
@@ -20,22 +20,28 @@ import numpy as np
 from plan_reference import AccCell, Assemble, Drop, Mac, Pack, Send, Slice, add
 
 
-def distribute(plan, grid, proc, parts, round_no, side):
+def distribute(plan, grid, proc, parts, round_no, side, name):
     """Place every slot-0 piece of one grid at its consumer; returns, per
-    cell in row-major order, the piece keys with their axes."""
+    cell in row-major order, the piece keys with their axes.  A packed
+    piece is named ``name(i, j, side, piece)``."""
     gather = []
     for i in range(grid):
         for j in range(grid):
             tiles = parts(i, j, (i + j) % grid)
-            for pieces, axis in tiles:
+            placed = []
+            for s, (pieces, axis) in enumerate(tiles):
                 share = side // len(pieces)
                 shape = (share, side) if axis == 0 else (side, share)
-                for holder, key, words in pieces:
+                keys = []
+                for n, (holder, key, words) in enumerate(pieces):
                     if words is not None:
-                        add(plan, round_no, holder, Pack(key, words, shape))
+                        src, key = key, name(i, j, s, n)
+                        add(plan, round_no, holder, Pack(key, src, tuple(words[1]), shape))
                     if proc(i, j) != holder:
                         add(plan, round_no, holder, Send(proc(i, j), (key,)), Drop((key,)))
-            gather.append(tuple((tuple(k for _, k, _ in pieces), axis) for pieces, axis in tiles))
+                    keys.append(key)
+                placed.append((tuple(keys), axis))
+            gather.append(tuple(placed))
     return tuple(gather)
 
 
@@ -45,7 +51,7 @@ def rotation_fragment(plan, procs, parts, c_key, first_round, side):
         grid = len(grid_procs)
         proc = lambda i, j: grid_procs[i][j]
         gather = distribute(plan, grid, proc, lambda i, j, x: parts(b, i, j, x),
-                            first_round - 1, side)
+                            first_round - 1, side, lambda *piece: ("rP", frag, b, *piece))
         for i in range(grid):
             for j in range(grid):
                 p, c = proc(i, j), c_key(b, i, j)

@@ -10,9 +10,13 @@ untyped crash.
 
 Fetch mutants change one term of a built golden sparse plan's ``Fetch``
 ops: a term removed from the arrays of the rounds that move and fold it,
-or duplicated there, must end in an oracle mismatch; a fetched b value
-deleted from its sender's store must raise ``MissingTile`` naming that
-sender and the round.
+or duplicated there, or its a or b offset moved to a neighbouring word
+of the same row tile, must end in an oracle mismatch; an offset pushed
+past its row tile, where the concatenation the step reads holds the
+next tile's first word, is rejected with a ``ValueError``; a row tile
+deleted from its processor's store must raise ``MissingTile`` naming
+that processor, the round and the tile.  A group op that writes into a
+tile it only reads raises, since initial tiles are read-only.
 
 Gather mutants change one source or unit of a built golden plan's
 ``Gather``: a source moved, with the units that read it, to a holder
@@ -53,9 +57,11 @@ import numpy as np
 import pytest
 
 import mpcmm.experiment as experiment
+import mpcmm.plan as plan_module
 import mpcmm.semiring as semiring
+from mpcmm import get_semiring, run
 from mpcmm.experiment import ExperimentConfig, run_experiment
-from mpcmm.plan import Fetch, Gather, Scatter
+from mpcmm.plan import Fetch, Gather, MissingTile, PlanProgram, Scatter
 
 from fetch_reference import per_processor_fetch
 from plan_reference import Mac, MulAcc, Send
@@ -178,7 +184,7 @@ def _edit_term(plan, site, edit):
     fetched term (j != r), to its column in the move of the round before."""
     round_no, g, column = site
     op = plan.groups[round_no][g]
-    r, _, j = op.fold[:, column]
+    r, _, j = op.fold[:3, column]
     if j != r:
         moved = int(np.sum(op.fold[0, :column] != op.fold[2, :column]))
         prev_round, prev_g = next((rd, h) for rd in range(round_no - 1, 0, -1)
@@ -213,30 +219,118 @@ def test_every_fetch_term_mutant_is_caught(monkeypatch, mutant, position):
     assert _caught(monkeypatch, _fetch_term_mutant(edit, PICK[position]), "int") >= 3
 
 
-def _drop_held_value(pick):
-    """Delete the b value of the ``pick``ed fetched term from its sender's store."""
+def _offset_mutant(row, offset, pick):
+    """Set the a_at (``row`` 3) or b_at (``row`` 4) offset of the ``pick``ed
+    folded term whose row tile holds more than one word to
+    ``offset(at, words)``, in its fold and in the move that fetched it."""
 
     def apply(plan):
-        sites = _fetch_sites(plan, "move")
+        sites = []
+        for site in _fetch_sites(plan, "fold"):
+            round_no, g, column = site
+            r, _, j, *at = plan.groups[round_no][g].fold[:, column].tolist()
+            p = r if row == 3 else j
+            words = plan.init[p][("a" if row == 3 else "b", p)].size
+            if words > 1:
+                sites.append((site, offset(at[row - 3], words)))
+        if sites:
+            site, value = sites[pick(len(sites))]
+            _edit_term(plan, site, lambda array, i: _set(array, (row, i), value))
+        return sites
+
+    return apply
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+@pytest.mark.parametrize("row", [3, 4], ids=["a_at", "b_at"])
+def test_an_offset_past_its_row_tile_is_rejected(monkeypatch, row, position):
+    """Word ``words`` of a tile is the next tile's first word in the
+    concatenation the step reads, so the step must check every offset."""
+    raised = 0
+    for name in SPARSE_GOLDEN:
+        config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name])
+        mutant = _offset_mutant(row, lambda at, words: words, PICK[position])
+        try:
+            summary = _run_mutated(monkeypatch, config, mutant)
+        except ValueError as err:
+            assert "lies outside the" in str(err), name
+            raised += 1
+        else:
+            assert summary is None, name
+    assert raised == len(SPARSE_GOLDEN) - 2  # the layers of two take every term: no fetch
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+@pytest.mark.parametrize("row", [3, 4], ids=["a_at", "b_at"])
+def test_an_offset_moved_to_a_neighbouring_word_fails_the_oracle(monkeypatch, row, position):
+    neighbour = lambda at, words: at + 1 if at + 1 < words else at - 1
+    assert _caught(monkeypatch, _offset_mutant(row, neighbour, PICK[position]), "int") >= 3
+
+
+def test_a_write_into_a_tile_that_is_only_read_raises(monkeypatch):
+    """Initial tiles are read-only views: the sparse A row tiles are slices
+    of the instance's value array, which the oracle reads too."""
+    tiles = plan_module._tiles
+
+    def writing(program, states, procs, keys, moves, round_no):
+        moves = [move for _, move in zip(procs, moves)]
+        found = tiles(program, states, procs, keys, moves, round_no)
+        for tile, move in zip(found, moves):
+            if not move:
+                tile += 1
+        return found
+
+    monkeypatch.setattr(plan_module, "_tiles", writing)
+    for name in SPARSE_GOLDEN:
+        with pytest.raises(ValueError, match="read-only"):
+            run_experiment(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]), write=False)
+
+
+def _drop_row_tile(name, pick):
+    """Delete the row tile ``name`` that the ``pick``ed term reads: the A row
+    tile of a folded term's owner, or the B column tile of a moved term's
+    sender."""
+
+    def apply(plan):
+        sites = _fetch_sites(plan, "fold" if name == "a" else "move")
         if sites:
             round_no, g, column = sites[pick(len(sites))]
             op = plan.groups[round_no][g]
-            _, k, j = op.move[:, column].tolist()
-            del plan.init[j][("b", k, j)]
+            p = int(op.fold[0, column] if name == "a" else op.move[2, column])
+            del plan.init[p][(name, p)]
         return sites
 
     return apply
 
 
 def test_missing_tile_record_names_processor_and_round(monkeypatch):
-    # sparse-trivial n=16 d=2 has two rounds.  A fetched value is read at its
-    # sender in its fetch round: the first one, b(1, 5), at processor 5 in
-    # round 1, the last one, b(14, 15), at processor 15 in round 2.
+    # sparse-trivial n=16 d=2 moves values in rounds 1 and 2 and folds them a
+    # round later.  A B column tile is first read when its processor first
+    # sends, and every sender sends in round 1: the first moved value's at
+    # processor 5, the last one's at processor 15.  An A row tile is first
+    # read at its owner's first fold, in round 2 for the first folded term's
+    # owner 0 and for the last one's, owner 14.
     config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS["sparse-trivial-int"])
-    for position, processor, round_no in (("first", 5, 1), ("last", 15, 2)):
-        violation = _run_mutated(monkeypatch, config, _drop_held_value(PICK[position]))["violation"]
+    spec = get_semiring(config.semiring)
+    for name, position, where in (("b", "first", (5, 1)), ("b", "last", (15, 1)),
+                                  ("a", "first", (0, 2)), ("a", "last", (14, 2))):
+        mutant = _drop_row_tile(name, PICK[position])
+        violation = _run_mutated(monkeypatch, config, mutant)["violation"]
         assert violation["type"] == "MissingTile"
-        assert (violation["processor"], violation["round"]) == (processor, round_no)
+        assert (violation["processor"], violation["round"]) == where
+        schedule = experiment.build_schedule(config, *experiment.generate_instance(config, spec),
+                                             spec)
+        mutant(schedule.program.plan)
+        with pytest.raises(MissingTile) as caught:
+            run(PlanProgram(schedule.program.plan, spec), schedule.config)
+        assert (caught.value.processor, caught.value.round, caught.value.key) == (*where,
+                                                                                 (name, where[0]))
 
 
 def _gathers(plan):

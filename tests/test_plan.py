@@ -163,6 +163,21 @@ def test_gather_tiles_must_be_equal_pieces(pieces, message):
         run(PlanProgram(plan, INT), MpcConfig(1, 64))
 
 
+@pytest.mark.parametrize("key, offsets", [
+    (("T",), (0, 3)),  # word 3 of a 3-word tile: the next source's first word
+    (("T",), (0, -2)),
+    (None, (0, -1)),  # no tile to read a word of
+    (("T",), (0,)),  # a 1 x 2 piece needs two offsets
+], ids=["past", "below", "no-tile", "count"])
+def test_a_packing_piece_must_name_words_of_its_tile(key, offsets):
+    # processor 0 packs each 1 x 2 row of a 2 x 2 tile out of its 3-word tile ("T",)
+    good = 0, ("T",), ((3,), (2, -1))
+    gather(0, np.arange(1), 2, [(((good, good), 0),) * 2])
+    with pytest.raises(ValueError, match="a word of its tile"):
+        bad = 0, key, ((3,), offsets)
+        gather(0, np.arange(1), 2, [(((bad, bad), 0),) * 2])
+
+
 def _edit(op, field, index, value):
     array = getattr(op, field).copy()
     array[index] = value
@@ -213,8 +228,8 @@ def _word_gather(procs, side, tiles, init):
                             word = ((recipe.rows[0] + y) * init[holder][src].shape[1]
                                     + recipe.cols[0] + x)
                         else:
-                            src, word = recipe.keys[y * cols + x], 0
-                        if src is None:
+                            src, word = recipe.src, recipe.offsets[y * cols + x]
+                        if src is None or word < 0:
                             at[(slice(None), *where)] = -1
                             continue
                         shape = init[holder][src].shape
@@ -232,15 +247,15 @@ def _word_gather(procs, side, tiles, init):
 @st.composite
 def _gathers(draw):
     """A gather of pieces that move stored tiles out, slice strips and
-    sub-blocks out of one stored tile per processor, or pack one-word tiles
-    and zeros, over up to four processors that share their sources."""
+    sub-blocks out of one stored tile per processor, or pack words of that
+    tile, picked by offset, and zeros, over up to four processors that
+    share their sources."""
     procs_n = draw(st.integers(1, 4))
     side = draw(st.sampled_from([1, 2, 4]))
     procs = draw(st.lists(st.integers(0, procs_n - 1), min_size=1, max_size=4))
     values = st.integers(0, 9)
     init = {p: {("T", p): np.array(draw(st.lists(values, min_size=4 * side * side,
-                                                 max_size=4 * side * side))).reshape(2 * side, -1),
-                **{("w", p, i): np.array([draw(values)]) for i in range(3)}}
+                                                 max_size=4 * side * side))).reshape(2 * side, -1)}
             for p in range(procs_n)}
     layout = [(draw(st.sampled_from([c for c in (1, 2, 4) if side % c == 0])),
                draw(st.sampled_from([0, 1])),
@@ -265,10 +280,12 @@ def _gathers(draw):
                     c0 = draw(st.integers(0, 2 * side - cols))
                     pieces.append((holder, key, Slice(key, ("T", holder), (r0, r0 + rows),
                                                       (c0, c0 + cols))))
-                else:
-                    words = st.sampled_from([None] + [("w", holder, i) for i in range(3)])
-                    keys = tuple(draw(words) for _ in range(rows * cols))
-                    pieces.append((holder, key, Pack(key, keys, (rows, cols))))
+                elif draw(st.booleans()):
+                    offsets = st.integers(-1, 4 * side * side - 1)
+                    at = tuple(draw(offsets) for _ in range(rows * cols))
+                    pieces.append((holder, key, Pack(key, ("T", holder), at, (rows, cols))))
+                else:  # all zeros, reading no tile
+                    pieces.append((holder, key, Pack(key, None, (-1,) * rows * cols, (rows, cols))))
             tile.append((tuple(pieces), axis))
         tiles.append(tuple(tile))
     return procs_n, procs, side, tiles, init, {kind for _, _, kind in layout}
@@ -283,9 +300,11 @@ def test_index_gather_matches_the_per_piece_reference(case, semiring):
     a, b, words = gather_pieces(spec, ref_states, procs, side, tiles)
     ops = [_word_gather(procs, side, tiles, init)]
     if not kinds & {"slice", "mixed"}:  # the builders' translation, with wider units
+        shape = (2 * side, 2 * side)  # a Pack reads ("T", holder) or no tile
         ops.append(gather(0, np.array(procs), side, [
-            tuple((tuple((h, k, r if r is None else r.keys) for h, k, r in pieces), axis)
-                  for pieces, axis in tile) for tile in tiles]))
+            tuple((tuple((h, k, None) if r is None else (h, r.src, (shape, r.offsets))
+                         for h, k, r in pieces), axis) for pieces, axis in tile)
+            for tile in tiles]))
     for op in ops:
         plan = Plan(num_procs=procs_n, num_rounds=1)
         plan.init = init

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpcmm import (
     EpsilonSchedule,
@@ -23,8 +24,9 @@ from mpcmm.plan import Gather, Scatter
 from mpcmm.schedules import sparse as sparse_module
 from mpcmm.schedules.sparse import build_ledger
 
+from fetch_reference import per_processor_fetch
 from test_golden import CONFIGS as GOLDEN_CONFIGS, _digest
-from test_rotation import _assert_built_both_ways_agree, _build
+from test_rotation import _assert_built_both_ways_agree, _build, _execute, per_processor_rotation
 
 INT = get_semiring("int")
 BOOL = get_semiring("bool")
@@ -68,6 +70,47 @@ def build(builder, n, d, a, b, mask, spec):
     if builder == "trivial":
         return schedule_sparse_trivial(n, d, a, b, mask, spec)
     return schedule_sparse_twophase(n, d, a, b, mask, EpsilonSchedule(), spec)
+
+
+@st.composite
+def ragged_pairs(draw):
+    """(n, d, a, b, semiring): a d-sparse pair built with ``from_arrays`` whose
+    rows and columns hold 0..d entries each, so some processors hold no A
+    row tile or no B column tile."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    semiring = draw(st.sampled_from(["int", "bool", "tropical"]))
+    low = 0 if semiring == "tropical" else 1
+    index = st.integers(0, n - 1)
+    # d x d blocks down the diagonal first, or none, so that layers can form
+    blocks = [(r, r // d * d + c) for r in range(n // d * d) for c in range(d)]
+    first = blocks if draw(st.booleans()) else []
+    pair = []
+    for _ in "ab":
+        rows, cols = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        kept = []
+        for r, c in first + draw(st.lists(st.tuples(index, index), max_size=n * d, unique=True)):
+            if rows[r] < d and cols[c] < d:  # keep the matrix d-sparse
+                rows[r] += 1
+                cols[c] += 1
+                kept.append((r, c))
+        r, c = np.array(kept, dtype=np.int64).reshape(-1, 2).T
+        v = [1 if semiring == "bool" else draw(st.integers(low, 9)) for _ in kept]
+        pair.append(SparseMatrix.from_arrays(n, n, r, c, v))
+    return n, d, *pair, semiring
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ragged_pairs(), builder=st.sampled_from(["trivial", "twophase"]))
+def test_ragged_pairs_match_the_oracle_and_the_per_processor_reference(case, builder):
+    n, d, a, b, semiring = case
+    spec = get_semiring(semiring)
+    mask = default_mask(a, b, d)
+    grouped = build(builder, n, d, a, b, mask, spec)
+    with per_processor_fetch(), per_processor_rotation():
+        reference = build(builder, n, d, a, b, mask, spec)
+    csv, outputs, out = _execute(grouped)
+    assert (csv, outputs, out) == _execute(reference)
+    assert masked_match(out, naive_multiply(a, b, spec), mask)
 
 
 class TestMask:
