@@ -22,6 +22,9 @@ start of the compute phase, and state + outbox at its end.  A violation
 raises at the first offending round, which is exactly when the modelled
 algorithm is considered failed; the checks run over all processors in
 the order sent, received, peak, so the first record is well defined.
+The transcript is these figures, ``Transcript.figures``: one (3, R, P)
+int64 array, a (sent, received, peak) slice written per round; the final
+footprint is checked at the trailing step and counts in round R's peak.
 
 Two optional program hooks let whole rounds run without touching every
 processor:
@@ -46,10 +49,7 @@ processor:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -113,8 +113,7 @@ class Message(NamedTuple):
     payload: np.ndarray  # flat int64 words
 
 
-@dataclass
-class RoundRow:
+class RoundRow(NamedTuple):
     round: int
     processor: int
     words_sent: int
@@ -122,63 +121,79 @@ class RoundRow:
     peak_memory: int
 
 
-@dataclass
+_CSV_HEADER = "round,processor,words_sent,words_received,peak_memory"
+
+
+@dataclass(eq=False)
 class Transcript:
-    processors: int
-    rounds: int
-    rows: list = field(default_factory=list)  # RoundRow per (round, processor)
+    """A run's budget figures: ``figures[k, r - 1, p]`` is processor p's
+    words sent (k = 0), words received (k = 1) and peak memory (k = 2)
+    in round r, one (3, rounds, processors) int64 array."""
+
+    figures: np.ndarray
     output_words: list = field(default_factory=list)
 
-    def max_sent(self):
-        return max((r.words_sent for r in self.rows), default=0)
+    @property
+    def rounds(self) -> int:
+        return self.figures.shape[1]
 
-    def max_received(self):
-        return max((r.words_received for r in self.rows), default=0)
+    @property
+    def processors(self) -> int:
+        return self.figures.shape[2]
 
-    def max_memory(self):
-        return max((r.peak_memory for r in self.rows), default=0)
+    def _table(self) -> np.ndarray:
+        ids = np.indices(self.figures.shape[1:]).reshape(2, -1)
+        ids[0] += 1
+        return np.concatenate([ids, self.figures.reshape(3, -1)])
+
+    @property
+    def rows(self) -> list:
+        """The CSV's lines, one RoundRow per (round, processor), from ``figures``."""
+        return list(map(RoundRow, *self._table().tolist()))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["round", "processor", "words_sent", "words_received", "peak_memory"])
-        for r in self.rows:
-            w.writerow([r.round, r.processor, r.words_sent, r.words_received, r.peak_memory])
-        return out.getvalue()
+        words = self._table().T.ravel().tolist()
+        return _CSV_HEADER + "\n" + "%d,%d,%d,%d,%d\n" * (len(words) // 5) % tuple(words)
 
     @staticmethod
     def from_csv(text: str) -> "Transcript":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        expected = ["round", "processor", "words_sent", "words_received", "peak_memory"]
-        if header != expected:
-            raise ValueError(f"bad transcript header {header}")
-        rows = [RoundRow(*map(int, row)) for row in reader if row]
-        procs = max((r.processor for r in rows), default=-1) + 1
-        rounds = max((r.round for r in rows), default=0)
-        return Transcript(processors=procs, rounds=rounds, rows=rows)
+        """Parse ``to_csv``'s text, blank lines skipped; anything else raises ValueError."""
+        header, *lines = text.splitlines() or [""]
+        if header != _CSV_HEADER:
+            raise ValueError(f"bad transcript header {header!r}")
+        fields = [line.split(",") for line in lines if line]
+        if any(len(line) != 5 for line in fields):
+            raise ValueError("every transcript line must have 5 fields")
+        try:
+            table = np.array(fields, dtype=np.int64).reshape(-1, 5).T
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"transcript field is not an int64 word: {err}") from None
+        procs = int(table[1].max(initial=-1)) + 1
+        rounds = len(fields) // max(procs, 1)
+        t = Transcript(table[2:, : rounds * procs].reshape(3, rounds, procs).copy())
+        if not np.array_equal(t._table()[:2], table[:2]):
+            raise ValueError("transcript must list each (round, processor) once, in order")
+        return t
 
     def summary(self, config: MpcConfig, violation=None) -> dict:
+        sent, received, peak = self.figures.max(axis=(1, 2), initial=0).tolist()
         return {
             "rounds": self.rounds,
             "processors": self.processors,
             "memory": config.memory,
             "cap_factor": config.cap_factor,
             "budget": config.budget,
-            "max_words_sent": self.max_sent(),
-            "max_words_received": self.max_received(),
-            "max_peak_memory": self.max_memory(),
+            "max_words_sent": sent,
+            "max_words_received": received,
+            "max_peak_memory": peak,
             "output_words": sum(self.output_words),
             "violation": violation,
         }
 
 
 def assert_transcript(t: Transcript, config: MpcConfig) -> bool:
-    """True iff every row respects the three budget inequalities."""
-    b = config.budget
-    return all(
-        r.words_sent <= b and r.words_received <= b and r.peak_memory <= b for r in t.rows
-    )
+    """True iff every figure respects its budget inequality."""
+    return bool((t.figures <= config.budget).all())
 
 
 class Program:
@@ -276,12 +291,11 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     held = np.zeros(procs, dtype=np.int64)  # group words held across the last barrier
     inboxes = {}  # processor -> its non-empty inbox
     inbox_words = np.zeros(procs, dtype=np.int64)
-    transcript = Transcript(processors=procs, rounds=program.total_rounds)
+    figures = np.zeros((3, program.total_rounds, procs), dtype=np.int64)
 
     for round_no in range(1, program.total_rounds + 1):
         in_words = state_words + inbox_words + held
-        sent = np.zeros(procs, dtype=np.int64)
-        received = np.zeros(procs, dtype=np.int64)
+        sent, received = np.zeros((2, procs), dtype=np.int64)
         group = program.group_step(round_no, states, inboxes)
         if group is None:
             held = np.zeros(procs, dtype=np.int64)
@@ -312,17 +326,11 @@ def run(program: Program, config: MpcConfig) -> RunResult:
                     raise ValueError(f"processor {p} sent to invalid destination {dst}")
                 payload = np.ascontiguousarray(payload).ravel()
                 if payload.dtype != WORD:
-                    raise TypeError(
-                        f"processor {p} sent a {payload.dtype} payload in round {round_no}; "
-                        "payloads must be int64 words"
-                    )
-                words = payload.size
-                box = new_inboxes.get(dst)
-                if box is None:
-                    box = new_inboxes[dst] = []
-                box.append(Message(p, dst, tag, payload))
-                delivered[dst] = delivered.get(dst, 0) + words
-                out_words += words
+                    raise TypeError(f"processor {p} sent a {payload.dtype} payload in round "
+                                    f"{round_no}; payloads must be int64 words")
+                new_inboxes.setdefault(dst, []).append(Message(p, dst, tag, payload))
+                delivered[dst] = delivered.get(dst, 0) + payload.size
+                out_words += payload.size
             states[p] = state
             handled_sent.append(out_words)
             handled_words.append(_words(state))
@@ -334,35 +342,25 @@ def run(program: Program, config: MpcConfig) -> RunResult:
             received[list(delivered)] += list(delivered.values())
         peak = np.maximum(in_words, state_words + sent + held)
 
-        for direction, figures in (("sent", sent), ("received", received)):
-            p = _first_over(figures, budget)
+        for direction, words in (("sent", sent), ("received", received)):
+            p = _first_over(words, budget)
             if p is not None:
-                raise BandwidthExceeded(p, round_no, direction, int(figures[p]), budget)
+                raise BandwidthExceeded(p, round_no, direction, int(words[p]), budget)
         p = _first_over(peak, budget)
         if p is not None:
             raise MemoryExceeded(p, round_no, int(peak[p]), budget)
 
-        transcript.rows.extend(
-            map(RoundRow, repeat(round_no), everyone, sent.tolist(), received.tolist(),
-                peak.tolist())
-        )
+        figures[:, round_no - 1] = sent, received, peak
         inboxes, inbox_words = new_inboxes, received
 
-    outputs = {}
-    output_words = [0] * procs
-    final_words = (state_words + inbox_words + held).tolist()
-    for p in everyone:
-        fin_words = final_words[p]
-        if fin_words > budget:
-            raise MemoryExceeded(p, max(program.total_rounds, 1), fin_words, budget)
-        if program.total_rounds:
-            row = transcript.rows[(program.total_rounds - 1) * procs + p]
-            row.peak_memory = max(row.peak_memory, fin_words)
+    final_words = state_words + inbox_words + held
+    p = _first_over(final_words, budget)
+    if p is not None:
+        raise MemoryExceeded(p, max(program.total_rounds, 1), int(final_words[p]), budget)
+    np.maximum(figures[2, -1:], final_words, out=figures[2, -1:])  # no-op without rounds
     group = program.group_step(program.total_rounds + 1, states, inboxes)
     if group is not None and any(words.any() for words in group[:3]):
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
-    for p in everyone:
-        outputs[p] = program.finalize(p, states[p], inboxes.get(p) or [])
-        output_words[p] = sum(block.size for _, _, block in outputs[p])
-    transcript.output_words = output_words
-    return RunResult(transcript, outputs)
+    outputs = {p: program.finalize(p, states[p], inboxes.get(p) or []) for p in everyone}
+    output_words = [sum(block.size for _, _, block in outputs[p]) for p in everyone]
+    return RunResult(Transcript(figures, output_words), outputs)

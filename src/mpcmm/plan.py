@@ -540,11 +540,12 @@ def _fetch_step(program, op, round_no, states):
 def _words_at(program, states, name, procs, at, round_no):
     """Word ``at[i]`` of tile (name, procs[i]) in processor ``procs[i]``'s
     store, for every i, each touched tile read once and left there."""
-    touched = np.flatnonzero(np.bincount(procs, minlength=len(states))).tolist()
+    counts = np.bincount(procs, minlength=len(states))
+    touched = np.flatnonzero(counts).tolist()
     keys = [(name, p) for p in touched]
     tiles = _tiles(program, states, touched, keys, repeat(False), round_no)
     sizes = np.array([tile.size for tile in tiles], dtype=np.int64)
-    which = np.searchsorted(touched, procs)
+    which = (np.cumsum(counts > 0) - 1)[procs]  # each term's rank among the touched tiles
     outside = np.flatnonzero((at < 0) | (at >= sizes[which]))
     if outside.size:
         i = outside[0]

@@ -1,7 +1,11 @@
 """Round engine semantics: budgets, delivery order, determinism, export."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpcmm import (
     BandwidthExceeded,
@@ -63,7 +67,7 @@ def test_local_multiply_single_round_no_messages():
     result = run(LocalMultiply(a, b), MpcConfig(1, 48))
     t = result.transcript
     assert t.rounds == 1
-    assert t.max_sent() == 0 and t.max_received() == 0
+    assert not t.figures[:2].any()
     got = result.outputs[0][0][2]
     assert np.array_equal(got, naive_multiply(a, b, INT).data)
 
@@ -165,21 +169,94 @@ def test_conservation_and_determinism():
     t1 = sched.execute()[0].transcript
     t2 = sched.execute()[0].transcript
     assert t1.to_csv() == t2.to_csv()
-    for rnd in range(1, t1.rounds + 1):
-        rows = [r for r in t1.rows if r.round == rnd]
-        assert sum(r.words_sent for r in rows) == sum(r.words_received for r in rows)
+    sent, received, _ = t1.figures
+    assert np.array_equal(sent.sum(axis=1), received.sum(axis=1))
+    assert t1.to_csv() == reference_csv(t1)
+
+
+def reference_csv(t):
+    """The transcript CSV as a `csv.writer` loop over the figures writes it."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["round", "processor", "words_sent", "words_received", "peak_memory"])
+    for r in range(t.rounds):
+        for p in range(t.processors):
+            w.writerow([r + 1, p, *t.figures[:, r, p].tolist()])
+    return out.getvalue()
 
 
 def test_assert_transcript_and_csv_round_trip():
     config = MpcConfig(2, 8, cap_factor=4)
-    good = Transcript(processors=2, rounds=1, rows=[RoundRow(1, 0, 8, 8, 16), RoundRow(1, 1, 8, 8, 16)])
+    good = Transcript(np.array([[[8, 8]], [[8, 8]], [[16, 16]]]))
     assert assert_transcript(good, config)
-    bad = Transcript(processors=2, rounds=1, rows=[RoundRow(1, 0, 8, 99, 16)])
-    assert not assert_transcript(bad, config)
-    for t in (good, bad):
-        replayed = Transcript.from_csv(t.to_csv())
-        assert assert_transcript(replayed, config) == assert_transcript(t, config)
-        assert replayed.rows == t.rows
+    for k in range(3):  # one figure over the budget, sent, received or peak, fails the run
+        figures = good.figures.copy()
+        figures[k, 0, 1] = config.budget + 1
+        bad = Transcript(figures)
+        assert not assert_transcript(bad, config)
+        for t in (good, bad):
+            replayed = Transcript.from_csv(t.to_csv())
+            assert assert_transcript(replayed, config) == assert_transcript(t, config)
+            assert np.array_equal(replayed.figures, t.figures)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 7), st.data())
+def test_csv_round_trip_and_reference_bytes_over_random_figures(rounds, procs, data):
+    size = 3 * rounds * procs
+    words = data.draw(st.lists(st.integers(0, 2**62), min_size=size, max_size=size))
+    t = Transcript(np.array(words, dtype=np.int64).reshape(3, rounds, procs))
+    text = t.to_csv()
+    assert text == reference_csv(t)
+    replayed = Transcript.from_csv(text)
+    # a transcript of no rounds has no lines to name its processors
+    assert replayed.figures.shape == (3, rounds, procs if rounds else 0)
+    assert np.array_equal(replayed.figures.reshape(3, -1), t.figures.reshape(3, -1))
+
+
+def test_rows_list_the_figures_line_by_line():
+    t = run(Grouped(), MpcConfig(2, 8)).transcript
+    assert t.rows == [RoundRow(r + 1, p, *t.figures[:, r, p].tolist())
+                      for r in range(t.rounds) for p in range(t.processors)]
+    assert t.rows[1] == RoundRow(round=1, processor=1, words_sent=0, words_received=5,
+                                 peak_memory=0)
+    with pytest.raises(AttributeError):
+        t.rows = []
+
+
+_CSV = Transcript(np.arange(12).reshape(3, 2, 2)).to_csv().splitlines()
+HEADER, LINES = _CSV[0], _CSV[1:]  # lines (1, 0), (1, 1), (2, 0), (2, 1)
+
+
+@pytest.mark.parametrize("lines", [
+    LINES[:1] + LINES[2:],  # (1, 1) missing
+    LINES[:3],  # (2, 1) missing
+    LINES[:2] + LINES[1:],  # (1, 1) repeated
+    LINES[:3] + LINES[2:3],  # (2, 0) repeated in place of (2, 1)
+    [LINES[1], LINES[0]] + LINES[2:],  # out of order
+    ["2,0,0,0,0", "2,1,0,0,0"],  # round 1 missing
+], ids=["missing", "missing-last", "repeated", "repeated-in-place", "out-of-order",
+        "round-1-missing"])
+def test_from_csv_rejects_a_missing_repeated_or_misplaced_line(lines):
+    with pytest.raises(ValueError, match="once, in order"):
+        Transcript.from_csv("\n".join([HEADER, *lines]) + "\n")
+
+
+@pytest.mark.parametrize("line", ["1,1,1,5", "1,1,1,5,9,0", ",", "1;1;1;5;9"])
+def test_from_csv_rejects_a_line_without_five_fields(line):
+    with pytest.raises(ValueError, match="5 fields"):
+        Transcript.from_csv("\n".join([HEADER, LINES[0], line, *LINES[2:]]) + "\n")
+
+
+def test_from_csv_skips_blank_lines():
+    text = "\n".join([HEADER, LINES[0], "", *LINES[1:]]) + "\n\n"
+    assert np.array_equal(Transcript.from_csv(text).figures, np.arange(12).reshape(3, 2, 2))
+
+
+@pytest.mark.parametrize("field", ["x", "1.5", "", "0x10", str(2**63)])
+def test_from_csv_rejects_a_field_that_is_not_an_integer_word(field):
+    with pytest.raises(ValueError, match="int64 word"):
+        Transcript.from_csv("\n".join([HEADER, LINES[0], f"1,1,{field},5,9", *LINES[2:]]) + "\n")
 
 
 def test_min_memory_checked():
@@ -216,9 +293,8 @@ def test_inbox_words_charged_to_receiver_memory():
             return state, []
 
     t = run(Deliver(), MpcConfig(2, 8)).transcript
-    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
-            for r in t.rows] == [(1, 0, 5, 0, 5), (1, 1, 0, 5, 0), (2, 0, 0, 0, 0),
-                                 (2, 1, 0, 0, 5)]
+    sent, received, peak = t.figures.tolist()  # [round][processor]
+    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[5, 0], [0, 5]])
 
 
 def test_idle_processors_are_not_handed_to_handler():
@@ -243,9 +319,10 @@ def test_idle_processors_are_not_handed_to_handler():
     t = run(OneSender(), MpcConfig(3, 8)).transcript
     # processor 2 is handed its inbox in round 2; processor 1 never runs
     assert calls == [(1, 0), (2, 2)]
-    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
-            for r in t.rows] == [(1, 0, 4, 0, 5), (1, 1, 0, 0, 2), (1, 2, 0, 4, 3),
-                                 (2, 0, 0, 0, 1), (2, 1, 0, 0, 2), (2, 2, 0, 0, 7)]
+    sent, received, peak = t.figures.tolist()
+    assert sent == [[4, 0, 0], [0, 0, 0]]
+    assert received == [[0, 0, 4], [0, 0, 0]]
+    assert peak == [[5, 2, 3], [1, 2, 7]]
 
 
 class Grouped(Program):
@@ -266,9 +343,8 @@ class Grouped(Program):
 def test_group_words_join_the_budget_figures():
     t = run(Grouped(), MpcConfig(2, 8)).transcript
     # held words carry over the barrier; received words count as inbox
-    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
-            for r in t.rows] == [(1, 0, 5, 0, 8), (1, 1, 0, 5, 0), (2, 0, 0, 0, 3),
-                                 (2, 1, 0, 0, 5)]
+    sent, received, peak = t.figures.tolist()
+    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[8, 0], [3, 5]])
 
 
 @pytest.mark.parametrize("named", [[1], []])
@@ -292,9 +368,9 @@ def test_the_engine_measures_the_stores_a_group_step_names(named):
     t = run(Giving(), MpcConfig(2, 8)).transcript
     # a processor the step leaves out keeps its cached state words
     words = 2 if named else 0
-    assert [(r.round, r.processor, r.words_sent, r.words_received, r.peak_memory)
-            for r in t.rows] == [(1, 0, 5, 0, 8), (1, 1, 0, 5, words), (2, 0, 0, 0, 3),
-                                 (2, 1, 0, 0, 5 + words)]
+    sent, received, peak = t.figures.tolist()
+    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]],
+                                      [[8, words], [3, 5 + words]])
     assert calls == []
 
 

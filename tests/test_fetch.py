@@ -148,9 +148,9 @@ def test_fetch_folds_products_per_cell_and_charges_words():
         (1, 2): a(1, 0) * b(0, 2),
         (2, 1): a(2, 0) * b(0, 1),
     }
-    (row0, row1, row2) = result.transcript.rows
-    assert [row.words_sent for row in (row0, row1, row2)] == [0, 1, 3]
-    assert [row.words_received for row in (row0, row1, row2)] == [2, 1, 1]
+    sent, received, _ = result.transcript.figures.tolist()
+    assert sent == [[0, 1, 3]]
+    assert received == [[2, 1, 1]]
 
 
 def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():

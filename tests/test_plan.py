@@ -386,9 +386,9 @@ def test_scatter_sums_its_units_at_their_receivers_and_charges_their_words():
     result = run(PlanProgram(_scatter_plan(), INT), MpcConfig(3, 8))
     out = assemble_output(result.outputs, 1, 3, INT)
     assert out.tolist() == [[100 + 1 + 10 + 20, 2 + 30, 3 + 40]]
-    rows = [(r.words_sent, r.words_received, r.peak_memory) for r in result.transcript.rows]
     # peak: x; y and s0; at processor 2 the two words it ends the run with
-    assert rows == [(2, 1, 4), (2, 1, 5), (0, 2, 2)]
+    sent, received, peak = result.transcript.figures.tolist()
+    assert (sent, received, peak) == ([[2, 2, 0]], [[1, 1, 2]], [[4, 5, 2]])
 
 
 def test_assemble_output_places_blocks_as_stored_and_leaves_the_rest_zero():

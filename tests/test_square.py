@@ -32,13 +32,13 @@ def test_n16_alpha1_four_rounds():
     assert result.transcript.rounds == 4
     assert out == oracle
     budget = sched.config.budget
-    assert all(r.words_received <= budget for r in result.transcript.rows)
+    assert result.transcript.figures[1].max() <= budget
 
 
 def test_alpha_zero_single_processor_one_round():
     _, result, out, oracle = build_and_run(4, 0.0, INT)
     assert result.transcript.rounds == 1
-    assert result.transcript.max_sent() == 0
+    assert not result.transcript.figures[0].any()
     assert out == oracle
 
 
