@@ -20,7 +20,6 @@ from .engine import (
     MemoryExceeded,
     MpcConfig,
     MpcError,
-    Message,
     NonTermination,
     Program,
     Transcript,

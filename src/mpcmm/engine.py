@@ -1,14 +1,21 @@
 """Synchronous round engine with memory and bandwidth budgets.
 
 Execution model: a program runs on P processors, each with M words of
-memory.  A round is one local compute phase followed by one message
-barrier; the messages a processor emits in round r are delivered, sorted
-by (source, emission order), as the inbox of round r + 1.  After the
-last barrier of a program with R rounds comes the trailing local step,
-numbered R + 1: the engine checks each processor's final footprint,
-runs the program's ``group_step`` for round R + 1 once, and then its
-``finalize`` consumes each final inbox and emits that processor's
-outputs.  The step communicates nothing and is not counted as a round.
+memory.  A round is one local compute phase followed by one barrier, and
+the program's one round hook, ``group_step(round_no, states)``, runs the
+round's work for many processors at once (tile stacks moved by index
+permutation, say).  It may change stores in place.  It returns (held,
+sent, received, changed), or None for no work: the words as three int
+arrays over processors, taken from static shapes rather than measured
+(words held at the end of the round, and so at the start of the next or
+at finalize, words sent and words received), and the processors whose
+states it changed.  The engine re-measures the state words of each
+processor in ``changed`` right after the step.  After the last barrier
+of a program with R rounds comes the trailing local step, numbered
+R + 1: the engine checks each processor's final footprint, runs
+``group_step`` for round R + 1 once, and then ``finalize`` emits each
+processor's outputs from its state.  The step communicates nothing (its
+three arrays must be zero) and is not counted as a round.
 
 Budgets, checked at every barrier with budget = cap_factor * M:
 
@@ -16,35 +23,16 @@ Budgets, checked at every barrier with budget = cap_factor * M:
 * words received per processor per round <= budget
 * peak memory per processor per round  <= budget
 
-Peak memory charges element words only (message routing metadata is
-free) as the larger of the two phase footprints: state + inbox at the
-start of the compute phase, and state + outbox at its end.  A violation
-raises at the first offending round, which is exactly when the modelled
-algorithm is considered failed; the checks run over all processors in
-the order sent, received, peak, so the first record is well defined.
-The transcript is these figures, ``Transcript.figures``: one (3, R, P)
-int64 array, a (sent, received, peak) slice written per round; the final
-footprint is checked at the trailing step and counts in round R's peak.
-
-Two optional program hooks let whole rounds run without touching every
-processor:
-
-* ``active(round_no)`` names the processors ``handler`` has work for in
-  the round other than their inbox.  A processor left out whose inbox is
-  empty is not handed to ``handler``: it keeps its state and the engine
-  keeps its cached state words.  The default, ``None``, hands every
-  processor to ``handler``.
-* ``group_step(round_no, states, inboxes)`` runs work done for many
-  processors at once (tile stacks moved by index permutation, say)
-  before the round's handlers.  It may change stores in place.  It
-  returns (held, sent, received, changed): that work's words as three
-  int arrays over processors, taken from static shapes rather than
-  measured (words held at the end of the round, and so at the start of
-  the next or at finalize, words sent and words received), and the
-  processors whose states it changed.  The engine adds the words to the
-  same sent, received and peak figures as messages, and re-measures the
-  state words of each processor in ``changed`` right after the step.
-  In the trailing local step the three arrays must be zero.
+Peak memory charges element words only as the larger of the two phase
+footprints: state + the words received in the previous round + the words
+held across its barrier at the start of the compute phase, and state +
+sent + held at its end.  A violation raises at the first offending
+round, which is exactly when the modelled algorithm is considered
+failed; the checks run over all processors in the order sent, received,
+peak, so the first record is well defined.  The transcript is these
+figures, ``Transcript.figures``: one (3, R, P) int64 array, a (sent,
+received, peak) slice written per round; the final footprint is checked
+at the trailing step and counts in round R's peak.
 """
 
 from __future__ import annotations
@@ -53,9 +41,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-
-
-WORD = np.dtype(np.int64)  # the only payload element type
 
 
 class MpcError(Exception):
@@ -104,13 +89,6 @@ class MpcConfig:
     @property
     def budget(self) -> int:
         return self.cap_factor * self.memory
-
-
-class Message(NamedTuple):
-    src: int
-    dst: int
-    tag: tuple  # routing metadata, not charged against any budget
-    payload: np.ndarray  # flat int64 words
 
 
 class RoundRow(NamedTuple):
@@ -197,16 +175,8 @@ def assert_transcript(t: Transcript, config: MpcConfig) -> bool:
 
 
 class Program:
-    """A per-processor round handler set with a fixed round count.
-
-    ``handler`` must be deterministic given (round, processor, state,
-    inbox) and must not mutate its arguments; it returns the new state
-    and a list of (dst, tag, payload) sends.  ``finalize`` runs after
-    the last barrier and returns (row, col, block) outputs.  The
-    optional hooks ``start``, ``active`` and ``group_step`` are
-    described in the module docstring; their defaults hand every
-    processor to ``handler`` in every round.
-    """
+    """A program over a fixed round count; its hooks are described in the
+    module docstring."""
 
     num_procs: int = 1
     total_rounds: int = 0
@@ -218,28 +188,19 @@ class Program:
     def init_state(self, p: int) -> dict:
         return {}
 
-    def active(self, round_no: int):
-        """Processors, ascending, that ``handler`` has work for in the round
-        other than their inbox; None means all of them."""
-        return None
-
-    def group_step(self, round_no: int, states: list, inboxes: dict):
-        """Run the round's group work before its handlers.
+    def group_step(self, round_no: int, states: list):
+        """Run the round's work.
 
         It may change entries of ``states`` (a list over processors) in
-        place or replace them, and pop entries of ``inboxes`` (processor ->
-        non-empty message list), but only for the processors it returns in
+        place or replace them, but only for the processors it returns in
         ``changed``.  Returns (held, sent, received, changed), or None for
-        no group work.  It is also called once for round ``total_rounds +
-        1``, the trailing local step, before any ``finalize``; the work it
-        does there must hold, send and receive nothing.
+        no work.  It is also called once for round ``total_rounds + 1``,
+        the trailing local step, before any ``finalize``; the work it does
+        there must hold, send and receive nothing.
         """
         return None
 
-    def handler(self, round_no: int, p: int, state: dict, inbox: list):
-        return state, []
-
-    def finalize(self, p: int, state: dict, inbox: list) -> list:
+    def finalize(self, p: int, state: dict) -> list:
         """Processor p's (row, col, block) outputs: each block is an int64
         array, 2-d or flat (one row), whose first word goes to (row, col)."""
         return []
@@ -282,64 +243,25 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     budget = config.budget
     everyone = range(procs)
 
-    # Initial states are charged as round 1's in-phase footprint (state
-    # plus an empty inbox), so bandwidth violations in round 1 surface
-    # ahead of a too-large starting layout.
+    # Initial states are charged as round 1's in-phase footprint, so
+    # bandwidth violations in round 1 surface ahead of a too-large
+    # starting layout.
     program.start()
     states = [program.init_state(p) for p in everyone]
     state_words = np.array([_words(s) for s in states], dtype=np.int64)
-    held = np.zeros(procs, dtype=np.int64)  # group words held across the last barrier
-    inboxes = {}  # processor -> its non-empty inbox
-    inbox_words = np.zeros(procs, dtype=np.int64)
+    # words held across the last barrier, and received in the last round
+    held, received = np.zeros((2, procs), dtype=np.int64)
     figures = np.zeros((3, program.total_rounds, procs), dtype=np.int64)
 
     for round_no in range(1, program.total_rounds + 1):
-        in_words = state_words + inbox_words + held
-        sent, received = np.zeros((2, procs), dtype=np.int64)
-        group = program.group_step(round_no, states, inboxes)
+        in_words = state_words + received + held
+        group = program.group_step(round_no, states)
         if group is None:
-            held = np.zeros(procs, dtype=np.int64)
+            held, sent, received = np.zeros((3, procs), dtype=np.int64)
         else:
-            held, group_sent, group_received, changed = group
-            sent += group_sent
-            received += group_received
+            held, sent, received, changed = group
             for p in changed:
                 state_words[p] = _words(states[p])
-        active = program.active(round_no)
-        if active is None:
-            handled = everyone
-        elif inboxes:
-            handled = sorted(set(active).union(inboxes))
-        else:
-            handled = active
-
-        # One pass: each send is delivered as it is emitted, so every
-        # inbox is ordered by (source, emission order).
-        new_inboxes = {}
-        delivered = {}  # destination -> words
-        handled_sent, handled_words = [], []
-        for p in handled:
-            state, sends = program.handler(round_no, p, states[p], inboxes.get(p) or [])
-            out_words = 0
-            for dst, tag, payload in sends:
-                if not (0 <= dst < procs):
-                    raise ValueError(f"processor {p} sent to invalid destination {dst}")
-                payload = np.ascontiguousarray(payload).ravel()
-                if payload.dtype != WORD:
-                    raise TypeError(f"processor {p} sent a {payload.dtype} payload in round "
-                                    f"{round_no}; payloads must be int64 words")
-                new_inboxes.setdefault(dst, []).append(Message(p, dst, tag, payload))
-                delivered[dst] = delivered.get(dst, 0) + payload.size
-                out_words += payload.size
-            states[p] = state
-            handled_sent.append(out_words)
-            handled_words.append(_words(state))
-        if handled_sent:
-            handled = list(handled)
-            sent[handled] += handled_sent
-            state_words[handled] = handled_words
-        if delivered:
-            received[list(delivered)] += list(delivered.values())
         peak = np.maximum(in_words, state_words + sent + held)
 
         for direction, words in (("sent", sent), ("received", received)):
@@ -351,16 +273,15 @@ def run(program: Program, config: MpcConfig) -> RunResult:
             raise MemoryExceeded(p, round_no, int(peak[p]), budget)
 
         figures[:, round_no - 1] = sent, received, peak
-        inboxes, inbox_words = new_inboxes, received
 
-    final_words = state_words + inbox_words + held
+    final_words = state_words + received + held
     p = _first_over(final_words, budget)
     if p is not None:
         raise MemoryExceeded(p, max(program.total_rounds, 1), int(final_words[p]), budget)
     np.maximum(figures[2, -1:], final_words, out=figures[2, -1:])  # no-op without rounds
-    group = program.group_step(program.total_rounds + 1, states, inboxes)
+    group = program.group_step(program.total_rounds + 1, states)
     if group is not None and any(words.any() for words in group[:3]):
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
-    outputs = {p: program.finalize(p, states[p], inboxes.get(p) or []) for p in everyone}
+    outputs = {p: program.finalize(p, states[p]) for p in everyone}
     output_words = [sum(block.size for _, _, block in outputs[p]) for p in everyone]
     return RunResult(Transcript(figures, output_words), outputs)

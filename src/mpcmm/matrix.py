@@ -4,6 +4,8 @@ Dense matrices wrap a row-major int64 array.  Sparse matrices keep
 three int64 arrays (rows, columns, values) sorted by (row, column), the
 layout the sparse schedules join and slice, and can be checked for
 d-sparsity (at most d stored entries in every row and every column).
+Every word is an integer: a constructor given a non-integral word, or
+one outside int64, raises ``ValueError`` rather than truncate it.
 
 :func:`naive_multiply` is the reference product every round schedule is
 compared against.  It shares one piece of code with the schedulers: the
@@ -29,6 +31,22 @@ import numpy as np
 from .semiring import BOOLEAN, INTEGER, TROPICAL, SemiringSpec
 
 
+def _int64_words(values) -> np.ndarray:
+    """``values`` as an int64 array; ValueError if a word is not an integer
+    in int64 range."""
+    try:
+        values = np.asarray(values)
+        if values.dtype == np.int64:
+            return values
+        with np.errstate(invalid="ignore"):
+            words = values.astype(np.int64)
+    except (OverflowError, TypeError):
+        words = None
+    if words is None or not np.array_equal(words, values):
+        raise ValueError("matrix holds a non-integral word or a word outside int64")
+    return words
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
     rows: int
@@ -36,12 +54,14 @@ class DenseMatrix:
     data: np.ndarray  # shape (rows, cols), int64
 
     def __post_init__(self):
+        if self.data.dtype != np.int64:
+            raise ValueError(f"dense matrix data must be int64 words, not {self.data.dtype}")
         if self.data.shape != (self.rows, self.cols):
             raise ValueError(f"data shape {self.data.shape} != ({self.rows}, {self.cols})")
 
     @staticmethod
     def from_rows(rows_of_values) -> "DenseMatrix":
-        arr = np.asarray(rows_of_values, dtype=np.int64)
+        arr = _int64_words(rows_of_values)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d list of values")
         return DenseMatrix(arr.shape[0], arr.shape[1], arr)
@@ -70,17 +90,13 @@ class SparseMatrix:
     """
 
     def __init__(self, rows, cols, entries=()):
-        try:
-            triples = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            raise ValueError("sparse matrix holds a word outside int64") from None
-        self._store(rows, cols, *triples.T)
+        self._store(rows, cols, *_int64_words(list(entries)).reshape(-1, 3).T)
 
     @classmethod
     def from_arrays(cls, rows, cols, r, c, v) -> "SparseMatrix":
         """The matrix storing v[i] at (r[i], c[i]), the entries in any order."""
         m = cls.__new__(cls)
-        m._store(rows, cols, *(np.asarray(x, dtype=np.int64).reshape(-1) for x in (r, c, v)))
+        m._store(rows, cols, *(_int64_words(x).reshape(-1) for x in (r, c, v)))
         return m
 
     @staticmethod
@@ -203,20 +219,28 @@ def load_matrix(path):
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
     kind = tokens[0]
+    fields = {"DENSE": 2, "SPARSE": 3}.get(kind)
+    if fields is None:
+        raise ValueError(f"{path}: unknown header {kind!r}")
+    try:
+        header = [int(t) for t in tokens[1 : 1 + fields]]
+    except ValueError:
+        header = []
+    if len(header) != fields:
+        raise ValueError(f"{path}: a {kind} header needs {fields} integer fields, "
+                         f"got {' '.join(tokens[: 1 + fields])!r}")
     if kind == "DENSE":
-        rows, cols = int(tokens[1]), int(tokens[2])
+        rows, cols = header
         values = [int(t) for t in tokens[3:]]
         if len(values) != rows * cols:
             raise ValueError(f"{path}: expected {rows * cols} values, got {len(values)}")
-        return DenseMatrix(rows, cols, np.array(values, dtype=np.int64).reshape(rows, cols))
-    if kind == "SPARSE":
-        rows, cols, nnz = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        body = tokens[4:]
-        if len(body) != 3 * nnz:
-            raise ValueError(f"{path}: expected {3 * nnz} numbers, got {len(body)}")
-        entries = [
-            (int(body[3 * i]) - 1, int(body[3 * i + 1]) - 1, int(body[3 * i + 2]))
-            for i in range(nnz)
-        ]
-        return SparseMatrix.from_entries(rows, cols, entries)
-    raise ValueError(f"{path}: unknown header {kind!r}")
+        return DenseMatrix(rows, cols, _int64_words(values).reshape(rows, cols))
+    rows, cols, nnz = header
+    body = tokens[4:]
+    if len(body) != 3 * nnz:
+        raise ValueError(f"{path}: expected {3 * nnz} numbers, got {len(body)}")
+    entries = [
+        (int(body[3 * i]) - 1, int(body[3 * i + 1]) - 1, int(body[3 * i + 2]))
+        for i in range(nnz)
+    ]
+    return SparseMatrix.from_entries(rows, cols, entries)

@@ -11,16 +11,14 @@ over stacks kept in a per-run object, so executing a plan twice gives the
 same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
 its static words and its step.
 
-All kinds share one store contract.  A processor's store in a round is
-its state after that round's messages arrive.  Group ops change the
-stores in place: each run starts from its own copies of the initial
-stores (``init_state``), and no group op writes into an array it did not
-make.  A group op hands values to stores only through ``_give``, which
+All kinds share one store contract.  Group ops change the stores in
+place: each run starts from its own copies of the initial stores
+(``init_state``), and no group op writes into an array it did not make.
+A group op hands values to stores only through ``_give``, which
 accumulates: a key already held becomes old (+) new.  The engine
 re-measures the stores of the processors a round's group ops change (the
-ones the kinds' words functions return), and hands no processor to its
-``handler``.  Every kind reads stored tiles through one reader,
-``_tiles``; a key its processor's store lacks raises
+ones the kinds' words functions return).  Every kind reads stored tiles
+through one reader, ``_tiles``; a key its processor's store lacks raises
 :class:`MissingTile`, and so does an emitted key at finalize.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
@@ -88,11 +86,11 @@ before it moves.
 2. Then it moves.  b(k, j) of each term of ``move`` is read in the store
    of processor j, which keeps its tile, and is in flight to r until the
    next round's fold.  It counts as sent by j and received by r, so r's
-   next round charges it like an inbox.
+   next round starts with it in its footprint.
 
 A read takes each touched tile once and picks its words by offset; an
 offset outside its tile raises ``ValueError``.  The processors it folds
-into are its ``active`` ones; a sender's store does not change.
+into are the ones it names as changed; a sender's store does not change.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
@@ -101,9 +99,9 @@ emitted tiles as stored, and ``assemble_output`` places each at its
 emit's (row, col), a flat tile as one row; no two emits cover one cell.
 The step is local, so nothing in it may send, and no group op may be
 placed later.  A group op's words (held, sent, received) come from its
-static shape, not from the stacks, and the engine charges them like
-messages.  Its held words are those it keeps out of the stores at the
-end of the round, not those in flight.
+static shape, not from the stacks, and the engine charges them (see
+``mpcmm.engine``).  Its held words are those it keeps out of the stores
+at the end of the round, not those in flight.
 
 ``Plan.ops`` is where a per-processor op list would go, per (round,
 processor).  No shipped builder places one and ``PlanProgram`` rejects a
@@ -285,10 +283,7 @@ class PlanProgram(Program):
     def init_state(self, p):
         return dict(self.plan.init.get(p, {}))
 
-    def active(self, round_no):
-        return ()
-
-    def group_step(self, round_no, states, inboxes):
+    def group_step(self, round_no, states):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
@@ -296,7 +291,11 @@ class PlanProgram(Program):
             _GROUP_DISPATCH[type(op)].step(self, op, round_no, states)
         return self.group_words[round_no]
 
-    def finalize(self, p, state, inbox):
+    def handler(self, round_no, p, state, inbox):
+        """For ``perfbench/probes.py``, which patches it until it times group ops."""
+        raise NotImplementedError("the engine hands no processor to a handler")
+
+    def finalize(self, p, state):
         try:
             return [(e.row, e.col, state[e.key]) for e in self.plan.emits.get(p, ())]
         except KeyError as missing:

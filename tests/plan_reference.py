@@ -3,8 +3,8 @@
 The shipped plans hold group ops only (``mpcmm.plan``).  The rotation,
 fetch and tree-sum references spell the same schedules out as ops per
 (round, processor), placed with :func:`add` in ``Plan.ops`` and run op
-by op by :class:`ReferenceProgram`, whose tiles travel as engine
-messages::
+by op by :class:`ReferenceProgram`, whose tiles travel as messages of
+the ``handler_program`` adapter::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
@@ -41,6 +41,8 @@ import numpy as np
 
 from mpcmm.plan import MissingTile, PlanProgram
 from mpcmm.schedules import rect, sparse, square
+
+from handler_program import HandlerProgram
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ def run_references(mp):
         mp.setattr(module, "PlanProgram", ReferenceProgram)
 
 
-class ReferenceProgram(PlanProgram):
-    """A :class:`~mpcmm.plan.PlanProgram` that also runs ``plan.ops``."""
+class ReferenceProgram(HandlerProgram, PlanProgram):
+    """A :class:`~mpcmm.plan.PlanProgram` that also runs ``plan.ops`` as handlers."""
 
     def __init__(self, plan, spec):
         super().__init__(plan, spec)
@@ -129,12 +131,12 @@ class ReferenceProgram(PlanProgram):
     def active(self, round_no):
         return self.handled.get(round_no, ())
 
-    def group_step(self, round_no, states, inboxes):
+    def group_step(self, round_no, states):
         group = self.group_words.get(round_no)
         for p in () if group is None else group[3]:
-            if p in inboxes:
-                states[p] = _merge(states[p], inboxes.pop(p))
-        return super().group_step(round_no, states, inboxes)
+            if p in self.inboxes:
+                states[p] = _merge(states[p], self.inboxes.pop(p))
+        return super().group_step(round_no, states)
 
     def handler(self, round_no, p, state, inbox):
         store = _merge(state, inbox)
@@ -142,10 +144,10 @@ class ReferenceProgram(PlanProgram):
         self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
         return store, sends
 
-    def finalize(self, p, state, inbox):
-        store = _merge(state, inbox)
+    def finalize(self, p, state):
+        store = _merge(state, self.inboxes.get(p, []))
         self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
-        return super().finalize(p, store, [])
+        return super().finalize(p, store)
 
     def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec

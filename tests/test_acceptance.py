@@ -16,7 +16,6 @@ from mpcmm import (
     EpsilonSchedule,
     MpcConfig,
     ProblemShape,
-    Program,
     SumTask,
     assert_transcript,
     decompose,
@@ -41,6 +40,8 @@ from mpcmm.bounds import ceil_log, ceil_sqrt
 from mpcmm.experiment import ExperimentConfig, masked_equal, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse, random_dense
 from mpcmm.schedules.sparse import build_ledger
+
+from handler_program import HandlerProgram
 
 INT = get_semiring("int")
 SEMIRINGS = [get_semiring(name) for name in ("int", "bool", "tropical")]
@@ -180,7 +181,7 @@ def test_criterion_07_budget_enforcement():
         ok &= assert_transcript(result.transcript, sched.config)
 
     # injected oversized broadcast fails deterministically at its round
-    class Broadcast(Program):
+    class Broadcast(HandlerProgram):
         num_procs = 4
         total_rounds = 2
 

@@ -1,4 +1,5 @@
-"""Round engine semantics: budgets, delivery order, determinism, export."""
+"""Round engine semantics: budgets, the one round hook, determinism, export;
+and the message delivery of the per-processor adapter the references run on."""
 
 import csv
 import io
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpcmm
 from mpcmm import (
     BandwidthExceeded,
     MemoryExceeded,
@@ -22,10 +24,12 @@ from mpcmm import (
 from mpcmm.engine import RoundRow
 from mpcmm.instances import random_dense
 
+from handler_program import HandlerProgram
+
 INT = get_semiring("int")
 
 
-class LocalMultiply(Program):
+class LocalMultiply(HandlerProgram):
     """Single processor multiplies two resident 4x4 matrices in one round."""
 
     num_procs = 1
@@ -42,11 +46,11 @@ class LocalMultiply(Program):
         c = INT.matmul(state["a"], state["b"])
         return {"c": c}, []
 
-    def finalize(self, p, state, inbox):
+    def finalize(self, p, state):
         return [(0, 0, state["c"])]
 
 
-class Blast(Program):
+class Blast(HandlerProgram):
     """Processor 0 addresses `words` words at processor 1 in round 1."""
 
     num_procs = 2
@@ -82,7 +86,7 @@ def test_oversized_send_raises_bandwidth_exceeded():
 
 
 def test_overloaded_receiver_raises_on_receive_side():
-    class ManyToOne(Program):
+    class ManyToOne(HandlerProgram):
         num_procs = 5
         total_rounds = 1
 
@@ -99,7 +103,7 @@ def test_overloaded_receiver_raises_on_receive_side():
 
 
 def test_memory_violation_detected():
-    class Hoarder(Program):
+    class Hoarder(HandlerProgram):
         num_procs = 1
         total_rounds = 1
 
@@ -130,9 +134,6 @@ def test_non_termination_guard():
         num_procs = 1
         total_rounds = 50
 
-        def handler(self, round_no, p, state, inbox):
-            return state, []
-
     with pytest.raises(NonTermination):
         run(Forever(), MpcConfig(1, 4, max_rounds=10))
 
@@ -145,7 +146,7 @@ def test_processor_count_must_match():
 def test_inbox_is_previous_round_outbox_in_src_order():
     log = {}
 
-    class PingAll(Program):
+    class PingAll(HandlerProgram):
         num_procs = 3
         total_rounds = 2
 
@@ -269,7 +270,7 @@ def test_min_memory_checked():
 
 
 def test_non_int64_payload_rejected():
-    class FloatSender(Program):
+    class FloatSender(HandlerProgram):
         num_procs = 2
         total_rounds = 1
 
@@ -282,8 +283,21 @@ def test_non_int64_payload_rejected():
         run(FloatSender(), MpcConfig(2, 8))
 
 
+@pytest.mark.parametrize("dst", [-1, 2])
+def test_send_to_an_invalid_destination_rejected(dst):
+    class Stray(HandlerProgram):
+        num_procs = 2
+        total_rounds = 1
+
+        def handler(self, round_no, p, state, inbox):
+            return state, [(dst, ("x",), np.zeros(1, dtype=np.int64))] if p == 1 else []
+
+    with pytest.raises(ValueError, match=f"processor 1 sent to invalid destination {dst}"):
+        run(Stray(), MpcConfig(2, 8))
+
+
 def test_inbox_words_charged_to_receiver_memory():
-    class Deliver(Program):
+    class Deliver(HandlerProgram):
         num_procs = 2
         total_rounds = 2
 
@@ -297,44 +311,13 @@ def test_inbox_words_charged_to_receiver_memory():
     assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[5, 0], [0, 5]])
 
 
-def test_idle_processors_are_not_handed_to_handler():
-    calls = []
-
-    class OneSender(Program):
-        num_procs = 3
-        total_rounds = 2
-
-        def init_state(self, p):
-            return {"x": np.zeros(p + 1, dtype=np.int64)}
-
-        def active(self, round_no):
-            return [0] if round_no == 1 else []
-
-        def handler(self, round_no, p, state, inbox):
-            calls.append((round_no, p))
-            if round_no == 1:
-                return state, [(2, ("m",), np.zeros(4, dtype=np.int64))]
-            return state, []
-
-    t = run(OneSender(), MpcConfig(3, 8)).transcript
-    # processor 2 is handed its inbox in round 2; processor 1 never runs
-    assert calls == [(1, 0), (2, 2)]
-    sent, received, peak = t.figures.tolist()
-    assert sent == [[4, 0, 0], [0, 0, 0]]
-    assert received == [[0, 0, 4], [0, 0, 0]]
-    assert peak == [[5, 2, 3], [1, 2, 7]]
-
-
 class Grouped(Program):
     """Group work: processor 0 holds 3 words and sends 5 to processor 1."""
 
     num_procs = 2
     total_rounds = 2
 
-    def active(self, round_no):
-        return []
-
-    def group_step(self, round_no, states, inboxes):
+    def group_step(self, round_no, states):
         if round_no == 1:
             return np.array([3, 0]), np.array([5, 0]), np.array([0, 5]), []
         return None
@@ -349,21 +332,15 @@ def test_group_words_join_the_budget_figures():
 
 @pytest.mark.parametrize("named", [[1], []])
 def test_the_engine_measures_the_stores_a_group_step_names(named):
-    calls = []
-
     class Giving(Grouped):
         """Round 1's group work also gives processor 1 a 2-word tile, in place."""
 
-        def group_step(self, round_no, states, inboxes):
-            group = super().group_step(round_no, states, inboxes)
+        def group_step(self, round_no, states):
+            group = super().group_step(round_no, states)
             if round_no == 1:
                 states[1]["g"] = np.zeros(2, dtype=np.int64)
                 return (*group[:3], named)
             return group
-
-        def handler(self, round_no, p, state, inbox):
-            calls.append((round_no, p))
-            return state, []
 
     t = run(Giving(), MpcConfig(2, 8)).transcript
     # a processor the step leaves out keeps its cached state words
@@ -371,7 +348,6 @@ def test_the_engine_measures_the_stores_a_group_step_names(named):
     sent, received, peak = t.figures.tolist()
     assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]],
                                       [[8, words], [3, 5 + words]])
-    assert calls == []
 
 
 def test_group_words_break_budgets_like_messages():
@@ -387,14 +363,14 @@ def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
     class Trailing(Grouped):
         words = 0  # words the trailing group step sends
 
-        def group_step(self, round_no, states, inboxes):
+        def group_step(self, round_no, states):
             calls.append(("group", round_no))
             if round_no == 3:
                 none = np.zeros(2, dtype=np.int64)
                 return none, np.array([self.words, 0]), none, []
-            return super().group_step(round_no, states, inboxes)
+            return super().group_step(round_no, states)
 
-        def finalize(self, p, state, inbox):
+        def finalize(self, p, state):
             calls.append(("finalize", p))
             return []
 
@@ -404,3 +380,9 @@ def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
     sender.words = 1
     with pytest.raises(ValueError, match="after the last barrier"):
         run(sender, MpcConfig(2, 8))
+
+
+def test_group_step_is_the_engines_only_round_hook():
+    """Per-processor handlers and their messages live in ``tests/`` only."""
+    assert not {"active", "handler"} & set(dir(Program))
+    assert not hasattr(mpcmm, "Message") and not hasattr(mpcmm.engine, "Message")

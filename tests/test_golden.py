@@ -282,8 +282,8 @@ def test_a_store_left_unmeasured_changes_the_golden_transcript(monkeypatch, name
     differs from the golden one."""
     group_step = PlanProgram.group_step
 
-    def mutant(program, round_no, states, inboxes):
-        group = group_step(program, round_no, states, inboxes)
+    def mutant(program, round_no, states):
+        group = group_step(program, round_no, states)
         return group if group is None else (*group[:3], group[3][1:])
 
     monkeypatch.setattr(PlanProgram, "group_step", mutant)

@@ -1,5 +1,7 @@
 """Storage, padding, sparsity checks and the reference multiply."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mpcmm import (
     pad_to_multiple,
     save_matrix,
 )
+from mpcmm.cli import main
 from mpcmm.experiment import ExperimentConfig, generate_instance, masked_equal
 from mpcmm.instances import random_d_sparse, random_dense
 from mpcmm.schedules.sparse import OutputMask
@@ -147,6 +150,45 @@ def test_sparse_arrays_are_sorted_and_checked():
         SparseMatrix.from_arrays(3, 3, [1, 1], [1, 1], [1, 2])
     with pytest.raises(ValueError, match="outside int64"):
         SparseMatrix.from_entries(2, 2, [(0, 0, 2**63)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseMatrix(2, 2, np.array([[1.5, 2], [3, 4]])),
+    lambda: SparseMatrix(2, 2, [(0, 0, 2.7)]),
+    lambda: SparseMatrix.from_arrays(2, 2, [0.9], [0], [3]),
+    lambda: DenseMatrix.from_rows([[1.5]]),
+], ids=["dense-float-data", "sparse-entry", "sparse-arrays-row", "dense-from-rows"])
+def test_a_non_integral_word_is_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="int64"):
+        build()
+
+
+def test_integral_words_of_any_dtype_are_kept():
+    assert SparseMatrix(2, 2, [(0, 1, 2.0)]).entries == ((0, 1, 2),)
+    assert DenseMatrix.from_rows([[1.0, True]]) == DenseMatrix.from_rows([[1, 1]])
+    m = SparseMatrix.from_arrays(2, 2, np.array([1], dtype=np.int32), [0.0], [3])
+    assert m.entries == ((1, 0, 3),) and m.r.dtype == np.int64
+
+
+@pytest.mark.parametrize("text", ["SPARSE 4 4", "DENSE 2", "SPARSE", "SPARSE 4 x 1\n1 1 1",
+                                  "DENSE 2 2.0 1 2 3 4"],
+                         ids=["sparse-no-nnz", "dense-no-cols", "bare", "word-cols", "float-cols"])
+def test_a_short_or_non_integer_header_names_the_file(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": a [A-Z]+ header needs [23] integer fields"):
+        load_matrix(path)
+
+
+def test_a_truncated_header_exits_2_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("SPARSE 4 4\n")
+    outdir = tmp_path / "runs"
+    rc = main(["run", "--case", "sparse-trivial", "--n", "4", "--d", "1", "--instance", "file",
+               "--file-a", str(path), "--file-b", str(path), "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not outdir.exists()
+    assert captured.err.startswith("mpcmm: error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_dense_file_round_trip(tmp_path):

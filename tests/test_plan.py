@@ -40,7 +40,7 @@ def test_every_op_has_a_dispatch_entry():
     assert _dataclasses(plan_module) == {Plan, Emit}
     assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Scatter, Fetch}
     assert not {"_DISPATCH", "_exec", "_RECIPES"} & set(vars(plan_module))
-    assert "add" not in vars(Plan) and "handler" not in vars(PlanProgram)
+    assert "add" not in vars(Plan)
     # The reference runs every per-processor kind, Slice and Pack among them,
     # and the per-processor rotation takes them from it.
     ops = _dataclasses(plan_reference)
@@ -48,6 +48,13 @@ def test_every_op_has_a_dispatch_entry():
     assert set(plan_reference._DISPATCH) == ops
     assert rotation_reference.Slice is plan_reference.Slice
     assert rotation_reference.Pack is plan_reference.Pack
+
+
+def test_plan_program_handler_is_a_stub_that_raises():
+    """Only the probes patch it: every golden run, which would fail on a call,
+    shows that the engine never calls it."""
+    with pytest.raises(NotImplementedError, match="no processor to a handler"):
+        PlanProgram(Plan(num_procs=1, num_rounds=1), INT).handler(1, 0, {}, [])
 
 
 def test_plan_program_rejects_per_processor_ops():
@@ -70,7 +77,7 @@ def test_send_in_finalize_raises_value_error():
     program.plan.set_init(0, ("x",), np.arange(4))
     add(program.plan, 2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
     with pytest.raises(ValueError, match="finalize"):
-        program.finalize(0, program.init_state(0), [])
+        program.finalize(0, program.init_state(0))
 
 
 def _rotation_plan(grid, num_rounds, first_round):
@@ -312,7 +319,7 @@ def test_index_gather_matches_the_per_piece_reference(case, semiring):
         program = PlanProgram(plan, spec)
         assert all(np.array_equal(x, y) for x, y in zip(program.group_words[1], words))
         states = [program.init_state(p) for p in range(procs_n)]
-        program.group_step(1, states, {})
+        program.group_step(1, states)
         stacks = program.stacks[0]
         assert np.array_equal(stacks.a, a) and np.array_equal(stacks.b, b)
         assert [sorted(store) for store in states] == [sorted(store) for store in ref_states]
@@ -434,29 +441,25 @@ def test_shipped_builders_place_no_per_processor_op(name):
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_plans_hand_no_processor_to_the_handler(monkeypatch, name):
     """Group ops change the stores in place and name to the engine the
-    processors their kinds touch, which the engine then measures: no round
-    hands a processor to the engine's handler, and every store a round's
-    group ops change belongs to a processor the round names."""
-    handed, steps = [], []
+    processors their kinds touch, which the engine then measures: every
+    store a round's group ops change belongs to a processor the round
+    names.  ``PlanProgram.handler`` raises if called, so the run also shows
+    that no processor is handed to it."""
+    steps = []
     group_step = PlanProgram.group_step
 
-    def handler(program, round_no, p, state, inbox):
-        handed.append((round_no, p))
-        return state, []
-
-    def traced_group_step(program, round_no, states, inboxes):
+    def traced_group_step(program, round_no, states):
         before = [dict(store) for store in states]  # keeps every tile alive for ``is``
-        group = group_step(program, round_no, states, inboxes)
+        group = group_step(program, round_no, states)
         if group is not None:
             moved = {p for p, (old, new) in enumerate(zip(before, states))
                      if old.keys() != new.keys() or any(old[k] is not new[k] for k in old)}
             steps.append((program, round_no, moved, group[3]))
         return group
 
-    monkeypatch.setattr(PlanProgram, "handler", handler, raising=False)
     monkeypatch.setattr(PlanProgram, "group_step", traced_group_step)
     summary = run_experiment(SHIPPED_CONFIGS[name], write=False)
-    assert summary["ok"] and handed == [] and steps
+    assert summary["ok"] and steps
     for program, round_no, moved, changed in steps:
         touched = set()
         for op in program.plan.groups[round_no]:

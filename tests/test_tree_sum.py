@@ -236,9 +236,8 @@ def test_fold_build_grows_with_rounds_not_entries():
 
 
 def test_fold_only_rounds_hand_no_processor_to_the_interpreter():
-    """A level's values live in its holders' stores: no round of the sum
-    hands a processor to the handler, and each names to the engine only the
-    processors whose stores it changes."""
+    """A level's values live in its holders' stores: each round of the sum
+    names to the engine only the processors whose stores it changes."""
     schedule = _build(ExperimentConfig(seed=1, **GOLDEN_CONFIGS["dnd-n-tree2"]))[0]
     program = schedule.program
     rounds = {id(op): rd for rd, ops in program.plan.groups.items() for op in ops}
@@ -249,7 +248,6 @@ def test_fold_only_rounds_hand_no_processor_to_the_interpreter():
 
     # the scatter pops every member's addend; the level round gives into the
     # collectors and forwards from some of them; the last give runs at finalize
-    assert all(program.active(rd) == () for rd in range(1, program.total_rounds + 2))
     assert changed(scatter) == sorted(scatter.procs.tolist())
     assert rounds[id(give)] == rounds[id(forward)] == rounds[id(scatter)] + 1
     assert changed(give) == sorted(set(give.procs.tolist()))
