@@ -13,9 +13,9 @@ states it changed.  The engine re-measures the state words of each
 processor in ``changed`` right after the step.  After the last barrier
 of a program with R rounds comes the trailing local step, numbered
 R + 1: the engine checks each processor's final footprint, runs
-``group_step`` for round R + 1 once, and then ``finalize`` emits each
-processor's outputs from its state.  The step communicates nothing (its
-three arrays must be zero) and is not counted as a round.
+``group_step`` for round R + 1 once, and then ``finalize(states)`` once
+for the run's output blocks.  The step communicates nothing (its three
+arrays must be zero) and is not counted as a round.
 
 Budgets, checked at every barrier with budget = cap_factor * M:
 
@@ -37,7 +37,7 @@ at the trailing step and counts in round R's peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +109,7 @@ class Transcript:
     in round r, one (3, rounds, processors) int64 array."""
 
     figures: np.ndarray
-    output_words: list = field(default_factory=list)
+    output_words: int = 0  # the words of every output block
 
     @property
     def rounds(self) -> int:
@@ -164,7 +164,7 @@ class Transcript:
             "max_words_sent": sent,
             "max_words_received": received,
             "max_peak_memory": peak,
-            "output_words": sum(self.output_words),
+            "output_words": self.output_words,
             "violation": violation,
         }
 
@@ -195,15 +195,16 @@ class Program:
         place or replace them, but only for the processors it returns in
         ``changed``.  Returns (held, sent, received, changed), or None for
         no work.  It is also called once for round ``total_rounds + 1``,
-        the trailing local step, before any ``finalize``; the work it does
+        the trailing local step, before ``finalize``; the work it does
         there must hold, send and receive nothing.
         """
         return None
 
-    def finalize(self, p: int, state: dict) -> list:
-        """Processor p's (row, col, block) outputs: each block is an int64
-        array, 2-d or flat (one row), whose first word goes to (row, col)."""
-        return []
+    def finalize(self, states: list) -> tuple:
+        """The run's output from the final ``states``: columns (procs, rows,
+        cols, blocks), where block i, an int64 array 2-d or flat (one row),
+        is processor procs[i]'s and its first word goes to (rows[i], cols[i])."""
+        return [], [], [], []
 
 
 def _words(state: dict) -> int:
@@ -216,7 +217,7 @@ def _words(state: dict) -> int:
 @dataclass
 class RunResult:
     transcript: Transcript
-    outputs: dict  # processor -> [(row, col, np.ndarray block)]
+    outputs: tuple  # (procs, rows, cols, blocks) columns: see ``Program.finalize``
 
 
 def _first_over(values, budget):
@@ -241,13 +242,12 @@ def run(program: Program, config: MpcConfig) -> RunResult:
             f"program declares {program.total_rounds} rounds (hard cap {config.max_rounds})"
         )
     budget = config.budget
-    everyone = range(procs)
 
     # Initial states are charged as round 1's in-phase footprint, so
     # bandwidth violations in round 1 surface ahead of a too-large
     # starting layout.
     program.start()
-    states = [program.init_state(p) for p in everyone]
+    states = [program.init_state(p) for p in range(procs)]
     state_words = np.array([_words(s) for s in states], dtype=np.int64)
     # words held across the last barrier, and received in the last round
     held, received = np.zeros((2, procs), dtype=np.int64)
@@ -282,6 +282,5 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     group = program.group_step(program.total_rounds + 1, states)
     if group is not None and any(words.any() for words in group[:3]):
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
-    outputs = {p: program.finalize(p, states[p]) for p in everyone}
-    output_words = [sum(block.size for _, _, block in outputs[p]) for p in everyone]
-    return RunResult(Transcript(figures, output_words), outputs)
+    outputs = program.finalize(states)
+    return RunResult(Transcript(figures, sum(block.size for block in outputs[3])), outputs)

@@ -229,18 +229,20 @@ def load_matrix(path):
     if len(header) != fields:
         raise ValueError(f"{path}: a {kind} header needs {fields} integer fields, "
                          f"got {' '.join(tokens[: 1 + fields])!r}")
-    if kind == "DENSE":
-        rows, cols = header
-        values = [int(t) for t in tokens[3:]]
-        if len(values) != rows * cols:
-            raise ValueError(f"{path}: expected {rows * cols} values, got {len(values)}")
-        return DenseMatrix(rows, cols, _int64_words(values).reshape(rows, cols))
-    rows, cols, nnz = header
-    body = tokens[4:]
-    if len(body) != 3 * nnz:
-        raise ValueError(f"{path}: expected {3 * nnz} numbers, got {len(body)}")
-    entries = [
-        (int(body[3 * i]) - 1, int(body[3 * i + 1]) - 1, int(body[3 * i + 2]))
-        for i in range(nnz)
-    ]
-    return SparseMatrix.from_entries(rows, cols, entries)
+    try:
+        words = [int(t) for t in tokens[1 + fields :]]
+        if kind == "DENSE":
+            rows, cols = header
+            if len(words) != rows * cols:
+                raise ValueError(f"expected {rows * cols} values, got {len(words)}")
+            return DenseMatrix(rows, cols, _int64_words(words).reshape(rows, cols))
+        rows, cols, nnz = header
+        if len(words) != 3 * nnz:
+            raise ValueError(f"expected {3 * nnz} numbers, got {len(words)}")
+        r, c = words[0::3], words[1::3]
+        out = [(x, y) for x, y in zip(r, c) if not (0 < x <= rows and 0 < y <= cols)]
+        if out:  # 1-based, as the file writes it
+            raise ValueError(f"entry {out[0]} out of range")
+        return SparseMatrix.from_arrays(rows, cols, np.array(r) - 1, np.array(c) - 1, words[2::3])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

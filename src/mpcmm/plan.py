@@ -2,7 +2,7 @@
 
 A schedule builder precomputes the group ops of every round over
 key -> tile stores, each op for many processors at once, plus each
-processor's initial store and its ``Emit`` list.  :class:`PlanProgram`
+processor's initial store and the emits (``Plan.emit``).  :class:`PlanProgram`
 runs them inside the engine's hooks.  Keys are tuples such as
 ("A", i, q).
 
@@ -94,10 +94,10 @@ into are the ones it names as changed; a sender's store does not change.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
-ops after the last barrier, then ``finalize`` returns each processor's
-emitted tiles as stored, and ``assemble_output`` places each at its
-emit's (row, col), a flat tile as one row; no two emits cover one cell.
-The step is local, so nothing in it may send, and no group op may be
+ops after the last barrier, then ``finalize`` reads every emitted tile
+as stored, in processor order, and ``assemble_output`` places each at
+its emit's (row, col), a flat tile as one row; no two emits cover one
+cell.  The step is local, so nothing in it may send, and no group op may be
 placed later.  A group op's words (held, sent, received) come from its
 static shape, not from the stacks, and the engine charges them (see
 ``mpcmm.engine``).  Its held words are those it keeps out of the stores
@@ -130,15 +130,6 @@ class MissingTile(MpcError):
         self.processor = processor
         self.round = round_no
         self.key = key
-
-
-@dataclass(frozen=True)
-class Emit:
-    """Place tile ``key``, as stored, at (row, col) of the output at finalize."""
-
-    key: tuple
-    row: int
-    col: int
 
 
 class Gather(NamedTuple):
@@ -200,7 +191,7 @@ class Plan:
     # round -> [Gather | Rotate | Scatter | Fetch]; see the module doc
     groups: dict = field(default_factory=dict)
     fragments: int = 0  # group-op fragments numbered so far
-    emits: dict = field(default_factory=dict)  # proc -> [Emit]
+    emits: tuple = field(default_factory=lambda: ([], [], [], []))  # proc, key, row, col columns
 
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
@@ -231,8 +222,16 @@ class Plan:
         """Empty, for ``perfbench/probes.py``: no plan has per-processor ops at finalize."""
         return {}
 
-    def emit(self, proc, key, row, col):
-        self.emits.setdefault(proc, []).append(Emit(key, row, col))
+    def emit(self, procs, keys, rows, cols):
+        """Place tile ``keys[i]`` of processor ``procs[i]``'s store, as stored,
+        at (rows[i], cols[i]) of the output after the trailing step, for every i."""
+        procs, rows, cols = (np.asarray(x, dtype=np.int64).ravel().tolist()
+                             for x in (procs, rows, cols))
+        keys = list(keys)
+        if not len(procs) == len(keys) == len(rows) == len(cols):
+            raise ValueError("an emit needs one processor, key, row and col per block")
+        for column, values in zip(self.emits, (procs, keys, rows, cols)):
+            column.extend(values)
 
     def set_init(self, proc, key, array):
         tile = np.asarray(array, dtype=np.int64).view()
@@ -269,6 +268,9 @@ class PlanProgram(Program):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
             self.group_words[round_no] = (*words, sorted(touched))
+        # the emits in processor order, each processor's as added
+        order = np.argsort(np.asarray(plan.emits[0], dtype=np.int64), kind="stable").tolist()
+        self.emits = tuple([column[i] for i in order] for column in plan.emits)
         self.start()
 
     def _check_ops(self, plan):
@@ -295,11 +297,10 @@ class PlanProgram(Program):
         """For ``perfbench/probes.py``, which patches it until it times group ops."""
         raise NotImplementedError("the engine hands no processor to a handler")
 
-    def finalize(self, p, state):
-        try:
-            return [(e.row, e.col, state[e.key]) for e in self.plan.emits.get(p, ())]
-        except KeyError as missing:
-            raise MissingTile(p, None, missing.args[0]) from None
+    def finalize(self, states):
+        procs, keys, rows, cols = self.emits
+        return procs, rows, cols, _tiles(self, states, procs, keys, repeat(False),
+                                         self.total_rounds + 1)
 
 
 class _GroupKind(NamedTuple):
@@ -604,14 +605,14 @@ _GROUP_DISPATCH = {
 }
 
 
-def assemble_output(result_outputs, rows, cols, spec: SemiringSpec) -> np.ndarray:
-    """Place each emitted block, as stored, in a rows x cols array of zeros.
+def assemble_output(outputs, rows, cols, spec: SemiringSpec) -> np.ndarray:
+    """Place each block of a run's ``outputs`` columns (see
+    ``Program.finalize``), as stored, in a rows x cols array of zeros.
 
     A flat block is one row.  No plan emits a cell twice, so each block is
     written once; cells no block covers keep the carrier's zero."""
     data = spec.zeros(rows, cols)
-    for blocks in result_outputs.values():
-        for r0, c0, block in blocks:
-            height, width = block.shape if block.ndim == 2 else (1, len(block))
-            data[r0 : r0 + height, c0 : c0 + width] = block
+    for r0, c0, block in zip(*outputs[1:]):
+        height, width = block.shape if block.ndim == 2 else (1, len(block))
+        data[r0 : r0 + height, c0 : c0 + width] = block
     return data

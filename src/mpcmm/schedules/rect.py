@@ -137,16 +137,15 @@ def tree_sum(task: SumTask, spec: SemiringSpec) -> Schedule:
     for l in range(t):
         plan.set_init(l, ("M", l), np.asarray(task.addends[l], dtype=np.int64).reshape(side, side))
 
-    if t == 1:
-        plan.emit(0, ("M", 0), 0, 0)
-        return Schedule(PlanProgram(plan, spec), MpcConfig(1, k), side, side, side, side)
-
-    rounds, (holders,) = tree_sum_fragment(
-        plan, [range(t)], [[("M", l) for l in range(t)]], entries, k, 1, [("sum",)]
-    )
-    plan.num_rounds = rounds
-    for e, (proc, key) in enumerate(holders):
-        plan.emit(proc, key, e // side, e % side)
+    if t == 1:  # the lone addend is the sum, emitted whole
+        holders = ((0, ("M", 0)),)
+    else:
+        rounds, (holders,) = tree_sum_fragment(
+            plan, [range(t)], [[("M", l) for l in range(t)]], entries, k, 1, [("sum",)]
+        )
+        plan.num_rounds = rounds
+    e = np.arange(len(holders))
+    plan.emit(*zip(*holders), e // side, e % side)
     return Schedule(PlanProgram(plan, spec), MpcConfig(t, k), side, side, side, side)
 
 
@@ -176,10 +175,10 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
 
     plan = Plan(num_procs=n, num_rounds=q_count, min_memory=n)
     c_keys = tuple(("C", *divmod(kk, s)) for kk in range(n))
-    for kk, (_, i, j) in enumerate(c_keys):
+    for kk in range(n):
         plan.set_init(kk, ("ar", kk), a_pad[kk : kk + 1, :])
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
-        plan.emit(kk, c_keys[kk], i * s, j * s)
+    plan.emit(range(n), c_keys, *np.indices((s, s)).reshape(2, -1) * s)
 
     # Processor i * s + j gathers strip q of A rows i * s .. i * s + s - 1
     # and of B columns j * s .. j * s + s - 1, reading (not moving) the
@@ -228,18 +227,18 @@ def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
                       lambda l, i, j: ("P", i, j, l), 2, side)
     plan.num_rounds = phase1 = 1 + blocks
     cells = [(i, j) for i in range(blocks) for j in range(blocks)]
-    if group_size == 1:
-        for i, j in cells:
-            plan.emit(proc(i, j, 0), ("P", i, j, 0), i * side, j * side)
-        return
-    rounds, holders = tree_sum_fragment(
-        plan, procs.reshape(group_size, -1).T,
-        [[("P", i, j, l) for l in range(group_size)] for i, j in cells],
-        side * side, side * side, phase1 + 1, [("g", i, j) for i, j in cells])
-    plan.num_rounds = phase1 + rounds
-    for (i, j), group in zip(cells, holders):
-        for e, (holder, key) in enumerate(group):
-            plan.emit(holder, key, i * side + e // side, j * side + e % side)
+    if group_size == 1:  # each partial is its block, emitted whole
+        holders = [((proc(i, j, 0), ("P", i, j, 0)),) for i, j in cells]
+    else:
+        rounds, holders = tree_sum_fragment(
+            plan, procs.reshape(group_size, -1).T,
+            [[("P", i, j, l) for l in range(group_size)] for i, j in cells],
+            side * side, side * side, phase1 + 1, [("g", i, j) for i, j in cells])
+        plan.num_rounds = phase1 + rounds
+    i, j = np.array(cells).T[:, :, None] * side  # entry e: word (e // side, e % side) of its block
+    e = np.arange(len(holders[0]))
+    plan.emit(*zip(*[holder for group in holders for holder in group]),
+              (i + e // side).ravel(), (j + e % side).ravel())
 
 
 def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Schedule:

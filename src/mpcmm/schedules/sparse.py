@@ -123,9 +123,6 @@ class OutputMask:
         if over.size:
             raise ValueError(f"mask column {over[0]} used {per_col[over[0]]} > d times")
 
-    def cols(self, r: int) -> tuple:
-        return self.rows[r]
-
     @cached_property
     def pairs(self) -> tuple:
         """The masked cells as int64 arrays (r, j), in row order."""
@@ -505,9 +502,8 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     fetch_fragment(plan, np.vstack((terms, *at)), fetched, len(layers) * stride)
     for li, layer in enumerate(layers):
         _build_layer(plan, layer, li, li * stride + 1, grid, mask, a_keys, b_keys)
-    for r in range(n):
-        for j in mask.cols(r):
-            plan.emit(r, ("c", r, j), r, j)
+    rows, cols = mask.pairs
+    plan.emit(rows, [("c", *cell) for cell in zip(rows.tolist(), cols.tolist())], rows, cols)
 
     return Schedule(
         PlanProgram(plan, spec),

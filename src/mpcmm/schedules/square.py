@@ -109,7 +109,9 @@ def schedule_square(
             keys += [("A", *own), ("B", *own)]
             plan.set_init(proc(i, j), keys[-2], block(a, *own))
             plan.set_init(proc(i, j), keys[-1], block(b, *own))
-            plan.emit(proc(i, j), ("C", i, j), i * t, j * t)
+    cells = [divmod(p, g) for p in range(g * g)]
+    plan.emit(range(g * g), [("C", i, j) for i, j in cells], [i * t for i, _ in cells],
+              [j * t for _, j in cells])
     if shift:
         # One Scatter moves each block home, from processor (i, j) to (j, i),
         # in round 1 and hands it in there in round 2, before the gather.

@@ -13,7 +13,7 @@ round r + 1, ordered by (source, emission order).  The step returns the
 handlers' words sent and received on top of the group work's, and names
 every handled processor as changed, so the engine charges messages
 exactly as it charges group words.  The trailing local step runs no
-handler: ``finalize(p, state)`` reads ``self.inboxes`` for the last
+handler: ``finalize(states)`` reads ``self.inboxes`` for the last
 round's messages.
 """
 

@@ -26,8 +26,8 @@ code, or moves the stored tile out.
 
 In a round, the plan's group ops run before any processor's ops.  The
 ops placed in the trailing local step (round ``num_rounds + 1``) run in
-``finalize``, before its emits; nothing there may send, and no op may be
-placed later.
+``finalize``, every processor's before any emit is read; nothing there
+may send, and no op may be placed later.
 
 :func:`run_references` makes the builders construct
 :class:`ReferenceProgram`; every context manager that patches a
@@ -144,10 +144,11 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
         self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
         return store, sends
 
-    def finalize(self, p, state):
-        store = _merge(state, self.inboxes.get(p, []))
-        self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
-        return super().finalize(p, store)
+    def finalize(self, states):
+        for p, state in enumerate(states):
+            states[p] = _merge(state, self.inboxes.get(p, []))
+            self._exec(states[p], self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
+        return super().finalize(states)
 
     def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec
@@ -272,7 +273,7 @@ def _drop(spec, store, op, sends):
         store.pop(k, None)
 
 
-# Every per-processor op; Emit is not one (``finalize`` reads ``plan.emits``).
+# Every per-processor op; an emit is not one (``finalize`` reads ``plan.emits``).
 _DISPATCH = {
     Mac: _mac,
     MulAcc: _mul_acc,

@@ -92,7 +92,7 @@ def hand_back(plan, round_no, grid, procs, c_keys, rows, cols, mask):
             add(plan, round_no, p, Slice(gkey, ckey, (u, u + 1), (0, grid)))
             if r != p:
                 add(plan, round_no, p, Send(r, (gkey,)), Drop((gkey,)))
-            masked = set(mask.cols(r))
+            masked = set(mask.rows[r])
             accs = [AccCell(("c", r, j), gkey, v)
                     for v, j in enumerate(block_cols[tj * grid : (tj + 1) * grid])
                     if j >= 0 and j in masked]

@@ -86,7 +86,7 @@ def build_ledger(a: SparseMatrix, b: SparseMatrix, mask: OutputMask) -> TermLedg
 
     pending = {}
     for r in range(n):
-        masked = set(mask.cols(r))
+        masked = set(mask.rows[r])
         if not masked:
             continue
         for k in a_row[r]:
@@ -193,7 +193,7 @@ def decompose(
                         break
                     counts = {}
                     for r in r_chunk:
-                        for j in mask.cols(r):
+                        for j in mask.rows[r]:
                             if j in used_cols:
                                 continue
                             hits = len(remaining.pending.get((r, j), set()) & kset)
@@ -211,14 +211,14 @@ def decompose(
                         if all(
                             needed <= remaining.pending.get((r, j), set())
                             for r in r_chunk
-                            if j in mask.cols(r)
+                            if j in mask.rows[r]
                         ):
                             ok_cols.append(j)
                     if not ok_cols:
                         continue
                     terms = []
                     for r in r_chunk:
-                        masked = set(mask.cols(r))
+                        masked = set(mask.rows[r])
                         for j in sorted(ok_cols):
                             if j not in masked:
                                 continue

@@ -46,8 +46,8 @@ class LocalMultiply(HandlerProgram):
         c = INT.matmul(state["a"], state["b"])
         return {"c": c}, []
 
-    def finalize(self, p, state):
-        return [(0, 0, state["c"])]
+    def finalize(self, states):
+        return [0], [0], [0], [states[0]["c"]]
 
 
 class Blast(HandlerProgram):
@@ -72,7 +72,7 @@ def test_local_multiply_single_round_no_messages():
     t = result.transcript
     assert t.rounds == 1
     assert not t.figures[:2].any()
-    got = result.outputs[0][0][2]
+    (got,) = result.outputs[3]
     assert np.array_equal(got, naive_multiply(a, b, INT).data)
 
 
@@ -370,12 +370,13 @@ def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
                 return none, np.array([self.words, 0]), none, []
             return super().group_step(round_no, states)
 
-        def finalize(self, p, state):
-            calls.append(("finalize", p))
-            return []
+        def finalize(self, states):
+            calls.append(("finalize", len(states)))
+            return super().finalize(states)
 
-    run(Trailing(), MpcConfig(2, 8))
-    assert calls == [("group", 1), ("group", 2), ("group", 3), ("finalize", 0), ("finalize", 1)]
+    result = run(Trailing(), MpcConfig(2, 8))
+    assert calls == [("group", 1), ("group", 2), ("group", 3), ("finalize", 2)]
+    assert result.outputs == ([], [], [], []) and result.transcript.output_words == 0
     sender = Trailing()
     sender.words = 1
     with pytest.raises(ValueError, match="after the last barrier"):

@@ -266,8 +266,7 @@ def test_executing_a_schedule_twice_gives_the_same_bytes(name):
 
     def outcome():
         result, out = schedule.execute(cap_factor=config.cap_factor)
-        outputs = {p: [(r, c, np.asarray(block).tobytes()) for r, c, block in blocks]
-                   for p, blocks in result.outputs.items()}
+        outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
         return result.transcript.to_csv(), outputs, out.data.tobytes()
 
     assert outcome() == outcome()

@@ -180,6 +180,19 @@ def test_a_short_or_non_integer_header_names_the_file(tmp_path, text):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1 1 1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("1 x 3", "invalid literal for int() with base 10: 'x'"),
+    ("1 1 100000000000000000000", "a word outside int64"),
+    ("0 1 3", "entry (0, 1) out of range"),  # 1-based, as the file writes it
+], ids=["float-word", "word-col", "word-past-int64", "row-0"])
+def test_a_bad_entry_names_the_file(tmp_path, entry, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"SPARSE 4 4 1\n{entry}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load_matrix(path)
+
+
 def test_a_truncated_header_exits_2_from_the_cli(tmp_path, capsys):
     path = tmp_path / "a.txt"
     path.write_text("SPARSE 4 4\n")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpcmm import MpcConfig, get_semiring, run
 from mpcmm import plan as plan_module
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
-from mpcmm.plan import (Emit, Fetch, Gather, MissingTile, Plan, PlanProgram, Rotate, Scatter,
+from mpcmm.plan import (Fetch, Gather, MissingTile, Plan, PlanProgram, Rotate, Scatter,
                         assemble_output)
 from mpcmm.schedules.common import gather, rotation_fragment
 
@@ -35,9 +35,10 @@ def _dataclasses(module):
 
 
 def test_every_op_has_a_dispatch_entry():
-    # The shipped interpreter: group ops, a plan and its emits only; a
-    # gather reads index arrays, with no recipe kinds.
-    assert _dataclasses(plan_module) == {Plan, Emit}
+    # The shipped interpreter: group ops and a plan only, whose emits are
+    # columns; a gather reads index arrays, with no recipe kinds.
+    assert _dataclasses(plan_module) == {Plan}
+    assert not hasattr(plan_module, "Emit")
     assert set(plan_module._GROUP_DISPATCH) == {Gather, Rotate, Scatter, Fetch}
     assert not {"_DISPATCH", "_exec", "_RECIPES"} & set(vars(plan_module))
     assert "add" not in vars(Plan)
@@ -67,7 +68,7 @@ def test_plan_program_rejects_per_processor_ops():
 
 def test_unknown_op_raises_type_error():
     program = _program()
-    add(program.plan, 1, 0, Emit(("x",), 0, 0))
+    add(program.plan, 1, 0, ("x",))
     with pytest.raises(TypeError, match="unknown op"):
         program.handler(1, 0, {}, [])
 
@@ -77,7 +78,7 @@ def test_send_in_finalize_raises_value_error():
     program.plan.set_init(0, ("x",), np.arange(4))
     add(program.plan, 2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
     with pytest.raises(ValueError, match="finalize"):
-        program.finalize(0, program.init_state(0))
+        program.finalize([program.init_state(p) for p in range(2)])
 
 
 def _rotation_plan(grid, num_rounds, first_round):
@@ -111,7 +112,7 @@ def test_ops_in_the_trailing_step_see_what_a_last_slot_hands_back(grid):
             plan.set_init(p, ("one",), np.array([[1]]))
             add(plan, rounds + 1, p, Mac(("D",), ("C", i, j), ("one",)))  # D = C
             add(plan, rounds + 1, p, Mac(("D",), ("D",), ("C", i, j)))  # D += D * C
-            plan.emit(p, ("D",), i, j)
+            plan.emit([p], [("D",)], [i], [j])
     result = run(ReferenceProgram(plan, INT), MpcConfig(grid * grid, 4))
     assert result.transcript.rounds == rounds
     c = a @ b
@@ -362,11 +363,9 @@ def test_delivered_payload_survives_later_accumulation():
     # x += y * y (elementwise, so x += 1), then x += y @ y
     add(plan, 1, 0, Send(1, (("x",),)), MulAcc(("x",), ("y",), ("y",)), Mac(("x",), ("y",), ("y",)))
     add(plan, 2, 0, Drop((("y",),)))  # round R + 1
-    plan.emit(0, ("x",), 0, 0)
-    plan.emit(1, ("x",), 0, 2)
+    plan.emit([0, 1], [("x",), ("x",)], [0, 0], [0, 2])
     result = run(ReferenceProgram(plan, INT), MpcConfig(2, 8))
-    (_, _, sender), = result.outputs[0]
-    (_, _, receiver), = result.outputs[1]
+    sender, receiver = result.outputs[3]
     assert np.array_equal(receiver, [[1, 2], [3, 4]])
     assert np.array_equal(sender, [[4, 5], [6, 7]])
     assert np.array_equal(x, [[1, 2], [3, 4]])
@@ -384,8 +383,7 @@ def _scatter_plan():
     # x: 1 -> 1, 2 stays at 0, 3 -> 2, 4 is dropped; y: 10 and 20 stay, 30 -> 0, 40 -> 2
     plan.scatter(1, (1,), [0, 1], [("x",), ("y",)], [1, 0, 2, -1, 1, 1, 0, 2],
                  [0, 1, 2, -1, 0, 0, 1, 2], cells)
-    for p, key in zip((1, 0, 2), cells):
-        plan.emit(p, key, 0, key[1])
+    plan.emit([1, 0, 2], cells, [0, 0, 0], [0, 1, 2])
     return plan
 
 
@@ -402,7 +400,7 @@ def test_assemble_output_places_blocks_as_stored_and_leaves_the_rest_zero():
     """A 2-d block fills its rows and columns from its corner and a flat one
     is one row; cells no block covers keep the carrier's zero."""
     trop = get_semiring("tropical")
-    outputs = {0: [(0, 1, np.array([[1, 2], [3, 4]]))], 2: [(2, 0, np.array([5, 6, 7]))]}
+    outputs = [0, 2], [0, 2], [1, 0], [np.array([[1, 2], [3, 4]]), np.array([5, 6, 7])]
     out = assemble_output(outputs, 3, 4, trop)
     inf = trop.zero
     assert out.dtype == np.int64
@@ -428,6 +426,51 @@ def test_a_give_whose_unit_went_elsewhere_raises_missing_tile():
     with pytest.raises(MissingTile) as caught:
         run(PlanProgram(plan, INT), MpcConfig(3, 8))
     assert (caught.value.processor, caught.value.round, caught.value.key) == (2, None, ("s", 2))
+
+
+def test_a_missing_emit_names_the_lowest_processor_at_finalize():
+    """Emits added out of processor order are read in processor order, each
+    processor's as added: the first missing key is processor 1's first."""
+    plan = Plan(num_procs=4, num_rounds=1)
+    plan.set_init(1, ("x",), np.arange(2))
+    plan.emit([3, 1], [("y",), ("v",)], [0, 1], [0, 0])
+    plan.emit([2, 1, 1], [("z",), ("x",), ("u",)], [2, 3, 4], [0, 0, 0])
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(4, 8))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (1, None, ("v",))
+
+
+def test_finalize_returns_the_emits_in_processor_order():
+    plan = Plan(num_procs=3, num_rounds=1)
+    for p in range(3):
+        plan.set_init(p, ("x",), np.array([p]))
+    plan.emit([2, 0], [("x",), ("x",)], [2, 0], [0, 0])
+    plan.emit([1], [("x",)], [1], [0])
+    procs, rows, cols, blocks = run(PlanProgram(plan, INT), MpcConfig(3, 8)).outputs
+    assert (procs, rows, cols) == ([0, 1, 2], [0, 1, 2], [0, 0, 0])
+    assert [block.tolist() for block in blocks] == [[0], [1], [2]]
+
+
+def test_an_emit_needs_one_of_each_column_per_block():
+    with pytest.raises(ValueError, match="one processor, key, row and col per block"):
+        Plan(num_procs=2, num_rounds=1).emit([0, 1], [("x",)], [0, 0], [0, 1])
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_emits_cover_each_output_cell_at_most_once(name):
+    """``assemble_output`` writes each block once and sums nothing: every
+    block lies inside the padded output and no two cover one cell."""
+    config = SHIPPED_CONFIGS[name]
+    spec = get_semiring(config.semiring)
+    schedule = build_schedule(config, *generate_instance(config, spec), spec)
+    _, rows, cols, blocks = schedule.execute(cap_factor=config.cap_factor)[0].outputs
+    cover = np.zeros((schedule.out_rows, schedule.out_cols), dtype=np.int64)
+    for r0, c0, block in zip(rows, cols, blocks):
+        height, width = block.shape if block.ndim == 2 else (1, block.size)
+        assert 0 <= r0 <= r0 + height <= schedule.out_rows, (r0, block.shape)
+        assert 0 <= c0 <= c0 + width <= schedule.out_cols, (c0, block.shape)
+        cover[r0 : r0 + height, c0 : c0 + width] += 1
+    assert blocks and cover.max() == 1
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))

@@ -48,10 +48,7 @@ def _build(config):
 
 def _execute(schedule):
     result, out = schedule.execute()
-    outputs = {
-        p: [(r, c, np.asarray(block).tobytes()) for r, c, block in blocks]
-        for p, blocks in result.outputs.items()
-    }
+    outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
     return result.transcript.to_csv(), outputs, out
 
 

@@ -33,7 +33,7 @@ BOOL = get_semiring("bool")
 
 
 def masked_entries(matrix, mask):
-    return {(r, j): int(matrix.data[r, j]) for r in range(mask.n) for j in mask.cols(r)}
+    return {(r, j): int(matrix.data[r, j]) for r in range(mask.n) for j in mask.rows[r]}
 
 
 def masked_match(out, oracle, mask):
@@ -118,8 +118,8 @@ class TestMask:
         a, b, mask = sparse_pair(32, 3, INT, 0)
         col_use = {}
         for r in range(32):
-            assert len(mask.cols(r)) <= 3
-            for j in mask.cols(r):
+            assert len(mask.rows[r]) <= 3
+            for j in mask.rows[r]:
                 col_use[j] = col_use.get(j, 0) + 1
         assert all(v <= 3 for v in col_use.values())
 
@@ -127,7 +127,7 @@ class TestMask:
         a, b, mask = sparse_pair(16, 4, INT, 1, kind="blockdiag")
         for r in range(16):
             blk = r // 4
-            assert mask.cols(r) == tuple(range(blk * 4, blk * 4 + 4))
+            assert mask.rows[r] == tuple(range(blk * 4, blk * 4 + 4))
 
     def test_mask_validation(self):
         from mpcmm import OutputMask

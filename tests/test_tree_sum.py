@@ -50,10 +50,7 @@ def _outcome(schedule, cap_factor=None):
         result, out = schedule.execute(cap_factor)
     except MpcError as err:
         return type(err).__name__, str(err)
-    outputs = {
-        p: [(r, c, np.asarray(block).tobytes()) for r, c, block in blocks]
-        for p, blocks in result.outputs.items()
-    }
+    outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
     return result.transcript.to_csv(), outputs, out
 
 
@@ -97,9 +94,8 @@ def _sum_schedule(t, width, entries, memory, semiring, seed, extra_rounds, group
     )
     # With an extra round the hand-out step runs in a round, not at finalize.
     plan.num_rounds = rounds + extra_rounds
-    for g, group in enumerate(holders):
-        for e, (proc, key) in enumerate(group):
-            plan.emit(proc, key, g, e)
+    g, e = np.indices((groups, entries)).reshape(2, -1)
+    plan.emit(*zip(*(holder for group in holders for holder in group)), g, e)
     config = MpcConfig(groups * t, memory)
     schedule = Schedule(rect.PlanProgram(plan, spec), config, groups, entries, groups, entries)
     totals = addends[:, 0]
