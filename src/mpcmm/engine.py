@@ -1,21 +1,25 @@
 """Synchronous round engine with memory and bandwidth budgets.
 
 Execution model: a program runs on P processors, each with M words of
-memory.  A round is one local compute phase followed by one barrier, and
-the program's one round hook, ``group_step(round_no, states)``, runs the
-round's work for many processors at once (tile stacks moved by index
-permutation, say).  It may change stores in place.  It returns (held,
-sent, received, changed), or None for no work: the words as three int
-arrays over processors, taken from static shapes rather than measured
-(words held at the end of the round, and so at the start of the next or
-at finalize, words sent and words received), and the processors whose
-states it changed.  The engine re-measures the state words of each
-processor in ``changed`` right after the step.  After the last barrier
-of a program with R rounds comes the trailing local step, numbered
-R + 1: the engine checks each processor's final footprint, runs
-``group_step`` for round R + 1 once, and then ``finalize(states)`` once
-for the run's output blocks.  The step communicates nothing (its three
-arrays must be zero) and is not counted as a round.
+memory.  A round is one local compute phase followed by one barrier.
+The program keeps its processors' stores and counts their words itself:
+``start()`` returns each processor's initial state words, and the one
+round hook, ``group_step(round_no)``, runs the round's work for many
+processors at once (tile stacks moved by index permutation, say).  It
+returns (held, sent, received, state_words), or None for no work: four
+int arrays over processors.  The first three come from static shapes
+rather than measurement (words held at the end of the round, and so at
+the start of the next or at finalize, words sent and words received);
+``state_words`` is each processor's store words after the step; a step
+that returns None leaves them as they were.  The engine reads the array
+only until it calls the next step, so a program may return one array
+each round and update it in place.
+After the last barrier of a program with R rounds comes the trailing
+local step, numbered R + 1: the engine checks each processor's final
+footprint, runs ``group_step`` for round R + 1 once, and then
+``finalize()`` once for the run's output blocks.  The step communicates
+nothing (its three word arrays must be zero) and is not counted as a
+round.
 
 Budgets, checked at every barrier with budget = cap_factor * M:
 
@@ -182,36 +186,27 @@ class Program:
     total_rounds: int = 0
     min_memory: int = 1
 
-    def start(self) -> None:
-        """Called at the start of every run, before ``init_state``."""
+    def start(self) -> np.ndarray:
+        """Called at the start of every run: set up the stores and return
+        each processor's initial state words, an int array over processors."""
+        return np.zeros(self.num_procs, dtype=np.int64)
 
-    def init_state(self, p: int) -> dict:
-        return {}
-
-    def group_step(self, round_no: int, states: list):
+    def group_step(self, round_no: int):
         """Run the round's work.
 
-        It may change entries of ``states`` (a list over processors) in
-        place or replace them, but only for the processors it returns in
-        ``changed``.  Returns (held, sent, received, changed), or None for
-        no work.  It is also called once for round ``total_rounds + 1``,
-        the trailing local step, before ``finalize``; the work it does
-        there must hold, send and receive nothing.
+        Returns (held, sent, received, state_words), or None for no work
+        (the stores then keep their words).  It is also called once for
+        round ``total_rounds + 1``, the trailing local step, before
+        ``finalize``; the work it does there must hold, send and receive
+        nothing.
         """
         return None
 
-    def finalize(self, states: list) -> tuple:
-        """The run's output from the final ``states``: columns (procs, rows,
+    def finalize(self) -> tuple:
+        """The run's output from the final stores: columns (procs, rows,
         cols, blocks), where block i, an int64 array 2-d or flat (one row),
         is processor procs[i]'s and its first word goes to (rows[i], cols[i])."""
         return [], [], [], []
-
-
-def _words(state: dict) -> int:
-    words = 0
-    for value in state.values():
-        words += value.size
-    return words
 
 
 @dataclass
@@ -246,22 +241,18 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     # Initial states are charged as round 1's in-phase footprint, so
     # bandwidth violations in round 1 surface ahead of a too-large
     # starting layout.
-    program.start()
-    states = [program.init_state(p) for p in range(procs)]
-    state_words = np.array([_words(s) for s in states], dtype=np.int64)
+    state_words = program.start()
     # words held across the last barrier, and received in the last round
     held, received = np.zeros((2, procs), dtype=np.int64)
     figures = np.zeros((3, program.total_rounds, procs), dtype=np.int64)
 
     for round_no in range(1, program.total_rounds + 1):
         in_words = state_words + received + held
-        group = program.group_step(round_no, states)
+        group = program.group_step(round_no)
         if group is None:
             held, sent, received = np.zeros((3, procs), dtype=np.int64)
         else:
-            held, sent, received, changed = group
-            for p in changed:
-                state_words[p] = _words(states[p])
+            held, sent, received, state_words = group
         peak = np.maximum(in_words, state_words + sent + held)
 
         for direction, words in (("sent", sent), ("received", received)):
@@ -279,8 +270,8 @@ def run(program: Program, config: MpcConfig) -> RunResult:
     if p is not None:
         raise MemoryExceeded(p, max(program.total_rounds, 1), int(final_words[p]), budget)
     np.maximum(figures[2, -1:], final_words, out=figures[2, -1:])  # no-op without rounds
-    group = program.group_step(program.total_rounds + 1, states)
+    group = program.group_step(program.total_rounds + 1)
     if group is not None and any(words.any() for words in group[:3]):
         raise ValueError("group work after the last barrier must hold, send and receive nothing")
-    outputs = program.finalize(states)
+    outputs = program.finalize()
     return RunResult(Transcript(figures, sum(block.size for block in outputs[3])), outputs)

@@ -93,25 +93,27 @@ class SparseMatrix:
         self._store(rows, cols, *_int64_words(list(entries)).reshape(-1, 3).T)
 
     @classmethod
-    def from_arrays(cls, rows, cols, r, c, v) -> "SparseMatrix":
-        """The matrix storing v[i] at (r[i], c[i]), the entries in any order."""
+    def from_arrays(cls, rows, cols, r, c, v, first=0) -> "SparseMatrix":
+        """The matrix storing v[i] at (r[i], c[i]), the entries in any order,
+        rows and columns counted from ``first`` (the text format's is 1)."""
         m = cls.__new__(cls)
-        m._store(rows, cols, *(_int64_words(x).reshape(-1) for x in (r, c, v)))
+        m._store(rows, cols, *(_int64_words(x).reshape(-1) for x in (r, c, v)), first)
         return m
 
     @staticmethod
     def from_entries(rows, cols, entries) -> "SparseMatrix":
         return SparseMatrix(rows, cols, entries)
 
-    def _store(self, rows, cols, r, c, v):
+    def _store(self, rows, cols, r, c, v, first=0):
         order = np.lexsort((c, r))
         r, c, v = r[order], c[order], v[order]
-        out = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        out = np.flatnonzero((r < first) | (r >= rows + first) | (c < first) | (c >= cols + first))
         if out.size:
             raise ValueError(f"entry ({r[out[0]]}, {c[out[0]]}) out of range")
         dup = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))
         if dup.size:
             raise ValueError(f"duplicate entry at ({r[dup[0]]}, {c[dup[0]]})")
+        r, c = r - first, c - first
         self.rows, self.cols, self.r, self.c, self.v = int(rows), int(cols), r, c, v
 
     def __eq__(self, other):
@@ -239,10 +241,6 @@ def load_matrix(path):
         rows, cols, nnz = header
         if len(words) != 3 * nnz:
             raise ValueError(f"expected {3 * nnz} numbers, got {len(words)}")
-        r, c = words[0::3], words[1::3]
-        out = [(x, y) for x, y in zip(r, c) if not (0 < x <= rows and 0 < y <= cols)]
-        if out:  # 1-based, as the file writes it
-            raise ValueError(f"entry {out[0]} out of range")
-        return SparseMatrix.from_arrays(rows, cols, np.array(r) - 1, np.array(c) - 1, words[2::3])
+        return SparseMatrix.from_arrays(rows, cols, words[0::3], words[1::3], words[2::3], first=1)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -11,15 +11,16 @@ over stacks kept in a per-run object, so executing a plan twice gives the
 same bytes.  ``PlanProgram`` dispatches them by type; each kind supplies
 its static words and its step.
 
-All kinds share one store contract.  Group ops change the stores in
-place: each run starts from its own copies of the initial stores
-(``init_state``), and no group op writes into an array it did not make.
-A group op hands values to stores only through ``_give``, which
-accumulates: a key already held becomes old (+) new.  The engine
-re-measures the stores of the processors a round's group ops change (the
-ones the kinds' words functions return).  Every kind reads stored tiles
-through one reader, ``_tiles``; a key its processor's store lacks raises
-:class:`MissingTile`, and so does an emitted key at finalize.
+All kinds share one store contract.  ``PlanProgram`` keeps the stores,
+``states``: each run starts from its own copies of the initial stores
+(``start``), and no group op writes into an array it did not make.
+Group ops change the stores in place, in exactly two places: the one
+reader, ``_tiles``, which pops a tile that moves out of its store, and
+``_give``, which hands values to stores and accumulates: a key already
+held becomes old (+) new.  Both keep ``state_words``, each processor's
+store words, up to date, so the engine measures no store.  A key a
+processor's store lacks raises :class:`MissingTile`, and so does an
+emitted key at finalize.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each, from source tiles.  Each distinct tile it reads is listed
@@ -71,26 +72,25 @@ semiring addition is associative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar terms
-(r, k, j, a_at, b_at).  Processor r holds row r of A as one flat tile
-("a", r) and column r of B as ("b", r): a(r, k) is word a_at of ("a", r)
-and b(k, j) word b_at of ("b", j).  Like a tree-sum level, it sums
-before it moves.
+(r, k, j, a_at, b_at), each held once.  Processor r holds row r of A as
+one flat tile ("a", r) and column r of B as ("b", r): a(r, k) is word
+a_at of ("a", r) and b(k, j) word b_at of ("b", j).  A term adds
+a(r, k) (*) b(k, j) into r's store cell ("c", r, j), a (1,) tile.  Like
+a tree-sum level, a fetch sums before it moves.
 
-1. It folds first.  For each term of ``fold``, processor r adds
-   a(r, k) (*) b(k, j) into its store cell ("c", r, j), a (1,) tile:
-   one elementwise product, then one sum per cell with ``vadd``, left to
-   right, given to the cell.  a(r, k) is read in r's store.
-   b(k, j) is read in r's store too when j == r; the terms with j != r
-   take the values the previous round moved, and must be its ``move``
-   columns in their order.
-2. Then it moves.  b(k, j) of each term of ``move`` is read in the store
-   of processor j, which keeps its tile, and is in flight to r until the
-   next round's fold.  It counts as sent by j and received by r, so r's
-   next round starts with it in its footprint.
+1. It folds first: the terms the fragment's previous fetch moved, in
+   their order, with the values in flight, then its own terms with
+   j == r, with b(k, j) read in r's store.  a(r, k) is read in r's
+   store.  One elementwise product, then one sum per cell with
+   ``vadd``, left to right, given to the cell.
+2. Then it moves.  b(k, j) of each of its terms with j != r is read in
+   the store of processor j, which keeps its tile, and is in flight to
+   r until the next fetch of the fragment folds it, in the next round.
+   It counts as sent by j and received by r, so r's next round starts
+   with it in its footprint.
 
 A read takes each touched tile once and picks its words by offset; an
-offset outside its tile raises ``ValueError``.  The processors it folds
-into are the ones it names as changed; a sender's store does not change.
+offset outside its tile raises ``ValueError``.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
@@ -173,8 +173,9 @@ class Fetch(NamedTuple):
     """One round of the sparse value fetch for every processor (see module doc)."""
 
     frag: int  # the rounds of one fetch share the values in flight
-    fold: np.ndarray  # (5, terms) r, k, j, a_at, b_at: c(r, j) (+)= a(r, k) (*) b(k, j) at r
-    move: np.ndarray  # (5, values), rows as in ``fold``: b(k, j) moves from j to r
+    # (5, terms) r, k, j, a_at, b_at: c(r, j) (+)= a(r, k) (*) b(k, j) at r;
+    # b(k, j) folds now where j == r, else moves from j to r and folds next round
+    terms: np.ndarray
 
 
 @dataclass
@@ -256,22 +257,19 @@ class PlanProgram(Program):
             raise ValueError(f"a group op is placed in round {past}, past the trailing "
                              f"local step (round {trailing})")
 
-        # Per round: the group ops' static words (held at its end, sent,
-        # received) and the processors whose stores they change.
+        # Per round: the group ops' static words (held at its end, sent, received).
         self.group_words = {}
         for round_no, group_ops in plan.groups.items():
             words = tuple(np.zeros(procs, dtype=np.int64) for _ in range(3))
-            touched = set()
             for op in group_ops:
-                touched.update(_group_kind(op).words(op, *words))
+                _group_kind(op).words(op, *words)
             if round_no == trailing and any(figures.any() for figures in words):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
-            self.group_words[round_no] = (*words, sorted(touched))
+            self.group_words[round_no] = words
         # the emits in processor order, each processor's as added
         order = np.argsort(np.asarray(plan.emits[0], dtype=np.int64), kind="stable").tolist()
         self.emits = tuple([column[i] for i in order] for column in plan.emits)
-        self.start()
 
     def _check_ops(self, plan):
         """Reject per-processor ops: this interpreter would drop them."""
@@ -281,25 +279,26 @@ class PlanProgram(Program):
 
     def start(self):
         self.stacks = {}  # fragment -> its stacks in the current run
+        self.states = [dict(self.plan.init.get(p, {})) for p in range(self.num_procs)]
+        self.state_words = np.array([sum(tile.size for tile in store.values())
+                                     for store in self.states], dtype=np.int64)
+        return self.state_words
 
-    def init_state(self, p):
-        return dict(self.plan.init.get(p, {}))
-
-    def group_step(self, round_no, states):
+    def group_step(self, round_no):
         group_ops = self.plan.groups.get(round_no)
         if group_ops is None:
             return None
         for op in group_ops:
-            _GROUP_DISPATCH[type(op)].step(self, op, round_no, states)
-        return self.group_words[round_no]
+            _GROUP_DISPATCH[type(op)].step(self, op, round_no)
+        return (*self.group_words[round_no], self.state_words)
 
     def handler(self, round_no, p, state, inbox):
         """For ``perfbench/probes.py``, which patches it until it times group ops."""
         raise NotImplementedError("the engine hands no processor to a handler")
 
-    def finalize(self, states):
+    def finalize(self):
         procs, keys, rows, cols = self.emits
-        return procs, rows, cols, _tiles(self, states, procs, keys, repeat(False),
+        return procs, rows, cols, _tiles(self, procs, keys, repeat(False),
                                          self.total_rounds + 1)
 
 
@@ -307,10 +306,10 @@ class _GroupKind(NamedTuple):
     """How ``PlanProgram`` runs one kind of group op."""
 
     # (op, held, sent, received): add the op's static words to the three
-    # arrays over processors; returns the processors whose stores it changes.
+    # arrays over processors.
     words: Callable
-    # (program, op, round_no, states): run the op in its round, changing in
-    # place the stores of the processors ``words`` returns (see the module doc).
+    # (program, op, round_no): run the op in its round, changing the
+    # program's stores in place (see the module doc).
     step: Callable
 
 
@@ -321,16 +320,24 @@ def _group_kind(op):
         raise TypeError(f"unknown group op {op!r}") from None
 
 
-def _tiles(program, states, procs, keys, moves, round_no):
+def _tiles(program, procs, keys, moves, round_no):
     """Tile ``keys[i]`` of processor ``procs[i]``'s store, for every i: moved
-    out of the store where ``moves[i]``, else only read.  The first key, in
-    order, that its store lacks raises :class:`MissingTile`."""
-    tiles = []
+    out of the store where ``moves[i]``, which uncounts its words, else only
+    read.  The first key, in order, that its store lacks raises
+    :class:`MissingTile`."""
+    states, tiles, popped, words = program.states, [], [], []
     try:
         for p, key, move in zip(procs, keys, moves):
-            tiles.append(states[p].pop(key) if move else states[p][key])
+            if move:
+                tiles.append(states[p].pop(key))
+                popped.append(p)
+                words.append(tiles[-1].size)
+            else:
+                tiles.append(states[p][key])
     except KeyError:
         raise _missing(program, p, round_no, key) from None
+    if popped:
+        np.subtract.at(program.state_words, popped, words)
     return tiles
 
 
@@ -407,12 +414,10 @@ def _gather_words(op, held, sent, received):
     sent += charged - own
     received += np.bincount(op.procs, weights=2 * side * side - kept,
                             minlength=procs).astype(np.int64)
-    # Only a source moved out changes its holder's store.
-    return np.flatnonzero(np.bincount(op.holders[op.moves], minlength=procs)).tolist()
 
 
-def _gather_step(program, op, round_no, states):
-    tiles = _tiles(program, states, op.holders.tolist(), op.keys, op.moves.tolist(), round_no)
+def _gather_step(program, op, round_no):
+    tiles = _tiles(program, op.holders.tolist(), op.keys, op.moves.tolist(), round_no)
     if any(tile.shape != shape for tile, shape in zip(tiles, op.shapes)):
         key, tile, shape = next((key, tile, shape) for key, tile, shape
                                 in zip(op.keys, tiles, op.shapes) if tile.shape != shape)
@@ -433,15 +438,14 @@ def _rotate_words(op, held, sent, received):
                 raise ValueError("rotation sends must permute the stack rows")
             np.add.at(sent, op.procs, tile)
             np.add.at(received, op.procs[to], tile)
-    return () if op.c_keys is None else op.procs.tolist()
 
 
-def _rotate_step(program, op, round_no, states):
+def _rotate_step(program, op, round_no):
     stacks = program.stacks[op.frag]
     _slot(program.spec, op, stacks)
     if op.c_keys is not None:
         del program.stacks[op.frag]
-        _give(program.spec, states, op.procs.tolist(), op.c_keys, stacks.c)
+        _give(program, op.procs.tolist(), op.c_keys, stacks.c)
 
 
 def _slot(spec, op, stacks):
@@ -482,7 +486,7 @@ def _scatter_words(op, held, sent, received):
             raise ValueError("a give must take each moved unit at most once")
         if len(set(zip(op.procs.tolist(), op.keys))) != len(op.keys):
             raise ValueError("a give must hand each (processor, key) one sum")
-        return np.flatnonzero(np.bincount(op.procs, minlength=len(held))).tolist()
+        return
     holder = np.repeat(op.procs, len(op.to) // max(len(op.procs), 1))
     if len(holder) != len(op.to):
         raise ValueError("a move must cut its tiles into equally many units")
@@ -491,13 +495,12 @@ def _scatter_words(op, held, sent, received):
     held += np.bincount(holder[kept], minlength=procs) * size
     sent += np.bincount(holder[away], minlength=procs) * size
     received += np.bincount(op.to[away], minlength=procs) * size
-    return np.flatnonzero(np.bincount(op.procs, minlength=procs)).tolist()
 
 
-def _scatter_step(program, op, round_no, states):
+def _scatter_step(program, op, round_no):
     if op.take is None:  # a move
         size = len(op.to) // max(len(op.procs), 1) * math.prod(op.shape)  # words per tile
-        tiles = _tiles(program, states, op.procs.tolist(), op.keys, repeat(True), round_no)
+        tiles = _tiles(program, op.procs.tolist(), op.keys, repeat(True), round_no)
         for key, tile in zip(op.keys, tiles):
             if tile.size != size:
                 raise ValueError(f"scattered tile {key!r} has {tile.size} words, not {size}")
@@ -510,7 +513,7 @@ def _scatter_step(program, op, round_no, states):
         i = dest[stray[0]]
         raise _missing(program, int(op.procs[i]), round_no, op.keys[i])
     sums = _segment_add(program.spec, values[unit], np.flatnonzero(np.diff(dest, prepend=-1)))
-    _give(program.spec, states, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
+    _give(program, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
 
 
 # -- Fetch -------------------------------------------------------------------
@@ -518,32 +521,36 @@ def _scatter_step(program, op, round_no, states):
 
 def _fetch_words(op, held, sent, received):
     procs = len(sent)
-    sent += np.bincount(op.move[2], minlength=procs)
-    received += np.bincount(op.move[0], minlength=procs)
-    return np.unique(op.fold[0]).tolist()
+    remote = op.terms[:, op.terms[2] != op.terms[0]]
+    sent += np.bincount(remote[2], minlength=procs)
+    received += np.bincount(remote[0], minlength=procs)
 
 
-def _fetch_step(program, op, round_no, states):
+def _fetch_step(program, op, round_no):
     def read(name, procs, at):  # words of row tiles, left in their stores
-        return _words_at(program, states, name, procs, at, round_no)
+        return _words_at(program, name, procs, at, round_no)
 
-    moved, values = program.stacks.pop(op.frag, (op.fold[:, :0], op.fold[0, :0]))
-    local = op.fold[2] == op.fold[0]
-    if not np.array_equal(op.fold[:, ~local], moved):
-        raise ValueError("a fetch must fold the values the last round moved, in their order")
-    if op.fold.size:
-        _fetch_fold(program.spec, op.fold, local, values, states, read)
-    if op.move.size:
-        program.stacks[op.frag] = op.move, read("b", op.move[2], op.move[4])
+    local = op.terms[2] == op.terms[0]
+    moved, values = program.stacks.pop(op.frag, (op.terms[:, :0], op.terms[0, :0]))
+    fold = np.concatenate([moved, op.terms[:, local]], axis=1)
+    if fold.size:
+        r, _, j, a_at, b_at = fold
+        a = read("a", r, a_at)
+        if local.any():
+            values = np.concatenate([values, read("b", r[len(values):], b_at[len(values):])])
+        _fetch_fold(program, r, j, program.spec.vmul(a, values))
+    if not local.all():
+        move = op.terms[:, ~local]
+        program.stacks[op.frag] = move, read("b", move[2], move[4])
 
 
-def _words_at(program, states, name, procs, at, round_no):
+def _words_at(program, name, procs, at, round_no):
     """Word ``at[i]`` of tile (name, procs[i]) in processor ``procs[i]``'s
     store, for every i, each touched tile read once and left there."""
-    counts = np.bincount(procs, minlength=len(states))
+    counts = np.bincount(procs, minlength=program.num_procs)
     touched = np.flatnonzero(counts).tolist()
     keys = [(name, p) for p in touched]
-    tiles = _tiles(program, states, touched, keys, repeat(False), round_no)
+    tiles = _tiles(program, touched, keys, repeat(False), round_no)
     sizes = np.array([tile.size for tile in tiles], dtype=np.int64)
     which = (np.cumsum(counts > 0) - 1)[procs]  # each term's rank among the touched tiles
     outside = np.flatnonzero((at < 0) | (at >= sizes[which]))
@@ -554,23 +561,15 @@ def _words_at(program, states, name, procs, at, round_no):
     return np.concatenate(tiles)[(np.cumsum(sizes) - sizes)[which] + at]
 
 
-def _fetch_fold(spec, terms, local, values, states, read):
-    """c(r, j) (+)= a(r, k) (*) b(k, j) for every (r, k, j, a_at, b_at)
-    column of ``terms``: b(k, j) is in r's store where ``local``, else the
-    next of ``values``."""
-    r, _, j, a_at, b_at = terms
-    a = read("a", r, a_at)
-    b = np.empty_like(a)
-    b[~local] = values
-    if local.any():
-        b[local] = read("b", r[local], b_at[local])
+def _fetch_fold(program, r, j, products):
+    """c(r, j) (+)= products[i] for every i, summed per cell in order."""
     order = np.lexsort((j, r))
     r, j = r[order], j[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])
-    sums = _segment_add(spec, spec.vmul(a, b)[order], starts)
+    sums = _segment_add(program.spec, products[order], starts)
     procs = r[starts].tolist()
     keys = [("c", p, q) for p, q in zip(procs, j[starts].tolist())]
-    _give(spec, states, procs, keys, sums[:, None])
+    _give(program, procs, keys, sums[:, None])
 
 
 def _segment_add(spec, values, starts):
@@ -584,15 +583,26 @@ def _segment_add(spec, values, starts):
     return sums
 
 
-def _give(spec, states, procs, keys, values):
+def _give(program, procs, keys, values):
     """Hand ``values[i]`` to processor ``procs[i]``'s store under ``keys[i]``,
     for every i, accumulating: a key already held becomes old (+) new, with
-    one ``vadd`` over all of them.  The (procs[i], keys[i]) must be distinct
-    within one call.  ``values`` is written in place."""
-    held = [i for i, (p, key) in enumerate(zip(procs, keys)) if key in states[p]]
+    one ``vadd`` over all of them, and a fresh key counts its words.  The
+    (procs[i], keys[i]) must be distinct within one call.  ``values`` is
+    written in place."""
+    states, held, fresh = program.states, [], []
+    for i, (p, key) in enumerate(zip(procs, keys)):
+        if key in states[p]:
+            held.append(i)
+        else:
+            fresh.append(p)
     if held:
         old = np.stack([states[procs[i]][keys[i]] for i in held])
-        values[held] = spec.vadd(old, values[held])
+        if old.shape[1:] != values.shape[1:]:
+            raise ValueError(f"a give hands a {values.shape[1:]} tile to a key that holds "
+                             f"a {old.shape[1:]} one")
+        values[held] = program.spec.vadd(old, values[held])
+    if fresh:
+        np.add.at(program.state_words, fresh, values[0].size)
     for p, key, value in zip(procs, keys, values):
         states[p][key] = value
 

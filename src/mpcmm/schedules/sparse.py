@@ -422,22 +422,20 @@ def fetch_fragment(plan, terms, fetch_rounds, start):
 
     Term i with j != r moves b(k, j) from processor j to r in round
     ``start + fetch_rounds[i]`` and folds into c(r, j) in the round after;
-    the resident terms (j == r) fold in the trailing local step, with the
-    values fetched last.  One :class:`~mpcmm.plan.Fetch` per round, which
-    folds the last round's values before it moves its own.
+    the resident terms (j == r) fold in the trailing local step, after
+    the values fetched last.  One :class:`~mpcmm.plan.Fetch` per round
+    holds the terms it moves, and one in the trailing step the resident
+    terms; each folds what the one before moved before it moves its own.
     """
     remote = terms[2] != terms[0]
     order = np.argsort(fetch_rounds, kind="stable")
     moves, rounds = terms[:, remote][:, order], fetch_rounds[order]
     frag = plan.fragment()
-    arrived = terms[:, :0]
     for rd in range(1, int(rounds.max(initial=0)) + 1):
         move = moves[:, np.searchsorted(rounds, rd) : np.searchsorted(rounds, rd, side="right")]
-        plan.add_group(start + rd, Fetch(frag, arrived, move))
-        arrived = move
-    last = np.concatenate([arrived, terms[:, ~remote]], axis=1)
-    if last.size:
-        plan.add_group(plan.num_rounds + 1, Fetch(frag, last, last[:, :0]))
+        plan.add_group(start + rd, Fetch(frag, move))
+    if terms.size:
+        plan.add_group(plan.num_rounds + 1, Fetch(frag, terms[:, ~remote]))
 
 
 def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:

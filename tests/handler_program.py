@@ -10,11 +10,14 @@ returns p's new state and a list of (dst, tag, payload) sends; each
 payload is a flat int64 word array, and its tag is routing metadata that
 no budget charges.  The messages emitted in round r are p's inbox in
 round r + 1, ordered by (source, emission order).  The step returns the
-handlers' words sent and received on top of the group work's, and names
-every handled processor as changed, so the engine charges messages
-exactly as it charges group words.  The trailing local step runs no
-handler: ``finalize(states)`` reads ``self.inboxes`` for the last
-round's messages.
+handlers' words sent and received on top of the group work's, so the
+engine charges messages exactly as it charges group words.
+
+The adapter owns the stores, ``states``, built by its own hook
+``init_state(p)`` at ``start``, and measures every store after the
+handlers, so a reference's state words never come from a program's own
+counting.  The trailing local step runs no handler: ``finalize()``
+reads ``self.inboxes`` for the last round's messages.
 """
 
 from typing import NamedTuple
@@ -37,6 +40,11 @@ class HandlerProgram(Program):
     def start(self):
         super().start()
         self.inboxes = {}  # processor -> its non-empty inbox
+        self.states = [self.init_state(p) for p in range(self.num_procs)]
+        return _measured(self.states)
+
+    def init_state(self, p):
+        return {}
 
     def active(self, round_no):
         """Processors, ascending, that ``handler`` has work for in the round
@@ -46,14 +54,12 @@ class HandlerProgram(Program):
     def handler(self, round_no, p, state, inbox):
         return state, []
 
-    def group_step(self, round_no, states):
-        procs = len(states)
-        group = super().group_step(round_no, states)
+    def group_step(self, round_no):
+        procs, states = self.num_procs, self.states
+        group = super().group_step(round_no)
         if round_no > self.total_rounds:
             return group
-        if group is None:
-            group = (*np.zeros((3, procs), dtype=np.int64), [])
-        held, sent, received, changed = group
+        held, sent, received = np.zeros((3, procs), dtype=np.int64) if group is None else group[:3]
         sent, received = sent.copy(), received.copy()  # a plan's are cached per round
         inboxes, self.inboxes = self.inboxes, {}
         active = self.active(round_no)
@@ -71,4 +77,10 @@ class HandlerProgram(Program):
                 sent[p] += payload.size
                 received[dst] += payload.size
             states[p] = state
-        return held, sent, received, sorted(set(changed).union(handled))
+        return held, sent, received, _measured(states)
+
+
+def _measured(states):
+    """Each store's words, summed over its tiles."""
+    return np.array([sum(tile.size for tile in state.values()) for state in states],
+                    dtype=np.int64)

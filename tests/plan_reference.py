@@ -24,7 +24,8 @@ shape) tags so that the receiver restores the tiles into its own store.
 it reads each piece at its holder with ``Slice``'s or ``Pack``'s own
 code, or moves the stored tile out.
 
-In a round, the plan's group ops run before any processor's ops.  The
+In a round, the tiles that arrived as messages join their stores
+first, then the plan's group ops run, then the processors' ops.  The
 ops placed in the trailing local step (round ``num_rounds + 1``) run in
 ``finalize``, every processor's before any emit is read; nothing there
 may send, and no op may be placed later.
@@ -128,15 +129,19 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
             raise ValueError(f"an op is placed in round {past}, past the trailing "
                              f"local step (round {trailing})")
 
+    def init_state(self, p):
+        return dict(self.plan.init.get(p, {}))
+
     def active(self, round_no):
         return self.handled.get(round_no, ())
 
-    def group_step(self, round_no, states):
-        group = self.group_words.get(round_no)
-        for p in () if group is None else group[3]:
-            if p in self.inboxes:
-                states[p] = _merge(states[p], self.inboxes.pop(p))
-        return super().group_step(round_no, states)
+    def group_step(self, round_no):
+        # The tiles that arrived as messages join their stores before the
+        # round's group ops run.
+        for p, inbox in self.inboxes.items():
+            self.states[p] = _merge(self.states[p], inbox)
+        self.inboxes = {}
+        return super().group_step(round_no)
 
     def handler(self, round_no, p, state, inbox):
         store = _merge(state, inbox)
@@ -144,11 +149,11 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
         self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
         return store, sends
 
-    def finalize(self, states):
-        for p, state in enumerate(states):
-            states[p] = _merge(state, self.inboxes.get(p, []))
-            self._exec(states[p], self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
-        return super().finalize(states)
+    def finalize(self):
+        # The trailing step's ``group_step`` merged the last round's messages.
+        for p, store in enumerate(self.states):
+            self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
+        return super().finalize()
 
     def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec

@@ -46,8 +46,8 @@ class LocalMultiply(HandlerProgram):
         c = INT.matmul(state["a"], state["b"])
         return {"c": c}, []
 
-    def finalize(self, states):
-        return [0], [0], [0], [states[0]["c"]]
+    def finalize(self):
+        return [0], [0], [0], [self.states[0]["c"]]
 
 
 class Blast(HandlerProgram):
@@ -120,8 +120,8 @@ def test_initial_state_too_large():
         num_procs = 1
         total_rounds = 1
 
-        def init_state(self, p):
-            return {"blob": np.zeros(100, dtype=np.int64)}
+        def start(self):
+            return np.array([100])
 
     # charged as round 1's in-phase footprint
     with pytest.raises(MemoryExceeded) as info:
@@ -317,9 +317,9 @@ class Grouped(Program):
     num_procs = 2
     total_rounds = 2
 
-    def group_step(self, round_no, states):
+    def group_step(self, round_no):
         if round_no == 1:
-            return np.array([3, 0]), np.array([5, 0]), np.array([0, 5]), []
+            return np.array([3, 0]), np.array([5, 0]), np.array([0, 5]), np.zeros(2, dtype=int)
         return None
 
 
@@ -330,24 +330,26 @@ def test_group_words_join_the_budget_figures():
     assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[8, 0], [3, 5]])
 
 
-@pytest.mark.parametrize("named", [[1], []])
-def test_the_engine_measures_the_stores_a_group_step_names(named):
+def test_the_engine_charges_the_state_words_a_group_step_returns():
     class Giving(Grouped):
-        """Round 1's group work also gives processor 1 a 2-word tile, in place."""
+        """Round 1's group work also gives processor 1 a 2-word tile; the
+        program counts it in one array it returns and keeps updating."""
 
-        def group_step(self, round_no, states):
-            group = super().group_step(round_no, states)
+        def start(self):
+            self.words = super().start()
+            return self.words
+
+        def group_step(self, round_no):
+            group = super().group_step(round_no)
             if round_no == 1:
-                states[1]["g"] = np.zeros(2, dtype=np.int64)
-                return (*group[:3], named)
+                self.words[1] += 2
+                return (*group[:3], self.words)
             return group
 
     t = run(Giving(), MpcConfig(2, 8)).transcript
-    # a processor the step leaves out keeps its cached state words
-    words = 2 if named else 0
+    # the words stay charged through round 2, whose step has no work
     sent, received, peak = t.figures.tolist()
-    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]],
-                                      [[8, words], [3, 5 + words]])
+    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[8, 2], [3, 7]])
 
 
 def test_group_words_break_budgets_like_messages():
@@ -363,19 +365,19 @@ def test_trailing_group_step_runs_once_before_finalize_and_stays_local():
     class Trailing(Grouped):
         words = 0  # words the trailing group step sends
 
-        def group_step(self, round_no, states):
+        def group_step(self, round_no):
             calls.append(("group", round_no))
             if round_no == 3:
                 none = np.zeros(2, dtype=np.int64)
-                return none, np.array([self.words, 0]), none, []
-            return super().group_step(round_no, states)
+                return none, np.array([self.words, 0]), none, none
+            return super().group_step(round_no)
 
-        def finalize(self, states):
-            calls.append(("finalize", len(states)))
-            return super().finalize(states)
+        def finalize(self):
+            calls.append(("finalize",))
+            return super().finalize()
 
     result = run(Trailing(), MpcConfig(2, 8))
-    assert calls == [("group", 1), ("group", 2), ("group", 3), ("finalize", 2)]
+    assert calls == [("group", 1), ("group", 2), ("group", 3), ("finalize",)]
     assert result.outputs == ([], [], [], []) and result.transcript.output_words == 0
     sender = Trailing()
     sender.words = 1

@@ -119,15 +119,14 @@ def _terms(*triples):
 def _fetch_plan(moved):
     """Processor p holds the row tiles ("a", p) = [a(p, 0), a(p, 1), a(p, 2)],
     a(r, k) = 10r + k + 1, and ("b", p) = [b(0, p), b(1, p), b(2, p)],
-    b(k, j) = k + 2j + 1; round 1 moves ``moved``, which the trailing step
-    folds with the resident term (0, 0, 0)."""
+    b(k, j) = k + 2j + 1; round 1 moves ``moved`` (terms with j != r), which
+    the trailing step folds before the resident term (0, 0, 0)."""
     plan = Plan(num_procs=3, num_rounds=1)
     for p in range(3):
         plan.set_init(p, ("a", p), 10 * p + np.arange(3) + 1)
         plan.set_init(p, ("b", p), np.arange(3) + 2 * p + 1)
-    plan.add_group(1, Fetch(0, _terms(), moved))
-    last = np.concatenate([moved, _terms((0, 0, 0))], axis=1)
-    plan.add_group(2, Fetch(0, last, _terms()))
+    plan.add_group(1, Fetch(0, moved))
+    plan.add_group(2, Fetch(0, _terms((0, 0, 0))))
     r, j = np.array(sorted({(0, 0), *zip(moved[0].tolist(), moved[2].tolist())})).T
     plan.emit(r, [("c", *cell) for cell in zip(r.tolist(), j.tolist())], r, j)
     return plan
@@ -148,6 +147,20 @@ def test_fetch_folds_products_per_cell_and_charges_words():
     sent, received, _ = result.transcript.figures.tolist()
     assert sent == [[0, 1, 3]]
     assert received == [[2, 1, 1]]
+
+
+def test_a_resident_term_folds_in_its_own_round_and_a_moved_one_in_the_next():
+    plan = _fetch_plan(_terms())
+    plan.groups = {}
+    plan.add_group(1, Fetch(0, _terms((0, 1, 0), (1, 0, 2))))
+    plan.add_group(2, Fetch(0, _terms()))
+    program = PlanProgram(plan, INT)
+    program.start()
+    program.group_step(1)
+    assert program.states[0][("c", 0, 0)].tolist() == [(0 + 2) * (1 + 0 + 1)]
+    assert ("c", 1, 2) not in program.states[1]
+    program.group_step(2)
+    assert program.states[1][("c", 1, 2)].tolist() == [(10 + 1) * (0 + 4 + 1)]
 
 
 def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
@@ -171,16 +184,16 @@ def test_a_missing_resident_value_is_named_at_the_trailing_step():
 def test_an_offset_past_its_row_tile_raises_value_error(row, column, where):
     # Word 3 of a 3-word tile would be the next tile's first word.  Columns 0
     # and 1 are moved in round 1 and folded in round 2, the trailing step,
-    # with the resident term (0, 0, 0) as column 2.
+    # before the resident term (0, 0, 0), column 2 of the fold.
     moved = _terms((0, 1, 2), (1, 0, 2))
     if column < 2:
         moved[row, column] = 3
     plan = _fetch_plan(moved)
     if column == 2:
         (last,) = plan.groups[2]
-        fold = last.fold.copy()
-        fold[row, column] = 3
-        plan.groups[2] = [last._replace(fold=fold)]
+        terms = last.terms.copy()
+        terms[row, 0] = 3
+        plan.groups[2] = [last._replace(terms=terms)]
     p, rd = where
     key = ("a" if row == 3 else "b", p)
     with pytest.raises(ValueError, match=re.escape(f"tile {key!r} at processor {p} in round {rd}")):
@@ -196,10 +209,10 @@ def test_each_processor_holds_two_row_tiles_and_a_read_takes_each_once(monkeypat
     reads = []
     tiles = plan_module._tiles
 
-    def recording(program, states, procs, keys, moves, round_no):
+    def recording(program, procs, keys, moves, round_no):
         if keys is not program.emits[1]:  # not finalize's read of the emitted cells
             reads.append((list(procs), list(keys)))
-        return tiles(program, states, procs, keys, moves, round_no)
+        return tiles(program, procs, keys, moves, round_no)
 
     monkeypatch.setattr(plan_module, "_tiles", recording)
     schedule.execute()
@@ -218,24 +231,14 @@ def test_a_word_is_read_at_its_offset_in_the_row_tile():
     plan = schedule.program.plan
     assert plan.init[1][("a", 1)].tolist() == [2, 3, 7]
     assert plan.init[2][("b", 2)].tolist() == [11, 13]
-    terms = np.concatenate([op.fold for op in _fetches(plan)], axis=1)
+    terms = np.concatenate([op.terms for op in _fetches(plan)], axis=1)
     assert terms.T.tolist() == [[1, 5, 2, 2, 1]]
     _, out = schedule.execute()
     assert out.data[1, 2] == 7 * 13 and out == naive_multiply(a, b, INT)
 
 
-def test_a_fold_must_take_the_values_in_flight_in_order():
-    moved = _terms((0, 1, 2), (1, 0, 2))
-    plan = _fetch_plan(moved)
-    (last,) = plan.groups[2]
-    plan.groups[2] = [last._replace(fold=last.fold[:, [1, 0, 2]])]
-    with pytest.raises(ValueError, match="in flight|last round moved"):
-        run(PlanProgram(plan, INT), MpcConfig(3, 16))
-
-
 def test_a_fetch_that_moves_in_the_trailing_step_raises_value_error():
     plan = Plan(num_procs=2, num_rounds=1)
-    moved = _terms((0, 1, 1))
-    plan.add_group(2, Fetch(0, _terms(), moved))
+    plan.add_group(2, Fetch(0, _terms((0, 1, 1))))
     with pytest.raises(ValueError, match="trailing"):
         PlanProgram(plan, INT)

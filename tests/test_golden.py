@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
-from mpcmm.plan import PlanProgram
+from mpcmm import plan as plan_module
 from mpcmm.semiring import get_semiring
 
 SEMIRINGS = ("int", "bool", "tropical")
@@ -272,22 +272,48 @@ def test_executing_a_schedule_twice_gives_the_same_bytes(name):
     assert outcome() == outcome()
 
 
-@pytest.mark.parametrize("name", ["dnd-d-int", "square-alpha0", "sparse-trivial-blockdiag",
-                                  "sparse-twophase-int"])
+def _uncounted(store_change):
+    """``store_change`` (``plan._give`` or ``plan._tiles``) with its change
+    to the state words undone: a fresh key left uncounted, or a pop."""
+
+    def mutant(program, *args):
+        words = program.state_words.copy()
+        found = store_change(program, *args)
+        program.state_words[:] = words
+        return found
+
+    return mutant
+
+
+# The store-word mutants that change each config's transcript.  A fetch
+# only reads row tiles, so the two sparse plans, which run fetches alone,
+# pop no tile; on square-alpha0 the one processor's peak is its inputs,
+# before its C tile arrives.
+UNCOUNTED_CAUGHT = {
+    "dnd-d-int": {"_give", "_tiles"},
+    "square-alpha0": {"_tiles"},
+    "sparse-trivial-blockdiag": {"_give"},
+    "sparse-twophase-int": {"_give"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCOUNTED_CAUGHT))
 def test_a_store_left_unmeasured_changes_the_golden_transcript(monkeypatch, name, tmp_path):
-    """The engine re-measures only the stores a group step names: a step
-    that leaves the first processor whose store it changed out of
-    ``changed`` keeps that processor's stale words, and the transcript
-    differs from the golden one."""
-    group_step = PlanProgram.group_step
-
-    def mutant(program, round_no, states):
-        group = group_step(program, round_no, states)
-        return group if group is None else (*group[:3], group[3][1:])
-
-    monkeypatch.setattr(PlanProgram, "group_step", mutant)
-    summary = run_experiment(ExperimentConfig(seed=1, **CONFIGS[name]), out_dir=str(tmp_path))
-    assert summary["ok"] and _digest(summary["transcript_path"]) != GOLDEN[name][1]
+    """The engine measures no store: the program counts state words where
+    tiles arrive (``_give``, a fresh key) and leave (``_tiles``, a pop).
+    Leaving either count out changes the golden transcript: each mutant
+    on at least two of these configs."""
+    caught = set()
+    for store_change in ("_give", "_tiles"):
+        with monkeypatch.context() as mp:
+            mp.setattr(plan_module, store_change,
+                       _uncounted(getattr(plan_module, store_change)))
+            summary = run_experiment(ExperimentConfig(seed=1, **CONFIGS[name]),
+                                     out_dir=str(tmp_path))
+        assert summary["ok"]
+        if _digest(summary["transcript_path"]) != GOLDEN[name][1]:
+            caught.add(store_change)
+    assert caught == UNCOUNTED_CAUGHT[name]
 
 
 if __name__ == "__main__":

@@ -193,6 +193,13 @@ def test_a_bad_entry_names_the_file(tmp_path, entry, message):
         load_matrix(path)
 
 
+def test_a_duplicate_file_entry_is_named_as_the_file_writes_it(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("SPARSE 4 4 3\n2 3 5\n1 1 3\n1 1 4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate entry at (1, 1)")):
+        load_matrix(path)
+
+
 def test_a_truncated_header_exits_2_from_the_cli(tmp_path, capsys):
     path = tmp_path / "a.txt"
     path.write_text("SPARSE 4 4\n")

@@ -9,8 +9,8 @@ Every such mutant must end in an oracle mismatch or a typed ``MpcError``
 untyped crash.
 
 Fetch mutants change one term of a built golden sparse plan's ``Fetch``
-ops: a term removed from the arrays of the rounds that move and fold it,
-or duplicated there, or its a or b offset moved to a neighbouring word
+ops: a term removed from the one array that holds it, or duplicated
+there, or its a or b offset moved to a neighbouring word
 of the same row tile, must end in an oracle mismatch; an offset pushed
 past its row tile, where the concatenation the step reads holds the
 next tile's first word, is rejected with a ``ValueError``; a row tile
@@ -168,37 +168,28 @@ def _caught(monkeypatch, mutant, semiring=None):
     return caught
 
 
-def _fetch_sites(plan, side):
-    """(round, op index, column) of every ``side`` ("fold" or "move") column
-    of the plan's ``Fetch`` ops, in round order."""
+def _fetch_sites(plan, moved=False):
+    """(round, op index, column) of every term of the plan's ``Fetch`` ops, in
+    round order; with ``moved``, of every term that moves (j != r) only."""
     return [
         (round_no, g, column)
         for round_no, ops in sorted(plan.groups.items())
         for g, op in enumerate(ops) if isinstance(op, Fetch)
-        for column in range(getattr(op, side).shape[1])
+        for column in range(op.terms.shape[1])
+        if not moved or op.terms[2, column] != op.terms[0, column]
     ]
 
 
 def _edit_term(plan, site, edit):
-    """Apply ``edit(array, column)`` to the fold column at ``site`` and, for a
-    fetched term (j != r), to its column in the move of the round before."""
+    """Apply ``edit(array, column)`` to the terms of the ``Fetch`` at ``site``."""
     round_no, g, column = site
     op = plan.groups[round_no][g]
-    r, _, j = op.fold[:3, column]
-    if j != r:
-        moved = int(np.sum(op.fold[0, :column] != op.fold[2, :column]))
-        prev_round, prev_g = next((rd, h) for rd in range(round_no - 1, 0, -1)
-                                  for h, prev in enumerate(plan.groups.get(rd, ()))
-                                  if isinstance(prev, Fetch) and prev.frag == op.frag)
-        prev = plan.groups[prev_round][prev_g]
-        move = edit(prev.move, moved)
-        plan.groups[prev_round][prev_g] = prev._replace(move=move)
-    plan.groups[round_no][g] = op._replace(fold=edit(op.fold, column))
+    plan.groups[round_no][g] = op._replace(terms=edit(op.terms, column))
 
 
 def _fetch_term_mutant(edit, pick):
     def apply(plan):
-        sites = _fetch_sites(plan, "fold")
+        sites = _fetch_sites(plan)
         if sites:
             _edit_term(plan, sites[pick(len(sites))], edit)
         return sites
@@ -221,14 +212,14 @@ def test_every_fetch_term_mutant_is_caught(monkeypatch, mutant, position):
 
 def _offset_mutant(row, offset, pick):
     """Set the a_at (``row`` 3) or b_at (``row`` 4) offset of the ``pick``ed
-    folded term whose row tile holds more than one word to
-    ``offset(at, words)``, in its fold and in the move that fetched it."""
+    term whose row tile holds more than one word to
+    ``offset(at, words)``."""
 
     def apply(plan):
         sites = []
-        for site in _fetch_sites(plan, "fold"):
+        for site in _fetch_sites(plan):
             round_no, g, column = site
-            r, _, j, *at = plan.groups[round_no][g].fold[:, column].tolist()
+            r, _, j, *at = plan.groups[round_no][g].terms[:, column].tolist()
             p = r if row == 3 else j
             words = plan.init[p][("a" if row == 3 else "b", p)].size
             if words > 1:
@@ -278,9 +269,9 @@ def test_a_write_into_a_tile_that_is_only_read_raises(monkeypatch):
     of the instance's value array, which the oracle reads too."""
     tiles = plan_module._tiles
 
-    def writing(program, states, procs, keys, moves, round_no):
+    def writing(program, procs, keys, moves, round_no):
         moves = [move for _, move in zip(procs, moves)]
-        found = tiles(program, states, procs, keys, moves, round_no)
+        found = tiles(program, procs, keys, moves, round_no)
         for tile, move in zip(found, moves):
             if not move:
                 tile += 1
@@ -294,15 +285,14 @@ def test_a_write_into_a_tile_that_is_only_read_raises(monkeypatch):
 
 def _drop_row_tile(name, pick):
     """Delete the row tile ``name`` that the ``pick``ed term reads: the A row
-    tile of a folded term's owner, or the B column tile of a moved term's
-    sender."""
+    tile of a term's owner, or the B column tile of a moved term's sender."""
 
     def apply(plan):
-        sites = _fetch_sites(plan, "fold" if name == "a" else "move")
+        sites = _fetch_sites(plan, moved=name == "b")
         if sites:
             round_no, g, column = sites[pick(len(sites))]
             op = plan.groups[round_no][g]
-            p = int(op.fold[0, column] if name == "a" else op.move[2, column])
+            p = int(op.terms[0 if name == "a" else 2, column])
             del plan.init[p][(name, p)]
         return sites
 

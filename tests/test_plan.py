@@ -3,6 +3,7 @@ op dispatch, send payloads and tile sharing."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,8 +78,9 @@ def test_send_in_finalize_raises_value_error():
     program = _program()
     program.plan.set_init(0, ("x",), np.arange(4))
     add(program.plan, 2, 0, Send(1, (("x",),)))  # round R + 1, run by finalize
+    program.start()
     with pytest.raises(ValueError, match="finalize"):
-        program.finalize([program.init_state(p) for p in range(2)])
+        program.finalize()
 
 
 def _rotation_plan(grid, num_rounds, first_round):
@@ -319,11 +321,12 @@ def test_index_gather_matches_the_per_piece_reference(case, semiring):
         plan.add_group(1, op)
         program = PlanProgram(plan, spec)
         assert all(np.array_equal(x, y) for x, y in zip(program.group_words[1], words))
-        states = [program.init_state(p) for p in range(procs_n)]
-        program.group_step(1, states)
+        program.start()
+        program.group_step(1)
         stacks = program.stacks[0]
         assert np.array_equal(stacks.a, a) and np.array_equal(stacks.b, b)
-        assert [sorted(store) for store in states] == [sorted(store) for store in ref_states]
+        assert [sorted(store) for store in program.states] == [sorted(store)
+                                                               for store in ref_states]
 
 
 def test_send_past_the_last_round_raises_value_error():
@@ -419,6 +422,18 @@ def test_a_give_that_repeats_a_destination_or_a_unit_raises_value_error(edit, me
         PlanProgram(plan, INT)
 
 
+def test_a_give_into_a_key_of_another_shape_raises_value_error():
+    """Its sum would replace the held tile with one of other words, which
+    ``_give`` counts only for a fresh key."""
+    plan = Plan(num_procs=1, num_rounds=1)
+    plan.set_init(0, ("x",), np.array([1, 2]))
+    plan.set_init(0, ("s",), np.array([5]))
+    plan.scatter(1, (2,), [0], [("x",)], [0], [0], [("s",)])
+    with pytest.raises(ValueError, match=re.escape("hands a (2,) tile to a key that holds "
+                                                   "a (1,) one")):
+        run(PlanProgram(plan, INT), MpcConfig(1, 8))
+
+
 def test_a_give_whose_unit_went_elsewhere_raises_missing_tile():
     plan = _scatter_plan()
     (move,) = plan.groups[1]
@@ -483,32 +498,28 @@ def test_shipped_builders_place_no_per_processor_op(name):
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_plans_hand_no_processor_to_the_handler(monkeypatch, name):
-    """Group ops change the stores in place and name to the engine the
-    processors their kinds touch, which the engine then measures: every
-    store a round's group ops change belongs to a processor the round
-    names.  ``PlanProgram.handler`` raises if called, so the run also shows
-    that no processor is handed to it."""
+    """Group ops change the stores in place and count their words where
+    tiles leave and arrive: at every group step, the trailing one too, the
+    state words the step returns are the words of the tiles in the stores.
+    ``PlanProgram.handler`` raises if called, so the run also shows that no
+    processor is handed to it."""
     steps = []
     group_step = PlanProgram.group_step
 
-    def traced_group_step(program, round_no, states):
-        before = [dict(store) for store in states]  # keeps every tile alive for ``is``
-        group = group_step(program, round_no, states)
+    def traced_group_step(program, round_no):
+        group = group_step(program, round_no)
         if group is not None:
-            moved = {p for p, (old, new) in enumerate(zip(before, states))
-                     if old.keys() != new.keys() or any(old[k] is not new[k] for k in old)}
-            steps.append((program, round_no, moved, group[3]))
+            measured = [sum(tile.size for tile in store.values()) for store in program.states]
+            steps.append((program, round_no, group[3].tolist(), measured))
         return group
 
     monkeypatch.setattr(PlanProgram, "group_step", traced_group_step)
     summary = run_experiment(SHIPPED_CONFIGS[name], write=False)
     assert summary["ok"] and steps
-    for program, round_no, moved, changed in steps:
-        touched = set()
-        for op in program.plan.groups[round_no]:
-            words = (np.zeros(program.num_procs, dtype=np.int64) for _ in range(3))
-            touched.update(plan_module._group_kind(op).words(op, *words))
-        assert changed == sorted(touched) and moved <= touched, round_no
+    for _, round_no, counted, measured in steps:
+        assert counted == measured, round_no
+    (program,) = {id(program): program for program, *_ in steps}.values()
+    assert [round_no for _, round_no, _, _ in steps] == sorted(program.plan.groups)
 
 
 @pytest.mark.parametrize("fields", [
