@@ -330,10 +330,11 @@ def test_group_words_join_the_budget_figures():
     assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[8, 0], [3, 5]])
 
 
-def test_the_engine_charges_the_state_words_a_group_step_returns():
+@pytest.mark.parametrize("named", [[1], []])
+def test_the_engine_measures_the_stores_a_group_step_names(named):
     class Giving(Grouped):
-        """Round 1's group work also gives processor 1 a 2-word tile; the
-        program counts it in one array it returns and keeps updating."""
+        """Round 1's group work also gives each processor in `named` a 2-word
+        tile; the program counts it in one array it returns and keeps updating."""
 
         def start(self):
             self.words = super().start()
@@ -342,14 +343,16 @@ def test_the_engine_charges_the_state_words_a_group_step_returns():
         def group_step(self, round_no):
             group = super().group_step(round_no)
             if round_no == 1:
-                self.words[1] += 2
+                self.words[named] += 2
                 return (*group[:3], self.words)
             return group
 
     t = run(Giving(), MpcConfig(2, 8)).transcript
     # the words stay charged through round 2, whose step has no work
+    words = 2 if named else 0
     sent, received, peak = t.figures.tolist()
-    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]], [[8, 2], [3, 7]])
+    assert (sent, received, peak) == ([[5, 0], [0, 0]], [[0, 5], [0, 0]],
+                                      [[8, words], [3, 5 + words]])
 
 
 def test_group_words_break_budgets_like_messages():
