@@ -185,23 +185,27 @@ def generate_instance(config: ExperimentConfig, spec):
         a = block_diagonal(n, d, spec, rng)
         b = block_diagonal(n, d, spec, rng)
     else:
-        a, b = _load(config.file_a, "--file-a"), _load(config.file_b, "--file-b")
-        if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
-            raise ValueError("sparse experiments need SPARSE matrix files")
+        a, b = _load(config.file_a, "--file-a", n), _load(config.file_b, "--file-b", n)
     for matrix, name in ((a, "A"), (b, "B")):
         spec.check_words(matrix.v, name)
         matrix.validate(spec, name)
     return a, b, default_mask(a, b, d)
 
 
-def _load(path: str, flag: str):
-    """The matrix in ``path``; a ValueError if it is empty or unreadable."""
+def _load(path: str, flag: str, n: int):
+    """The n x n sparse matrix in ``path``; a ValueError naming the path if
+    it is empty, unreadable, dense or of another size."""
     if not path:
         raise ValueError(f"--instance file needs {flag}")
     try:
-        return load_matrix(path)
+        m = load_matrix(path)
     except OSError as err:
         raise ValueError(f"cannot read {flag} {path!r}: {err.strerror}") from None
+    if not isinstance(m, SparseMatrix) or (m.rows, m.cols) != (n, n):
+        kind = "SPARSE" if isinstance(m, SparseMatrix) else "DENSE"
+        raise ValueError(f"{path}: a {kind} {m.rows}x{m.cols} matrix, but sparse experiments "
+                         f"at --n {n} need a SPARSE {n}x{n} one")
+    return m
 
 
 def build_schedule(config: ExperimentConfig, a, b, mask, spec):

@@ -228,8 +228,8 @@ def load_matrix(path):
         header = [int(t) for t in tokens[1 : 1 + fields]]
     except ValueError:
         header = []
-    if len(header) != fields:
-        raise ValueError(f"{path}: a {kind} header needs {fields} integer fields, "
+    if len(header) != fields or min(header) < 0:
+        raise ValueError(f"{path}: a {kind} header needs {fields} integer fields >= 0, "
                          f"got {' '.join(tokens[: 1 + fields])!r}")
     try:
         words = [int(t) for t in tokens[1 + fields :]]

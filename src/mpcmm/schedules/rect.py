@@ -4,23 +4,25 @@ Three machine shapes:
 
 * (n, d, n): n processors with O(n) words, one row of A and one column
   of B each, produce the n x n output in d / sqrt(n) rounds, SUMMA
-  style.  Round q + 1 gathers block column q of A and block row q of B:
-  each holder's sqrt(n)-word piece goes to the sqrt(n) processors whose
-  C block needs it.  Round q + 2 multiplies them into the C stack, a
-  ``Rotate`` slot without sends (the last in the trailing local step).
+  style.  Round q + 1 gathers strip q of A and of B: each A row and B
+  column is a source that its holder keeps, and its sqrt(n)-word strip
+  goes to the sqrt(n) processors whose C block needs it.  Round q + 2
+  multiplies them into the C stack, a ``Rotate`` slot without sends
+  (the last in the trailing local step).
 
 * (d, n, d) on n processors with O(d) words: the d x d output splits
   into d blocks of side sqrt(d), each assigned to a group of n / d
-  processors.  Each input holder starts with its column of A and row of
-  B cut into tile pieces.  One rotation, whose grid l holds member l of
-  every group, ships each tile to its first consumer with one gather and
-  accumulates the group partials in sqrt(d) skewed product rounds, one
-  ``Rotate`` each; a tree sum folds the n / d partials per block.
+  processors.  Each input holder starts with its column of A and its
+  row of B, one tile each.  One rotation, whose grid l holds member l of
+  every group, moves them out whole with one gather, which ships each
+  A and B tile to its first consumer, and accumulates the group
+  partials in sqrt(d) skewed product rounds, one ``Rotate`` each; a
+  tree sum folds the n / d partials per block.
 
 * (d, n, d) on d processors with O(n) words: same shape with
-  sqrt(n)-side tiles cut from rows of A and columns of B, d / sqrt(n)
-  product rounds and a single-round fold (n / d partials always fit one
-  processor's memory).
+  sqrt(n)-side tiles gathered from sqrt(n)-word pieces of the rows of A
+  and columns of B, one source each, d / sqrt(n) product rounds and a
+  single-round fold (n / d partials always fit one processor's memory).
 
 The tree sum fans t distributed addends into per-entry totals with
 fan-in width k: one scatter round spreads each addend's entries over
@@ -39,9 +41,9 @@ import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix
-from ..plan import Gather, Plan, PlanProgram, Rotate
+from ..plan import Plan, PlanProgram, Rotate
 from ..semiring import SemiringSpec
-from .common import Schedule, rotation_fragment
+from .common import Schedule, gather, rotation_fragment
 
 
 def tree_sum_fragment(plan: Plan, members, addend_keys, entries: int, width: int,
@@ -180,23 +182,18 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
         plan.set_init(kk, ("bc", kk), b_pad[:, kk : kk + 1])
     plan.emit(range(n), c_keys, *np.indices((s, s)).reshape(2, -1) * s)
 
-    # Processor i * s + j gathers strip q of A rows i * s .. i * s + s - 1
-    # and of B columns j * s .. j * s + s - 1, reading (not moving) the
-    # sources A row kk at kk, then B column kk at kk: word (u, v) of its A
-    # tile is word q * s + v of A row i * s + u, and of its B tile word
-    # q * s + u of B column j * s + v.  Round q + 2 multiplies strip q
-    # before it gathers strip q + 1.
-    procs = np.arange(n)
-    holders = np.tile(np.arange(n, dtype=np.int32), 2)
-    keys = tuple(("ar", kk) for kk in range(n)) + tuple(("bc", kk) for kk in range(n))
-    shapes = ((1, dp),) * n + ((dp, 1),) * n
-    i, j, u, v = np.indices((s,) * 4, dtype=np.int32).reshape(4, n, s, s)
-    charges = np.stack((i * s + u, j * s + v))  # the A row and the B column of each word
-    frag = plan.fragment()
+    # Processor i * s + j gathers strip q of the sources A row kk, then B
+    # column kk, each kept at kk: word (y, x) of its A tile is word
+    # q * s + x of A row i * s + y, and of its B tile word q * s + y of B
+    # column j * s + x.  Round q + 2 multiplies strip q before it gathers
+    # strip q + 1.
+    sources = ([(kk, ("ar", kk), (1, dp), False) for kk in range(n)]
+               + [(kk, ("bc", kk), (dp, 1), False) for kk in range(n)])
+    procs, frag = np.arange(n), plan.fragment()
+    (i, j), y, x = divmod(procs[:, None, None], s), np.arange(s)[:, None], np.arange(s)
     for q in range(q_count):
-        words = np.stack((charges[0] * dp + q * s + v, (n + charges[1]) * dp + q * s + u))
-        plan.add_group(q + 1, Gather(frag, procs, s, holders, keys, shapes,
-                                     np.zeros(2 * n, dtype=bool), 1, words, charges))
+        plan.add_group(q + 1, gather(frag, procs, s, sources, (i * s + y, n + j * s + x),
+                                     (q * s + x, q * s + y)))
         plan.add_group(q + 2, Rotate(frag, procs, s, None, None,
                                      c_keys if q == q_count - 1 else None))
 
@@ -211,19 +208,20 @@ def schedule_ndn(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec) -> Sc
     )
 
 
-def _rotate_and_sum(plan, blocks, group_size, side, proc, parts):
+def _rotate_and_sum(plan, blocks, group_size, side, proc, tiles):
     """Everything but the input layout of both (d, n, d) schedules.
 
     Processor ``proc(i, j, l)``, member l of the group for output block
     (i, j), rotates inner tiles l * blocks .. (l + 1) * blocks - 1 into its
-    partial ("P", i, j, l); ``parts(i, j, q)`` gives the pieces of A tile
-    (i, q) and B tile (q, j) where the inputs hold them.  Members l form
-    grid l of one rotation, whose gather moves all pieces out in round
+    partial ("P", i, j, l); ``tiles(i, j, q)``, over int arrays, says
+    where the inputs hold A tile (i, q) and B tile (q, j), as
+    :func:`~mpcmm.schedules.common.gather` reads them.  Members l form
+    grid l of one rotation, whose gather moves the inputs out in round
     1.  A tree sum then folds each group's partials of ``side**2`` entries.
     """
     l, i, j = np.indices((group_size, blocks, blocks))
     procs = proc(i, j, l)  # grid l holds member l of every group
-    rotation_fragment(plan, procs, lambda l, i, j, x: parts(i, j, l * blocks + x),
+    rotation_fragment(plan, procs, lambda l, i, j, x: tiles(i, j, l * blocks + x),
                       lambda l, i, j: ("P", i, j, l), 2, side)
     plan.num_rounds = phase1 = 1 + blocks
     cells = [(i, j) for i in range(blocks) for j in range(blocks)]
@@ -254,21 +252,22 @@ def schedule_dnd_nproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     plan = Plan(num_procs=n, num_rounds=0, min_memory=d)
     proc = lambda i, j, l: (i * g + j) * t + l
 
-    # Processor c starts with column c of A cut into the pieces of A tiles
-    # (i, c // g), and row c of B into those of B tiles (c // g, j): A tile
-    # (i, q) is piece i of A columns q * g .. q * g + g - 1, B tile (q, j)
-    # piece j of B rows q * g .. q * g + g - 1.
+    # Processor c starts with column c of A and row c of B, one tile each,
+    # which the gather moves out whole: word (y, x) of A tile (i, q) is
+    # word i * g + y of A column q * g + x, of B tile (q, j) word
+    # j * g + x of B row q * g + y.
     for c in range(n):
-        for i in range(g):
-            plan.set_init(c, ("acs", c, i), a.data[i * g : (i + 1) * g, c : c + 1])
-            plan.set_init(c, ("brs", c, i), b.data[c : c + 1, i * g : (i + 1) * g])
+        plan.set_init(c, ("ac", c), a.data[:, c : c + 1])
+        plan.set_init(c, ("br", c), b.data[c : c + 1, :])
+    sources = ([(c, ("ac", c), (d, 1), True) for c in range(n)]
+               + [(c, ("br", c), (1, d), True) for c in range(n)])
+    y, x = np.arange(g)[:, None], np.arange(g)
 
-    def parts(i, j, q):
-        cols = range(q * g, (q + 1) * g)
-        return ((tuple((c, ("acs", c, i), None) for c in cols), 1),
-                (tuple((c, ("brs", c, j), None) for c in cols), 0))
+    def tiles(i, j, q):
+        i, j, q = (v[:, None, None] for v in (i, j, q))
+        return sources, (q * g + x, n + q * g + y), (i * g + y, j * g + x), 1
 
-    _rotate_and_sum(plan, g, t, g, proc, parts)
+    _rotate_and_sum(plan, g, t, g, proc, tiles)
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(n, d),
@@ -301,20 +300,24 @@ def schedule_dnd_dproc(n, d, a: DenseMatrix, b: DenseMatrix, spec: SemiringSpec)
     plan = Plan(num_procs=dp, num_rounds=0, min_memory=n)
     proc = lambda i, j, l: (i * blocks + j) * m + l
 
-    # Processor c starts with row c of A and column c of B cut into the
-    # pieces of A tiles (c // s, q) and B tiles (q, c // s): A tile (i, q)
-    # is piece q of A rows i * s .. i * s + s - 1, B tile (q, j) piece q
-    # of B columns j * s .. j * s + s - 1.
+    # Processor c starts with row c of A and column c of B cut into
+    # sqrt(n)-word pieces, each a source that the gather moves out whole:
+    # row y of A tile (i, q) is piece q of A row i * s + y, and column x of
+    # B tile (q, j) piece q of B column j * s + x.  Piece q of row (column)
+    # c is source q * dp + c of its side, so a B tile row reads adjacent ones.
     for c in range(dp):
         for q in range(s):
             plan.set_init(c, ("ars", c, q), a_pad[c : c + 1, q * s : (q + 1) * s])
             plan.set_init(c, ("bcs", c, q), b_pad[q * s : (q + 1) * s, c : c + 1])
+    sources = [(c, (key, c, q), shape, True) for key, shape in (("ars", (1, s)), ("bcs", (s, 1)))
+               for q in range(s) for c in range(dp)]
+    y, x = np.arange(s)[:, None], np.arange(s)
 
-    def parts(i, j, q):
-        return ((tuple((c, ("ars", c, q), None) for c in range(i * s, (i + 1) * s)), 0),
-                (tuple((c, ("bcs", c, q), None) for c in range(j * s, (j + 1) * s)), 1))
+    def tiles(i, j, q):
+        i, j, q = (v[:, None, None] for v in (i, j, q))
+        return sources, (q * dp + i * s + y, (s + q) * dp + j * s + x), (x, y), 1
 
-    _rotate_and_sum(plan, blocks, m, s, proc, parts)
+    _rotate_and_sum(plan, blocks, m, s, proc, tiles)
     return Schedule(
         PlanProgram(plan, spec),
         MpcConfig(dp, n),

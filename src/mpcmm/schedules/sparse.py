@@ -539,11 +539,13 @@ def _build_layer(plan, layer, li, r0, grid, mask, a_keys, b_keys):
 
     Rounds r0 .. r0 + grid: one skewed square rotation whose grid bi is
     block bi, on processors bi * grid**2 .. (bi + 1) * grid**2 - 1.  Its
-    gather distributes every block's values in round r0: each tile row
-    (column) is packed by the owner of its A row (B column) out of its
-    row tile, whose words are r * n + k in ``a_keys`` (j * n + k in
-    ``b_keys``), or as zeros at the consumer for a padding row (column).
-    Its last round also sends the finished C rows back to their owners
+    gather distributes every block's values in round r0, read by offset
+    out of the row tiles of the layer's row and column owners, which keep
+    them: a(r, k) in ("a", r), whose words are r * n + k in ``a_keys``,
+    and b(k, j) in ("b", j), j * n + k in ``b_keys``.  An entry that is
+    not stored is a zero its owner sends; a padding row or column reads
+    no tile, zeros at the consumer.  Its last round also sends the
+    finished C rows back to their owners
     (:func:`hand_back`), who add them one round later, which may be the
     trailing local step.
     """
@@ -552,29 +554,27 @@ def _build_layer(plan, layer, li, r0, grid, mask, a_keys, b_keys):
     ids = [[list(part) + [-1] * (side - len(part)) for part in (blk.rows, blk.ks, blk.cols)]
            for blk in layer]
     rows, ks, cols = np.array(ids, dtype=np.int64).transpose(1, 0, 2)  # (blocks, side) each
-    # a_at[bi][u][v]: a(rows[bi, u], ks[bi, v])'s offset in its row tile, -1 if not stored;
-    # b_at[bi][v][u]: b(ks[bi, u], cols[bi, v])'s
-    a_at = _offsets(a_keys, n, rows[:, :, None], ks[:, None, :]).tolist()
-    b_at = _offsets(b_keys, n, cols[:, :, None], ks[:, None, :]).tolist()
+    # a_at[bi, u, v]: a(rows[bi, u], ks[bi, v])'s offset in its row tile, -1 if not stored;
+    # b_at[bi, u, v]: b(ks[bi, v], cols[bi, u])'s
+    a_at = _offsets(a_keys, n, rows[:, :, None], ks[:, None, :])
+    b_at = _offsets(b_keys, n, cols[:, :, None], ks[:, None, :])
+    # source[s, p]: the source number of A (s = 0) or B row tile p, -1 for padding p = -1
+    sources, source = [], np.full((2, n + 1), -1)
+    for s, (name, owners) in enumerate((("a", rows), ("b", cols))):
+        ps = np.flatnonzero(np.bincount(owners[owners >= 0], minlength=n))
+        source[s, ps] = len(sources) + np.arange(len(ps))
+        sources += [(p, (name, p), plan.init[p][(name, p)].shape, False) for p in ps.tolist()]
+    y, x = np.arange(grid)[:, None], np.arange(grid)
 
-    def packed(name, p, at):  # words of processor p's row tile, by offset
-        return p, (name, p), (plan.init[p][(name, p)].shape, at)
-
-    def parts(bi, ti, tj, x):
-        # Row and column owners pack their words of block bi's A tile (ti, x)
-        # and B tile (x, tj); padding is zeros packed by the consumer.
-        rs, js = ids[bi][0], ids[bi][2]
-        inner, own = slice(x * grid, (x + 1) * grid), bi * side + ti * grid + tj
-        pad = own, None, ((), (-1,) * grid)
-        a_pieces = tuple(pad if rs[u] < 0 else packed("a", rs[u], a_at[bi][u][inner])
-                         for u in range(ti * grid, (ti + 1) * grid))
-        b_pieces = tuple(pad if js[v] < 0 else packed("b", js[v], b_at[bi][v][inner])
-                         for v in range(tj * grid, (tj + 1) * grid))
-        return (a_pieces, 0), (b_pieces, 1)
+    def tiles(bi, ti, tj, tk):
+        bi, ti, tj, tk = (v[:, None, None] for v in (bi, ti, tj, tk))
+        u, v = ti * grid + y, tj * grid + x  # the tile's block rows and block columns
+        src = source[0, rows[bi, u]], source[1, cols[bi, v]]
+        return sources, src, (a_at[bi, u, tk * grid + x], b_at[bi, v, tk * grid + y]), 1
 
     c_key = lambda bi, ti, tj: ("XC", li, bi, ti, tj)
     procs = np.arange(len(layer) * side).reshape(-1, grid, grid)
-    rotation_fragment(plan, procs, parts, c_key, r0 + 1, grid)
+    rotation_fragment(plan, procs, tiles, c_key, r0 + 1, grid)
     c_keys = [c_key(bi, *divmod(t, grid)) for bi in range(len(layer)) for t in range(side)]
     hand_back(plan, r0 + grid, grid, procs, c_keys, rows, cols, mask)
 

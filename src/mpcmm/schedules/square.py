@@ -11,8 +11,9 @@ blocks per round instead of broadcasting.
 
 Round count: the rotation's distribution round ships each block from
 its owner to its slot-0 consumer (``rotation_fragment`` picks that
-consumer), slots 0..g-2 occupy rounds 2..g, and the last slot runs in
-the trailing local step after the final barrier, giving exactly g rounds.
+consumer) as one gather source, whose units are its rows of n / g
+words; slots 0..g-2 occupy rounds 2..g, and the last slot runs in the
+trailing local step after the final barrier, giving exactly g rounds.
 A processor's footprint never exceeds three blocks (its accumulator
 plus the pair in flight), which fits the default budget of 4 * tile**2
 words.
@@ -21,6 +22,8 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..engine import MpcConfig
 from ..matrix import DenseMatrix, pad_to_multiple
@@ -102,14 +105,11 @@ def schedule_square(
     def block(m, i, j):
         return m.data[i * t : (i + 1) * t, j * t : (j + 1) * t]
 
-    keys = []
-    for i in range(g):
-        for j in range(g):
-            own = (j, i) if shift else (i, j)  # a transposed start holds blocks (j, i)
-            keys += [("A", *own), ("B", *own)]
-            plan.set_init(proc(i, j), keys[-2], block(a, *own))
-            plan.set_init(proc(i, j), keys[-1], block(b, *own))
     cells = [divmod(p, g) for p in range(g * g)]
+    # processor (i, j) holds blocks (i, j), or (j, i) in a transposed start
+    keys = [(m, *((j, i) if shift else (i, j))) for i, j in cells for m in "AB"]
+    for k, (m, i, j) in enumerate(keys):
+        plan.set_init(k // 2, (m, i, j), block(a if m == "A" else b, i, j))
     plan.emit(range(g * g), [("C", i, j) for i, j in cells], [i * t for i, _ in cells],
               [j * t for _, j in cells])
     if shift:
@@ -119,13 +119,16 @@ def schedule_square(
         plan.scatter(1, (t, t), holders, keys, [proc(p % g, p // g) for p in holders],
                      range(len(keys)), keys)
 
-    # Each block is one piece, held by its owner.  The rotation ships it to
-    # its slot-0 consumer in round 1 + shift; the last slot lands in the
-    # trailing local step, one round past the end.
-    def parts(_, i, j, x):
-        return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
+    # Each block is one source, held by its owner, that the rotation moves
+    # to its slot-0 consumer in round 1 + shift, one t-word row per unit;
+    # the last slot lands in the trailing local step, one round past the end.
+    sources = [(proc(i, j), (m, i, j), (t, t), True) for i, j in cells for m in "AB"]
 
-    rotation_fragment(plan, [[[proc(i, j) for j in range(g)] for i in range(g)]], parts,
+    def tiles(_, i, j, x):  # block (i, j) of A is source 2 * proc(i, j), of B the next
+        src = 2 * proc(i, x)[:, None, None], 2 * proc(x, j)[:, None, None] + 1
+        return sources, src, (np.arange(t)[:, None],) * 2, t
+
+    rotation_fragment(plan, [[[proc(i, j) for j in range(g)] for i in range(g)]], tiles,
                       lambda _, i, j: ("C", i, j), 2 + shift, t)
 
     config = MpcConfig(g * g, shape.memory)

@@ -20,9 +20,12 @@ plans never pre-allocate outputs.  An op that reads a key its store does
 not hold raises ``MissingTile``.  A ``Send``'s payload carries (key,
 shape) tags so that the receiver restores the tiles into its own store.
 
-:func:`gather_pieces` is the per-piece reference for ``plan.Gather``:
-it reads each piece at its holder with ``Slice``'s or ``Pack``'s own
-code, or moves the stored tile out.
+:func:`gather_ops` spells a gather out per processor, from the same
+``(sources, src, at, width)`` description that
+``schedules.common.gather`` reads: each holder packs the words it gives
+a tile by offset and sends them, and the tile's processor puts the
+packs together a round later.  :func:`gather_pieces` runs those ops
+directly on a list of stores, the reference for ``plan.Gather``.
 
 In a round, the tiles that arrived as messages join their stores
 first, then the plan's group ops run, then the processors' ops.  The
@@ -43,7 +46,7 @@ import numpy as np
 from mpcmm.plan import MissingTile, PlanProgram
 from mpcmm.schedules import rect, sparse, square
 
-from handler_program import HandlerProgram
+from handler_program import HandlerProgram, Message
 
 
 @dataclass(frozen=True)
@@ -166,42 +169,83 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
             raise MissingTile(p, round_no, missing.args[0]) from None
 
 
-def gather_pieces(spec, states, procs, side, tiles):
-    """Fill an A and a B stack piece by piece; returns them with the words
+def gather_ops(procs, side, sources, src, at, width, name):
+    """A gather of ``schedules.common.gather``'s description as per-processor
+    ops; returns (sends, fills), dicts processor -> op list for the
+    gather's round and for the next.
+
+    For each row r and stack s, the words of the tile are grouped by the
+    processor they count against and the source they read, in that order:
+    the source's holder, or ``procs[r]`` for zeros of no source.  Each
+    group is a ``Pack`` of the words at their offsets in the source (-1
+    for a zero) at that processor, who sends it to ``procs[r]`` and drops
+    it unless that is itself.  After all packs, each holder drops the
+    sources that move.  In the next round ``procs[r]`` concatenates its
+    packs (``Assemble``), packs the tile ``name(r, s)`` out of them and
+    drops them.
+    """
+    sends, fills = {}, {}
+    holders = np.array([holder for holder, *_ in sources] + [-1], dtype=np.int64)
+    shape = (2, len(procs), side, side // width)
+    src, at = (np.stack([np.broadcast_to(x[s], shape[1:]) for s in range(2)]) for x in (src, at))
+    # per row and stack, the source and the offset in it of each word of the tile
+    word_src = np.repeat(src, width, axis=3).reshape(2, len(procs), -1)
+    unit = at[..., None]
+    word_at = np.where(unit >= 0, unit * width + np.arange(width), -1).reshape(2, len(procs), -1)
+    for s in range(2):
+        for r, p in enumerate(np.asarray(procs).tolist()):
+            tile, srcs = name(r, s), word_src[s, r]
+            charged = np.where(srcs >= 0, holders[srcs], p)
+            parts, order = [], []
+            for holder, i in sorted(set(zip(charged.tolist(), srcs.tolist()))):
+                words = np.flatnonzero((charged == holder) & (srcs == i))
+                key = (*tile, "part", holder, i)
+                offsets = tuple(word_at[s, r, words].tolist())
+                ops = [Pack(key, sources[i][1] if i >= 0 else None, offsets, (len(words),))]
+                if holder != p:
+                    ops += [Send(p, (key,)), Drop((key,))]
+                sends.setdefault(holder, []).extend(ops)
+                parts.append(key)
+                order.append(words)
+            flat = (*tile, "parts")
+            fills.setdefault(p, []).extend([
+                Assemble(flat, tuple(parts), 0),
+                Pack(tile, flat, tuple(np.argsort(np.concatenate(order)).tolist()), (side, side)),
+                Drop((*parts, flat)),
+            ])
+    for holder, key, _, moves in sources:
+        if moves:
+            sends.setdefault(holder, []).append(Drop((key,)))
+    return sends, fills
+
+
+def gather_pieces(spec, states, procs, side, sources, src, at, width):
+    """Fill an A and a B stack with the ops of :func:`gather_ops`, run
+    processor by processor on ``states``; returns the stacks with the words
     held, sent and received per processor.
 
-    Row r's tile is the pieces ``tiles[r] = ((a_pieces, a_axis), (b_pieces,
-    b_axis))`` concatenated along the axis, each ``(holder, key, recipe)``:
-    a ``None`` recipe moves the stored tile ``key`` out of ``states[holder]``;
-    a ``Slice`` or ``Pack`` (whose ``dst`` is ``key``) reads the piece there
-    and leaves the store as it is.  A piece several rows use is read once.
-    Its words count against its holder: as held when that is the row's
-    processor ``procs[r]``, else as sent by the holder and received there.
+    A pack counts as sent by the processor that made it and received by
+    the one it goes to, or as held when it stays, where the tile is made.
     """
     held, sent, received = (np.zeros(len(states), dtype=np.int64) for _ in range(3))
-    stacks = np.empty((2, len(procs), side, side), dtype=np.int64)
-    values = {}  # (holder, key) -> piece
-    for row, (p, tile) in enumerate(zip(procs, tiles)):
-        for stack, (pieces, axis) in zip(stacks, tile):
-            words = side * side // len(pieces)
-            parts = []
-            for holder, key, recipe in pieces:
-                if holder == p:
-                    held[p] += words
-                else:
-                    sent[holder] += words
-                    received[p] += words
-                if (holder, key) not in values:
-                    store = states[holder]
-                    if recipe is None:
-                        values[holder, key] = store.pop(key)
-                    else:
-                        scratch = dict(store)
-                        _DISPATCH[type(recipe)](spec, scratch, recipe, None)
-                        values[holder, key] = scratch[key]
-                parts.append(values[holder, key])
-            stack[row] = np.concatenate(parts, axis=axis)
-    return stacks[0], stacks[1], (held, sent, received)
+    name = lambda r, s: ("gathered", r, s)
+    sends, fills = gather_ops(procs, side, sources, src, at, width, name)
+    inboxes = {}
+    for p, ops in sorted(sends.items()):
+        before, out = set(states[p]), []
+        for op in ops:
+            _DISPATCH[type(op)](spec, states[p], op, out)
+        held[p] = sum(tile.size for key, tile in states[p].items() if key not in before)
+        for dst, tag, payload in out:
+            sent[p] += payload.size
+            received[dst] += payload.size
+            inboxes.setdefault(dst, []).append(Message(p, dst, tag, payload))
+    for p, ops in sorted(fills.items()):
+        states[p] = _merge(states[p], inboxes.get(p, []))
+        for op in ops:
+            _DISPATCH[type(op)](spec, states[p], op, None)
+    a, b = (np.stack([states[p].pop(name(r, s)) for r, p in enumerate(procs)]) for s in range(2))
+    return a, b, (held, sent, received)
 
 
 def _merge(state, inbox):

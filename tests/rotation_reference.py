@@ -2,56 +2,39 @@
 ``schedules.common.rotation_fragment``.
 
 Same signature and same result as the group-op fragment, with no group
-op: it takes the same (grids, grid, grid) processor array and
-``parts(b, i, j, x)`` and ``c_key(b, i, j)``, and turns the grids one
-after another, grid b's processors as ``procs[b]``.  The distribution
-round packs each piece that lists offsets into a tile at its holder
-(``Pack``, out of the row tile the piece names), which sends the piece
-to its first consumer unless it is that consumer; every slot is an ``Assemble`` (slot 0), ``Mac``,
-``Send`` and ``Drop`` list on each of a grid's grid**2 processors, run
-by ``plan_reference.ReferenceProgram`` op by op.  Tests
-monkeypatch it into the square, rect and sparse modules to run every
-schedule both ways, together with ``hand_back``, the per-processor
-hand-back of the sparse layers' C rows.
+op: it takes the same (grids, grid, grid) processor array,
+``tiles(b, i, j, x)``, called once over every cell, and
+``c_key(b, i, j)``, and turns the grids one after another, grid b's
+processors as ``procs[b]``.  The distribution round is
+``plan_reference.gather_ops``: each holder packs the words it gives a
+slot-0 tile by offset (``Pack``) and sends them to the tile's first
+consumer unless it is that consumer, which puts the tile together in
+slot 0.  Every slot is a ``Mac``, ``Send`` and ``Drop`` list on each of
+a grid's grid**2 processors, run by ``plan_reference.ReferenceProgram``
+op by op.  Tests monkeypatch it into the square, rect and sparse modules
+to run every schedule both ways, together with ``hand_back``, the
+per-processor hand-back of the sparse layers' C rows.
 """
 
 import numpy as np
 
-from plan_reference import AccCell, Assemble, Drop, Mac, Pack, Send, Slice, add
+from plan_reference import AccCell, Drop, Mac, Send, Slice, add, gather_ops
 
 
-def distribute(plan, grid, proc, parts, round_no, side, name):
-    """Place every slot-0 piece of one grid at its consumer; returns, per
-    cell in row-major order, the piece keys with their axes.  A packed
-    piece is named ``name(i, j, side, piece)``."""
-    gather = []
-    for i in range(grid):
-        for j in range(grid):
-            tiles = parts(i, j, (i + j) % grid)
-            placed = []
-            for s, (pieces, axis) in enumerate(tiles):
-                share = side // len(pieces)
-                shape = (share, side) if axis == 0 else (side, share)
-                keys = []
-                for n, (holder, key, words) in enumerate(pieces):
-                    if words is not None:
-                        src, key = key, name(i, j, s, n)
-                        add(plan, round_no, holder, Pack(key, src, tuple(words[1]), shape))
-                    if proc(i, j) != holder:
-                        add(plan, round_no, holder, Send(proc(i, j), (key,)), Drop((key,)))
-                    keys.append(key)
-                placed.append((tuple(keys), axis))
-            gather.append(tuple(placed))
-    return tuple(gather)
-
-
-def rotation_fragment(plan, procs, parts, c_key, first_round, side):
+def rotation_fragment(plan, procs, tiles, c_key, first_round, side):
     frag = plan.fragment()  # keeps this fragment's tile keys apart from others'
+    grids, grid, _ = np.shape(procs)
+    b, i, j = np.indices((grids, grid, grid)).reshape(3, -1)
+    x = (i + j) % grid
+    # row r's slot-0 A and B tile keys, as the slots below name them
+    slot0 = [(("rA", frag, *cell[:2], cell[3]), ("rB", frag, cell[0], cell[3], cell[2]))
+             for cell in zip(*(v.tolist() for v in (b, i, j, x)))]
+    sends, fills = gather_ops(np.ravel(procs), side, *tiles(b, i, j, x),
+                              lambda r, s: slot0[r][s])
+    for p, ops in sends.items():
+        add(plan, first_round - 1, p, *ops)
     for b, grid_procs in enumerate(np.asarray(procs).tolist()):
-        grid = len(grid_procs)
         proc = lambda i, j: grid_procs[i][j]
-        gather = distribute(plan, grid, proc, lambda i, j, x: parts(b, i, j, x),
-                            first_round - 1, side, lambda *piece: ("rP", frag, b, *piece))
         for i in range(grid):
             for j in range(grid):
                 p, c = proc(i, j), c_key(b, i, j)
@@ -59,14 +42,7 @@ def rotation_fragment(plan, procs, parts, c_key, first_round, side):
                 for s in range(grid):
                     x = (i + j + s) % grid
                     akey, bkey = ("rA", frag, b, i, x), ("rB", frag, b, x, j)
-                    ops = []
-                    if s == 0:
-                        (a_pieces, a_axis), (b_pieces, b_axis) = gather[i * grid + j]
-                        ops += [
-                            Assemble(akey, a_pieces, a_axis),
-                            Assemble(bkey, b_pieces, b_axis),
-                            Drop(a_pieces + b_pieces),
-                        ]
+                    ops = fills[p] if s == 0 else []
                     ops.append(Mac(c, akey, bkey))
                     if s < grid - 1:
                         ops += [Send(left, (akey,)), Send(up, (bkey,))]

@@ -180,6 +180,38 @@ def test_a_short_or_non_integer_header_names_the_file(tmp_path, text):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("text", ["SPARSE -3 4 0", "SPARSE 4 -4 0", "SPARSE 4 4 -1",
+                                  "DENSE -1 -2", "DENSE 2 -2"],
+                         ids=["sparse-rows", "sparse-cols", "sparse-nnz", "dense-both",
+                              "dense-cols"])
+def test_a_negative_header_field_names_the_file(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a {text.split()[0]} header needs "
+                                                   f"{len(text.split()) - 1} integer fields >= 0, "
+                                                   f"got {text!r}")):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("SPARSE -3 4 0", "header needs 3 integer fields >= 0"),
+    ("SPARSE 4 4 -1", "header needs 3 integer fields >= 0"),
+    ("SPARSE 5 4 0", "a SPARSE 5x4 matrix, but sparse experiments at --n 4 need a SPARSE 4x4 one"),
+    ("DENSE 4 4\n" + "1 " * 16, "a DENSE 4x4 matrix, but sparse experiments at --n 4 need"),
+], ids=["negative-rows", "negative-nnz", "five-by-four", "dense"])
+def test_a_file_of_the_wrong_size_exits_2_naming_it(tmp_path, capsys, text, message):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_text(text + "\n")
+    good.write_text("SPARSE 4 4 0\n")
+    outdir = tmp_path / "runs"
+    rc = main(["run", "--case", "sparse-trivial", "--n", "4", "--d", "1", "--instance", "file",
+               "--file-a", str(good), "--file-b", str(bad), "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not outdir.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"mpcmm: error: {bad}: ") and message in line
+
+
 @pytest.mark.parametrize("entry, message", [
     ("1 1 1.5", "invalid literal for int() with base 10: '1.5'"),
     ("1 x 3", "invalid literal for int() with base 10: 'x'"),

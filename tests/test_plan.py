@@ -18,8 +18,7 @@ from mpcmm.schedules.common import gather, rotation_fragment
 
 import plan_reference
 import rotation_reference
-from plan_reference import (Drop, Mac, MulAcc, Pack, ReferenceProgram, Send, Slice, add,
-                            gather_pieces)
+from plan_reference import Drop, Mac, MulAcc, ReferenceProgram, Send, add, gather_pieces
 from test_golden import SHIPPED_CONFIGS, perfbench
 
 INT = get_semiring("int")
@@ -44,12 +43,12 @@ def test_every_op_has_a_dispatch_entry():
     assert not {"_DISPATCH", "_exec", "_RECIPES"} & set(vars(plan_module))
     assert "add" not in vars(Plan)
     # The reference runs every per-processor kind, Slice and Pack among them,
-    # and the per-processor rotation takes them from it.
+    # and the per-processor rotation takes them and its gather from it.
     ops = _dataclasses(plan_reference)
     assert len(ops) == 8 and {plan_reference.Slice, plan_reference.Pack} <= ops
     assert set(plan_reference._DISPATCH) == ops
     assert rotation_reference.Slice is plan_reference.Slice
-    assert rotation_reference.Pack is plan_reference.Pack
+    assert rotation_reference.gather_ops is plan_reference.gather_ops
 
 
 def test_plan_program_handler_is_a_stub_that_raises():
@@ -93,11 +92,15 @@ def _rotation_plan(grid, num_rounds, first_round):
             plan.set_init(proc(i, j), ("A", i, j), np.array([[i + 2 * j + 1]]))
             plan.set_init(proc(i, j), ("B", i, j), np.array([[3 * i + j + 1]]))
 
-    def parts(_, i, j, x):
-        return ((((proc(i, x), ("A", i, x), None),), 0), (((proc(x, j), ("B", x, j), None),), 0))
+    # block (i, j) of A is source 2 * proc(i, j), of B the next; each moves whole
+    sources = [(proc(i, j), (m, i, j), (1, 1), True) for i in range(grid) for j in range(grid)
+               for m in "AB"]
+
+    def tiles(_, i, j, x):
+        return sources, np.stack((2 * proc(i, x), 2 * proc(x, j) + 1))[:, :, None, None], (0, 0), 1
 
     procs = np.arange(grid * grid).reshape(1, grid, grid)
-    rotation_fragment(plan, procs, parts, lambda _, i, j: ("C", i, j), first_round, 1)
+    rotation_fragment(plan, procs, tiles, lambda _, i, j: ("C", i, j), first_round, 1)
     return plan, proc
 
 
@@ -136,9 +139,9 @@ def test_ops_past_the_trailing_step_raise_value_error():
 def test_group_ops_that_send_in_the_trailing_step_raise_value_error(kind):
     plan = Plan(num_procs=4, num_rounds=1)
     to = np.array([1, 0, 3, 2])
-    if kind == "gather":  # processor 1 holds the pieces processor 0 consumes
-        a, b = ((((1, (key,), None),), 0) for key in "xy")
-        op = gather(0, np.arange(1), 1, [(a, b)])
+    if kind == "gather":  # processor 1 holds the tiles processor 0 consumes
+        sources = [(1, (key,), (1, 1), True) for key in "xy"]
+        op = gather(0, np.arange(1), 1, sources, (0, 1), (0, 0))
     elif kind == "rotate":
         op = Rotate(0, np.arange(4), 1, to, to, None)
     else:  # the move that starts a four-member tree sum
@@ -158,34 +161,32 @@ def test_missing_tile_in_a_gather_names_the_holder_and_round():
     assert caught.value.key == ("A", 1, 0)
 
 
-@pytest.mark.parametrize("pieces, message", [(0, "0 equal pieces"), (3, "3 equal pieces"),
-                                             (2, "has shape")])
-def test_gather_tiles_must_be_equal_pieces(pieces, message):
+def test_a_gathered_source_must_have_its_shape():
+    # each 4 x 4 tile is one source of four 4-word units, stored as 2 x 8
     plan = Plan(num_procs=1, num_rounds=1)
-    tile = []
-    for stack in "ab":  # every piece a stored 2x2 tile, where a 4x4 tile's halves are 2x4
-        keys = [(stack, k) for k in range(pieces)]
-        for key in keys:
-            plan.set_init(0, key, np.ones((2, 2), dtype=np.int64))
-        tile.append((tuple((0, key, None) for key in keys), 0))
-    with pytest.raises(ValueError, match=message):
-        plan.add_group(1, gather(0, np.arange(1), 4, [tuple(tile)]))
+    for stack in "ab":
+        plan.set_init(0, (stack,), np.ones((2, 8), dtype=np.int64))
+    sources = [(0, (stack,), (4, 4), True) for stack in "ab"]
+    plan.add_group(1, gather(0, np.arange(1), 4, sources, (0, 1), (np.arange(4)[:, None],) * 2, 4))
+    with pytest.raises(ValueError, match=re.escape("('a',) has shape (2, 8), not (4, 4)")):
         run(PlanProgram(plan, INT), MpcConfig(1, 64))
 
 
-@pytest.mark.parametrize("key, offsets", [
-    (("T",), (0, 3)),  # word 3 of a 3-word tile: the next source's first word
-    (("T",), (0, -2)),
-    (None, (0, -1)),  # no tile to read a word of
-    (("T",), (0,)),  # a 1 x 2 piece needs two offsets
+@pytest.mark.parametrize("src, at, message", [
+    # unit 3 of the 3-unit ("T",): the first unit of ("U",), the next source
+    (0, (0, 3), "unit 3 of source ('T',), 3 units"),
+    (0, (0, -2), "unit -2 of source ('T',)"),
+    (-1, (0, -1), "unit 0 of no tile"),  # no tile to read a unit of
+    (0, (0, 1, 2), "must broadcast to"),  # a row of two units needs two
 ], ids=["past", "below", "no-tile", "count"])
-def test_a_packing_piece_must_name_words_of_its_tile(key, offsets):
-    # processor 0 packs each 1 x 2 row of a 2 x 2 tile out of its 3-word tile ("T",)
-    good = 0, ("T",), ((3,), (2, -1))
-    gather(0, np.arange(1), 2, [(((good, good), 0),) * 2])
-    with pytest.raises(ValueError, match="a word of its tile"):
-        bad = 0, key, ((3,), offsets)
-        gather(0, np.arange(1), 2, [(((bad, bad), 0),) * 2])
+def test_a_packing_piece_must_name_words_of_its_tile(src, at, message):
+    # processor 0 packs each 1 x 2 row of both 2 x 2 tiles out of its
+    # 3-word tile ("T",), which it keeps; ("U",) follows it
+    sources = [(0, ("T",), (3,), False), (0, ("U",), (3,), False)]
+    op = gather(0, np.arange(1), 2, sources, (0, 0), ((2, -1), (2, -1)))
+    assert op.words.tolist() == [[[[2, -1]] * 2]] * 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gather(0, np.arange(1), 2, sources, (0, src), ((2, -1), at))
 
 
 def _edit(op, field, index, value):
@@ -215,118 +216,61 @@ def test_a_gather_that_misplaces_a_word_raises_value_error(edit, message):
         PlanProgram(plan, INT)
 
 
-def _word_gather(procs, side, tiles, init):
-    """The ``Gather`` of ``gather_pieces``' ``tiles``, one word per unit,
-    translated word by word; ``init[p]`` is processor p's store."""
-    index = {}  # (holder, key) -> (source, shape, moves)
-    at = np.empty((2, 2, len(procs), side, side), dtype=np.int64)  # (source, word) per word
-    charges = np.empty((2, len(procs), side, side), dtype=np.int32)
-    for row, tile in enumerate(tiles):
-        for s, (pieces, axis) in enumerate(tile):
-            share = side // len(pieces)
-            rows, cols = (share, side) if axis == 0 else (side, share)
-            for n, (holder, key, recipe) in enumerate(pieces):
-                for y in range(rows):
-                    for x in range(cols):
-                        y0, x0 = (n * share, 0) if axis == 0 else (0, n * share)
-                        where = (s, row, y0 + y, x0 + x)
-                        charges[where] = holder
-                        if recipe is None:  # the stored tile key, moved out
-                            src, word = key, y * cols + x
-                        elif isinstance(recipe, Slice):
-                            src = recipe.src
-                            word = ((recipe.rows[0] + y) * init[holder][src].shape[1]
-                                    + recipe.cols[0] + x)
-                        else:
-                            src, word = recipe.src, recipe.offsets[y * cols + x]
-                        if src is None or word < 0:
-                            at[(slice(None), *where)] = -1
-                            continue
-                        shape = init[holder][src].shape
-                        i = index.setdefault((holder, src), (len(index), shape, recipe is None))[0]
-                        at[(slice(None), *where)] = i, word
-    sizes = [math.prod(shape) for _, shape, _ in index.values()]
-    starts = np.append(np.cumsum([0] + sizes)[:-1], -1)
-    words = np.where(at[0] < 0, -1, starts[at[0]] + at[1]).astype(np.int32)
-    return Gather(0, np.array(procs), side, np.array([h for h, _ in index], dtype=np.int32),
-                  tuple(key for _, key in index), tuple(shape for _, shape, _ in index.values()),
-                  np.array([moves for _, _, moves in index.values()], dtype=bool), 1,
-                  words, charges)
-
-
 @st.composite
 def _gathers(draw):
-    """A gather of pieces that move stored tiles out, slice strips and
-    sub-blocks out of one stored tile per processor, or pack words of that
-    tile, picked by offset, and zeros, over up to four processors that
-    share their sources."""
+    """A gather's description over up to four processors, in units of 1, 2
+    or 4 words: each unit reads a kept source (one stored tile per
+    processor, at any of its units or -1), a moved source (each read whole
+    and once, its units drawn in any order) or zeros of no source."""
     procs_n = draw(st.integers(1, 4))
     side = draw(st.sampled_from([1, 2, 4]))
+    width = draw(st.sampled_from([w for w in (1, 2, 4) if side % w == 0]))
     procs = draw(st.lists(st.integers(0, procs_n - 1), min_size=1, max_size=4))
-    values = st.integers(0, 9)
-    init = {p: {("T", p): np.array(draw(st.lists(values, min_size=4 * side * side,
-                                                 max_size=4 * side * side))).reshape(2 * side, -1)}
-            for p in range(procs_n)}
-    layout = [(draw(st.sampled_from([c for c in (1, 2, 4) if side % c == 0])),
-               draw(st.sampled_from([0, 1])),
-               draw(st.sampled_from(["move", "slice", "pack", "mixed"]))) for _ in "ab"]
-    tiles = []
-    for _ in procs:
-        tile = []
-        for count, axis, kind in layout:
-            rows, cols = (side // count, side) if axis == 0 else (side, side // count)
-            pieces = []
-            for _ in range(count):
-                holder = draw(st.integers(0, procs_n - 1))
-                made = kind if kind != "mixed" else draw(st.sampled_from(["move", "slice", "pack"]))
-                key = ("piece", len(pieces), len(tiles), len(tile))
-                if made == "move":
-                    init[holder][key] = np.array(draw(st.lists(values, min_size=rows * cols,
-                                                               max_size=rows * cols)))
-                    init[holder][key] = init[holder][key].reshape(rows, cols)
-                    pieces.append((holder, key, None))
-                elif made == "slice":
-                    r0 = draw(st.integers(0, 2 * side - rows))
-                    c0 = draw(st.integers(0, 2 * side - cols))
-                    pieces.append((holder, key, Slice(key, ("T", holder), (r0, r0 + rows),
-                                                      (c0, c0 + cols))))
-                elif draw(st.booleans()):
-                    offsets = st.integers(-1, 4 * side * side - 1)
-                    at = tuple(draw(offsets) for _ in range(rows * cols))
-                    pieces.append((holder, key, Pack(key, ("T", holder), at, (rows, cols))))
-                else:  # all zeros, reading no tile
-                    pieces.append((holder, key, Pack(key, None, (-1,) * rows * cols, (rows, cols))))
-            tile.append((tuple(pieces), axis))
-        tiles.append(tuple(tile))
-    return procs_n, procs, side, tiles, init, {kind for _, _, kind in layout}
+    shape = (2, len(procs), side, side // width)
+
+    def tile(units):
+        words = draw(st.lists(st.integers(0, 9), min_size=units * width,
+                              max_size=units * width))
+        return np.array(words, dtype=np.int64).reshape(units, width)
+
+    init = {p: {("T", p): tile(2 * side)} for p in range(procs_n)}
+    sources = [(p, ("T", p), (2 * side, width), False) for p in range(procs_n)]
+    kinds = draw(st.lists(st.sampled_from(["kept", "moved", "zero"]),
+                          min_size=math.prod(shape), max_size=math.prod(shape)))
+    src, at = np.full((2, len(kinds)), -1)
+    for u in (u for u, kind in enumerate(kinds) if kind == "kept"):
+        src[u], at[u] = draw(st.integers(0, procs_n - 1)), draw(st.integers(-1, 2 * side - 1))
+    moved = draw(st.permutations([u for u, kind in enumerate(kinds) if kind == "moved"]))
+    while moved:  # cut into moved sources of one to three units
+        count = draw(st.integers(1, min(3, len(moved))))
+        holder, key = draw(st.integers(0, procs_n - 1)), ("M", len(sources))
+        init[holder][key] = tile(count)
+        src[moved[:count]], at[moved[:count]] = len(sources), np.arange(count)
+        sources.append((holder, key, (count, width), True))
+        moved = moved[count:]
+    return procs_n, procs, side, width, sources, src.reshape(shape), at.reshape(shape), init
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_gathers(), semiring=st.sampled_from(["int", "tropical"]))
 def test_index_gather_matches_the_per_piece_reference(case, semiring):
-    procs_n, procs, side, tiles, init, kinds = case
+    procs_n, procs, side, width, sources, src, at, init = case
     spec = get_semiring(semiring)
-    ref_states = [dict(init[p]) for p in range(procs_n)]
-    a, b, words = gather_pieces(spec, ref_states, procs, side, tiles)
-    ops = [_word_gather(procs, side, tiles, init)]
-    if not kinds & {"slice", "mixed"}:  # the builders' translation, with wider units
-        shape = (2 * side, 2 * side)  # a Pack reads ("T", holder) or no tile
-        ops.append(gather(0, np.array(procs), side, [
-            tuple((tuple((h, k, None) if r is None else (h, r.src, (shape, r.offsets))
-                         for h, k, r in pieces), axis) for pieces, axis in tile)
-            for tile in tiles]))
-    for op in ops:
-        plan = Plan(num_procs=procs_n, num_rounds=1)
-        plan.init = init
-        plan.add_group(1, op)
-        program = PlanProgram(plan, spec)
-        assert all(np.array_equal(x, y) for x, y in zip(program.group_words[1], words))
-        program.start()
-        program.group_step(1)
-        stacks = program.stacks[0]
-        assert np.array_equal(stacks.a, a) and np.array_equal(stacks.b, b)
-        assert [sorted(store) for store in program.states] == [sorted(store)
-                                                               for store in ref_states]
+    plan = Plan(num_procs=procs_n, num_rounds=1)
+    for p, store in init.items():
+        for key, tile in store.items():
+            plan.set_init(p, key, tile)
+    ref_states = [dict(plan.init[p]) for p in range(procs_n)]
+    a, b, words = gather_pieces(spec, ref_states, procs, side, sources, src, at, width)
+    plan.add_group(1, gather(0, np.array(procs), side, sources, src, at, width))
+    program = PlanProgram(plan, spec)
+    assert all(np.array_equal(x, y) for x, y in zip(program.group_words[1], words))
+    program.start()
+    program.group_step(1)
+    stacks = program.stacks[0]
+    assert np.array_equal(stacks.a, a) and np.array_equal(stacks.b, b)
+    assert [sorted(store) for store in program.states] == [sorted(store)
+                                                           for store in ref_states]
 
 
 def test_send_past_the_last_round_raises_value_error():
