@@ -205,7 +205,9 @@ class Program:
     def finalize(self) -> tuple:
         """The run's output from the final stores: columns (procs, rows,
         cols, blocks), where block i, an int64 array 2-d or flat (one row),
-        is processor procs[i]'s and its first word goes to (rows[i], cols[i])."""
+        is processor procs[i]'s and its first word goes to (rows[i], cols[i]);
+        where cols[i] is an int array, word w of the flat block goes to
+        (rows[i], cols[i][w])."""
         return [], [], [], []
 
 

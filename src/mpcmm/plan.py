@@ -14,13 +14,22 @@ its static words and its step.
 All kinds share one store contract.  ``PlanProgram`` keeps the stores,
 ``states``: each run starts from its own copies of the initial stores
 (``start``), and no group op writes into an array it did not make.
-Group ops change the stores in place, in exactly two places: the one
-reader, ``_tiles``, which pops a tile that moves out of its store, and
+Group ops change the stores in place, in exactly three places: the one
+reader, ``_tiles``, which pops a tile that moves out of its store;
 ``_give``, which hands values to stores and accumulates: a key already
-held becomes old (+) new.  Both keep ``state_words``, each processor's
-store words, up to date, so the engine measures no store.  A key a
-processor's store lacks raises :class:`MissingTile`, and so does an
-emitted key at finalize.
+held becomes old (+) new; and ``_give_cells``, the same for output
+cells.  All three keep ``state_words``, each processor's store words, up
+to date, so the engine measures no store.  A key a processor's store
+lacks raises :class:`MissingTile`, and so does an emitted key at
+finalize.
+
+Output cells are a plan's single words of output (``Plan.emit_cells``),
+such as a sparse processor's masked output row.  Processor p's cells are
+slots 0, 1, ... of one row tile ("c", p), which holds the words of the
+cells given so far, in slot order: a cell counts only from its first
+give.  ``_give_cells`` pops the touched processors' rows with one
+``_tiles`` call, merges old words and new ones through the run's table
+of given cells, and hands each its merged row.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each, from source tiles.  Each distinct tile it reads is listed
@@ -62,9 +71,11 @@ same ``frag``, in round rd + 1, which may be the trailing step.
 2. The give sums, for each destination i, the units that ``take`` (rows
    unit, destination; destinations ascending) lists for it, left to
    right with ``vadd``, and hands the sum to processor ``procs[i]``
-   under ``keys[i]``.  Its (processor, key) pairs must be distinct and
-   it takes each unit at most once.  A unit that was not moved to its
-   destination's processor raises :class:`MissingTile` there.
+   under ``keys[i]``, or, in a give with ``slots``, adds it into output
+   cell ``slots[i]`` of ``procs[i]``.  Its (processor, key or slot)
+   pairs must be distinct and it takes each unit at most once.  A unit
+   that was not moved to its destination's processor raises
+   :class:`MissingTile` there.
 
 A destination that holds its key already gets old (+) (x1 (+) x2 ...),
 where the per-entry tree-sum reference adds ((old (+) x1) (+) x2) ...;
@@ -72,17 +83,18 @@ semiring addition is associative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar terms
-(r, k, j, a_at, b_at), each held once.  Processor r holds row r of A as
-one flat tile ("a", r) and column r of B as ("b", r): a(r, k) is word
-a_at of ("a", r) and b(k, j) word b_at of ("b", j).  A term adds
-a(r, k) (*) b(k, j) into r's store cell ("c", r, j), a (1,) tile.  Like
-a tree-sum level, a fetch sums before it moves.
+(r, k, j, a_at, b_at, slot), each held once.  Processor r holds row r of
+A as one flat tile ("a", r) and column r of B as ("b", r): a(r, k) is
+word a_at of ("a", r) and b(k, j) word b_at of ("b", j).  A term adds
+a(r, k) (*) b(k, j) into r's output cell (r, j), the cell in ``slot`` of
+r's row tile ("c", r).  Like a tree-sum level, a fetch sums before it
+moves.
 
 1. It folds first: the terms the fragment's previous fetch moved, in
    their order, with the values in flight, then its own terms with
    j == r, with b(k, j) read in r's store.  a(r, k) is read in r's
    store.  One elementwise product, then one sum per cell with
-   ``vadd``, left to right, given to the cell.
+   ``vadd``, left to right, given to the cells.
 2. Then it moves.  b(k, j) of each of its terms with j != r is read in
    the store of processor j, which keeps its tile, and is in flight to
    r until the next fetch of the fragment folds it, in the next round.
@@ -96,9 +108,11 @@ In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
 ops after the last barrier, then ``finalize`` reads every emitted tile
 as stored, in processor order, and ``assemble_output`` places each at
-its emit's (row, col), a flat tile as one row; no two emits cover one
-cell.  The step is local, so nothing in it may send, and no group op may be
-placed later.  A group op's words (held, sent, received) come from its
+its emit's (row, col), a flat tile as one row, and each row of output
+cells at its row and cell columns; no two emits cover one cell.  An
+output cell never given raises :class:`MissingTile` for the first such
+cell, before any tile is read.  The step is local, so nothing in it may
+send, and no group op may be placed later.  A group op's words (held, sent, received) come from its
 static shape, not from the stacks, and the engine charges them (see
 ``mpcmm.engine``).  Its held words are those it keeps out of the stores
 at the end of the round, not those in flight.
@@ -164,16 +178,18 @@ class Scatter(NamedTuple):
     frag: int  # a move and its give share the units in flight
     shape: tuple  # every unit moved and given is a tile of this shape
     procs: np.ndarray  # move: the holder of each tile; give: the processor of each destination
-    keys: tuple  # move: the key of each tile; give: the key of each destination
+    keys: tuple  # move: the key of each tile; give: the key of each destination, or ()
     to: np.ndarray | None  # move: the receiver of each unit, -1 drops it; None in a give
     take: np.ndarray | None  # give: (2, units) rows unit, destination; None in a move
+    slots: np.ndarray | None = None  # a give into output cells: each destination's slot
 
 
 class Fetch(NamedTuple):
     """One round of the sparse value fetch for every processor (see module doc)."""
 
     frag: int  # the rounds of one fetch share the values in flight
-    # (5, terms) r, k, j, a_at, b_at: c(r, j) (+)= a(r, k) (*) b(k, j) at r;
+    # (6, terms) r, k, j, a_at, b_at, slot: c(r, j) (+)= a(r, k) (*) b(k, j) at r,
+    # into output cell ``slot`` of r, the slot of (r, j) in r's row tile ("c", r);
     # b(k, j) folds now where j == r, else moves from j to r and folds next round
     terms: np.ndarray
 
@@ -193,6 +209,8 @@ class Plan:
     groups: dict = field(default_factory=dict)
     fragments: int = 0  # group-op fragments numbered so far
     emits: tuple = field(default_factory=lambda: ([], [], [], []))  # proc, key, row, col columns
+    # proc, row, col int64 columns of the output cells (``emit_cells``)
+    cells: tuple = field(default_factory=lambda: (np.zeros(0, dtype=np.int64),) * 3)
 
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
@@ -202,21 +220,24 @@ class Plan:
         self.fragments += 1
         return self.fragments - 1
 
-    def scatter(self, round_no, shape, holders, keys, to, sums, sum_keys):
+    def scatter(self, round_no, shape, holders, keys, to, sums, sum_keys=(), slots=None):
         """Add a :class:`Scatter`: in ``round_no`` tile ``keys[i]`` leaves
         ``holders[i]`` and unit u goes to ``to[u]`` (-1 drops it); in the
         next round unit u adds into destination ``sums[u]`` (-1: none),
-        handed in at its receiver under ``sum_keys[sums[u]]``."""
+        handed in at its receiver under ``sum_keys[sums[u]]``, or, given
+        ``slots``, into its receiver's output cell ``slots[sums[u]]``."""
         frag = self.fragment()
         to, sums = np.asarray(to, dtype=np.int32), np.asarray(sums, dtype=np.int32)
         order = np.argsort(sums, kind="stable").astype(np.int32)
         order = order[np.searchsorted(sums[order], 0):]  # the units a sum takes
-        procs = np.zeros(len(sum_keys), dtype=np.int32)
+        if slots is not None:
+            slots = np.asarray(slots, dtype=np.int64)
+        procs = np.zeros(len(sum_keys) if slots is None else len(slots), dtype=np.int32)
         procs[sums[order]] = to[order]
         self.add_group(round_no, Scatter(frag, shape, np.asarray(holders, dtype=np.int32),
                                          tuple(keys), to, None))
         self.add_group(round_no + 1, Scatter(frag, shape, procs, tuple(sum_keys), None,
-                                             np.stack((order, sums[order]))))
+                                             np.stack((order, sums[order])), slots))
 
     @property
     def final_ops(self) -> dict:
@@ -233,6 +254,17 @@ class Plan:
             raise ValueError("an emit needs one processor, key, row and col per block")
         for column, values in zip(self.emits, (procs, keys, rows, cols)):
             column.extend(values)
+
+    def emit_cells(self, procs, rows, cols):
+        """Place output cell i, held by processor ``procs[i]``, at (rows[i],
+        cols[i]) of the output after the trailing step, for every i.  A
+        processor's cells are slots 0, 1, ... of its row tile ("c", p), in
+        the order listed, and lie in one output row; ``Fetch`` and a
+        ``Scatter`` give with slots hand values into them by slot."""
+        new = [np.asarray(x, dtype=np.int64).ravel() for x in (procs, rows, cols)]
+        if not len(new[0]) == len(new[1]) == len(new[2]):
+            raise ValueError("an output cell needs one processor, row and col")
+        self.cells = tuple(np.concatenate((old, add)) for old, add in zip(self.cells, new))
 
     def set_init(self, proc, key, array):
         tile = np.asarray(array, dtype=np.int64).view()
@@ -267,9 +299,33 @@ class PlanProgram(Program):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
             self.group_words[round_no] = words
-        # the emits in processor order, each processor's as added
-        order = np.argsort(np.asarray(plan.emits[0], dtype=np.int64), kind="stable").tolist()
-        self.emits = tuple([column[i] for i in order] for column in plan.emits)
+        emits = self._cell_rows(plan)
+        # the emits in processor order, each processor's as added, its cell row last
+        order = np.argsort(np.asarray(emits[0], dtype=np.int64), kind="stable").tolist()
+        self.emits = tuple([column[i] for i in order] for column in emits)
+
+    def _cell_rows(self, plan):
+        """Lay out the plan's output cells, processor by processor in slot
+        order, and return the emit columns with one row tile emit per
+        processor that has cells: its row, and its cells' columns by slot."""
+        procs, rows, cols = plan.cells
+        if procs.size and (procs.min() < 0 or procs.max() >= self.num_procs):
+            raise ValueError(f"an output cell is held by no processor of {self.num_procs}")
+        order = np.argsort(procs, kind="stable")
+        widths = np.bincount(procs, minlength=self.num_procs)
+        self.cell_start = np.concatenate(([0], np.cumsum(widths)))  # p's cells: start[p]:start[p + 1]
+        self.cell_owner, rows, self.cell_cols = procs[order], rows[order], cols[order]
+        owners = np.flatnonzero(widths)
+        first = self.cell_start[owners]
+        if (rows != np.repeat(rows[first], widths[owners])).any():
+            raise ValueError("a processor's output cells must lie in one output row")
+        self.cell_keys = {p: ("c", p) for p in owners.tolist()}
+        if not owners.size:
+            return plan.emits
+        ends = self.cell_start[owners + 1].tolist()
+        cols = [self.cell_cols[begin:end] for begin, end in zip(first.tolist(), ends)]
+        return (plan.emits[0] + owners.tolist(), plan.emits[1] + list(self.cell_keys.values()),
+                plan.emits[2] + rows[first].tolist(), plan.emits[3] + cols)
 
     def _check_ops(self, plan):
         """Reject per-processor ops: this interpreter would drop them."""
@@ -279,6 +335,7 @@ class PlanProgram(Program):
 
     def start(self):
         self.stacks = {}  # fragment -> its stacks in the current run
+        self.given = np.zeros(len(self.cell_owner), dtype=bool)  # the output cells given so far
         self.states = [dict(self.plan.init.get(p, {})) for p in range(self.num_procs)]
         self.state_words = np.array([sum(tile.size for tile in store.values())
                                      for store in self.states], dtype=np.int64)
@@ -297,6 +354,10 @@ class PlanProgram(Program):
         raise NotImplementedError("the engine hands no processor to a handler")
 
     def finalize(self):
+        missing = np.flatnonzero(~self.given)
+        if missing.size:
+            p = int(self.cell_owner[missing[0]])
+            raise MissingTile(p, None, ("c", p, int(self.cell_cols[missing[0]])))
         procs, keys, rows, cols = self.emits
         return procs, rows, cols, _tiles(self, procs, keys, repeat(False),
                                          self.total_rounds + 1)
@@ -480,12 +541,20 @@ def _scatter_words(op, held, sent, received):
     if op.take is not None:  # a give
         unit, dest = op.take
         if not np.array_equal(dest[np.flatnonzero(np.diff(dest, prepend=-1))],
-                              np.arange(len(op.keys))):
+                              np.arange(len(op.procs))):
             raise ValueError("a give must sum units into each destination in turn")
         if unit.size and np.bincount(unit).max() > 1:
             raise ValueError("a give must take each moved unit at most once")
-        if len(set(zip(op.procs.tolist(), op.keys))) != len(op.keys):
-            raise ValueError("a give must hand each (processor, key) one sum")
+        if op.slots is None:
+            if len(set(zip(op.procs.tolist(), op.keys))) != len(op.keys):
+                raise ValueError("a give must hand each (processor, key) one sum")
+            return
+        if op.shape != (1,) or len(op.slots) != len(op.procs):
+            raise ValueError("a give into output cells hands one word to each destination")
+        order = np.lexsort((op.slots, op.procs))
+        if ((np.diff(op.procs[order]) == 0) & (np.diff(op.slots[order]) == 0)).any():
+            raise ValueError("a give into output cells must hand each (processor, slot) "
+                             "one word")
         return
     holder = np.repeat(op.procs, len(op.to) // max(len(op.procs), 1))
     if len(holder) != len(op.to):
@@ -508,12 +577,19 @@ def _scatter_step(program, op, round_no):
         return
     to, values = program.stacks.pop(op.frag)
     unit, dest = op.take
+    cells = None if op.slots is None else _cell_index(program, op.procs, op.slots)
     stray = np.flatnonzero(to[unit] != op.procs[dest])
     if stray.size:
         i = dest[stray[0]]
-        raise _missing(program, int(op.procs[i]), round_no, op.keys[i])
+        p = int(op.procs[i])
+        key = op.keys[i] if cells is None else ("c", p, int(program.cell_cols[cells[i]]))
+        raise _missing(program, p, round_no, key)
     sums = _segment_add(program.spec, values[unit], np.flatnonzero(np.diff(dest, prepend=-1)))
-    _give(program, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
+    if cells is None:
+        _give(program, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
+    else:
+        order = np.argsort(cells)
+        _give_cells(program, cells[order], sums.reshape(-1)[order], round_no)
 
 
 # -- Fetch -------------------------------------------------------------------
@@ -521,6 +597,8 @@ def _scatter_step(program, op, round_no):
 
 def _fetch_words(op, held, sent, received):
     procs = len(sent)
+    if op.terms.ndim != 2 or len(op.terms) != 6:
+        raise ValueError("a fetch's terms must be a (6, terms) array: r, k, j, a_at, b_at, slot")
     remote = op.terms[:, op.terms[2] != op.terms[0]]
     sent += np.bincount(remote[2], minlength=procs)
     received += np.bincount(remote[0], minlength=procs)
@@ -534,11 +612,11 @@ def _fetch_step(program, op, round_no):
     moved, values = program.stacks.pop(op.frag, (op.terms[:, :0], op.terms[0, :0]))
     fold = np.concatenate([moved, op.terms[:, local]], axis=1)
     if fold.size:
-        r, _, j, a_at, b_at = fold
+        r, _, _, a_at, b_at, slot = fold
         a = read("a", r, a_at)
         if local.any():
             values = np.concatenate([values, read("b", r[len(values):], b_at[len(values):])])
-        _fetch_fold(program, r, j, program.spec.vmul(a, values))
+        _fetch_fold(program, r, slot, program.spec.vmul(a, values), round_no)
     if not local.all():
         move = op.terms[:, ~local]
         program.stacks[op.frag] = move, read("b", move[2], move[4])
@@ -561,15 +639,15 @@ def _words_at(program, name, procs, at, round_no):
     return np.concatenate(tiles)[(np.cumsum(sizes) - sizes)[which] + at]
 
 
-def _fetch_fold(program, r, j, products):
-    """c(r, j) (+)= products[i] for every i, summed per cell in order."""
-    order = np.lexsort((j, r))
-    r, j = r[order], j[order]
-    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1])])
+def _fetch_fold(program, r, slot, products, round_no):
+    """Output cell ``slot[i]`` of r[i] (+)= products[i] for every i, summed
+    per cell in order."""
+    cells = _cell_index(program, r, slot)
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
     sums = _segment_add(program.spec, products[order], starts)
-    procs = r[starts].tolist()
-    keys = [("c", p, q) for p, q in zip(procs, j[starts].tolist())]
-    _give(program, procs, keys, sums[:, None])
+    _give_cells(program, cells[starts], sums, round_no)
 
 
 def _segment_add(spec, values, starts):
@@ -607,6 +685,62 @@ def _give(program, procs, keys, values):
         states[p][key] = value
 
 
+def _cell_index(program, procs, slots):
+    """The index in the run's table of given cells of output cell
+    ``slots[i]`` of processor ``procs[i]``, for every i; a slot that
+    processor does not have raises ``ValueError``."""
+    start = program.cell_start[procs]
+    width = program.cell_start[procs + 1] - start
+    past = np.flatnonzero((slots < 0) | (slots >= width))
+    if past.size:
+        i = past[0]
+        raise ValueError(f"output cell slot {slots[i]} lies outside the {width[i]} output "
+                         f"cells of processor {procs[i]}")
+    return start + slots
+
+
+def _give_cells(program, cells, values, round_no):
+    """Add ``values[i]`` into output cell ``cells[i]``, an index into the
+    run's table of given cells, ascending and distinct, for every i: a cell
+    already given becomes old (+) new, with one ``vadd`` over all of them,
+    and a fresh one counts its word.
+
+    The touched processors' row tiles leave their stores with one
+    ``_tiles`` call; each comes back with the words of its given cells,
+    old and new, in slot order."""
+    if not len(cells):
+        return
+    start, given, spec = program.cell_start, program.given, program.spec
+    owners = program.cell_owner[cells]
+    touched = owners[np.flatnonzero(np.diff(owners, prepend=-1))]
+    # every cell of the touched processors, ascending, and which were given before
+    widths = start[touched + 1] - start[touched]
+    offsets = np.cumsum(widths) - widths
+    span = np.repeat(start[touched] - offsets, widths) + np.arange(offsets[-1] + widths[-1])
+    was = given[span]
+    holders = touched[np.add.reduceat(was, offsets, dtype=np.int64) > 0].tolist()
+    old = _tiles(program, holders, [program.cell_keys[p] for p in holders], repeat(True),
+                 round_no)
+    given[cells] = True
+    now = given[span]
+    at = np.cumsum(now) - 1  # each given cell's word in the merged rows
+    merged = np.empty(int(at[-1]) + 1, dtype=np.int64)
+    if old:
+        merged[at[was]] = np.concatenate(old)
+    place = np.searchsorted(span, cells)
+    held = was[place]
+    place = at[place]
+    merged[place[~held]] = values[~held]
+    if held.any():
+        merged[place[held]] = spec.vadd(merged[place[held]], values[held])
+    counts = np.add.reduceat(now, offsets, dtype=np.int64)
+    ends = np.cumsum(counts).tolist()
+    states, keys = program.states, program.cell_keys
+    for p, begin, end in zip(touched.tolist(), [0, *ends], ends):
+        states[p][keys[p]] = merged[begin:end]
+    program.state_words[touched] += counts
+
+
 _GROUP_DISPATCH = {
     Gather: _GroupKind(_gather_words, _gather_step),
     Rotate: _GroupKind(_rotate_words, _rotate_step),
@@ -619,10 +753,15 @@ def assemble_output(outputs, rows, cols, spec: SemiringSpec) -> np.ndarray:
     """Place each block of a run's ``outputs`` columns (see
     ``Program.finalize``), as stored, in a rows x cols array of zeros.
 
-    A flat block is one row.  No plan emits a cell twice, so each block is
+    A flat block is one row, at columns ``c0`` on where its col is an
+    int, or at the columns its col lists where that is an int array (a
+    row of output cells).  No plan emits a cell twice, so each block is
     written once; cells no block covers keep the carrier's zero."""
     data = spec.zeros(rows, cols)
     for r0, c0, block in zip(*outputs[1:]):
+        if isinstance(c0, np.ndarray):
+            data[r0, c0] = block
+            continue
         height, width = block.shape if block.ndim == 2 else (1, len(block))
         data[r0 : r0 + height, c0 : c0 + width] = block
     return data

@@ -167,7 +167,11 @@ def default_mask(a: SparseMatrix, b: SparseMatrix, d: int) -> OutputMask:
     r, _, j = _join(a, b)
     cells, counts = np.unique(r * width + j, return_counts=True)
     cell_r, cell_j = np.divmod(cells, width)
-    ranked = np.lexsort((cell_j, -counts, cell_r))
+    # One int64 key ranks the cells: row, then most terms, then lowest column.
+    top = int(counts.max(initial=0))
+    if n * (top + 1) * width > np.iinfo(np.int64).max:
+        raise ValueError(f"a {n}x{width} mask with {top} terms per cell overflows its int64 key")
+    ranked = np.argsort((cell_r * (top + 1) + top - counts) * width + cell_j)
     cell_j = cell_j[ranked]
     bounds = np.searchsorted(cell_r[ranked], np.arange(n + 1)).tolist()
     room = np.full(width, d)
@@ -416,9 +420,9 @@ def _fetch_assignment(terms, d: int) -> np.ndarray:
 
 
 def fetch_fragment(plan, terms, fetch_rounds, start):
-    """The fetch of ``terms``, a (5, terms) int array r, k, j, a_at, b_at
-    sorted by (r, j, k): a(r, k) is word a_at of row tile ("a", r) and
-    b(k, j) word b_at of ("b", j).
+    """The fetch of ``terms``, a (6, terms) int array r, k, j, a_at, b_at,
+    slot sorted by (r, j, k): a(r, k) is word a_at of row tile ("a", r),
+    b(k, j) word b_at of ("b", j), and c(r, j) output cell ``slot`` of r.
 
     Term i with j != r moves b(k, j) from processor j to r in round
     ``start + fetch_rounds[i]`` and folds into c(r, j) in the round after;
@@ -496,12 +500,12 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
 
     stride = grid + 1
     r, k, j = terms
-    at = _offsets(a_keys, n, r, k), _offsets(b_keys, n, j, k)
+    at = _offsets(a_keys, n, r, k), _offsets(b_keys, n, j, k), _offsets(mask.keys, n, r, j)
     fetch_fragment(plan, np.vstack((terms, *at)), fetched, len(layers) * stride)
     for li, layer in enumerate(layers):
         _build_layer(plan, layer, li, li * stride + 1, grid, mask, a_keys, b_keys)
     rows, cols = mask.pairs
-    plan.emit(rows, [("c", *cell) for cell in zip(rows.tolist(), cols.tolist())], rows, cols)
+    plan.emit_cells(rows, rows, cols)
 
     return Schedule(
         PlanProgram(plan, spec),
@@ -587,15 +591,15 @@ def hand_back(plan, round_no, grid, procs, c_keys, rows, cols, mask):
     (blocks, grid**2) arrays of the blocks' rows and columns, -1 for
     padding.  One :class:`~mpcmm.plan.Scatter`: row u of tile (ti, tj)
     goes to the owner of block row ti * grid + u (a padding row is
-    dropped), who adds each masked cell (r, j) of it into ("c", r, j) in
-    the next round, which may be the trailing local step.
+    dropped), who adds each masked cell (r, j) of it into its output cell
+    in the next round, which may be the trailing local step.
     """
     ti, tj, u, v = np.indices((grid,) * 4).reshape(4, -1)
     r, j = rows[:, ti * grid + u].ravel(), cols[:, tj * grid + v].ravel()
-    given = (j >= 0) & _member(mask.keys, r * mask.n + j)
-    cells = [("c", p, q) for p, q in zip(r[given].tolist(), j[given].tolist())]
+    slot = _offsets(mask.keys, mask.n, r, j)  # -1: padding, or not masked
+    given = slot >= 0
     plan.scatter(round_no, (1,), procs.ravel(), c_keys, r,
-                 np.where(given, np.cumsum(given) - 1, -1), cells)
+                 np.where(given, np.cumsum(given) - 1, -1), slots=slot[given])
 
 
 def _offsets(keys, n, major, minor):

@@ -2,7 +2,8 @@
 ``schedules.sparse.fetch_fragment`` and ``schedules.sparse._fetch_assignment``.
 
 ``fetch_fragment`` has the same signature and the same result as the
-group-op fragment, with no group op.  Each fetched value is a ``Slice``
+group-op fragment, with no group op, and keeps each output cell (r, j)
+as its own (1,) tile ("c", r, j).  Each fetched value is a ``Slice``
 of one word out of its sender's B column tile ("b", j) and a ``Send`` in
 its fetch round, bundled per (sender, owner), and a ``MulAcc`` and a
 ``Drop`` at its owner in the round after, with a(r, k) sliced out of the
@@ -44,7 +45,7 @@ def fetch_assignment(terms, d):
 
 
 def fetch_fragment(plan, terms, fetch_rounds, start):
-    terms = list(zip(*terms.tolist()))
+    terms = [term[:5] for term in zip(*terms.tolist())]  # each cell is its own tile: no slot
     for r, k, j, a_at, b_at in terms:
         if j == r:
             add(plan, plan.num_rounds + 1, r, *_fold(r, k, j, a_at, b_at))

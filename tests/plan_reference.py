@@ -4,7 +4,9 @@ The shipped plans hold group ops only (``mpcmm.plan``).  The rotation,
 fetch and tree-sum references spell the same schedules out as ops per
 (round, processor), placed with :func:`add` in ``Plan.ops`` and run op
 by op by :class:`ReferenceProgram`, whose tiles travel as messages of
-the ``handler_program`` adapter::
+the ``handler_program`` adapter.  The ops keep each output cell (r, j)
+as its own tile ("c", r, j); ``finalize`` hands those to the row tiles
+the plan emits, through the plan's cell give::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpcmm.plan import MissingTile, PlanProgram
+from mpcmm.plan import MissingTile, PlanProgram, _give_cells
 from mpcmm.schedules import rect, sparse, square
 
 from handler_program import HandlerProgram, Message
@@ -156,7 +158,22 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
         # The trailing step's ``group_step`` merged the last round's messages.
         for p, store in enumerate(self.states):
             self._exec(store, self.plan.ops.get((self.total_rounds + 1, p), ()), None, None, p)
+        self._give_cell_tiles()
         return super().finalize()
+
+    def _give_cell_tiles(self):
+        """Hand each output cell (r, j) that the ops kept as its own tile
+        ("c", r, j) to r's row tile, through the plan's cell give, so that
+        the emitted rows read them."""
+        slot = {(p, j): i for i, (p, j) in enumerate(zip(self.cell_owner.tolist(),
+                                                         self.cell_cols.tolist()))}
+        cells = [(p, key) for p, store in enumerate(self.states) for key in store
+                 if key[0] == "c" and len(key) == 3]
+        if cells:
+            index = np.array([slot[p, key[2]] for p, key in cells], dtype=np.int64)
+            values = np.concatenate([self.states[p].pop(key) for p, key in cells])
+            order = np.argsort(index)
+            _give_cells(self, index[order], values[order], self.total_rounds + 1)
 
     def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec

@@ -47,7 +47,8 @@ def _outcome(schedule, cap_factor):
         result, out = schedule.execute(cap_factor)
     except MpcError as err:
         return type(err).__name__, str(err)
-    outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
+    outputs = [(p, r, np.asarray(c).tolist(), block.tobytes())  # cells list their columns
+               for p, r, c, block in zip(*result.outputs)]
     return result.transcript.to_csv(), outputs, out
 
 
@@ -110,32 +111,41 @@ def test_pointer_greedy_matches_on_golden_ledgers(name):
 
 
 def _terms(*triples):
-    """Fetch columns r, k, j, a_at, b_at of ``triples``, for row tiles that hold
-    every k (word k of each tile)."""
+    """Fetch columns r, k, j, a_at, b_at, slot of ``triples``, for row tiles
+    that hold every k (word k of each tile); ``_fetch_plan`` sets the slots."""
     r, k, j = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return np.stack((r, k, j, k, k))
+    return np.stack((r, k, j, k, k, np.full_like(r, -1)))
 
 
 def _fetch_plan(moved):
     """Processor p holds the row tiles ("a", p) = [a(p, 0), a(p, 1), a(p, 2)],
     a(r, k) = 10r + k + 1, and ("b", p) = [b(0, p), b(1, p), b(2, p)],
     b(k, j) = k + 2j + 1; round 1 moves ``moved`` (terms with j != r), which
-    the trailing step folds before the resident term (0, 0, 0)."""
+    the trailing step folds before the resident term (0, 0, 0).  The output
+    cells are the terms' (r, j), each owner's in column order."""
     plan = Plan(num_procs=3, num_rounds=1)
     for p in range(3):
         plan.set_init(p, ("a", p), 10 * p + np.arange(3) + 1)
         plan.set_init(p, ("b", p), np.arange(3) + 2 * p + 1)
+    cells = sorted({(0, 0), *zip(moved[0].tolist(), moved[2].tolist())})
+    slot = {(r, j): sum(q == r for q, _ in cells[:i]) for i, (r, j) in enumerate(cells)}
+    resident = _terms((0, 0, 0))
+    for terms in (moved, resident):
+        terms[5] = [slot[r, j] for r, j in zip(terms[0].tolist(), terms[2].tolist())]
     plan.add_group(1, Fetch(0, moved))
-    plan.add_group(2, Fetch(0, _terms((0, 0, 0))))
-    r, j = np.array(sorted({(0, 0), *zip(moved[0].tolist(), moved[2].tolist())})).T
-    plan.emit(r, [("c", *cell) for cell in zip(r.tolist(), j.tolist())], r, j)
+    plan.add_group(2, Fetch(0, resident))
+    r, j = np.array(cells).T
+    plan.emit_cells(r, r, j)
     return plan
 
 
 def test_fetch_folds_products_per_cell_and_charges_words():
     moved = _terms((0, 1, 2), (0, 2, 2), (1, 0, 2), (2, 0, 1))
     result = run(PlanProgram(_fetch_plan(moved), INT), MpcConfig(3, 16))
-    cells = {(r, j): int(block[0]) for _, r, j, block in zip(*result.outputs)}
+    procs, rows, cols, blocks = result.outputs
+    assert procs == [0, 1, 2]  # one row of cells per owner
+    cells = {(r, j): v for r, js, block in zip(rows, cols, blocks)
+             for j, v in zip(js.tolist(), block.tolist())}
     a = lambda r, k: 10 * r + k + 1
     b = lambda k, j: k + 2 * j + 1
     assert cells == {
@@ -150,17 +160,17 @@ def test_fetch_folds_products_per_cell_and_charges_words():
 
 
 def test_a_resident_term_folds_in_its_own_round_and_a_moved_one_in_the_next():
-    plan = _fetch_plan(_terms())
-    plan.groups = {}
-    plan.add_group(1, Fetch(0, _terms((0, 1, 0), (1, 0, 2))))
-    plan.add_group(2, Fetch(0, _terms()))
+    """Round 1's fetch holds a resident term of cell (0, 0) and moves one of
+    cell (1, 2); each owner's one cell is its row tile's only slot."""
+    plan = _fetch_plan(_terms((0, 1, 0), (1, 0, 2)))
+    plan.groups[2] = [Fetch(0, _terms())]
     program = PlanProgram(plan, INT)
     program.start()
     program.group_step(1)
-    assert program.states[0][("c", 0, 0)].tolist() == [(0 + 2) * (1 + 0 + 1)]
-    assert ("c", 1, 2) not in program.states[1]
+    assert program.states[0][("c", 0)].tolist() == [(0 + 2) * (1 + 0 + 1)]
+    assert ("c", 1) not in program.states[1]
     program.group_step(2)
-    assert program.states[1][("c", 1, 2)].tolist() == [(10 + 1) * (0 + 4 + 1)]
+    assert program.states[1][("c", 1)].tolist() == [(10 + 1) * (0 + 4 + 1)]
 
 
 def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
@@ -232,7 +242,7 @@ def test_a_word_is_read_at_its_offset_in_the_row_tile():
     assert plan.init[1][("a", 1)].tolist() == [2, 3, 7]
     assert plan.init[2][("b", 2)].tolist() == [11, 13]
     terms = np.concatenate([op.terms for op in _fetches(plan)], axis=1)
-    assert terms.T.tolist() == [[1, 5, 2, 2, 1]]
+    assert terms.T.tolist() == [[1, 5, 2, 2, 1, 0]]
     _, out = schedule.execute()
     assert out.data[1, 2] == 7 * 13 and out == naive_multiply(a, b, INT)
 

@@ -266,15 +266,17 @@ def test_executing_a_schedule_twice_gives_the_same_bytes(name):
 
     def outcome():
         result, out = schedule.execute(cap_factor=config.cap_factor)
-        outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
+        outputs = [(p, r, np.asarray(c).tolist(), block.tobytes())  # cells list their columns
+                   for p, r, c, block in zip(*result.outputs)]
         return result.transcript.to_csv(), outputs, out.data.tobytes()
 
     assert outcome() == outcome()
 
 
 def _uncounted(store_change):
-    """``store_change`` (``plan._give`` or ``plan._tiles``) with its change
-    to the state words undone: a fresh key left uncounted, or a pop."""
+    """``store_change`` (``plan._give``, ``plan._give_cells`` or
+    ``plan._tiles``) with its change to the state words undone: a fresh key
+    or cell left uncounted, or a pop."""
 
     def mutant(program, *args):
         words = program.state_words.copy()
@@ -285,26 +287,26 @@ def _uncounted(store_change):
     return mutant
 
 
-# The store-word mutants that change each config's transcript.  A fetch
-# only reads row tiles, so the two sparse plans, which run fetches alone,
-# pop no tile; on square-alpha0 the one processor's peak is its inputs,
-# before its C tile arrives.
+# The store-word mutants that change each config's transcript.  The two
+# sparse plans run fetches alone, which give output cells only, and each
+# cell give pops the rows it merges into with ``_tiles``; on square-alpha0
+# the one processor's peak is its inputs, before its C tile arrives.
 UNCOUNTED_CAUGHT = {
     "dnd-d-int": {"_give", "_tiles"},
     "square-alpha0": {"_tiles"},
-    "sparse-trivial-blockdiag": {"_give"},
-    "sparse-twophase-int": {"_give"},
+    "sparse-trivial-blockdiag": {"_give_cells", "_tiles"},
+    "sparse-twophase-int": {"_give_cells", "_tiles"},
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNCOUNTED_CAUGHT))
 def test_a_store_left_unmeasured_changes_the_golden_transcript(monkeypatch, name, tmp_path):
     """The engine measures no store: the program counts state words where
-    tiles arrive (``_give``, a fresh key) and leave (``_tiles``, a pop).
-    Leaving either count out changes the golden transcript: each mutant
-    on at least two of these configs."""
+    tiles arrive (``_give``, a fresh key; ``_give_cells``, a fresh output
+    cell) and leave (``_tiles``, a pop).  Leaving any count out changes the
+    golden transcript: each mutant on at least two of these configs."""
     caught = set()
-    for store_change in ("_give", "_tiles"):
+    for store_change in ("_give", "_give_cells", "_tiles"):
         with monkeypatch.context() as mp:
             mp.setattr(plan_module, store_change,
                        _uncounted(getattr(plan_module, store_change)))

@@ -34,6 +34,14 @@ give, moved to another receiver or dropped, must raise ``MissingTile``
 (or break a budget first); a unit the give takes twice is rejected with
 a ``ValueError`` before any word moves.
 
+Cell give mutants change one call of ``plan._give_cells``, the first,
+middle or last one it applies to in a run, on every golden sparse plan:
+a cell written one slot over, a fresh cell left uncounted, or a held
+cell overwritten instead of accumulated.  Each must end in an oracle
+mismatch or a typed failure, a transcript that differs from the golden
+one, or state words that differ from the words in the stores at some
+group step, the trailing one too.
+
 Kernel mutants edit one line of the min-plus kernel's source: the int32
 sentinel S raised by one (S + S then overflows int32) and the guard that
 keeps a negative word out of the int32 path dropped.  The tropical
@@ -45,7 +53,9 @@ idempotent, so that mutant runs on the int configs only: in the bool and
 tropical semirings x (+) x = x, and the doubled plan is still correct.
 A removed term changes a bool or tropical cell only when no other term
 of the cell gives the same sum, so that mutant runs on the int configs
-too, whose values are all positive.
+too, whose values are all positive.  So do the cell mutants that move or
+overwrite a word: a bool cell's words are all 1, and a tropical cell's
+minimum may not move.
 """
 
 import inspect
@@ -65,7 +75,7 @@ from mpcmm.plan import Fetch, Gather, MissingTile, PlanProgram, Scatter
 
 from fetch_reference import per_processor_fetch
 from plan_reference import Mac, MulAcc, Send
-from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import CONFIGS as GOLDEN_CONFIGS, GOLDEN, _digest
 from test_semiring import width_mismatches
 
 SPARSE_GOLDEN = sorted(
@@ -534,6 +544,101 @@ def test_every_scatter_mutant_is_caught(monkeypatch, mutant, position):
             assert violation["type"] in ("MissingTile", "BandwidthExceeded", "MemoryExceeded")
         caught += 1
     assert caught == len(SCATTER_GOLDEN) == 13
+
+
+def _slot_over(give, program, cells, values, round_no):
+    """The first cell whose next one exists and is not in the give goes there."""
+    free = np.flatnonzero(np.diff(cells, append=len(program.given)) > 1)
+    cells = cells.copy()
+    cells[free[0]] += 1
+    give(program, cells, values, round_no)
+
+
+def _fresh_uncounted(give, program, cells, values, round_no):
+    fresh = cells[~program.given[cells]]
+    give(program, cells, values, round_no)
+    program.state_words[program.cell_owner[fresh[0]]] -= 1
+
+
+def _held_overwritten(give, program, cells, values, round_no):
+    """The first held cell's merged word is its new value alone."""
+    i = np.flatnonzero(program.given[cells])[0]
+    new = values[i]
+    give(program, cells, values, round_no)
+    p = int(program.cell_owner[cells[i]])
+    program.states[p][("c", p)][program.given[program.cell_start[p] : cells[i]].sum()] = new
+
+
+# name -> (does the mutant apply to a give of these cells, mutant, semiring or None)
+CELL_MUTANTS = {
+    "slot-over": (lambda program, cells: np.diff(cells, append=len(program.given)).max() > 1,
+                  _slot_over, "int"),
+    "fresh-uncounted": (lambda program, cells: not program.given[cells].all(),
+                        _fresh_uncounted, None),
+    "held-overwritten": (lambda program, cells: program.given[cells].any(),
+                         _held_overwritten, "int"),
+}
+
+
+def _cell_give_run(monkeypatch, config, out_dir, wrap):
+    """Run ``config`` with ``plan._give_cells`` replaced by ``wrap(give)``;
+    returns the summary and the rounds whose counted state words differ
+    from the words in the stores."""
+    give, group_step, unmatched = plan_module._give_cells, PlanProgram.group_step, []
+
+    def traced(program, round_no):
+        found = group_step(program, round_no)
+        measured = [sum(tile.size for tile in store.values()) for store in program.states]
+        if found is not None and found[3].tolist() != measured:
+            unmatched.append(round_no)
+        return found
+
+    with monkeypatch.context() as mp:
+        mp.setattr(plan_module, "_give_cells", wrap(give))
+        mp.setattr(PlanProgram, "group_step", traced)
+        summary = run_experiment(config, out_dir=out_dir)
+    return summary, unmatched
+
+
+@pytest.mark.parametrize("position", sorted(PICK))
+@pytest.mark.parametrize("mutant", sorted(CELL_MUTANTS))
+def test_every_cell_give_mutant_is_caught(monkeypatch, tmp_path, mutant, position):
+    applies, mutate, semiring = CELL_MUTANTS[mutant]
+    caught = 0
+    for name in SPARSE_GOLDEN:
+        fields = GOLDEN_CONFIGS[name]
+        if semiring is not None and fields.get("semiring", "int") != semiring:
+            continue
+        config = ExperimentConfig(seed=1, **fields)
+        sites = []
+
+        def recording(give):
+            def call(program, cells, values, round_no):
+                sites.append(applies(program, cells))
+                give(program, cells, values, round_no)
+            return call
+
+        _cell_give_run(monkeypatch, config, str(tmp_path / "clean"), recording)
+        sites = np.flatnonzero(sites).tolist()
+        if not sites:  # no give of this plan has a cell the mutant needs
+            continue
+        site = sites[PICK[position](len(sites))]
+
+        def mutated(give):
+            calls = []
+
+            def call(program, cells, values, round_no):
+                calls.append(None)
+                (mutate if len(calls) - 1 == site else lambda g, *args: g(*args))(
+                    give, program, cells, values, round_no)
+            return call
+
+        summary, unmatched = _cell_give_run(monkeypatch, config, str(tmp_path / name), mutated)
+        transcript = summary.get("transcript_path")
+        changed = transcript is None or _digest(transcript) != GOLDEN[name][1]
+        assert not summary["ok"] or changed or unmatched, name
+        caught += 1
+    assert caught >= 3  # every mutant applies to several golden plans
 
 
 KERNEL_MUTANTS = {

@@ -344,14 +344,16 @@ def test_scatter_sums_its_units_at_their_receivers_and_charges_their_words():
 
 
 def test_assemble_output_places_blocks_as_stored_and_leaves_the_rest_zero():
-    """A 2-d block fills its rows and columns from its corner and a flat one
-    is one row; cells no block covers keep the carrier's zero."""
+    """A 2-d block fills its rows and columns from its corner, a flat one is
+    one row, and a row of cells lies at its columns; cells no block covers
+    keep the carrier's zero."""
     trop = get_semiring("tropical")
-    outputs = [0, 2], [0, 2], [1, 0], [np.array([[1, 2], [3, 4]]), np.array([5, 6, 7])]
+    outputs = ([0, 2, 1], [0, 2, 1], [1, 0, np.array([3, 0])],
+               [np.array([[1, 2], [3, 4]]), np.array([5, 6, 7]), np.array([8, 9])])
     out = assemble_output(outputs, 3, 4, trop)
     inf = trop.zero
     assert out.dtype == np.int64
-    assert out.tolist() == [[inf, 1, 2, inf], [inf, 3, 4, inf], [5, 6, 7, inf]]
+    assert out.tolist() == [[inf, 1, 2, inf], [9, 3, 4, 8], [5, 6, 7, inf]]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -415,6 +417,102 @@ def test_an_emit_needs_one_of_each_column_per_block():
         Plan(num_procs=2, num_rounds=1).emit([0, 1], [("x",)], [0, 0], [0, 1])
 
 
+def _cell_plan():
+    """Processor 0's output cells lie at columns 1, 3 and 4 of row 0, and
+    processor 2's at columns 0 and 2 of row 2.  Processor 0 holds x = [1, 2,
+    3, 4], processor 1 y = [10, 20, 30, 40] and z = [100, 200, 300].  Round
+    1 moves x and y and round 2 z; each move's give, a round later, adds its
+    units into cells by slot:
+
+    * round 2: 1 + 10 into (0, slot 2), 2 + 4 into (2, slot 0), 3 into
+      (0, slot 0); 20, 30 and 40 are dropped;
+    * round 3, the trailing step: 100 into (0, slot 2), which holds a word,
+      200 into (0, slot 1), between two held cells, and 300 into (2, slot 1).
+    """
+    plan = Plan(num_procs=3, num_rounds=2)
+    plan.set_init(0, ("x",), np.array([1, 2, 3, 4]))
+    plan.set_init(1, ("y",), np.array([10, 20, 30, 40]))
+    plan.set_init(1, ("z",), np.array([100, 200, 300]))
+    plan.scatter(1, (1,), [0, 1], [("x",), ("y",)], [0, 2, 0, 2, 0, -1, -1, -1],
+                 [0, 1, 2, 1, 0, -1, -1, -1], slots=[2, 0, 0])
+    plan.scatter(2, (1,), [1], [("z",)], [0, 0, 2], [0, 1, 2], slots=[2, 1, 1])
+    plan.emit_cells([0, 0, 0, 2, 2], [0, 0, 0, 2, 2], [1, 3, 4, 0, 2])
+    return plan
+
+
+def _measured(program):
+    return [sum(tile.size for tile in store.values()) for store in program.states]
+
+
+def test_a_cell_give_merges_each_row_in_slot_order_and_counts_fresh_cells_once():
+    program = PlanProgram(_cell_plan(), INT)
+    program.start()
+    program.group_step(1)
+    program.group_step(2)
+    assert program.states[0][("c", 0)].tolist() == [3, 1 + 10]
+    assert program.states[2][("c", 2)].tolist() == [2 + 4]
+    assert program.state_words.tolist() == _measured(program) == [2, 0, 1]
+    program.group_step(3)
+    assert program.states[0][("c", 0)].tolist() == [3, 200, 1 + 10 + 100]
+    assert program.states[2][("c", 2)].tolist() == [2 + 4, 300]
+    assert program.state_words.tolist() == _measured(program) == [3, 0, 2]
+    procs, rows, cols, blocks = program.finalize()
+    assert (procs, rows, [c.tolist() for c in cols]) == ([0, 2], [0, 2], [[1, 3, 4], [0, 2]])
+    z = INT.zero
+    assert assemble_output((procs, rows, cols, blocks), 3, 5, INT).tolist() == [
+        [z, 3, z, 200, 111], [z] * 5, [6, z, 300, z, z]]
+
+
+def test_a_cell_slot_outside_its_row_raises_value_error():
+    plan = _cell_plan()
+    give = plan.groups[2][0]
+    plan.groups[2][0] = give._replace(slots=np.array([3, 0, 0]))
+    with pytest.raises(ValueError, match=re.escape("output cell slot 3 lies outside the 3 "
+                                                   "output cells of processor 0")):
+        run(PlanProgram(plan, INT), MpcConfig(3, 16))
+
+
+def test_a_cell_give_must_hand_each_slot_one_word():
+    plan = _cell_plan()
+    give = plan.groups[2][0]
+    plan.groups[2][0] = give._replace(procs=give.procs[[0, 1, 0]], slots=np.array([2, 0, 2]))
+    with pytest.raises(ValueError, match="each \\(processor, slot\\) one word"):
+        PlanProgram(plan, INT)
+
+
+def test_an_output_cell_never_given_is_named_at_finalize():
+    """Cells are checked in processor order, then slot order, before any
+    emitted tile is read."""
+    plan = _cell_plan()
+    plan.emit_cells([1, 1], [1, 1], [4, 2])
+    with pytest.raises(MissingTile) as caught:
+        run(PlanProgram(plan, INT), MpcConfig(3, 16))
+    assert (caught.value.processor, caught.value.round, caught.value.key) == (1, None, ("c", 1, 4))
+
+
+@pytest.mark.parametrize("procs, rows, cols, message", [
+    ([0, 0], [0, 1], [0, 1], "must lie in one output row"),
+    ([0, 3], [0, 3], [0, 1], "held by no processor of 3"),
+])
+def test_output_cells_must_lie_in_one_row_per_processor(procs, rows, cols, message):
+    plan = Plan(num_procs=3, num_rounds=1)
+    plan.emit_cells(procs, rows, cols)
+    with pytest.raises(ValueError, match=message):
+        PlanProgram(plan, INT)
+
+
+def test_an_output_cell_needs_a_processor_a_row_and_a_col():
+    with pytest.raises(ValueError, match="one processor, row and col"):
+        Plan(num_procs=2, num_rounds=1).emit_cells([0, 1], [0], [0, 1])
+
+
+def test_a_fetch_needs_a_slot_per_term():
+    plan = Plan(num_procs=2, num_rounds=1)
+    plan.add_group(1, Fetch(0, np.zeros((5, 1), dtype=np.int64)))
+    with pytest.raises(ValueError, match="\\(6, terms\\) array"):
+        PlanProgram(plan, INT)
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_emits_cover_each_output_cell_at_most_once(name):
     """``assemble_output`` writes each block once and sums nothing: every
@@ -425,6 +523,11 @@ def test_shipped_emits_cover_each_output_cell_at_most_once(name):
     _, rows, cols, blocks = schedule.execute(cap_factor=config.cap_factor)[0].outputs
     cover = np.zeros((schedule.out_rows, schedule.out_cols), dtype=np.int64)
     for r0, c0, block in zip(rows, cols, blocks):
+        if isinstance(c0, np.ndarray):  # a row of output cells at its columns
+            assert block.shape == c0.shape and 0 <= r0 < schedule.out_rows, (r0, block.shape)
+            assert 0 <= c0.min() and c0.max() < schedule.out_cols, c0
+            np.add.at(cover[r0], c0, 1)
+            continue
         height, width = block.shape if block.ndim == 2 else (1, block.size)
         assert 0 <= r0 <= r0 + height <= schedule.out_rows, (r0, block.shape)
         assert 0 <= c0 <= c0 + width <= schedule.out_cols, (c0, block.shape)

@@ -48,7 +48,8 @@ def _build(config):
 
 def _execute(schedule):
     result, out = schedule.execute()
-    outputs = [(p, r, c, block.tobytes()) for p, r, c, block in zip(*result.outputs)]
+    outputs = [(p, r, np.asarray(c).tolist(), block.tobytes())  # cells list their columns
+               for p, r, c, block in zip(*result.outputs)]
     return result.transcript.to_csv(), outputs, out
 
 

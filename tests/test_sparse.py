@@ -1,5 +1,6 @@
 """Sparse schedules, the block decomposition and the iteration budgets."""
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -18,14 +19,14 @@ from mpcmm import (
     schedule_sparse_trivial,
     schedule_sparse_twophase,
 )
-from mpcmm.experiment import ExperimentConfig, run_experiment
+from mpcmm.experiment import ExperimentConfig, build_schedule, generate_instance, run_experiment
 from mpcmm.instances import block_diagonal, random_d_sparse
-from mpcmm.plan import Gather, Scatter
+from mpcmm.plan import Gather, MissingTile, PlanProgram, Scatter
 from mpcmm.schedules import sparse as sparse_module
-from mpcmm.schedules.sparse import build_ledger
+from mpcmm.schedules.sparse import OutputMask, build_ledger
 
 from fetch_reference import per_processor_fetch
-from test_golden import CONFIGS as GOLDEN_CONFIGS, _digest
+from test_golden import CONFIGS as GOLDEN_CONFIGS, SHIPPED_CONFIGS, _digest
 from test_rotation import _assert_built_both_ways_agree, _build, _execute, per_processor_rotation
 
 INT = get_semiring("int")
@@ -451,3 +452,117 @@ class TestIterationBudget:
             EpsilonSchedule(0.3, 0.2)
         with pytest.raises(ValueError):
             EpsilonSchedule(-0.1, 0.2)
+
+
+def _lexsort_mask(a, b, d):
+    """``default_mask`` with its three-key ``np.lexsort`` ranking: per row,
+    the cells with the most terms first, then the lowest column."""
+    n, width = a.rows, b.cols
+    r, _, j = sparse_module._join(a, b)
+    cells, counts = np.unique(r * width + j, return_counts=True)
+    cell_r, cell_j = np.divmod(cells, width)
+    ranked = np.lexsort((cell_j, -counts, cell_r))
+    cell_j = cell_j[ranked]
+    bounds = np.searchsorted(cell_r[ranked], np.arange(n + 1)).tolist()
+    room = np.full(width, d)
+    rows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ranking = cell_j[lo:hi]
+        chosen = ranking[room[ranking] > 0][: max(d, 0)]
+        room[chosen] -= 1
+        rows.append(tuple(np.sort(chosen).tolist()))
+    return OutputMask(n, d, tuple(rows))
+
+
+SPARSE_SHIPPED = sorted(name for name, config in SHIPPED_CONFIGS.items()
+                        if config.case.startswith("sparse"))
+
+
+@pytest.mark.parametrize("name", SPARSE_SHIPPED)
+def test_packed_key_mask_equals_the_lexsort_ranking(name):
+    config = SHIPPED_CONFIGS[name]
+    a, b, mask = generate_instance(config, get_semiring(config.semiring))
+    assert mask == _lexsort_mask(a, b, config.d)
+
+
+def test_a_mask_key_past_int64_is_rejected():
+    """Rows and columns of 2**31 with two terms in one cell need a key of
+    3 * 2**62: the guard fires before any row-sized array is made."""
+    big = 1 << 31
+    a = SparseMatrix.from_arrays(big, 2, [0, 0], [0, 1], [1, 1])
+    b = SparseMatrix.from_arrays(2, big, [0, 1], [0, 0], [1, 1])
+    with pytest.raises(ValueError, match="overflows its int64 key"):
+        default_mask(a, b, 2)
+
+
+@pytest.mark.parametrize("builder", ["trivial", "twophase"])
+def test_a_masked_cell_no_term_reaches_raises_missing_tile(builder):
+    """Cell (0, 1) is masked, but a(0, k) b(k, 1) is stored for no k, so
+    no give reaches it; the shipped plan and the per-processor reference
+    name it alike at finalize."""
+    diagonal = lambda: SparseMatrix.from_arrays(4, 4, range(4), range(4), [2, 3, 4, 5])
+    a, b = diagonal(), diagonal()
+    mask = OutputMask(4, 2, ((0, 1), (1,), (2,), (3,)))
+    records = []
+    for reference in (False, True):
+        with contextlib.ExitStack() as stack:
+            if reference:
+                stack.enter_context(per_processor_fetch())
+                stack.enter_context(per_processor_rotation())
+            schedule = build(builder, 4, 2, a, b, mask, INT)
+        with pytest.raises(MissingTile) as caught:
+            schedule.execute()
+        records.append((caught.value.processor, caught.value.round, caught.value.key))
+    assert records == [(0, None, ("c", 0, 1))] * 2
+
+
+# (summary SHA-256, transcript SHA-256): a run with no output cell at all,
+# and a one-processor run (its layer falls back) whose one cell a resident
+# term gives in the trailing step.
+EDGE_HASHES = {
+    "sparse-trivial-d0": (
+        dict(case="sparse-trivial", n=4, d=0),
+        "45d4e273fb01afcd01e1fedb7690ac428ff7a06792203f936c7430b1b1a774b8",
+        "b144fcece48ba57cf5703af7b5692af40fee16d5ebd689e84a0c949169e0bbfc",
+    ),
+    "sparse-twophase-n1": (
+        dict(case="sparse-twophase", n=1, d=1, instance="blockdiag"),
+        "c762f2e5ca3baca51815ecd2be15178df84e78ae138b8f273191a9d03fb1d349",
+        "14e06982058d3afa2d09ca287e3060711bdb148c623d84bd5bba79541e75224b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_HASHES))
+def test_edge_runs_keep_their_hashes(name, tmp_path):
+    fields, summary_sha, transcript_sha = EDGE_HASHES[name]
+    summary = run_experiment(ExperimentConfig(seed=1, **fields), out_dir=str(tmp_path))
+    assert summary["ok"]
+    assert (_digest(summary["summary_path"]), _digest(summary["transcript_path"])) == (
+        summary_sha, transcript_sha)
+
+
+@pytest.mark.parametrize("name", SPARSE_SHIPPED)
+def test_each_owner_emits_one_row_and_no_store_holds_a_cell_tile(monkeypatch, name):
+    """The masked output cells of owner r are one row tile ("c", r): at
+    most one emit per processor, and after every group step no store holds
+    a one-cell key ("c", r, j)."""
+    config = SHIPPED_CONFIGS[name]
+    spec = get_semiring(config.semiring)
+    schedule = build_schedule(config, *generate_instance(config, spec), spec)
+    program = schedule.program
+    procs, keys, _, _ = program.emits
+    assert len(set(procs)) == len(procs) and keys == [("c", p) for p in procs]
+    cell_keys = []
+    group_step = PlanProgram.group_step
+
+    def traced(program, round_no):
+        found = group_step(program, round_no)
+        cell_keys.extend(key for store in program.states for key in store
+                         if key[0] == "c" and len(key) != 2)
+        return found
+
+    monkeypatch.setattr(PlanProgram, "group_step", traced)
+    result, _ = schedule.execute(cap_factor=config.cap_factor)
+    assert not cell_keys
+    assert result.outputs[0] == procs
