@@ -58,8 +58,8 @@ def random_d_sparse(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
 
 def block_diagonal(n, d, spec: SemiringSpec, rng) -> SparseMatrix:
     """n // d dense d x d blocks along the diagonal, values drawn row-major."""
-    if d > n or n % d:
-        raise ValueError("requires d <= n with d dividing n")
+    if not 0 < d <= n or n % d:
+        raise ValueError(f"blockdiag requires 1 <= d <= n with d dividing n, not n={n} d={d}")
     rows = np.repeat(np.arange(n), d)
     cols = rows // d * d + np.tile(np.arange(d), n)
     return SparseMatrix.from_arrays(n, n, rows, cols, random_values(spec, rng, n * d))

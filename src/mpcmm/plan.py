@@ -21,21 +21,22 @@ held becomes old (+) new; and ``_give_cells``, the same for output
 cells.  All three keep ``state_words``, each processor's store words, up
 to date, so the engine measures no store.  A key a processor's store
 lacks raises :class:`MissingTile`, and so does an emitted key at
-finalize.
+finalize.  The fourth kind of store never changes: a family of row tiles
+(``Plan.set_family``), such as the sparse A rows and B columns, where p's
+tile (name, p) is ``data[ptr[p]:ptr[p + 1]]`` of one read-only array all
+runs share.  Its words count from the ``ptr`` differences at ``start``;
+``_tiles`` and ``Fetch`` read it, and an empty row is a tile p lacks.
 
 Output cells are a plan's single words of output (``Plan.emit_cells``),
 such as a sparse processor's masked output row.  Processor p's cells are
-slots 0, 1, ... of one row tile ("c", p), which holds the words of the
-cells given so far, in slot order: a cell counts only from its first
-give.  ``_give_cells`` pops the touched processors' rows with one
-``_tiles`` call, merges old words and new ones through the run's table
-of given cells, and hands each its merged row.
+slots 0, 1, ... of its row in the run's ``cell_values``, beside its table
+of given cells; a cell counts one word from its first give.
 
 :class:`Gather` fills a fragment's A and B stacks, (processors, side,
 side) each, from source tiles.  Each distinct tile it reads is listed
 once, with its holder, its key, the shape it must have and whether it
 moves out of the holder's store (then each of its words is read exactly
-once) or is only read, such as a sparse row tile whose words the sparse
+once) or is only read, such as a family row whose words the sparse
 layers pick by offset.  The sources' words are concatenated in order,
 each tile row-major, with zeros after them, and cut into units of
 ``width`` consecutive words.  ``words[0]`` and ``words[1]`` cut every
@@ -69,50 +70,48 @@ same ``frag``, in round rd + 1, which may be the trailing step.
    dropped if that is -1.  It counts as sent by its holder and received
    by ``to[u]``, or as held when the two are one.
 2. The give sums, for each destination i, the units that ``take`` (rows
-   unit, destination; destinations ascending) lists for it, left to
-   right with ``vadd``, and hands the sum to processor ``procs[i]``
-   under ``keys[i]``, or, in a give with ``slots``, adds it into output
-   cell ``slots[i]`` of ``procs[i]``.  Its (processor, key or slot)
-   pairs must be distinct and it takes each unit at most once.  A unit
-   that was not moved to its destination's processor raises
-   :class:`MissingTile` there.
+   unit, destination; destinations ascending) lists for it with ``vadd``,
+   and hands the sum to processor ``procs[i]`` under ``keys[i]``, or, in
+   a give with ``slots``, adds it into output cell ``slots[i]`` of it.
+   Its (processor, key or slot) pairs must be distinct and it takes each
+   unit at most once.  A unit that was not moved to its destination's
+   processor raises :class:`MissingTile` there.
 
 A destination that holds its key already gets old (+) (x1 (+) x2 ...),
-where the per-entry tree-sum reference adds ((old (+) x1) (+) x2) ...;
-semiring addition is associative, so the words are equal.
+where the per-entry tree-sum reference adds ((old (+) x1) (+) x2) ...,
+and a sum of many units is taken in halving passes; semiring addition
+is associative and commutative, so the words are equal.
 
 :class:`Fetch` is one round of the sparse value fetch (see
 ``schedules.sparse``) for every processor at once, over columnar terms
 (r, k, j, a_at, b_at, slot), each held once.  Processor r holds row r of
-A as one flat tile ("a", r) and column r of B as ("b", r): a(r, k) is
-word a_at of ("a", r) and b(k, j) word b_at of ("b", j).  A term adds
-a(r, k) (*) b(k, j) into r's output cell (r, j), the cell in ``slot`` of
-r's row tile ("c", r).  Like a tree-sum level, a fetch sums before it
-moves.
+A as its "a" family row ("a", r) and column r of B as ("b", r): a(r, k)
+is word a_at of ("a", r) and b(k, j) word b_at of ("b", j).  A term adds
+a(r, k) (*) b(k, j) into r's output cell (r, j), slot ``slot`` of r.
+Like a tree-sum level, a fetch sums before it moves.
 
 1. It folds first: the terms the fragment's previous fetch moved, in
    their order, with the values in flight, then its own terms with
-   j == r, with b(k, j) read in r's store.  a(r, k) is read in r's
-   store.  One elementwise product, then one sum per cell with
-   ``vadd``, left to right, given to the cells.
-2. Then it moves.  b(k, j) of each of its terms with j != r is read in
-   the store of processor j, which keeps its tile, and is in flight to
-   r until the next fetch of the fragment folds it, in the next round.
-   It counts as sent by j and received by r, so r's next round starts
-   with it in its footprint.
+   j == r, with b(k, j) read at r.  a(r, k) is read at r.  One
+   elementwise product, then one sum per cell with ``vadd``.
+2. Then it moves.  b(k, j) of each of its terms with j != r is read at
+   processor j, and is in flight to r until the next fetch of the
+   fragment folds it, in the next round.  It counts as sent by j and
+   received by r, so r's next round starts with it in its footprint.
 
-A read takes each touched tile once and picks its words by offset; an
-offset outside its tile raises ``ValueError``.
+Each read of a family is one fancy index into its data; an offset
+outside its tile raises ``ValueError``.
 
 In a round, group ops run in the order they were added.  Round
 ``num_rounds + 1`` is the trailing local step: the engine runs its group
 ops after the last barrier, then ``finalize`` reads every emitted tile
-as stored, in processor order, and ``assemble_output`` places each at
-its emit's (row, col), a flat tile as one row, and each row of output
-cells at its row and cell columns; no two emits cover one cell.  An
-output cell never given raises :class:`MissingTile` for the first such
-cell, before any tile is read.  The step is local, so nothing in it may
-send, and no group op may be placed later.  A group op's words (held, sent, received) come from its
+as stored, in processor order, then each processor's row of output
+cells, and ``assemble_output`` places each at its emit's (row, col), a
+flat tile as one row, and a row of cells at its row and cell columns;
+no two emits cover one cell.  An output cell never given raises
+:class:`MissingTile` for the first such cell, before any tile is read.
+The step is local, so nothing in it may send, and no group op may be
+placed later.  A group op's words (held, sent, received) come from its
 static shape, not from the stacks, and the engine charges them (see
 ``mpcmm.engine``).  Its held words are those it keeps out of the stores
 at the end of the round, not those in flight.
@@ -211,6 +210,7 @@ class Plan:
     emits: tuple = field(default_factory=lambda: ([], [], [], []))  # proc, key, row, col columns
     # proc, row, col int64 columns of the output cells (``emit_cells``)
     cells: tuple = field(default_factory=lambda: (np.zeros(0, dtype=np.int64),) * 3)
+    families: dict = field(default_factory=dict)  # name -> (ptr, data): a family of row tiles
 
     def add_group(self, round_no, op):
         self.groups.setdefault(round_no, []).append(op)
@@ -258,13 +258,23 @@ class Plan:
     def emit_cells(self, procs, rows, cols):
         """Place output cell i, held by processor ``procs[i]``, at (rows[i],
         cols[i]) of the output after the trailing step, for every i.  A
-        processor's cells are slots 0, 1, ... of its row tile ("c", p), in
-        the order listed, and lie in one output row; ``Fetch`` and a
-        ``Scatter`` give with slots hand values into them by slot."""
+        processor's cells are slots 0, 1, ... of its row, in the order
+        listed, and lie in one output row; ``Fetch`` and a ``Scatter`` give
+        with slots hand values into them by slot."""
         new = [np.asarray(x, dtype=np.int64).ravel() for x in (procs, rows, cols)]
         if not len(new[0]) == len(new[1]) == len(new[2]):
             raise ValueError("an output cell needs one processor, row and col")
         self.cells = tuple(np.concatenate((old, add)) for old, add in zip(self.cells, new))
+
+    def set_family(self, name, ptr, data):
+        """Give each processor p the read-only family row (name, p), words
+        ``data[ptr[p]:ptr[p + 1]]`` (see the module doc)."""
+        ptr, data = (np.asarray(x, dtype=np.int64).view() for x in (ptr, data))
+        steps = np.diff(ptr, prepend=0, append=len(data))  # 0 first and last, none below 0
+        if len(ptr) != self.num_procs + 1 or steps[0] or steps[-1] or steps.min() < 0:
+            raise ValueError(f"a family's ptr must rise from 0 to its {len(data)} words")
+        ptr.setflags(write=False), data.setflags(write=False)  # no run writes a family
+        self.families[name] = ptr, data
 
     def set_init(self, proc, key, array):
         tile = np.asarray(array, dtype=np.int64).view()
@@ -299,15 +309,15 @@ class PlanProgram(Program):
                 raise ValueError(f"a group op in the trailing local step (round {trailing}) "
                                  "must hold, send and receive nothing")
             self.group_words[round_no] = words
-        emits = self._cell_rows(plan)
-        # the emits in processor order, each processor's as added, its cell row last
-        order = np.argsort(np.asarray(emits[0], dtype=np.int64), kind="stable").tolist()
-        self.emits = tuple([column[i] for i in order] for column in emits)
+        self._cell_rows(plan)
+        # the emitted tiles in processor order, each processor's as added
+        order = np.argsort(np.asarray(plan.emits[0], dtype=np.int64), kind="stable").tolist()
+        self.emits = tuple([column[i] for i in order] for column in plan.emits)
 
     def _cell_rows(self, plan):
         """Lay out the plan's output cells, processor by processor in slot
-        order, and return the emit columns with one row tile emit per
-        processor that has cells: its row, and its cells' columns by slot."""
+        order, with one emit per processor that has cells, ``cell_emits``:
+        its row, its cells' columns by slot and their span of the layout."""
         procs, rows, cols = plan.cells
         if procs.size and (procs.min() < 0 or procs.max() >= self.num_procs):
             raise ValueError(f"an output cell is held by no processor of {self.num_procs}")
@@ -319,13 +329,9 @@ class PlanProgram(Program):
         first = self.cell_start[owners]
         if (rows != np.repeat(rows[first], widths[owners])).any():
             raise ValueError("a processor's output cells must lie in one output row")
-        self.cell_keys = {p: ("c", p) for p in owners.tolist()}
-        if not owners.size:
-            return plan.emits
-        ends = self.cell_start[owners + 1].tolist()
-        cols = [self.cell_cols[begin:end] for begin, end in zip(first.tolist(), ends)]
-        return (plan.emits[0] + owners.tolist(), plan.emits[1] + list(self.cell_keys.values()),
-                plan.emits[2] + rows[first].tolist(), plan.emits[3] + cols)
+        spans = list(zip(first.tolist(), self.cell_start[owners + 1].tolist()))
+        self.cell_emits = (owners.tolist(), rows[first].tolist(),
+                           [self.cell_cols[begin:end] for begin, end in spans], spans)
 
     def _check_ops(self, plan):
         """Reject per-processor ops: this interpreter would drop them."""
@@ -336,9 +342,12 @@ class PlanProgram(Program):
     def start(self):
         self.stacks = {}  # fragment -> its stacks in the current run
         self.given = np.zeros(len(self.cell_owner), dtype=bool)  # the output cells given so far
+        self.cell_values = np.empty(len(self.cell_owner), dtype=np.int64)  # where given
         self.states = [dict(self.plan.init.get(p, {})) for p in range(self.num_procs)]
         self.state_words = np.array([sum(tile.size for tile in store.values())
                                      for store in self.states], dtype=np.int64)
+        for ptr, _ in self.plan.families.values():
+            self.state_words += np.diff(ptr)
         return self.state_words
 
     def group_step(self, round_no):
@@ -359,8 +368,10 @@ class PlanProgram(Program):
             p = int(self.cell_owner[missing[0]])
             raise MissingTile(p, None, ("c", p, int(self.cell_cols[missing[0]])))
         procs, keys, rows, cols = self.emits
-        return procs, rows, cols, _tiles(self, procs, keys, repeat(False),
-                                         self.total_rounds + 1)
+        owners, cell_rows, cell_cols, spans = self.cell_emits
+        return (procs + owners, rows + cell_rows, cols + cell_cols,
+                _tiles(self, procs, keys, repeat(False), self.total_rounds + 1)
+                + [self.cell_values[begin:end] for begin, end in spans])
 
 
 class _GroupKind(NamedTuple):
@@ -384,15 +395,20 @@ def _group_kind(op):
 def _tiles(program, procs, keys, moves, round_no):
     """Tile ``keys[i]`` of processor ``procs[i]``'s store, for every i: moved
     out of the store where ``moves[i]``, which uncounts its words, else only
-    read.  The first key, in order, that its store lacks raises
-    :class:`MissingTile`."""
-    states, tiles, popped, words = program.states, [], [], []
+    read, a family row as a view of its data.  The first key, in order, that
+    its processor lacks raises :class:`MissingTile`."""
+    states, families, tiles, popped, words = program.states, program.plan.families, [], [], []
     try:
         for p, key, move in zip(procs, keys, moves):
             if move:
                 tiles.append(states[p].pop(key))
                 popped.append(p)
                 words.append(tiles[-1].size)
+            elif families and key[0] in families:
+                ptr, data = families[key[0]]
+                if key[1:] != (p,) or ptr[p] == ptr[p + 1]:
+                    raise KeyError(key)
+                tiles.append(data[ptr[p] : ptr[p + 1]])
             else:
                 tiles.append(states[p][key])
     except KeyError:
@@ -589,7 +605,7 @@ def _scatter_step(program, op, round_no):
         _give(program, op.procs.tolist(), op.keys, sums.reshape(-1, *op.shape))
     else:
         order = np.argsort(cells)
-        _give_cells(program, cells[order], sums.reshape(-1)[order], round_no)
+        _give_cells(program, cells[order], sums.reshape(-1)[order])
 
 
 # -- Fetch -------------------------------------------------------------------
@@ -605,60 +621,69 @@ def _fetch_words(op, held, sent, received):
 
 
 def _fetch_step(program, op, round_no):
-    def read(name, procs, at):  # words of row tiles, left in their stores
-        return _words_at(program, name, procs, at, round_no)
-
+    read = lambda name, procs, at: _family_words(program, name, procs, at, round_no)
     local = op.terms[2] == op.terms[0]
-    moved, values = program.stacks.pop(op.frag, (op.terms[:, :0], op.terms[0, :0]))
-    fold = np.concatenate([moved, op.terms[:, local]], axis=1)
+    resident = local.any()
+    fold, values = program.stacks.pop(op.frag, (op.terms[:, :0], op.terms[0, :0]))
+    if resident:
+        fold = np.concatenate([fold, op.terms[:, local]], axis=1)
     if fold.size:
         r, _, _, a_at, b_at, slot = fold
         a = read("a", r, a_at)
-        if local.any():
+        if resident:
             values = np.concatenate([values, read("b", r[len(values):], b_at[len(values):])])
-        _fetch_fold(program, r, slot, program.spec.vmul(a, values), round_no)
+        _fetch_fold(program, r, slot, program.spec.vmul(a, values))
     if not local.all():
-        move = op.terms[:, ~local]
+        move = op.terms[:, ~local] if resident else op.terms
         program.stacks[op.frag] = move, read("b", move[2], move[4])
 
 
-def _words_at(program, name, procs, at, round_no):
-    """Word ``at[i]`` of tile (name, procs[i]) in processor ``procs[i]``'s
-    store, for every i, each touched tile read once and left there."""
-    counts = np.bincount(procs, minlength=program.num_procs)
-    touched = np.flatnonzero(counts).tolist()
-    keys = [(name, p) for p in touched]
-    tiles = _tiles(program, touched, keys, repeat(False), round_no)
-    sizes = np.array([tile.size for tile in tiles], dtype=np.int64)
-    which = (np.cumsum(counts > 0) - 1)[procs]  # each term's rank among the touched tiles
-    outside = np.flatnonzero((at < 0) | (at >= sizes[which]))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(f"offset {at[i]} lies outside the {sizes[which[i]]} words of tile "
-                         f"{keys[which[i]]!r} at processor {procs[i]} in round {round_no}")
-    return np.concatenate(tiles)[(np.cumsum(sizes) - sizes)[which] + at]
+def _family_words(program, name, procs, at, round_no):
+    """Word ``at[i]`` of family row (name, procs[i]), for every i, with one
+    fancy index.  Of the rows read, the lowest processor's empty one raises
+    :class:`MissingTile`, and the first offset outside its row ``ValueError``."""
+    ptr, data = program.plan.families.get(name, (np.zeros(program.num_procs + 1, int), None))
+    start = ptr[procs]
+    at = start + at
+    end = ptr[1:][procs]
+    outside = (at < start) | (at >= end)
+    if outside.any():
+        size = end - start
+        empty = procs[size == 0]  # every offset lies outside an empty row
+        if empty.size:
+            p = int(empty.min())
+            raise _missing(program, p, round_no, (name, p))
+        i = np.flatnonzero(outside)[0]
+        raise ValueError(f"offset {at[i] - start[i]} lies outside the {size[i]} words of tile "
+                         f"{(name, int(procs[i]))!r} at processor {procs[i]} in round {round_no}")
+    return data[at]
 
 
-def _fetch_fold(program, r, slot, products, round_no):
+def _fetch_fold(program, r, slot, products):
     """Output cell ``slot[i]`` of r[i] (+)= products[i] for every i, summed
-    per cell in order."""
+    per cell first."""
     cells = _cell_index(program, r, slot)
-    order = np.argsort(cells, kind="stable")
-    cells = cells[order]
+    if (cells[1:] < cells[:-1]).any():  # moved and resident terms: two sorted runs
+        order = np.argsort(cells, kind="stable")
+        cells, products = cells[order], products[order]
     starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    sums = _segment_add(program.spec, products[order], starts)
-    _give_cells(program, cells[starts], sums, round_no)
+    _give_cells(program, cells[starts], _segment_add(program.spec, products, starts))
 
 
 def _segment_add(spec, values, starts):
     """The carrier's sum of each run ``values[starts[i] : starts[i + 1]]`` (along
-    axis 0), left to right."""
-    sums = values[starts]
+    axis 0), written into ``values``: each pass adds the back half of every
+    run into its front half, so a run of m values takes ceil(log2 m) passes."""
     lengths = np.diff(starts, append=len(values))
-    for offset in range(1, int(lengths.max(initial=1))):
-        longer = np.flatnonzero(lengths > offset)
-        sums[longer] = spec.vadd(sums[longer], values[starts[longer] + offset])
-    return sums
+    live = np.flatnonzero(lengths > 1)
+    while live.size:
+        half = lengths[live] // 2
+        lengths[live] -= half
+        first = np.cumsum(half) - half
+        front = np.repeat(starts[live] - first, half) + np.arange(first[-1] + half[-1])
+        values[front] = spec.vadd(values[front], values[front + np.repeat(lengths[live], half)])
+        live = live[lengths[live] > 1]
+    return values[starts]
 
 
 def _give(program, procs, keys, values):
@@ -690,55 +715,28 @@ def _cell_index(program, procs, slots):
     ``slots[i]`` of processor ``procs[i]``, for every i; a slot that
     processor does not have raises ``ValueError``."""
     start = program.cell_start[procs]
-    width = program.cell_start[procs + 1] - start
-    past = np.flatnonzero((slots < 0) | (slots >= width))
-    if past.size:
-        i = past[0]
-        raise ValueError(f"output cell slot {slots[i]} lies outside the {width[i]} output "
-                         f"cells of processor {procs[i]}")
-    return start + slots
+    cells = start + slots
+    end = program.cell_start[1:][procs]
+    past = (cells < start) | (cells >= end)
+    if past.any():
+        i = np.flatnonzero(past)[0]
+        raise ValueError(f"output cell slot {slots[i]} lies outside the {end[i] - start[i]} "
+                         f"output cells of processor {procs[i]}")
+    return cells
 
 
-def _give_cells(program, cells, values, round_no):
+def _give_cells(program, cells, values):
     """Add ``values[i]`` into output cell ``cells[i]``, an index into the
     run's table of given cells, ascending and distinct, for every i: a cell
     already given becomes old (+) new, with one ``vadd`` over all of them,
-    and a fresh one counts its word.
-
-    The touched processors' row tiles leave their stores with one
-    ``_tiles`` call; each comes back with the words of its given cells,
-    old and new, in slot order."""
-    if not len(cells):
-        return
-    start, given, spec = program.cell_start, program.given, program.spec
-    owners = program.cell_owner[cells]
-    touched = owners[np.flatnonzero(np.diff(owners, prepend=-1))]
-    # every cell of the touched processors, ascending, and which were given before
-    widths = start[touched + 1] - start[touched]
-    offsets = np.cumsum(widths) - widths
-    span = np.repeat(start[touched] - offsets, widths) + np.arange(offsets[-1] + widths[-1])
-    was = given[span]
-    holders = touched[np.add.reduceat(was, offsets, dtype=np.int64) > 0].tolist()
-    old = _tiles(program, holders, [program.cell_keys[p] for p in holders], repeat(True),
-                 round_no)
-    given[cells] = True
-    now = given[span]
-    at = np.cumsum(now) - 1  # each given cell's word in the merged rows
-    merged = np.empty(int(at[-1]) + 1, dtype=np.int64)
-    if old:
-        merged[at[was]] = np.concatenate(old)
-    place = np.searchsorted(span, cells)
-    held = was[place]
-    place = at[place]
-    merged[place[~held]] = values[~held]
-    if held.any():
-        merged[place[held]] = spec.vadd(merged[place[held]], values[held])
-    counts = np.add.reduceat(now, offsets, dtype=np.int64)
-    ends = np.cumsum(counts).tolist()
-    states, keys = program.states, program.cell_keys
-    for p, begin, end in zip(touched.tolist(), [0, *ends], ends):
-        states[p][keys[p]] = merged[begin:end]
-    program.state_words[touched] += counts
+    and a fresh one counts its word."""
+    store, given = program.cell_values, program.given
+    held = given[cells]
+    fresh, kept = cells[~held], cells[held]
+    store[fresh] = values[~held]
+    store[kept] = program.spec.vadd(store[kept], values[held])
+    given[fresh] = True
+    program.state_words += np.bincount(program.cell_owner[fresh], minlength=program.num_procs)
 
 
 _GROUP_DISPATCH = {

@@ -1,11 +1,12 @@
 """d-sparse multiplication on n processors with O(d) words each.
 
 Processor r owns row r of A, column r of B, and the masked output row
-r.  It stores the inputs as two row tiles, ("a", r) in column order and
-("b", r) in row order, and the builders name each word by its offset in
-its tile, found with ``searchsorted``.  All factor positions are
-structural knowledge, so schedules are wired at build time; only values
-travel at run time.
+r.  It holds the inputs as two read-only row tiles, ("a", r) in column
+order and ("b", r) in row order, each a row of a CSR family that the
+builder hands over in one ``Plan.set_family`` call, and the builders name
+each word by its offset in its tile, found with ``searchsorted``.  All
+factor positions are structural knowledge, so schedules are wired at
+build time; only values travel at run time.
 
 Both schedules are one builder, which makes one plan per call.  The
 whole front end is columnar: the inputs are sorted (r, c, v) arrays, and
@@ -494,9 +495,7 @@ def _sparse_schedule(n, d, a, b, mask, spec, eps=None) -> Schedule:
     order = np.lexsort((b.r, b.c))  # B by (column, row)
     a_keys, b_keys = a.r * n + a.c, b.c[order] * n + b.r[order]
     for name, keys, values in (("a", a_keys, a.v), ("b", b_keys, b.v[order])):
-        bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
-        for p in np.flatnonzero(np.diff(bounds)).tolist():
-            plan.set_init(p, (name, p), values[bounds[p] : bounds[p + 1]])
+        plan.set_family(name, np.searchsorted(keys, np.arange(n + 1) * n), values)
 
     stride = grid + 1
     r, k, j = terms
@@ -567,7 +566,8 @@ def _build_layer(plan, layer, li, r0, grid, mask, a_keys, b_keys):
     for s, (name, owners) in enumerate((("a", rows), ("b", cols))):
         ps = np.flatnonzero(np.bincount(owners[owners >= 0], minlength=n))
         source[s, ps] = len(sources) + np.arange(len(ps))
-        sources += [(p, (name, p), plan.init[p][(name, p)].shape, False) for p in ps.tolist()]
+        words = np.diff(plan.families[name][0])[ps].tolist()
+        sources += [(p, (name, p), (w,), False) for p, w in zip(ps.tolist(), words)]
     y, x = np.arange(grid)[:, None], np.arange(grid)
 
     def tiles(bi, ti, tj, tk):

@@ -15,9 +15,10 @@ engine charges messages exactly as it charges group words.
 
 The adapter owns the stores, ``states``, built by its own hook
 ``init_state(p)`` at ``start``, and measures every store after the
-handlers, so a reference's state words never come from a program's own
-counting.  The trailing local step runs no handler: ``finalize()``
-reads ``self.inboxes`` for the last round's messages.
+handlers with :func:`store_words`, so a reference's state words never
+come from a program's own counting.  The trailing local step runs no
+handler: ``finalize()`` reads ``self.inboxes`` for the last round's
+messages.
 """
 
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from mpcmm import Program
+from mpcmm.plan import PlanProgram
 
 
 class Message(NamedTuple):
@@ -41,7 +43,7 @@ class HandlerProgram(Program):
         super().start()
         self.inboxes = {}  # processor -> its non-empty inbox
         self.states = [self.init_state(p) for p in range(self.num_procs)]
-        return _measured(self.states)
+        return store_words(self)
 
     def init_state(self, p):
         return {}
@@ -77,10 +79,23 @@ class HandlerProgram(Program):
                 sent[p] += payload.size
                 received[dst] += payload.size
             states[p] = state
-        return held, sent, received, _measured(states)
+        return held, sent, received, store_words(self)
 
 
-def _measured(states):
-    """Each store's words, summed over its tiles."""
-    return np.array([sum(tile.size for tile in state.values()) for state in states],
-                    dtype=np.int64)
+def store_words(program):
+    """Each processor's store words, measured: the tiles of its store in
+    ``program.states``, plus, on a plan program, its rows of the plan's
+    families (the ``ptr`` differences) and its output cells given so far."""
+    words = np.array([sum(tile.size for tile in state.values()) for state in program.states],
+                     dtype=np.int64)
+    if isinstance(program, PlanProgram):
+        for ptr, _ in program.plan.families.values():
+            words += np.diff(ptr)
+        words += np.bincount(program.cell_owner[program.given], minlength=len(words))
+    return words
+
+
+def given_row(program, p):
+    """The words of processor p's output cells given so far, in slot order."""
+    cells = slice(program.cell_start[p], program.cell_start[p + 1])
+    return program.cell_values[cells][program.given[cells]].tolist()

@@ -4,9 +4,11 @@ The shipped plans hold group ops only (``mpcmm.plan``).  The rotation,
 fetch and tree-sum references spell the same schedules out as ops per
 (round, processor), placed with :func:`add` in ``Plan.ops`` and run op
 by op by :class:`ReferenceProgram`, whose tiles travel as messages of
-the ``handler_program`` adapter.  The ops keep each output cell (r, j)
-as its own tile ("c", r, j); ``finalize`` hands those to the row tiles
-the plan emits, through the plan's cell give::
+the ``handler_program`` adapter.  The ops read the plan's row families
+(``Plan.set_family``) as tiles beside each store, which they never change
+and which count as the shipped program counts them.  They keep each
+output cell (r, j) as its own tile ("c", r, j); ``finalize`` hands those
+to the rows the plan emits, through the plan's cell give::
 
     Mac(c, a, b)            c  (+)=  a @ b        (semiring block product)
     MulAcc(c, a, b)         c  (+)=  a (*) b      (elementwise)
@@ -41,6 +43,7 @@ reference fragment into them calls it.
 """
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +157,11 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
         self._exec(store, self.plan.ops.get((round_no, p), ()), sends, round_no, p)
         return store, sends
 
+    def _family_rows(self, p):
+        """Processor p's rows of the plan's families, by key; an empty row is no tile."""
+        return {(name, p): family_row(self.plan, name, p)
+                for name, (ptr, _) in self.plan.families.items() if ptr[p] < ptr[p + 1]}
+
     def finalize(self):
         # The trailing step's ``group_step`` merged the last round's messages.
         for p, store in enumerate(self.states):
@@ -163,8 +171,8 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
 
     def _give_cell_tiles(self):
         """Hand each output cell (r, j) that the ops kept as its own tile
-        ("c", r, j) to r's row tile, through the plan's cell give, so that
-        the emitted rows read them."""
+        ("c", r, j) to the plan's cell give, so that the emitted rows read
+        them."""
         slot = {(p, j): i for i, (p, j) in enumerate(zip(self.cell_owner.tolist(),
                                                          self.cell_cols.tolist()))}
         cells = [(p, key) for p, store in enumerate(self.states) for key in store
@@ -173,10 +181,11 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
             index = np.array([slot[p, key[2]] for p, key in cells], dtype=np.int64)
             values = np.concatenate([self.states[p].pop(key) for p, key in cells])
             order = np.argsort(index)
-            _give_cells(self, index[order], values[order], self.total_rounds + 1)
+            _give_cells(self, index[order], values[order])
 
     def _exec(self, store, ops, sends, round_no, p):
         spec = self.spec
+        store = ChainMap(store, self._family_rows(p))  # writes and drops reach ``store`` only
         try:
             for op in ops:
                 _DISPATCH[type(op)](spec, store, op, sends)
@@ -184,6 +193,21 @@ class ReferenceProgram(HandlerProgram, PlanProgram):
             if type(op) not in _DISPATCH:
                 raise TypeError(f"unknown op {op!r}") from None
             raise MissingTile(p, round_no, missing.args[0]) from None
+
+
+def family_row(plan, name, p):
+    """Processor p's row tile (name, p) of the plan's family ``name``."""
+    ptr, data = plan.families[name]
+    return data[ptr[p] : ptr[p + 1]]
+
+
+def drop_row(plan, name, p):
+    """Take processor p's row out of the plan's family ``name``: it then
+    holds no tile (name, p), and the other rows keep their words."""
+    ptr, data = plan.families[name]
+    cut = ptr[p + 1] - ptr[p]
+    plan.set_family(name, np.where(np.arange(len(ptr)) > p, ptr - cut, ptr),
+                    np.delete(data, np.arange(ptr[p], ptr[p + 1])))
 
 
 def gather_ops(procs, side, sources, src, at, width, name):

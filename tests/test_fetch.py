@@ -24,6 +24,8 @@ from mpcmm.schedules.sparse import OutputMask
 
 import fetch_reference
 from fetch_reference import per_processor_fetch
+from handler_program import given_row
+from plan_reference import drop_row, family_row
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 INT = get_semiring("int")
@@ -118,15 +120,15 @@ def _terms(*triples):
 
 
 def _fetch_plan(moved):
-    """Processor p holds the row tiles ("a", p) = [a(p, 0), a(p, 1), a(p, 2)],
+    """Processor p holds the family rows ("a", p) = [a(p, 0), a(p, 1), a(p, 2)],
     a(r, k) = 10r + k + 1, and ("b", p) = [b(0, p), b(1, p), b(2, p)],
     b(k, j) = k + 2j + 1; round 1 moves ``moved`` (terms with j != r), which
     the trailing step folds before the resident term (0, 0, 0).  The output
     cells are the terms' (r, j), each owner's in column order."""
     plan = Plan(num_procs=3, num_rounds=1)
-    for p in range(3):
-        plan.set_init(p, ("a", p), 10 * p + np.arange(3) + 1)
-        plan.set_init(p, ("b", p), np.arange(3) + 2 * p + 1)
+    p, k = np.arange(3)[:, None], np.arange(3)
+    plan.set_family("a", [0, 3, 6, 9], (10 * p + k + 1).ravel())
+    plan.set_family("b", [0, 3, 6, 9], (k + 2 * p + 1).ravel())
     cells = sorted({(0, 0), *zip(moved[0].tolist(), moved[2].tolist())})
     slot = {(r, j): sum(q == r for q, _ in cells[:i]) for i, (r, j) in enumerate(cells)}
     resident = _terms((0, 0, 0))
@@ -167,15 +169,15 @@ def test_a_resident_term_folds_in_its_own_round_and_a_moved_one_in_the_next():
     program = PlanProgram(plan, INT)
     program.start()
     program.group_step(1)
-    assert program.states[0][("c", 0)].tolist() == [(0 + 2) * (1 + 0 + 1)]
-    assert ("c", 1) not in program.states[1]
+    assert given_row(program, 0) == [(0 + 2) * (1 + 0 + 1)]
+    assert given_row(program, 1) == []
     program.group_step(2)
-    assert program.states[1][("c", 1)].tolist() == [(10 + 1) * (0 + 4 + 1)]
+    assert given_row(program, 1) == [(10 + 1) * (0 + 4 + 1)]
 
 
 def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
     plan = _fetch_plan(_terms((0, 1, 2), (1, 0, 2)))
-    del plan.init[2][("b", 2)]
+    drop_row(plan, "b", 2)
     with pytest.raises(MissingTile) as caught:
         run(PlanProgram(plan, INT), MpcConfig(3, 16))
     assert (caught.value.processor, caught.value.round, caught.value.key) == (2, 1, ("b", 2))
@@ -183,7 +185,7 @@ def test_fetch_reads_b_at_the_sender_and_names_it_when_missing():
 
 def test_a_missing_resident_value_is_named_at_the_trailing_step():
     plan = _fetch_plan(_terms((1, 0, 2)))
-    del plan.init[0][("b", 0)]
+    drop_row(plan, "b", 0)
     with pytest.raises(MissingTile) as caught:
         run(PlanProgram(plan, INT), MpcConfig(3, 16))
     assert (caught.value.processor, caught.value.round, caught.value.key) == (0, None, ("b", 0))
@@ -211,24 +213,33 @@ def test_an_offset_past_its_row_tile_raises_value_error(row, column, where):
 
 
 def test_each_processor_holds_two_row_tiles_and_a_read_takes_each_once(monkeypatch):
+    """The row tiles are rows of the "a" and "b" families, not store tiles,
+    and a fetch reads each family with one call over all of its terms."""
     config = ExperimentConfig(seed=1, **GOLDEN_CONFIGS["sparse-trivial-blockdiag"])
-    schedule = _build(config)
+    spec = get_semiring(config.semiring)
+    a, b, mask = generate_instance(config, spec)
+    schedule = build_schedule(config, a, b, mask, spec)
     plan = schedule.program.plan
-    assert sorted(key for store in plan.init.values() for key in store) == sorted(
-        (name, p) for p in range(config.n) for name in "ab")
-    reads = []
-    tiles = plan_module._tiles
+    assert not plan.init and sorted(plan.families) == ["a", "b"]
+    for p in range(config.n):  # A's row p in column order, B's column p in row order
+        assert family_row(plan, "a", p).tolist() == a.v[a.r == p].tolist()
+        assert family_row(plan, "b", p).tolist() == b.v[b.c == p].tolist()
+    store_reads, family_reads = [], []
+    tiles, words = plan_module._tiles, plan_module._family_words
 
     def recording(program, procs, keys, moves, round_no):
-        if keys is not program.emits[1]:  # not finalize's read of the emitted cells
-            reads.append((list(procs), list(keys)))
+        store_reads.extend(keys)
         return tiles(program, procs, keys, moves, round_no)
 
+    def recording_words(program, name, procs, at, round_no):
+        family_reads.append(round_no)
+        return words(program, name, procs, at, round_no)
+
     monkeypatch.setattr(plan_module, "_tiles", recording)
+    monkeypatch.setattr(plan_module, "_family_words", recording_words)
     schedule.execute()
-    assert reads
-    for procs, keys in reads:
-        assert len(set(procs)) == len(procs) and keys == [(keys[0][0], p) for p in procs]
+    assert not store_reads and family_reads
+    assert max(family_reads.count(rd) for rd in family_reads) <= 3  # a, resident b, moved b
 
 
 def test_a_word_is_read_at_its_offset_in_the_row_tile():
@@ -239,8 +250,8 @@ def test_a_word_is_read_at_its_offset_in_the_row_tile():
     mask = OutputMask(6, 3, ((), (2,), (), (), (), ()))
     schedule = sparse.schedule_sparse_trivial(6, 3, a, b, mask, INT)
     plan = schedule.program.plan
-    assert plan.init[1][("a", 1)].tolist() == [2, 3, 7]
-    assert plan.init[2][("b", 2)].tolist() == [11, 13]
+    assert family_row(plan, "a", 1).tolist() == [2, 3, 7]
+    assert family_row(plan, "b", 2).tolist() == [11, 13]
     terms = np.concatenate([op.terms for op in _fetches(plan)], axis=1)
     assert terms.T.tolist() == [[1, 5, 2, 2, 1, 0]]
     _, out = schedule.execute()

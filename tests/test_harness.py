@@ -278,6 +278,18 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("case", ["sparse-trivial", "sparse-twophase"])
+    def test_blockdiag_with_d_zero_exits_2(self, case, tmp_path, capsys):
+        """blockdiag's d | n rule meets d = 0 as a typed error, not a
+        ZeroDivisionError traceback."""
+        rc = main(["run", "--case", case, "--n", "4", "--d", "0", "--instance", "blockdiag",
+                   "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == ("mpcmm: error: blockdiag requires 1 <= d <= n with d dividing "
+                                "n, not n=4 d=0\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["bounds", "bench"])
     def test_only_run_takes_outdir(self, command, tmp_path, capsys):
         sizes = ["--n", "16"] if command == "bounds" else ["--sizes", "16"]

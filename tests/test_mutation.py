@@ -14,9 +14,10 @@ there, or its a or b offset moved to a neighbouring word
 of the same row tile, must end in an oracle mismatch; an offset pushed
 past its row tile, where the concatenation the step reads holds the
 next tile's first word, is rejected with a ``ValueError``; a row tile
-deleted from its processor's store must raise ``MissingTile`` naming
-that processor, the round and the tile.  A group op that writes into a
-tile it only reads raises, since initial tiles are read-only.
+taken out of its family must raise ``MissingTile`` naming that
+processor, the round and the tile.  A group op that writes into a tile
+it only reads, a store tile or a family row, raises, since initial tiles
+and families are read-only.
 
 Gather mutants change one source or unit of a built golden plan's
 ``Gather``: a source moved, with the units that read it, to a holder
@@ -39,8 +40,9 @@ middle or last one it applies to in a run, on every golden sparse plan:
 a cell written one slot over, a fresh cell left uncounted, or a held
 cell overwritten instead of accumulated.  Each must end in an oracle
 mismatch or a typed failure, a transcript that differs from the golden
-one, or state words that differ from the words in the stores at some
-group step, the trailing one too.
+one, or state words that differ from the words the stores measure
+(``handler_program.store_words``) at some group step, the trailing one
+too.
 
 Kernel mutants edit one line of the min-plus kernel's source: the int32
 sentinel S raised by one (S + S then overflows int32) and the guard that
@@ -74,7 +76,8 @@ from mpcmm.experiment import ExperimentConfig, run_experiment
 from mpcmm.plan import Fetch, Gather, MissingTile, PlanProgram, Scatter
 
 from fetch_reference import per_processor_fetch
-from plan_reference import Mac, MulAcc, Send
+from handler_program import store_words
+from plan_reference import Mac, MulAcc, Send, drop_row, family_row
 from test_golden import CONFIGS as GOLDEN_CONFIGS, GOLDEN, _digest
 from test_semiring import width_mismatches
 
@@ -231,7 +234,7 @@ def _offset_mutant(row, offset, pick):
             round_no, g, column = site
             r, _, j, *at = plan.groups[round_no][g].terms[:, column].tolist()
             p = r if row == 3 else j
-            words = plan.init[p][("a" if row == 3 else "b", p)].size
+            words = family_row(plan, "a" if row == 3 else "b", p).size
             if words > 1:
                 sites.append((site, offset(at[row - 3], words)))
         if sites:
@@ -275,9 +278,11 @@ def test_an_offset_moved_to_a_neighbouring_word_fails_the_oracle(monkeypatch, ro
 
 
 def test_a_write_into_a_tile_that_is_only_read_raises(monkeypatch):
-    """Initial tiles are read-only views: the sparse A row tiles are slices
-    of the instance's value array, which the oracle reads too."""
-    tiles = plan_module._tiles
+    """Initial tiles and families are read-only: the sparse A family's data
+    is the instance's value array, which the oracle reads too.  Each read,
+    of tiles and family rows a gather takes or of family words a fetch
+    takes, writes into what it read."""
+    tiles, words = plan_module._tiles, plan_module._family_words
 
     def writing(program, procs, keys, moves, round_no):
         moves = [move for _, move in zip(procs, moves)]
@@ -287,15 +292,23 @@ def test_a_write_into_a_tile_that_is_only_read_raises(monkeypatch):
                 tile += 1
         return found
 
+    def writing_words(program, name, procs, at, round_no):
+        found = words(program, name, procs, at, round_no)
+        ptr, data = program.plan.families[name]
+        data[ptr[procs] + at] += 1
+        return found
+
     monkeypatch.setattr(plan_module, "_tiles", writing)
+    monkeypatch.setattr(plan_module, "_family_words", writing_words)
     for name in SPARSE_GOLDEN:
         with pytest.raises(ValueError, match="read-only"):
             run_experiment(ExperimentConfig(seed=1, **GOLDEN_CONFIGS[name]), write=False)
 
 
 def _drop_row_tile(name, pick):
-    """Delete the row tile ``name`` that the ``pick``ed term reads: the A row
-    tile of a term's owner, or the B column tile of a moved term's sender."""
+    """Take the row tile ``name`` that the ``pick``ed term reads out of its
+    family: the A row of a term's owner, or the B column of a moved term's
+    sender."""
 
     def apply(plan):
         sites = _fetch_sites(plan, moved=name == "b")
@@ -303,7 +316,7 @@ def _drop_row_tile(name, pick):
             round_no, g, column = sites[pick(len(sites))]
             op = plan.groups[round_no][g]
             p = int(op.terms[0 if name == "a" else 2, column])
-            del plan.init[p][(name, p)]
+            drop_row(plan, name, p)
         return sites
 
     return apply
@@ -546,27 +559,26 @@ def test_every_scatter_mutant_is_caught(monkeypatch, mutant, position):
     assert caught == len(SCATTER_GOLDEN) == 13
 
 
-def _slot_over(give, program, cells, values, round_no):
+def _slot_over(give, program, cells, values):
     """The first cell whose next one exists and is not in the give goes there."""
     free = np.flatnonzero(np.diff(cells, append=len(program.given)) > 1)
     cells = cells.copy()
     cells[free[0]] += 1
-    give(program, cells, values, round_no)
+    give(program, cells, values)
 
 
-def _fresh_uncounted(give, program, cells, values, round_no):
+def _fresh_uncounted(give, program, cells, values):
     fresh = cells[~program.given[cells]]
-    give(program, cells, values, round_no)
+    give(program, cells, values)
     program.state_words[program.cell_owner[fresh[0]]] -= 1
 
 
-def _held_overwritten(give, program, cells, values, round_no):
-    """The first held cell's merged word is its new value alone."""
+def _held_overwritten(give, program, cells, values):
+    """The first held cell's word is its new value alone."""
     i = np.flatnonzero(program.given[cells])[0]
     new = values[i]
-    give(program, cells, values, round_no)
-    p = int(program.cell_owner[cells[i]])
-    program.states[p][("c", p)][program.given[program.cell_start[p] : cells[i]].sum()] = new
+    give(program, cells, values)
+    program.cell_values[cells[i]] = new
 
 
 # name -> (does the mutant apply to a give of these cells, mutant, semiring or None)
@@ -583,13 +595,12 @@ CELL_MUTANTS = {
 def _cell_give_run(monkeypatch, config, out_dir, wrap):
     """Run ``config`` with ``plan._give_cells`` replaced by ``wrap(give)``;
     returns the summary and the rounds whose counted state words differ
-    from the words in the stores."""
+    from the words the stores measure."""
     give, group_step, unmatched = plan_module._give_cells, PlanProgram.group_step, []
 
     def traced(program, round_no):
         found = group_step(program, round_no)
-        measured = [sum(tile.size for tile in store.values()) for store in program.states]
-        if found is not None and found[3].tolist() != measured:
+        if found is not None and found[3].tolist() != store_words(program).tolist():
             unmatched.append(round_no)
         return found
 
@@ -613,9 +624,9 @@ def test_every_cell_give_mutant_is_caught(monkeypatch, tmp_path, mutant, positio
         sites = []
 
         def recording(give):
-            def call(program, cells, values, round_no):
+            def call(program, cells, values):
                 sites.append(applies(program, cells))
-                give(program, cells, values, round_no)
+                give(program, cells, values)
             return call
 
         _cell_give_run(monkeypatch, config, str(tmp_path / "clean"), recording)
@@ -627,10 +638,10 @@ def test_every_cell_give_mutant_is_caught(monkeypatch, tmp_path, mutant, positio
         def mutated(give):
             calls = []
 
-            def call(program, cells, values, round_no):
+            def call(program, cells, values):
                 calls.append(None)
                 (mutate if len(calls) - 1 == site else lambda g, *args: g(*args))(
-                    give, program, cells, values, round_no)
+                    give, program, cells, values)
             return call
 
         summary, unmatched = _cell_give_run(monkeypatch, config, str(tmp_path / name), mutated)

@@ -18,6 +18,7 @@ from mpcmm.schedules.common import gather, rotation_fragment
 
 import plan_reference
 import rotation_reference
+from handler_program import given_row, store_words
 from plan_reference import Drop, Mac, MulAcc, ReferenceProgram, Send, add, gather_pieces
 from test_golden import SHIPPED_CONFIGS, perfbench
 
@@ -440,22 +441,18 @@ def _cell_plan():
     return plan
 
 
-def _measured(program):
-    return [sum(tile.size for tile in store.values()) for store in program.states]
-
-
 def test_a_cell_give_merges_each_row_in_slot_order_and_counts_fresh_cells_once():
     program = PlanProgram(_cell_plan(), INT)
     program.start()
     program.group_step(1)
     program.group_step(2)
-    assert program.states[0][("c", 0)].tolist() == [3, 1 + 10]
-    assert program.states[2][("c", 2)].tolist() == [2 + 4]
-    assert program.state_words.tolist() == _measured(program) == [2, 0, 1]
+    assert given_row(program, 0) == [3, 1 + 10]
+    assert given_row(program, 2) == [2 + 4]
+    assert program.state_words.tolist() == store_words(program).tolist() == [2, 0, 1]
     program.group_step(3)
-    assert program.states[0][("c", 0)].tolist() == [3, 200, 1 + 10 + 100]
-    assert program.states[2][("c", 2)].tolist() == [2 + 4, 300]
-    assert program.state_words.tolist() == _measured(program) == [3, 0, 2]
+    assert given_row(program, 0) == [3, 200, 1 + 10 + 100]
+    assert given_row(program, 2) == [2 + 4, 300]
+    assert program.state_words.tolist() == store_words(program).tolist() == [3, 0, 2]
     procs, rows, cols, blocks = program.finalize()
     assert (procs, rows, [c.tolist() for c in cols]) == ([0, 2], [0, 2], [[1, 3, 4], [0, 2]])
     z = INT.zero
@@ -506,6 +503,48 @@ def test_an_output_cell_needs_a_processor_a_row_and_a_col():
         Plan(num_procs=2, num_rounds=1).emit_cells([0, 1], [0], [0, 1])
 
 
+@pytest.mark.parametrize("ptr", [[0, 2], [1, 1, 2], [0, 2, 1], [0, 1, 1], [0, 1, 3]])
+def test_a_family_needs_a_ptr_rising_over_its_words(ptr):
+    with pytest.raises(ValueError, match="ptr must rise from 0 to its 2 words"):
+        Plan(num_procs=2, num_rounds=1).set_family("a", ptr, [1, 2])
+
+
+def test_a_family_row_is_read_only_and_never_moves():
+    plan = Plan(num_procs=2, num_rounds=1)
+    plan.set_family("a", [0, 2, 3], [1, 2, 3])
+    program = PlanProgram(plan, INT)
+    program.start()
+    assert program.state_words.tolist() == [2, 1]
+    (row,) = plan_module._tiles(program, [1], [("a", 1)], [False], 1)
+    assert row.tolist() == [3] and not row.flags.writeable
+    with pytest.raises(MissingTile) as caught:
+        plan_module._tiles(program, [1], [("a", 1)], [True], 1)
+    assert (caught.value.processor, caught.value.key) == (1, ("a", 1))
+    with pytest.raises(MissingTile):  # another processor's row
+        plan_module._tiles(program, [0], [("a", 1)], [False], 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12), width=st.sampled_from([1, 3]),
+       semiring=st.sampled_from(["int", "bool", "tropical"]), data=st.data())
+def test_halving_segment_sums_equal_the_left_to_right_ones(lengths, width, semiring, data):
+    """``_segment_add`` adds in halving passes; int words wrap at 2**64 in
+    either order, and bool and tropical addition are exact."""
+    spec = get_semiring(semiring)
+    low, high = spec.domain or (-(1 << 63), (1 << 63) - 1)
+    words = data.draw(st.lists(st.integers(low, high), min_size=sum(lengths) * width,
+                               max_size=sum(lengths) * width))
+    values = np.array(words, dtype=np.int64).reshape(-1, width)
+    starts = np.cumsum([0] + lengths[:-1])
+    expected = []
+    for start, length in zip(starts.tolist(), lengths):
+        total = values[start]
+        for row in values[start + 1 : start + length]:
+            total = spec.vadd(total, row)
+        expected.append(total.tolist())
+    assert plan_module._segment_add(spec, values.copy(), starts).tolist() == expected
+
+
 def test_a_fetch_needs_a_slot_per_term():
     plan = Plan(num_procs=2, num_rounds=1)
     plan.add_group(1, Fetch(0, np.zeros((5, 1), dtype=np.int64)))
@@ -547,7 +586,8 @@ def test_shipped_builders_place_no_per_processor_op(name):
 def test_shipped_plans_hand_no_processor_to_the_handler(monkeypatch, name):
     """Group ops change the stores in place and count their words where
     tiles leave and arrive: at every group step, the trailing one too, the
-    state words the step returns are the words of the tiles in the stores.
+    state words the step returns are the words ``store_words`` measures in
+    the stores, their family rows and their given output cells.
     ``PlanProgram.handler`` raises if called, so the run also shows that no
     processor is handed to it."""
     steps = []
@@ -556,8 +596,7 @@ def test_shipped_plans_hand_no_processor_to_the_handler(monkeypatch, name):
     def traced_group_step(program, round_no):
         group = group_step(program, round_no)
         if group is not None:
-            measured = [sum(tile.size for tile in store.values()) for store in program.states]
-            steps.append((program, round_no, group[3].tolist(), measured))
+            steps.append((program, round_no, group[3].tolist(), store_words(program).tolist()))
         return group
 
     monkeypatch.setattr(PlanProgram, "group_step", traced_group_step)

@@ -542,24 +542,64 @@ def test_edge_runs_keep_their_hashes(name, tmp_path):
         summary_sha, transcript_sha)
 
 
+# A file instance with zero-length rows in all three families: A's row 2
+# and B's column 4 are empty, and owners 2 and 4 have no masked cell.
+RAGGED_FILES = {
+    "a.txt": "SPARSE 6 6 9\n1 1 3\n1 4 5\n2 2 2\n2 5 7\n4 3 4\n4 6 1\n5 1 6\n6 2 8\n6 6 2\n",
+    "b.txt": ("SPARSE 6 6 10\n1 1 2\n1 3 9\n2 2 4\n2 4 3\n3 6 5\n3 1 7\n4 4 1\n5 3 6\n"
+              "5 6 8\n6 2 3\n"),
+}
+# (summary SHA-256, transcript SHA-256) of its sparse-trivial run at d=2.
+RAGGED_HASHES = {
+    "int": (
+        "1fdfdf98b45b25000ee3b87fb9d4cc455b18f4be906984ecc66c5c1e4037bf3f",
+        "91a5278b2a401844dcd27e4b0c295c0205d0bfeba171b0c354f20066d28b5c13",
+    ),
+    "tropical": (
+        "4a853d2722f9c8680c1ddaadeb46438068c544c6f721da0d87ccd9be07d4049a",
+        "91a5278b2a401844dcd27e4b0c295c0205d0bfeba171b0c354f20066d28b5c13",
+    ),
+}
+
+
+@pytest.mark.parametrize("semiring", sorted(RAGGED_HASHES))
+def test_empty_family_rows_keep_their_hashes(monkeypatch, tmp_path, semiring):
+    monkeypatch.chdir(tmp_path)  # the summary names the files by their relative paths
+    for name, text in RAGGED_FILES.items():
+        (tmp_path / name).write_text(text)
+    config = ExperimentConfig(case="sparse-trivial", n=6, d=2, instance="file",
+                              file_a="a.txt", file_b="b.txt", semiring=semiring, seed=1)
+    spec = get_semiring(semiring)
+    a, b, mask = generate_instance(config, spec)
+    assert mask.rows[2] == mask.rows[4] == ()
+    plan = build_schedule(config, a, b, mask, spec).program.plan
+    widths = [np.diff(plan.families[name][0]).tolist() for name in "ab"]
+    assert widths == [[2, 2, 0, 2, 1, 2], [2, 2, 2, 2, 0, 2]]
+    summary = run_experiment(config, out_dir="out")
+    assert summary["ok"]
+    assert (_digest(summary["summary_path"]), _digest(summary["transcript_path"])) == (
+        RAGGED_HASHES[semiring])
+
+
 @pytest.mark.parametrize("name", SPARSE_SHIPPED)
 def test_each_owner_emits_one_row_and_no_store_holds_a_cell_tile(monkeypatch, name):
-    """The masked output cells of owner r are one row tile ("c", r): at
-    most one emit per processor, and after every group step no store holds
-    a one-cell key ("c", r, j)."""
+    """The masked output cells of owner r are one row of the run's cell
+    array, emitted apart from the stored tiles: at most one emit per
+    processor, and after every group step no store holds a cell key
+    ("c", ...) or a family row ("a", r) or ("b", r)."""
     config = SHIPPED_CONFIGS[name]
     spec = get_semiring(config.semiring)
     schedule = build_schedule(config, *generate_instance(config, spec), spec)
     program = schedule.program
-    procs, keys, _, _ = program.emits
-    assert len(set(procs)) == len(procs) and keys == [("c", p) for p in procs]
+    procs = program.cell_emits[0]
+    assert len(set(procs)) == len(procs) and program.emits == ([], [], [], [])
     cell_keys = []
     group_step = PlanProgram.group_step
 
     def traced(program, round_no):
         found = group_step(program, round_no)
         cell_keys.extend(key for store in program.states for key in store
-                         if key[0] == "c" and len(key) != 2)
+                         if key[0] in ("a", "b", "c"))
         return found
 
     monkeypatch.setattr(PlanProgram, "group_step", traced)
